@@ -24,7 +24,7 @@ from . import cache as cache_mod
 from .certify import derive_delta, sumset_bound_harness
 from .discrete import EnumerationLimitError, enumerate_maximum_sets, f_max
 from .intervals import format_union, is_k_sum_free, parse_union
-from .rationals import RationalParseError, decimal_str, format_rational
+from .rationals import decimal_str, format_rational
 from .search import build_pattern_lp, maximize_measure, DisjunctionPattern
 from . import lp as lp_mod
 
@@ -100,8 +100,19 @@ def _emit(payload: dict, fmt: str, table_lines) -> None:
             print(line)
 
 
-def _rat(q) -> str:
-    return format_rational(q)
+def _cached(kind: str, params: dict, cache_path: str, force: bool, compute) -> dict:
+    """The cached payload for (kind, params), else ``compute()``, appended.
+
+    ``--force`` skips the lookup.  A record written by another sumfree
+    version is a miss, so a solver fix is never hidden by an old result.
+    """
+    cached = None if force else cache_mod.lookup(cache_path, kind, params)
+    if cached is not None and cached.version == __version__:
+        return cached.result
+    payload = compute()
+    cache_mod.append_record(cache_path, cache_mod.make_record(
+        kind, params, payload, __version__))
+    return payload
 
 
 def _cmd_verify(args, fmt: str) -> int:
@@ -111,18 +122,18 @@ def _cmd_verify(args, fmt: str) -> int:
     payload = {
         "set": format_union(u),
         "k": args.k,
-        "measure": _rat(measure),
+        "measure": format_rational(measure),
         "sum_free": free,
         "witness": None if witness is None else
-        {"x": _rat(witness.x), "y": _rat(witness.y), "z": _rat(witness.z)},
+        {name: format_rational(getattr(witness, name)) for name in "xyz"},
     }
     if free:
-        lines = [f"measure {_rat(measure)} ({decimal_str(measure)}); "
+        lines = [f"measure {payload['measure']} ({decimal_str(measure)}); "
                  f"{args.k}-sum-free: yes"]
     else:
-        lines = [f"measure {_rat(measure)} ({decimal_str(measure)}); "
-                 f"{args.k}-sum-free: no; witness x={_rat(witness.x)} "
-                 f"y={_rat(witness.y)} z={_rat(witness.z)}"]
+        w = payload["witness"]
+        lines = [f"measure {payload['measure']} ({decimal_str(measure)}); "
+                 f"{args.k}-sum-free: no; witness x={w['x']} y={w['y']} z={w['z']}"]
     _emit(payload, fmt, lines)
     return EXIT_OK if free else EXIT_VERIFY_FAILED
 
@@ -130,10 +141,8 @@ def _cmd_verify(args, fmt: str) -> int:
 def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) -> int:
     params = {"k": args.k, "m": args.m, "all_optima": args.all_optima,
               "node_limit": args.node_limit}
-    cached = None if force else cache_mod.lookup(cache_path, "continuous", params)
-    if cached is not None:
-        payload = cached.result
-    else:
+
+    def compute() -> dict:
         if verbose >= 2:
             root = build_pattern_lp(args.m, args.k, DisjunctionPattern(args.m))
             lp_mod.solve(root, trace=lambda s: sys.stderr.write(s + "\n"))
@@ -142,19 +151,19 @@ def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) 
                                   parallel=args.parallel,
                                   node_limit=args.node_limit)
         elapsed = time.perf_counter() - t0
-        payload = {
-            "optimum": _rat(result.optimum),
+        if verbose:
+            sys.stderr.write(f"continuous m={args.m} k={args.k}: "
+                             f"{result.nodes_explored} nodes, "
+                             f"{result.lp_pivots} pivots, {elapsed:.2f}s\n")
+        return {
+            "optimum": format_rational(result.optimum),
             "witnesses": [format_union(w) for w in result.witnesses],
             "nodes_explored": result.nodes_explored,
             "status": result.status,
             "witnesses_exact": result.witnesses_exact,
         }
-        if verbose:
-            sys.stderr.write(f"continuous m={args.m} k={args.k}: "
-                             f"{result.nodes_explored} nodes, "
-                             f"{result.lp_pivots} pivots, {elapsed:.2f}s\n")
-        cache_mod.append_record(cache_path, cache_mod.make_record(
-            "continuous", params, payload, __version__))
+
+    payload = _cached("continuous", params, cache_path, force, compute)
     lines = [f"optimum {payload['optimum']}",
              f"status {payload['status']} after {payload['nodes_explored']} nodes"]
     lines += [f"witness: {w if w else '(empty set)'}" for w in payload["witnesses"]]
@@ -165,25 +174,22 @@ def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) 
 def _cmd_discrete(args, fmt: str, cache_path: str, force: bool, verbose: int) -> int:
     params = {"n": args.n, "k": args.k, "enumerate": args.enumerate_all,
               "node_limit": args.node_limit}
-    cached = None if force else cache_mod.lookup(cache_path, "discrete", params)
-    if cached is not None:
-        payload = cached.result
-    else:
+
+    def compute() -> dict:
         t0 = time.perf_counter()
         if args.enumerate_all:
             sets = enumerate_maximum_sets(args.n, args.k, node_limit=args.node_limit)
             value = len(sets[0]) if sets else 0
-            payload = {"n": args.n, "k": args.k, "f": value,
-                       "witnesses": [list(s) for s in sets]}
         else:
             value, witness = f_max(args.n, args.k)
-            payload = {"n": args.n, "k": args.k, "f": value,
-                       "witnesses": [list(witness)]}
+            sets = [witness]
         if verbose:
             sys.stderr.write(f"discrete n={args.n} k={args.k}: "
                              f"{time.perf_counter() - t0:.2f}s\n")
-        cache_mod.append_record(cache_path, cache_mod.make_record(
-            "discrete", params, payload, __version__))
+        return {"n": args.n, "k": args.k, "f": value,
+                "witnesses": [list(s) for s in sets]}
+
+    payload = _cached("discrete", params, cache_path, force, compute)
     lines = [f"f({args.n},{args.k}) = {payload['f']}"]
     if args.witness or args.enumerate_all:
         lines += ["witness: {" + ",".join(map(str, w)) + "}"
@@ -195,10 +201,8 @@ def _cmd_discrete(args, fmt: str, cache_path: str, force: bool, verbose: int) ->
 def _cmd_certify(args, fmt: str, cache_path: str, force: bool, verbose: int) -> int:
     params = {"trials": args.trials, "max_intervals": args.max_intervals,
               "seed": args.seed}
-    cached = None if force else cache_mod.lookup(cache_path, "certify", params)
-    if cached is not None:
-        payload = cached.result
-    else:
+
+    def compute() -> dict:
         cert = derive_delta()
         t0 = time.perf_counter()
         harness = sumset_bound_harness(trials=args.trials,
@@ -206,27 +210,30 @@ def _cmd_certify(args, fmt: str, cache_path: str, force: bool, verbose: int) -> 
                                       seed=args.seed)
         if verbose:
             sys.stderr.write(f"harness: {time.perf_counter() - t0:.2f}s\n")
-        payload = {
-            "delta_star": _rat(cert.delta_star),
+        return {
+            "delta_star": format_rational(cert.delta_star),
             "branches": [
-                {"name": b.name, "bound": f"{_rat(b.constant)} + {_rat(b.delta_coeff)}*d",
-                 "delta_sup": _rat(b.delta_sup)}
+                {"name": b.name,
+                 "bound": f"{format_rational(b.constant)} + "
+                          f"{format_rational(b.delta_coeff)}*d",
+                 "delta_sup": format_rational(b.delta_sup)}
                 for b in cert.branches
             ],
             "chain_ok": cert.all_steps_ok(),
-            "steps": [{"name": s.name, "lhs": _rat(s.lhs), "rhs": _rat(s.rhs),
-                       "ok": s.ok} for s in cert.steps],
+            "steps": [{"name": s.name, "lhs": format_rational(s.lhs),
+                       "rhs": format_rational(s.rhs), "ok": s.ok}
+                      for s in cert.steps],
             "harness": {
                 "trials": harness.trials,
                 "max_intervals": harness.max_intervals,
                 "seed": harness.seed,
                 "violations": harness.violations,
-                "min_slack": _rat(harness.min_slack),
+                "min_slack": format_rational(harness.min_slack),
                 "min_slack_example": format_union(harness.min_slack_example),
             },
         }
-        cache_mod.append_record(cache_path, cache_mod.make_record(
-            "certify", params, payload, __version__))
+
+    payload = _cached("certify", params, cache_path, force, compute)
     lines = ["branch suprema:"]
     lines += [f"  {b['name']:20s} x <= {b['bound']:18s} delta_sup = {b['delta_sup']}"
               for b in payload["branches"]]
@@ -282,9 +289,6 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_certify(args, fmt, cache_path, args.force, args.verbose)
         if args.command == "report":
             return _cmd_report(cache_path)
-    except RationalParseError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
     except EnumerationLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY_FAILED

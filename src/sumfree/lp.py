@@ -351,19 +351,23 @@ def _run_phase1(tab: _Tableau, art_cols: list[int], pivot_rule: str) -> bool:
     return True
 
 
+def _run_phases(lp: LinearProgram, pivot_rule: str, trace=None) -> tuple[_Build, str]:
+    """Build ``lp``, run phase 1 and then phase 2; the build and its status."""
+    b = _build(lp, trace)
+    if b.art_cols and not _run_phase1(b.tab, b.art_cols, pivot_rule):
+        return b, INFEASIBLE
+    return b, b.tab.optimize(b.tab.nrows, pivot_rule)
+
+
 def solve(lp: LinearProgram, pivot_rule: str = "bland",
           trace: Callable[[str], None] | None = None) -> LPResult:
     """Exact optimum of ``lp``; deterministic for a fixed pivot rule."""
-    b = _build(lp, trace)
+    b, status = _run_phases(lp, pivot_rule, trace)
     tab = b.tab
-    if b.art_cols and not _run_phase1(tab, b.art_cols, pivot_rule):
-        return LPResult(status=INFEASIBLE, pivots=tab.pivots)
+    if status != OPTIMAL:
+        return LPResult(status=status, pivots=tab.pivots)
 
     obj2_idx = tab.nrows
-    status = tab.optimize(obj2_idx, pivot_rule)
-    if status == UNBOUNDED:
-        return LPResult(status=UNBOUNDED, pivots=tab.pivots)
-
     vertex = _read_vertex(tab, b.col_of_var)
     value = sum((cj * xj for cj, xj in zip(lp.objective, vertex)), Fraction(0))
     dual = tuple(
@@ -431,13 +435,11 @@ def enumerate_optimal_vertices(
     walk was cut off by ``basis_limit`` or the face is unbounded; the
     vertex list is deduplicated and sorted for determinism.
     """
-    b = _build(lp)
+    b, status = _run_phases(lp, pivot_rule)
+    if status != OPTIMAL:
+        return [], status == INFEASIBLE
     tab = b.tab
-    if b.art_cols and not _run_phase1(tab, b.art_cols, pivot_rule):
-        return [], True
     obj2_idx = tab.nrows
-    if tab.optimize(obj2_idx, pivot_rule) == UNBOUNDED:
-        return [], False
 
     complete = True
     dead_cols = set(b.art_cols)  # zeroed after phase 1, never re-enter

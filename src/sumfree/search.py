@@ -24,6 +24,7 @@ uniqueness claims instead of merely returning one maximizer.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
@@ -225,71 +226,52 @@ def _record_leaf(state: _RunState, m: int, lp_obj: LinearProgram,
     state.witnesses |= leaf_sets
 
 
-def _explore(m: int, state: _RunState, roots: Iterable[frozenset] | None = None) -> None:
-    """Depth-first branch-and-bound over resolved-choice sets for fixed m."""
-    stack = [frozenset()] if roots is None else list(roots)
+def _expand(m: int, state: _RunState, choices: frozenset) -> list[frozenset]:
+    """Process one node: solve its LP, then prune it, fathom it or branch it.
+
+    Returns the open children, LEFT first; pruned and fathomed nodes have none.
+    """
+    state.nodes += 1
+    prog = build_pattern_lp(m, state.k, DisjunctionPattern(m, choices))
+    res = lp_mod.solve(prog, pivot_rule=state.pivot_rule)
+    state.pivots += res.pivots
+    if res.status != OPTIMAL or res.value < state.best:
+        return []
+    if res.value == state.best and not state.all_optima:
+        # Equal-bound nodes can only tie the incumbent; when ties are
+        # not being collected the incumbent witness already realizes it.
+        return []
+    entry = _pick_branch(res.vertex, m, state.k, choices)
+    if entry is None:
+        _record_leaf(state, m, prog, res.value,
+                     Configuration(m, res.vertex).to_union())
+        return []
+    i, j, t = entry
+    return [choices | {(LEFT, i, j, t)}, choices | {(RIGHT, i, j, t)}]
+
+
+def _explore(m: int, state: _RunState, roots: Iterable[frozenset] = (frozenset(),),
+             want: int | None = None) -> list[frozenset]:
+    """Branch-and-bound over resolved-choice sets for fixed m.
+
+    Without ``want`` the tree is searched depth-first, LEFT child first,
+    until it is exhausted.  With ``want`` it is expanded breadth-first
+    until at least ``want`` nodes are open, and the distinct unexpanded
+    ones are returned in a fixed order.
+    """
+    open_nodes = deque(roots)
     memo: set[frozenset] = set()
-    while stack:
+    while open_nodes and (want is None or len(open_nodes) < want):
         if state.node_limit is not None and state.nodes >= state.node_limit:
             state.interrupted = True
-            return
-        choices = stack.pop()
+            return []
+        choices = open_nodes.pop() if want is None else open_nodes.popleft()
         if choices in memo:
             continue
         memo.add(choices)
-        state.nodes += 1
-        prog = build_pattern_lp(m, state.k, DisjunctionPattern(m, choices))
-        res = lp_mod.solve(prog, pivot_rule=state.pivot_rule)
-        state.pivots += res.pivots
-        if res.status != OPTIMAL:
-            continue
-        if res.value < state.best:
-            continue
-        if res.value == state.best and not state.all_optima:
-            # Equal-bound nodes can only tie the incumbent; when ties are
-            # not being collected the incumbent witness already realizes it.
-            continue
-        entry = _pick_branch(res.vertex, m, state.k, choices)
-        if entry is None:
-            _record_leaf(state, m, prog, res.value,
-                         Configuration(m, res.vertex).to_union())
-            continue
-        i, j, t = entry
-        stack.append(choices | {(RIGHT, i, j, t)})
-        stack.append(choices | {(LEFT, i, j, t)})
-
-
-def _frontier(m: int, state: _RunState, want: int) -> list[frozenset]:
-    """Breadth-first expansion of the root until >= want open nodes."""
-    frontier: list[frozenset] = [frozenset()]
-    while len(frontier) < want:
-        grown: list[frozenset] = []
-        progress = False
-        for choices in frontier:
-            if state.node_limit is not None and state.nodes >= state.node_limit:
-                state.interrupted = True
-                return []
-            prog = build_pattern_lp(m, state.k, DisjunctionPattern(m, choices))
-            res = lp_mod.solve(prog, pivot_rule=state.pivot_rule)
-            state.pivots += res.pivots
-            state.nodes += 1
-            if res.status != OPTIMAL or res.value < state.best:
-                continue
-            if res.value == state.best and not state.all_optima:
-                continue
-            entry = _pick_branch(res.vertex, m, state.k, choices)
-            if entry is None:
-                _record_leaf(state, m, prog, res.value,
-                             Configuration(m, res.vertex).to_union())
-                continue
-            i, j, t = entry
-            grown.append(choices | {(LEFT, i, j, t)})
-            grown.append(choices | {(RIGHT, i, j, t)})
-            progress = True
-        frontier = grown
-        if not progress or not frontier:
-            break
-    return frontier
+        children = _expand(m, state, choices)
+        open_nodes.extend(reversed(children) if want is None else children)
+    return sorted(set(open_nodes) - memo, key=sorted)
 
 
 def _worker(args):
@@ -315,7 +297,9 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     ``all_optima`` so is the witness list, which is then the complete,
     deduplicated set of maximizers whenever ``witnesses_exact`` is True.
     Without ``all_optima`` the single reported witness may depend on the
-    schedule and no completeness is claimed.
+    schedule and no completeness is claimed.  ``node_limit`` caps the
+    nodes explored in total, across all runs and workers (each worker
+    gets a share of what is left); a search it stops is ``interrupted``.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
@@ -326,7 +310,7 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     for m_eff in range(1, m + 1):
         if state.interrupted:
             break
-        if m_eff == m and parallel > 1 and not state.interrupted:
+        if m_eff == m and parallel > 1:
             _explore_parallel(m_eff, state, parallel)
         else:
             _explore(m_eff, state)
@@ -353,14 +337,15 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
 def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
     from concurrent.futures import ProcessPoolExecutor
 
-    roots = _frontier(m, state, want=max(4 * workers, 8))
+    roots = _explore(m, state, want=max(4 * workers, 8))
     if state.interrupted or not roots:
         return
-    chunks: list[list[frozenset]] = [[] for _ in range(workers)]
-    for idx, node in enumerate(sorted(roots, key=sorted)):
-        chunks[idx % workers].append(node)
-    args = [(m, state.k, state.all_optima, state.node_limit, state.pivot_rule,
-             state.best, chunk) for chunk in chunks if chunk]
+    n = min(workers, len(roots))
+    # node_limit caps the whole run, so the workers split what is left of it.
+    left = None if state.node_limit is None else state.node_limit - state.nodes
+    args = [(m, state.k, state.all_optima,
+             None if left is None else left // n + (w < left % n),
+             state.pivot_rule, state.best, roots[w::n]) for w in range(n)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         outcomes = list(pool.map(_worker, args))
     for best, wit_keys, exact, nodes, pivots, interrupted in outcomes:

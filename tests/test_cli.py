@@ -170,6 +170,17 @@ def test_cache_tolerates_unknown_fields(tmp_path):
     assert lookup(str(path), "discrete", {"n": 2}).result == {"f": 1}
 
 
+def test_cache_record_from_another_version_is_recomputed(cache_path, capsys):
+    params = {"n": 5, "k": 1, "enumerate": False, "node_limit": None}
+    append_record(str(cache_path), make_record("discrete", params, {"f": 99}, "0.0.0"))
+    code = main(["discrete", "--n", "5", "--k", "1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["f"] == 3
+    lines = cache_path.read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1])["version"] == __version__
+
+
 def test_console_entry_point(tmp_path):
     """`python -m sumfree.cli`: main()'s return value is the exit code, and stdout is right."""
     env = dict(os.environ, SUMFREE_CACHE=str(tmp_path / "cli-cache.jsonl"))

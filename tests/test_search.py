@@ -177,12 +177,18 @@ def test_monotone_in_m_and_stable_at_record():
     assert values[2] == values[3] == values[4] == F(77, 177)
 
 
+# Nodes and LP pivots of the serial search; a change to the node step that
+# alters the tree shows up here first.
+SEARCH_COUNTERS = {4: (172, 1873), 5: (619, 9467)}
+
+
 @pytest.mark.parametrize("m", [4, 5])
 def test_record_witness_stays_unique_with_spare_intervals(m, largest_known_3sumfree):
     res = maximize_measure(m, 3, all_optima=True)
     assert res.optimum == F(77, 177)
     assert res.witnesses == (largest_known_3sumfree,)
     assert res.witnesses_exact
+    assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[m]
 
 
 def test_schedule_independence_sequential_vs_parallel():
@@ -204,6 +210,13 @@ def test_node_limit_interrupts():
     res = maximize_measure(3, 3, node_limit=5)
     assert res.status == "interrupted"
     assert res.optimum <= F(77, 177)
+
+
+def test_node_limit_is_global_across_workers():
+    # the full m=4 search takes 172 nodes, so a limit of 100 must stop it
+    res = maximize_measure(4, 3, all_optima=True, parallel=2, node_limit=100)
+    assert res.nodes_explored <= 100
+    assert res.status == "interrupted"
 
 
 def test_invalid_arguments():
