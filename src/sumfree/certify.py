@@ -27,8 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .intervals import IntervalUnion
+from .rationals import HALF
 
-HALF = Fraction(1, 2)
+# Largest denominator of the random endpoints in ``random_union``.
+_MAX_DENOMINATOR = 64
 
 
 @dataclass(frozen=True)
@@ -165,14 +167,13 @@ class HarnessReport:
         return self.violations == 0
 
 
-def random_union(rng: random.Random, max_intervals: int,
-                 max_denominator: int = 64) -> IntervalUnion:
+def random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
     """Seeded random union of up to max_intervals intervals in [0, 1]."""
     while True:
         m = rng.randint(1, max_intervals)
         cuts = sorted(
             Fraction(rng.randint(0, d), d)
-            for d in (rng.randint(1, max_denominator) for _ in range(2 * m))
+            for d in (rng.randint(1, _MAX_DENOMINATOR) for _ in range(2 * m))
         )
         u = IntervalUnion.from_pairs(list(zip(cuts[0::2], cuts[1::2])))
         if not u.is_empty():

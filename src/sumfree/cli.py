@@ -32,6 +32,13 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
+# Result fields the CLI reads back from a cached record, per kind.
+_RESULT_FIELDS = {
+    "continuous": ("optimum", "witnesses", "nodes_explored", "status"),
+    "discrete": ("f", "witnesses"),
+    "certify": ("delta_star", "branches", "chain_ok", "harness"),
+}
+
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # registered on the top parser with real defaults and on every
@@ -79,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--enumerate", action="store_true", dest="enumerate_all")
     p.add_argument("--witness", action="store_true")
-    p.add_argument("--node-limit", type=int, default=None)
+    p.add_argument("--node-limit", type=int, default=None,
+                   help="node cap for --enumerate (ignored without it)")
 
     p = sub.add_parser("certify", parents=[common],
                        help="re-derive delta and run the sumset-bound harness")
@@ -100,14 +108,22 @@ def _emit(payload: dict, fmt: str, table_lines) -> None:
             print(line)
 
 
+def _well_formed(kind: str, result) -> bool:
+    """True when ``result`` carries every field the CLI reads for ``kind``."""
+    return (kind in _RESULT_FIELDS and isinstance(result, dict)
+            and all(name in result for name in _RESULT_FIELDS[kind]))
+
+
 def _cached(kind: str, params: dict, cache_path: str, force: bool, compute) -> dict:
     """The cached payload for (kind, params), else ``compute()``, appended.
 
     ``--force`` skips the lookup.  A record written by another sumfree
-    version is a miss, so a solver fix is never hidden by an old result.
+    version is a miss, so a solver fix is never hidden by an old result;
+    so is a record that lacks a result field the CLI reads.
     """
     cached = None if force else cache_mod.lookup(cache_path, kind, params)
-    if cached is not None and cached.version == __version__:
+    if (cached is not None and cached.version == __version__
+            and _well_formed(kind, cached.result)):
         return cached.result
     payload = compute()
     cache_mod.append_record(cache_path, cache_mod.make_record(
@@ -255,19 +271,21 @@ def _cmd_report(cache_path: str) -> int:
     for key in sorted(records):
         rec = records[key]
         params = json.dumps(rec.parameters, sort_keys=True)
-        if rec.kind == "continuous":
+        if not _well_formed(rec.kind, rec.result):
+            summary = json.dumps(rec.result, sort_keys=True)
+        elif rec.kind == "continuous":
             summary = (f"optimum {rec.result['optimum']}, "
                        f"{len(rec.result['witnesses'])} witness(es), "
                        f"{rec.result['status']}")
         elif rec.kind == "discrete":
             summary = (f"f = {rec.result['f']}, "
-                       f"{len(rec.result.get('witnesses', []))} set(s)")
-        elif rec.kind == "certify":
+                       f"{len(rec.result['witnesses'])} set(s)")
+        else:
             summary = (f"delta* = {rec.result['delta_star']}, "
                        f"{rec.result['harness']['violations']} violations")
-        else:
-            summary = json.dumps(rec.result, sort_keys=True)
-        print(f"| {rec.kind} | `{params}` | {summary} | {rec.version} |")
+        # the CLI recomputes a record from another version rather than serve it
+        version = rec.version if rec.version == __version__ else f"{rec.version} (stale)"
+        print(f"| {rec.kind} | `{params}` | {summary} | {version} |")
     return EXIT_OK
 
 

@@ -62,8 +62,8 @@ class _Instance:
     def __init__(self, n: int, k: int):
         self.n = n
         self.k = k
-        self.triples = forbidden_triples(n, k)
-        self.masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in self.triples})
+        triples = forbidden_triples(n, k)
+        self.masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples})
         self.by_elem: list[list[int]] = [[] for _ in range(n + 1)]
         for tm in self.masks:
             m = tm
@@ -71,9 +71,6 @@ class _Instance:
                 low = m & -m
                 self.by_elem[low.bit_length() - 1].append(tm)
                 m ^= low
-
-    def full_mask(self) -> int:
-        return ((1 << (self.n + 1)) - 1) & ~1
 
     def bound(self, chosen: int, avail: int) -> int:
         """chosen size + available size - greedy disjoint forced removals."""

@@ -15,9 +15,9 @@ shared positive denominator, updated by the two-term Edmonds/Bareiss
 recurrence  m'[i][j] = (m[i][j]*piv - m[i][c]*m[r][j]) / den  whose
 divisions are exact (every entry is a minor of the input matrix).  This
 is substantially faster than a Fraction tableau and cannot lose
-precision.  Pivoting uses Bland's rule by default (termination
-guaranteed); a "dantzig" rule is available that falls back to Bland
-after a stall, for the search module's hot loop.
+precision.  Pivoting uses Bland's rule (the entering column is the
+first one with a negative reduced cost, ties in the ratio test go to the
+lowest basic index), which terminates without any anti-cycling guard.
 
 ``solve`` also emits a dual vector over the rewritten rows, so any
 claimed optimum can be re-verified from scratch by ``check_certificate``
@@ -40,9 +40,8 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 
-# Pivot count after which the "dantzig" rule degrades to Bland's rule;
-# guards against cycling on degenerate instances.
-_STALL_LIMIT = 200
+# Bases the optimal-face walk visits before it gives up as incomplete.
+_BASIS_LIMIT = 5000
 
 
 @dataclass(frozen=True)
@@ -162,9 +161,6 @@ class _Tableau:
         self.pivots = 0
         self.trace = trace
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return Fraction(self.mat[i][j], self.den)
-
     def pivot(self, r: int, c: int) -> None:
         mat, den = self.mat, self.den
         prow = mat[r]
@@ -205,33 +201,24 @@ class _Tableau:
                     best = (b, a, self.basis[i], i)
         return None if best is None else best[3]
 
-    def _entering(self, obj_row: int, rule: str) -> int | None:
+    def _entering(self, obj_row: int) -> int | None:
+        """Bland's rule: the first column with a negative reduced cost."""
         row = self.mat[obj_row]
-        if rule == "bland":
-            for j in range(self.ncols):
-                if row[j] < 0:
-                    return j
-            return None
-        best, best_j = 0, None
         for j in range(self.ncols):
-            if row[j] < best:
-                best, best_j = row[j], j
-        return best_j
+            if row[j] < 0:
+                return j
+        return None
 
-    def optimize(self, obj_row: int, rule: str) -> str:
+    def optimize(self, obj_row: int) -> str:
         """Run simplex on the given objective row; 'optimal' or 'unbounded'."""
-        stall = 0
         while True:
-            live_rule = rule if stall < _STALL_LIMIT else "bland"
-            c = self._entering(obj_row, live_rule)
+            c = self._entering(obj_row)
             if c is None:
                 return OPTIMAL
             r = self._ratio_row(c)
             if r is None:
                 return UNBOUNDED
-            degenerate = self.mat[r][-1] == 0
             self.pivot(r, c)
-            stall = stall + 1 if degenerate else 0
 
 
 class _Build(NamedTuple):
@@ -329,10 +316,10 @@ def _build(lp: LinearProgram, trace=None) -> "_Build":
                   obj_scale, row_scales)
 
 
-def _run_phase1(tab: _Tableau, art_cols: list[int], pivot_rule: str) -> bool:
+def _run_phase1(tab: _Tableau, art_cols: list[int]) -> bool:
     """Drive artificials to zero; returns False when the LP is infeasible."""
     obj1_idx = len(tab.mat) - 1
-    status = tab.optimize(obj1_idx, pivot_rule)
+    status = tab.optimize(obj1_idx)
     if status != OPTIMAL or tab.mat[obj1_idx][-1] != 0:
         return False
     art_set = set(art_cols)
@@ -351,18 +338,17 @@ def _run_phase1(tab: _Tableau, art_cols: list[int], pivot_rule: str) -> bool:
     return True
 
 
-def _run_phases(lp: LinearProgram, pivot_rule: str, trace=None) -> tuple[_Build, str]:
+def _run_phases(lp: LinearProgram, trace=None) -> tuple[_Build, str]:
     """Build ``lp``, run phase 1 and then phase 2; the build and its status."""
     b = _build(lp, trace)
-    if b.art_cols and not _run_phase1(b.tab, b.art_cols, pivot_rule):
+    if b.art_cols and not _run_phase1(b.tab, b.art_cols):
         return b, INFEASIBLE
-    return b, b.tab.optimize(b.tab.nrows, pivot_rule)
+    return b, b.tab.optimize(b.tab.nrows)
 
 
-def solve(lp: LinearProgram, pivot_rule: str = "bland",
-          trace: Callable[[str], None] | None = None) -> LPResult:
-    """Exact optimum of ``lp``; deterministic for a fixed pivot rule."""
-    b, status = _run_phases(lp, pivot_rule, trace)
+def solve(lp: LinearProgram, trace: Callable[[str], None] | None = None) -> LPResult:
+    """Exact optimum of ``lp``; deterministic (one pivot path per input)."""
+    b, status = _run_phases(lp, trace)
     tab = b.tab
     if status != OPTIMAL:
         return LPResult(status=status, pivots=tab.pivots)
@@ -426,16 +412,14 @@ def check_certificate(lp: LinearProgram, result: LPResult) -> bool:
     return primal == result.value and dual_val == result.value
 
 
-def enumerate_optimal_vertices(
-    lp: LinearProgram, pivot_rule: str = "bland", basis_limit: int = 5000
-) -> tuple[list[tuple[Fraction, ...]], bool]:
+def enumerate_optimal_vertices(lp: LinearProgram) -> tuple[list[tuple[Fraction, ...]], bool]:
     """All vertices of the optimal face, by walking zero-reduced-cost pivots.
 
     Returns (vertices, complete).  ``complete`` is False when the basis
-    walk was cut off by ``basis_limit`` or the face is unbounded; the
+    walk was cut off after ``_BASIS_LIMIT`` bases or the face is unbounded; the
     vertex list is deduplicated and sorted for determinism.
     """
-    b, status = _run_phases(lp, pivot_rule)
+    b, status = _run_phases(lp)
     if status != OPTIMAL:
         return [], status == INFEASIBLE
     tab = b.tab
@@ -463,7 +447,7 @@ def enumerate_optimal_vertices(
             key = tuple(sorted(nxt.basis))
             if key in seen_bases:
                 continue
-            if len(seen_bases) >= basis_limit:
+            if len(seen_bases) >= _BASIS_LIMIT:
                 complete = False
                 continue
             seen_bases.add(key)

@@ -12,8 +12,6 @@ from fractions import Fraction
 
 Rational = Fraction
 
-ZERO = Fraction(0)
-ONE = Fraction(1)
 HALF = Fraction(1, 2)
 
 
@@ -73,10 +71,13 @@ def format_rational(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
-def decimal_str(q: Fraction, digits: int = 6) -> str:
+_DECIMAL_DIGITS = 6
+
+
+def decimal_str(q: Fraction) -> str:
     """Truncated decimal rendering, for parenthetical display only."""
     sign = "-" if q < 0 else ""
     q = abs(q)
     whole, rem = divmod(q.numerator, q.denominator)
-    frac_digits = (rem * 10**digits) // q.denominator
-    return f"{sign}{whole}.{frac_digits:0{digits}d}"
+    frac_digits = (rem * 10**_DECIMAL_DIGITS) // q.denominator
+    return f"{sign}{whole}.{frac_digits:0{_DECIMAL_DIGITS}d}"

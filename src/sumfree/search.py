@@ -184,7 +184,6 @@ class _RunState:
     k: int
     all_optima: bool
     node_limit: int | None
-    pivot_rule: str
     best: Fraction = Fraction(0)
     witnesses: set = field(default_factory=set)
     witnesses_exact: bool = True
@@ -211,7 +210,7 @@ def _record_leaf(state: _RunState, m: int, lp_obj: LinearProgram,
     if not state.all_optima:
         state.witnesses.add(_union_key(union))
         return
-    verts, complete = lp_mod.enumerate_optimal_vertices(lp_obj, state.pivot_rule)
+    verts, complete = lp_mod.enumerate_optimal_vertices(lp_obj)
     leaf_sets = set()
     all_free = True
     for vx in verts:
@@ -233,7 +232,7 @@ def _expand(m: int, state: _RunState, choices: frozenset) -> list[frozenset]:
     """
     state.nodes += 1
     prog = build_pattern_lp(m, state.k, DisjunctionPattern(m, choices))
-    res = lp_mod.solve(prog, pivot_rule=state.pivot_rule)
+    res = lp_mod.solve(prog)
     state.pivots += res.pivots
     if res.status != OPTIMAL or res.value < state.best:
         return []
@@ -275,17 +274,15 @@ def _explore(m: int, state: _RunState, roots: Iterable[frozenset] = (frozenset()
 
 
 def _worker(args):
-    m, k, all_optima, node_limit, pivot_rule, best, roots = args
-    state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit,
-                      pivot_rule=pivot_rule, best=best)
+    m, k, all_optima, node_limit, best, roots = args
+    state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit, best=best)
     _explore(m, state, roots=roots)
     return (state.best, sorted(state.witnesses), state.witnesses_exact,
             state.nodes, state.pivots, state.interrupted)
 
 
 def maximize_measure(m: int, k: int, *, all_optima: bool = False,
-                     parallel: int = 1, node_limit: int | None = None,
-                     pivot_rule: str = "bland") -> SearchResult:
+                     parallel: int = 1, node_limit: int | None = None) -> SearchResult:
     """Exact maximum measure of a k-sum-free union of at most m intervals.
 
     Runs the disjunctive branch-and-bound once per interval count
@@ -303,8 +300,7 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
-    state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit,
-                      pivot_rule=pivot_rule)
+    state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit)
     state.witnesses.add(_union_key(IntervalUnion()))  # measure-0 incumbent
 
     for m_eff in range(1, m + 1):
@@ -345,7 +341,7 @@ def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
     left = None if state.node_limit is None else state.node_limit - state.nodes
     args = [(m, state.k, state.all_optima,
              None if left is None else left // n + (w < left % n),
-             state.pivot_rule, state.best, roots[w::n]) for w in range(n)]
+             state.best, roots[w::n]) for w in range(n)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         outcomes = list(pool.map(_worker, args))
     for best, wit_keys, exact, nodes, pivots, interrupted in outcomes:

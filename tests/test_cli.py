@@ -181,6 +181,35 @@ def test_cache_record_from_another_version_is_recomputed(cache_path, capsys):
     assert json.loads(lines[1])["version"] == __version__
 
 
+def test_report_marks_stale_records(cache_path, capsys):
+    params = {"n": 5, "k": 1, "enumerate": False, "node_limit": None}
+    append_record(str(cache_path), make_record("discrete", params, {"f": 99}, "0.0.0"))
+    assert main(["report"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| discrete ")]
+    assert len(rows) == 1
+    assert rows[0].endswith("| 0.0.0 (stale) |")
+
+
+def test_cache_record_missing_result_fields_is_recomputed(cache_path, capsys):
+    params = {"n": 5, "k": 1, "enumerate": False, "node_limit": None}
+    append_record(str(cache_path), make_record("discrete", params, {"n": 5}, __version__))
+    code = main(["discrete", "--n", "5", "--k", "1"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["f"] == 3
+    assert len(cache_path.read_text().strip().splitlines()) == 2
+
+
+def test_report_shows_malformed_record_raw(cache_path, capsys):
+    params = {"k": 3, "m": 2, "all_optima": False, "node_limit": None}
+    append_record(str(cache_path), make_record("continuous", params, {}, __version__))
+    assert main(["report"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| continuous ")]
+    assert len(rows) == 1
+    assert f"| {{}} | {__version__} |" in rows[0]
+
+
 def test_console_entry_point(tmp_path):
     """`python -m sumfree.cli`: main()'s return value is the exit code, and stdout is right."""
     env = dict(os.environ, SUMFREE_CACHE=str(tmp_path / "cli-cache.jsonl"))

@@ -115,5 +115,6 @@ def test_format_round_trip():
 
 def test_decimal_rendering_is_display_only():
     assert decimal_str(Fraction(77, 177)) == "0.435028"
-    assert decimal_str(Fraction(-1, 3), 4) == "-0.3333"
-    assert decimal_str(Fraction(5, 2), 2) == "2.50"
+    assert decimal_str(Fraction(-1, 3)) == "-0.333333"
+    assert decimal_str(Fraction(5, 2)) == "2.500000"
+    assert decimal_str(Fraction(-3, 1000)) == "-0.003000"

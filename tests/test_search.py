@@ -199,13 +199,6 @@ def test_schedule_independence_sequential_vs_parallel():
     assert seq.status == par.status == "proven"
 
 
-def test_heuristic_independence():
-    a = maximize_measure(3, 3, all_optima=True, pivot_rule="bland")
-    b = maximize_measure(3, 3, all_optima=True, pivot_rule="dantzig")
-    assert a.optimum == b.optimum
-    assert a.witnesses == b.witnesses
-
-
 def test_node_limit_interrupts():
     res = maximize_measure(3, 3, node_limit=5)
     assert res.status == "interrupted"
