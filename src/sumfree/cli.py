@@ -38,6 +38,9 @@ _RESULT_FIELDS = {
     "discrete": ("f", "witnesses"),
     "certify": ("delta_star", "branches", "chain_ok", "harness"),
 }
+# Fields the CLI reads inside a certify result's harness and branch entries.
+_HARNESS_FIELDS = ("trials", "violations", "min_slack")
+_BRANCH_FIELDS = ("name", "bound", "delta_sup")
 
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -108,10 +111,19 @@ def _emit(payload: dict, fmt: str, table_lines) -> None:
             print(line)
 
 
+def _has_fields(obj, names) -> bool:
+    return isinstance(obj, dict) and all(name in obj for name in names)
+
+
 def _well_formed(kind: str, result) -> bool:
     """True when ``result`` carries every field the CLI reads for ``kind``."""
-    return (kind in _RESULT_FIELDS and isinstance(result, dict)
-            and all(name in result for name in _RESULT_FIELDS[kind]))
+    if kind not in _RESULT_FIELDS or not _has_fields(result, _RESULT_FIELDS[kind]):
+        return False
+    if kind == "certify":
+        return (_has_fields(result["harness"], _HARNESS_FIELDS)
+                and isinstance(result["branches"], list)
+                and all(_has_fields(b, _BRANCH_FIELDS) for b in result["branches"]))
+    return True
 
 
 def _cached(kind: str, params: dict, cache_path: str, force: bool, compute) -> dict:
@@ -170,7 +182,8 @@ def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) 
         if verbose:
             sys.stderr.write(f"continuous m={args.m} k={args.k}: "
                              f"{result.nodes_explored} nodes, "
-                             f"{result.lp_pivots} pivots, {elapsed:.2f}s\n")
+                             f"{result.lp_pivots} pivots, "
+                             f"{result.lp_builds} LP builds, {elapsed:.2f}s\n")
         return {
             "optimum": format_rational(result.optimum),
             "witnesses": [format_union(w) for w in result.witnesses],

@@ -23,6 +23,17 @@ lowest basic index), which terminates without any anti-cycling guard.
 claimed optimum can be re-verified from scratch by ``check_certificate``
 without trusting the solver: primal feasibility, dual feasibility and
 equality of the two objective values are checked exactly.
+
+An optimal tableau can also be reoptimized after one more row
+``g . x <= 0`` (branch-and-bound children): the row is written in the
+current basis with its own slack basic, which keeps the reduced costs
+dual feasible but may make its rhs negative, and the dual simplex
+restores primal feasibility with the same Bareiss pivot.  It uses dual
+Bland's rule (the leaving row is the infeasible one with the lowest
+basic column; ties in the dual ratio test go to the lowest column),
+which is Bland's rule run on the dual LP and so terminates without an
+anti-cycling guard; a leaving row with no negative entry proves the
+child infeasible.
 """
 
 from __future__ import annotations
@@ -166,9 +177,10 @@ class _Tableau:
         prow = mat[r]
         piv = prow[c]
         if piv < 0:
-            # Keep den positive by negating the equation row first; only
-            # the zero-rhs pivots of the phase-1 cleanup reach this branch,
-            # so basic-solution feasibility is unaffected.
+            # Keep den positive by negating the equation row first.  Every
+            # dual pivot lands here (its pivot and its rhs are both
+            # negative, so the entering value is positive), as do the
+            # zero-rhs pivots of the phase-1 cleanup.
             prow = mat[r] = [-a for a in prow]
             piv = -piv
         for i, row in enumerate(mat):
@@ -218,6 +230,53 @@ class _Tableau:
             r = self._ratio_row(c)
             if r is None:
                 return UNBOUNDED
+            self.pivot(r, c)
+
+    def add_row(self, g: list[int]) -> "_Tableau":
+        """A copy of this tableau with the row ``g . x <= 0`` appended.
+
+        ``g`` has one entry per column.  The row is written in the current
+        basis, ``den*g - sum g[basis[i]]*mat[i]``, and its new slack column
+        is basic with entry ``den``, so every entry is still a minor of the
+        enlarged input matrix and ``den`` is unchanged.  The row goes after
+        the constraint rows, before the objective row; this tableau is
+        left as it was.
+        """
+        den = self.den
+        mat = [row[:-1] + [0, row[-1]] for row in self.mat]
+        new = [den * a for a in g] + [den, 0]
+        for i in range(self.nrows):
+            f = g[self.basis[i]]
+            if f:
+                new = [a - f * b for a, b in zip(new, mat[i])]
+        mat.insert(self.nrows, new)
+        tab = _Tableau(mat, self.basis + [self.ncols], self.trace)
+        tab.den = den
+        return tab
+
+    def dual_optimize(self, obj_row: int) -> str:
+        """Dual simplex from a dual-feasible basis; 'optimal' or 'infeasible'.
+
+        Dual Bland's rule: the leaving row is the one with a negative rhs
+        whose basic column is lowest; the entering column minimizes
+        ``obj[j] / -row[j]`` over ``row[j] < 0``, ties to the lowest column.
+        """
+        mat, basis = self.mat, self.basis
+        while True:
+            r = None
+            for i in range(self.nrows):
+                if mat[i][-1] < 0 and (r is None or basis[i] < basis[r]):
+                    r = i
+            if r is None:
+                return OPTIMAL
+            row, obj = mat[r], mat[obj_row]
+            c = None
+            for j in range(self.ncols):
+                # obj[j]/-row[j] < obj[c]/-row[c], cross-multiplied
+                if row[j] < 0 and (c is None or obj[j] * row[c] > obj[c] * row[j]):
+                    c = j
+            if c is None:
+                return INFEASIBLE  # the row says: a sum of nonnegatives < 0
             self.pivot(r, c)
 
 
@@ -346,6 +405,28 @@ def _run_phases(lp: LinearProgram, trace=None) -> tuple[_Build, str]:
     return b, b.tab.optimize(b.tab.nrows)
 
 
+def _reoptimize(b: _Build, tab: _Tableau, coeffs: Sequence[int]) -> tuple[_Tableau, str]:
+    """Reoptimize ``tab`` with the integer row ``coeffs . x <= 0`` added.
+
+    ``tab`` is an optimal tableau of ``b`` or of an earlier ``_reoptimize``;
+    it is left untouched, so siblings can share it.  Returns the child's
+    tableau, reoptimized by dual simplex, and its status.
+    """
+    g = [0] * tab.ncols
+    for c, (cp, cm) in zip(coeffs, b.col_of_var):
+        g[cp] = c
+        if cm is not None:
+            g[cm] = -c
+    child = tab.add_row(g)
+    return child, child.dual_optimize(child.nrows)
+
+
+def _read_optimum(b: _Build, tab: _Tableau) -> tuple[tuple[Fraction, ...], Fraction]:
+    """Vertex and objective value of an optimal tableau of ``b``."""
+    return (_read_vertex(tab, b.col_of_var),
+            Fraction(tab.mat[tab.nrows][-1], tab.den * b.obj_scale))
+
+
 def solve(lp: LinearProgram, trace: Callable[[str], None] | None = None) -> LPResult:
     """Exact optimum of ``lp``; deterministic (one pivot path per input)."""
     b, status = _run_phases(lp, trace)
@@ -354,8 +435,7 @@ def solve(lp: LinearProgram, trace: Callable[[str], None] | None = None) -> LPRe
         return LPResult(status=status, pivots=tab.pivots)
 
     obj2_idx = tab.nrows
-    vertex = _read_vertex(tab, b.col_of_var)
-    value = sum((cj * xj for cj, xj in zip(lp.objective, vertex)), Fraction(0))
+    vertex, value = _read_optimum(b, tab)
     dual = tuple(
         Fraction(tab.mat[obj2_idx][b.slack_cols[i]] * b.row_scales[i],
                  tab.den * b.obj_scale)
@@ -422,9 +502,12 @@ def enumerate_optimal_vertices(lp: LinearProgram) -> tuple[list[tuple[Fraction, 
     b, status = _run_phases(lp)
     if status != OPTIMAL:
         return [], status == INFEASIBLE
-    tab = b.tab
-    obj2_idx = tab.nrows
+    return _optimal_face(b, b.tab)
 
+
+def _optimal_face(b: _Build, tab: _Tableau) -> tuple[list[tuple[Fraction, ...]], bool]:
+    """``enumerate_optimal_vertices`` from ``tab``, an optimal tableau of ``b``."""
+    obj2_idx = tab.nrows
     complete = True
     dead_cols = set(b.art_cols)  # zeroed after phase 1, never re-enter
     seen_bases = {tuple(sorted(tab.basis))}

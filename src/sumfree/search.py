@@ -17,6 +17,12 @@ search runs once per interval count m' = 1..m and takes the best;
 incumbents from small m' prune the larger trees.  Identical resolved sets
 reached along different branch orders are memoized away.
 
+Only the root of each subtree (one per m', plus each root a parallel run
+hands to a worker) builds and solves its LP from scratch.  A child is its
+parent plus one choice row, so it is reoptimized from the parent's
+optimal tableau by a few dual simplex pivots; a fathomed leaf walks its
+optimal face from that same tableau.
+
 With ``all_optima`` the search additionally enumerates every vertex of
 each fathomed node's optimal face (zero-reduced-cost pivots), proving
 uniqueness claims instead of merely returning one maximizer.
@@ -31,7 +37,7 @@ from typing import Iterable
 
 from .intervals import IntervalUnion, is_k_sum_free
 from . import lp as lp_mod
-from .lp import Constraint, LinearProgram, LESS_EQ, GREATER_EQ, OPTIMAL
+from .lp import Constraint, LinearProgram, LESS_EQ, OPTIMAL
 
 LEFT = "L"
 RIGHT = "R"
@@ -94,6 +100,8 @@ class SearchResult:
     # (all contributing optimal faces were single vertices or single sets).
     witnesses_exact: bool = True
     lp_pivots: int = 0
+    # Pattern LPs built and solved from scratch: one per subtree root.
+    lp_builds: int = 0
 
 
 def mu_formula(k: int) -> Fraction:
@@ -103,6 +111,21 @@ def mu_formula(k: int) -> Fraction:
     main = Fraction(k * (k - 2), k * k - 2)
     corr = Fraction(8 * (k - 2), k * (k * k - 2) * (k**4 - 2 * k * k - 4))
     return main + corr
+
+
+def _choice_row(m: int, k: int, choice: Choice) -> list[int]:
+    """Coefficients over (l1, r1, ..., lm, rm) of a choice as a ``<= 0`` row."""
+    side, i, j, t = choice
+    row = [0] * (2 * m)
+    if side == LEFT:  # r_i + r_j <= k l_t
+        row[2 * i + 1] += 1
+        row[2 * j + 1] += 1
+        row[2 * t] -= k
+    else:  # l_i + l_j >= k r_t
+        row[2 * i] -= 1
+        row[2 * j] -= 1
+        row[2 * t + 1] += k
+    return row
 
 
 def build_pattern_lp(m: int, k: int, pattern: DisjunctionPattern) -> LinearProgram:
@@ -129,18 +152,9 @@ def build_pattern_lp(m: int, k: int, pattern: DisjunctionPattern) -> LinearProgr
             row[2 * i + 1] = Fraction(1)
             row[2 * i + 2] = Fraction(-1)
             cons.append(Constraint(tuple(row), LESS_EQ, Fraction(0)))  # r_i <= l_{i+1}
-    for side, i, j, t in sorted(pattern.choices):
-        row = zero.copy()
-        if side == LEFT:  # r_i + r_j <= k l_t
-            row[2 * i + 1] += 1
-            row[2 * j + 1] += 1
-            row[2 * t] -= k
-            cons.append(Constraint(tuple(row), LESS_EQ, Fraction(0)))
-        else:  # l_i + l_j >= k r_t
-            row[2 * i] += 1
-            row[2 * j] += 1
-            row[2 * t + 1] -= k
-            cons.append(Constraint(tuple(row), GREATER_EQ, Fraction(0)))
+    for choice in sorted(pattern.choices):
+        row = tuple(Fraction(c) for c in _choice_row(m, k, choice))
+        cons.append(Constraint(row, LESS_EQ, Fraction(0)))
     bounds = tuple((Fraction(0), Fraction(1)) for _ in range(n))
     return LinearProgram(num_vars=n, objective=tuple(objective),
                          constraints=tuple(cons), bounds=bounds)
@@ -189,6 +203,7 @@ class _RunState:
     witnesses_exact: bool = True
     nodes: int = 0
     pivots: int = 0
+    builds: int = 0
     interrupted: bool = False
 
 
@@ -196,7 +211,7 @@ def _union_key(u: IntervalUnion):
     return tuple((iv.lo, iv.hi) for iv in u.intervals)
 
 
-def _record_leaf(state: _RunState, m: int, lp_obj: LinearProgram,
+def _record_leaf(state: _RunState, m: int, b: lp_mod._Build, tab: lp_mod._Tableau,
                  value: Fraction, union: IntervalUnion) -> None:
     free, _ = is_k_sum_free(union, state.k)
     if not free:
@@ -210,7 +225,7 @@ def _record_leaf(state: _RunState, m: int, lp_obj: LinearProgram,
     if not state.all_optima:
         state.witnesses.add(_union_key(union))
         return
-    verts, complete = lp_mod.enumerate_optimal_vertices(lp_obj)
+    verts, complete = lp_mod._optimal_face(b, tab)
     leaf_sets = set()
     all_free = True
     for vx in verts:
@@ -225,52 +240,70 @@ def _record_leaf(state: _RunState, m: int, lp_obj: LinearProgram,
     state.witnesses |= leaf_sets
 
 
-def _expand(m: int, state: _RunState, choices: frozenset) -> list[frozenset]:
+# An open node: its choice set, and for a node below a subtree root the
+# solved parent it extends, as (root build, parent tableau, new choice).
+Node = tuple[frozenset, tuple | None]
+
+
+def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     """Process one node: solve its LP, then prune it, fathom it or branch it.
 
-    Returns the open children, LEFT first; pruned and fathomed nodes have none.
+    A subtree root is built and solved from scratch.  Any other node adds
+    its one new choice row to its parent's optimal tableau, which both
+    children share, and reoptimizes by dual simplex.  Returns the open
+    children, LEFT first; pruned and fathomed nodes have none.
     """
+    choices, parent = node
     state.nodes += 1
-    prog = build_pattern_lp(m, state.k, DisjunctionPattern(m, choices))
-    res = lp_mod.solve(prog)
-    state.pivots += res.pivots
-    if res.status != OPTIMAL or res.value < state.best:
+    if parent is None:
+        prog = build_pattern_lp(m, state.k, DisjunctionPattern(m, choices))
+        b, status = lp_mod._run_phases(prog)
+        tab = b.tab
+        state.builds += 1
+    else:
+        b, tab, choice = parent
+        tab, status = lp_mod._reoptimize(b, tab, _choice_row(m, state.k, choice))
+    state.pivots += tab.pivots
+    if status != OPTIMAL:
         return []
-    if res.value == state.best and not state.all_optima:
+    vertex, value = lp_mod._read_optimum(b, tab)
+    if value < state.best:
+        return []
+    if value == state.best and not state.all_optima:
         # Equal-bound nodes can only tie the incumbent; when ties are
         # not being collected the incumbent witness already realizes it.
         return []
-    entry = _pick_branch(res.vertex, m, state.k, choices)
+    entry = _pick_branch(vertex, m, state.k, choices)
     if entry is None:
-        _record_leaf(state, m, prog, res.value,
-                     Configuration(m, res.vertex).to_union())
+        _record_leaf(state, m, b, tab, value, Configuration(m, vertex).to_union())
         return []
-    i, j, t = entry
-    return [choices | {(LEFT, i, j, t)}, choices | {(RIGHT, i, j, t)}]
+    return [(choices | {choice}, (b, tab, choice))
+            for choice in ((LEFT, *entry), (RIGHT, *entry))]
 
 
 def _explore(m: int, state: _RunState, roots: Iterable[frozenset] = (frozenset(),),
              want: int | None = None) -> list[frozenset]:
     """Branch-and-bound over resolved-choice sets for fixed m.
 
-    Without ``want`` the tree is searched depth-first, LEFT child first,
-    until it is exhausted.  With ``want`` it is expanded breadth-first
-    until at least ``want`` nodes are open, and the distinct unexpanded
-    ones are returned in a fixed order.
+    Each root is the root of a subtree.  Without ``want`` the tree is
+    searched depth-first, LEFT child first, until it is exhausted.  With
+    ``want`` it is expanded breadth-first until at least ``want`` nodes
+    are open, and the distinct unexpanded choice sets are returned in a
+    fixed order.
     """
-    open_nodes = deque(roots)
+    open_nodes = deque((choices, None) for choices in roots)
     memo: set[frozenset] = set()
     while open_nodes and (want is None or len(open_nodes) < want):
         if state.node_limit is not None and state.nodes >= state.node_limit:
             state.interrupted = True
             return []
-        choices = open_nodes.pop() if want is None else open_nodes.popleft()
-        if choices in memo:
+        node = open_nodes.pop() if want is None else open_nodes.popleft()
+        if node[0] in memo:
             continue
-        memo.add(choices)
-        children = _expand(m, state, choices)
+        memo.add(node[0])
+        children = _expand(m, state, node)
         open_nodes.extend(reversed(children) if want is None else children)
-    return sorted(set(open_nodes) - memo, key=sorted)
+    return sorted({choices for choices, _ in open_nodes} - memo, key=sorted)
 
 
 def _worker(args):
@@ -278,7 +311,7 @@ def _worker(args):
     state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit, best=best)
     _explore(m, state, roots=roots)
     return (state.best, sorted(state.witnesses), state.witnesses_exact,
-            state.nodes, state.pivots, state.interrupted)
+            state.nodes, state.pivots, state.builds, state.interrupted)
 
 
 def maximize_measure(m: int, k: int, *, all_optima: bool = False,
@@ -327,6 +360,7 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
         status=INTERRUPTED if state.interrupted else PROVEN,
         witnesses_exact=exact,
         lp_pivots=state.pivots,
+        lp_builds=state.builds,
     )
 
 
@@ -344,15 +378,16 @@ def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
              state.best, roots[w::n]) for w in range(n)]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         outcomes = list(pool.map(_worker, args))
-    for best, wit_keys, exact, nodes, pivots, interrupted in outcomes:
+    for best, wit_keys, exact, nodes, pivots, builds, interrupted in outcomes:
         state.nodes += nodes
         state.pivots += pivots
+        state.builds += builds
         state.interrupted |= interrupted
         if best > state.best:
             state.best = best
             state.witnesses = set()
             state.witnesses_exact = True
-    for best, wit_keys, exact, nodes, pivots, interrupted in outcomes:
+    for best, wit_keys, exact, nodes, pivots, builds, interrupted in outcomes:
         if best == state.best:
             state.witnesses.update(wit_keys)
             state.witnesses_exact &= exact

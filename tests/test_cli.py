@@ -105,6 +105,7 @@ def test_verbose_lp_trace(cache_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "pivot #" in captured.err  # tableau trace behind the verbosity flag
+    assert "1 LP builds" in captured.err  # one cold solve for m' = 1
 
 
 def test_discrete_cli(cache_path, capsys):
@@ -208,6 +209,25 @@ def test_report_shows_malformed_record_raw(cache_path, capsys):
             if line.startswith("| continuous ")]
     assert len(rows) == 1
     assert f"| {{}} | {__version__} |" in rows[0]
+
+
+@pytest.mark.parametrize("damage", [
+    lambda result: result.update(harness={}),
+    lambda result: result["branches"][0].pop("delta_sup"),
+], ids=["harness", "branch"])
+def test_certify_record_missing_nested_fields(cache_path, capsys, damage):
+    assert main(["certify", "--trials", "20", "--format", "json"]) == 0
+    result = json.loads(capsys.readouterr().out)
+    damage(result)
+    params = {"trials": 20, "max_intervals": 6, "seed": 0}
+    append_record(str(cache_path), make_record("certify", params, result, __version__))
+    assert main(["report"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith("| certify ")]
+    assert len(rows) == 1 and json.dumps(result, sort_keys=True) in rows[0]
+    assert main(["certify", "--trials", "20"]) == 0
+    assert "harness: 0 violations in 20 trials" in capsys.readouterr().out
+    assert len(cache_path.read_text().strip().splitlines()) == 3
 
 
 def test_console_entry_point(tmp_path):

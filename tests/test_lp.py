@@ -1,12 +1,17 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from oracles import satisfies_lp
 
 from sumfree.lp import (
     INFEASIBLE,
     OPTIMAL,
     UNBOUNDED,
+    _read_optimum,
+    _reoptimize,
+    _run_phases,
     canonical_rows,
     check_certificate,
     constraint,
@@ -204,3 +209,34 @@ def test_optimal_face_enumeration():
     verts3, complete3 = enumerate_optimal_vertices(prob3)
     assert complete3
     assert verts3 == [(F(0), F(1)), (F(1), F(0))]
+
+
+def test_added_row_matches_a_cold_solve():
+    """A warm child (one ``<= 0`` row, dual simplex) agrees with a cold solve."""
+    rng = random.Random(77)
+    statuses = Counter()
+    for trial in range(80):
+        prob = _random_feasible_bounded_lp(rng)
+        if trial % 2:  # free variables: each is split into two columns
+            prob = linear_program(prob.objective, prob.constraints,
+                                  bounds=[(F(-10), F(10))] * prob.num_vars)
+        b, status = _run_phases(prob)
+        assert status == OPTIMAL
+        statuses["phase 1"] += bool(b.art_cols)  # dead artificial columns
+        tab = b.tab
+        for _ in range(3):  # a warm child of a warm child, and so on
+            g = [rng.randint(-3, 3) for _ in range(prob.num_vars)]
+            tab, status = _reoptimize(b, tab, g)
+            prob = linear_program(prob.objective,
+                                  prob.constraints + (constraint(g, "<=", 0),),
+                                  bounds=prob.bounds)
+            cold = solve(prob)
+            statuses[status] += 1
+            assert status == cold.status
+            assert all(type(a) is int for row in tab.mat for a in row)
+            if status != OPTIMAL:
+                break
+            vertex, value = _read_optimum(b, tab)
+            assert value == cold.value
+            assert satisfies_lp(prob, vertex)
+    assert statuses[OPTIMAL] and statuses[INFEASIBLE] and statuses["phase 1"]

@@ -6,13 +6,22 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import grid_best_1_interval, grid_best_2_intervals
+from oracles import grid_best_1_interval, grid_best_2_intervals, satisfies_lp
 
 from sumfree.intervals import IntervalUnion, is_k_sum_free
-from sumfree.lp import INFEASIBLE, OPTIMAL, solve
+from sumfree.lp import (
+    INFEASIBLE,
+    OPTIMAL,
+    _read_optimum,
+    _reoptimize,
+    _run_phases,
+    canonical_rows,
+    solve,
+)
 from sumfree.search import (
     Configuration,
     DisjunctionPattern,
+    _choice_row,
     build_pattern_lp,
     maximize_measure,
     mu_formula,
@@ -171,6 +180,50 @@ def test_relaxation_monotonicity():
                 assert child.value <= parent.value
 
 
+def _warm_child_agrees(m, k, pat, b, tab, choice):
+    """Add ``choice`` to ``tab`` warm; check it against a cold solve of the child."""
+    tab, status = _reoptimize(b, tab, _choice_row(m, k, choice))
+    child = build_pattern_lp(m, k, pat.resolve(*choice))
+    cold = solve(child)
+    assert status == cold.status
+    assert all(type(a) is int for row in tab.mat for a in row)
+    if status == OPTIMAL:
+        vertex, value = _read_optimum(b, tab)
+        assert value == cold.value
+        assert satisfies_lp(child, vertex)
+    return tab, status
+
+
+@pytest.mark.parametrize("m,k", [(m, k) for m in (3, 4) for k in (2, 3, 4)])
+def test_warm_child_matches_cold_solve(m, k):
+    rng = random.Random(100 * m + k)
+    entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
+    for _ in range(34):
+        pat = DisjunctionPattern(m)
+        for entry in rng.sample(entries, rng.randint(0, 4)):
+            pat = pat.resolve(rng.choice("LR"), *entry)
+        b, _ = _run_phases(build_pattern_lp(m, k, pat))
+        tab = b.tab
+        for entry in rng.sample(entries, 3):  # a chain of warm children
+            if pat.is_resolved(*entry):
+                continue
+            choice = (rng.choice("LR"), *entry)
+            tab, status = _warm_child_agrees(m, k, pat, b, tab, choice)
+            pat = pat.resolve(*choice)
+            if status != OPTIMAL:
+                break
+
+
+def test_warm_child_with_a_row_the_cold_build_drops():
+    # for k = 2, L(0,0,1) and R(1,1,0) are both 2 r_0 - 2 l_1 <= 0
+    m, k = 2, 2
+    pat = DisjunctionPattern(m).resolve("L", 0, 0, 1)
+    b, _ = _run_phases(build_pattern_lp(m, k, pat))
+    child = pat.resolve("R", 1, 1, 0)
+    assert len(canonical_rows(build_pattern_lp(m, k, child))[0]) == len(b.rows)
+    _warm_child_agrees(m, k, pat, b, b.tab, ("R", 1, 1, 0))
+
+
 def test_monotone_in_m_and_stable_at_record():
     values = [maximize_measure(m, 3).optimum for m in range(1, 6)]
     assert values == sorted(values)
@@ -178,8 +231,9 @@ def test_monotone_in_m_and_stable_at_record():
 
 
 # Nodes and LP pivots of the serial search; a change to the node step that
-# alters the tree shows up here first.
-SEARCH_COUNTERS = {4: (172, 1873), 5: (619, 9467)}
+# alters the tree shows up here first.  Warm-started children (dual simplex
+# from the parent's tableau) changed them from (172, 1873) and (619, 9467).
+SEARCH_COUNTERS = {4: (166, 258), 5: (635, 1077)}
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -189,14 +243,23 @@ def test_record_witness_stays_unique_with_spare_intervals(m, largest_known_3sumf
     assert res.witnesses == (largest_known_3sumfree,)
     assert res.witnesses_exact
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[m]
+    assert res.lp_builds == m  # one cold solve per interval count, none per node
+
+
+def test_record_holds_for_six_intervals():
+    res = maximize_measure(6, 3)
+    assert res.optimum == F(77, 177)
+    assert res.status == "proven"
+    assert res.lp_builds == 6
 
 
 def test_schedule_independence_sequential_vs_parallel():
-    seq = maximize_measure(3, 3, all_optima=True, parallel=1)
-    par = maximize_measure(3, 3, all_optima=True, parallel=2)
-    assert seq.optimum == par.optimum
-    assert seq.witnesses == par.witnesses
-    assert seq.status == par.status == "proven"
+    for m in (3, 4):
+        seq = maximize_measure(m, 3, all_optima=True, parallel=1)
+        par = maximize_measure(m, 3, all_optima=True, parallel=2)
+        assert seq.optimum == par.optimum
+        assert seq.witnesses == par.witnesses
+        assert seq.status == par.status == "proven"
 
 
 def test_node_limit_interrupts():
