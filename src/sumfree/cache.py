@@ -3,7 +3,8 @@
 One record per line so interrupted runs never corrupt earlier results.
 Reads are forgiving: unknown fields are kept, corrupt lines are skipped
 with a warning, and duplicate (kind, parameters) keys resolve to the
-last written record.
+last written record.  Each record carries the sumfree version and a
+digest of the solver source that computed it.
 """
 
 from __future__ import annotations
@@ -11,8 +12,11 @@ from __future__ import annotations
 import json
 import os
 import sys
+import zlib
 from dataclasses import dataclass, asdict
 from datetime import datetime, timezone
+from functools import cache
+from pathlib import Path
 
 ENV_VAR = "SUMFREE_CACHE"
 DEFAULT_PATH = "sumfree-cache.jsonl"
@@ -25,6 +29,7 @@ class CacheRecord:
     result: dict
     version: str
     timestamp: str
+    solver: str = ""
 
     def key(self) -> tuple[str, str]:
         return self.kind, json.dumps(self.parameters, sort_keys=True)
@@ -34,10 +39,24 @@ def resolve_path(explicit: str | None = None) -> str:
     return explicit or os.environ.get(ENV_VAR) or DEFAULT_PATH
 
 
+@cache
+def solver_digest() -> str:
+    """CRC-32 of the package's ``.py`` files, computed once per process.
+
+    It tells a changed solver source from the running one; nothing here
+    is adversarial, and ``hashlib`` would load OpenSSL (about 3.6 MiB of
+    resident memory) into every CLI call.
+    """
+    crc = 0
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes() + b"\0", crc)
+    return f"{crc:08x}"
+
+
 def make_record(kind: str, parameters: dict, result: dict, version: str) -> CacheRecord:
     stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return CacheRecord(kind=kind, parameters=parameters, result=result,
-                       version=version, timestamp=stamp)
+                       version=version, timestamp=stamp, solver=solver_digest())
 
 
 def append_record(path: str, record: CacheRecord) -> None:
@@ -62,6 +81,7 @@ def load_records(path: str) -> dict[tuple[str, str], CacheRecord]:
                     result=raw["result"],
                     version=raw.get("version", "unknown"),
                     timestamp=raw.get("timestamp", ""),
+                    solver=raw.get("solver", ""),
                 )
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 sys.stderr.write(f"warning: {path}:{lineno}: skipping bad cache line ({exc})\n")

@@ -9,7 +9,7 @@ Subcommands:
 
 All numbers are printed as exact "p/q" strings; decimals appear only in
 parentheses.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error.
+parse error, or a cache path that cannot be read or appended to.
 """
 
 from __future__ import annotations
@@ -126,17 +126,23 @@ def _well_formed(kind: str, result) -> bool:
     return True
 
 
+def _current(rec: cache_mod.CacheRecord) -> bool:
+    """True when ``rec`` was computed by this sumfree version and solver source."""
+    return rec.version == __version__ and rec.solver == cache_mod.solver_digest()
+
+
 def _cached(kind: str, params: dict, cache_path: str, force: bool, compute) -> dict:
     """The cached payload for (kind, params), else ``compute()``, appended.
 
     ``--force`` skips the lookup.  A record written by another sumfree
-    version is a miss, so a solver fix is never hidden by an old result;
-    so is a record that lacks a result field the CLI reads.
+    version or another solver source is a miss, so a solver fix is never
+    hidden by an old result; so is a record that lacks a result field the
+    CLI reads.  A path that cannot take a record fails before computing.
     """
     cached = None if force else cache_mod.lookup(cache_path, kind, params)
-    if (cached is not None and cached.version == __version__
-            and _well_formed(kind, cached.result)):
+    if cached is not None and _current(cached) and _well_formed(kind, cached.result):
         return cached.result
+    open(cache_path, "a", encoding="utf-8").close()
     payload = compute()
     cache_mod.append_record(cache_path, cache_mod.make_record(
         kind, params, payload, __version__))
@@ -296,8 +302,8 @@ def _cmd_report(cache_path: str) -> int:
         else:
             summary = (f"delta* = {rec.result['delta_star']}, "
                        f"{rec.result['harness']['violations']} violations")
-        # the CLI recomputes a record from another version rather than serve it
-        version = rec.version if rec.version == __version__ else f"{rec.version} (stale)"
+        # the CLI recomputes a record from another version or solver rather than serve it
+        version = rec.version if _current(rec) else f"{rec.version} (stale)"
         print(f"| {rec.kind} | `{params}` | {summary} | {version} |")
     return EXIT_OK
 
@@ -324,6 +330,9 @@ def main(argv: list[str] | None = None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY_FAILED
     except ValueError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return EXIT_USAGE
+    except OSError as exc:  # e.g. a --cache path that is a directory
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command}")

@@ -37,7 +37,7 @@ from typing import Iterable
 
 from .intervals import IntervalUnion, is_k_sum_free
 from . import lp as lp_mod
-from .lp import Constraint, LinearProgram, LESS_EQ, OPTIMAL
+from .lp import LinearProgram
 
 LEFT = "L"
 RIGHT = "R"
@@ -131,33 +131,19 @@ def _choice_row(m: int, k: int, choice: Choice) -> list[int]:
 def build_pattern_lp(m: int, k: int, pattern: DisjunctionPattern) -> LinearProgram:
     """LP relaxation: maximize total length under chain, box and resolved rows.
 
-    Variables are (l1, r1, ..., lm, rm).  All rows are non-strict: touching
-    windows are legal under the open-interval convention, so no epsilons.
+    Variables are (l1, r1, ..., lm, rm) in [0, 1].  All rows are
+    non-strict: touching windows are legal under the open-interval
+    convention, so no epsilons.
     """
     if pattern.m != m:
         raise ValueError("pattern built for a different m")
-    n = 2 * m
-    zero = [Fraction(0)] * n
-    objective = []
-    for _ in range(m):
-        objective += [Fraction(-1), Fraction(1)]
-    cons: list[Constraint] = []
-    for i in range(m):
-        row = zero.copy()
-        row[2 * i] = Fraction(1)
-        row[2 * i + 1] = Fraction(-1)
-        cons.append(Constraint(tuple(row), LESS_EQ, Fraction(0)))  # l_i <= r_i
-        if i + 1 < m:
-            row = zero.copy()
-            row[2 * i + 1] = Fraction(1)
-            row[2 * i + 2] = Fraction(-1)
-            cons.append(Constraint(tuple(row), LESS_EQ, Fraction(0)))  # r_i <= l_{i+1}
-    for choice in sorted(pattern.choices):
-        row = tuple(Fraction(c) for c in _choice_row(m, k, choice))
-        cons.append(Constraint(row, LESS_EQ, Fraction(0)))
-    bounds = tuple((Fraction(0), Fraction(1)) for _ in range(n))
-    return LinearProgram(num_vars=n, objective=tuple(objective),
-                         constraints=tuple(cons), bounds=bounds)
+    rows = []
+    for x in range(2 * m - 1):  # l_i <= r_i, and r_i <= l_{i+1}
+        row = [0] * (2 * m)
+        row[x], row[x + 1] = 1, -1
+        rows.append(tuple(row))
+    rows += [tuple(_choice_row(m, k, choice)) for choice in sorted(pattern.choices)]
+    return LinearProgram(objective=(-1, 1) * m, rows=tuple(rows))
 
 
 def _pick_branch(v: tuple[Fraction, ...], m: int, k: int,
@@ -211,7 +197,7 @@ def _union_key(u: IntervalUnion):
     return tuple((iv.lo, iv.hi) for iv in u.intervals)
 
 
-def _record_leaf(state: _RunState, m: int, b: lp_mod._Build, tab: lp_mod._Tableau,
+def _record_leaf(state: _RunState, m: int, tab: lp_mod._Tableau,
                  value: Fraction, union: IntervalUnion) -> None:
     free, _ = is_k_sum_free(union, state.k)
     if not free:
@@ -225,7 +211,7 @@ def _record_leaf(state: _RunState, m: int, b: lp_mod._Build, tab: lp_mod._Tablea
     if not state.all_optima:
         state.witnesses.add(_union_key(union))
         return
-    verts, complete = lp_mod._optimal_face(b, tab)
+    verts, complete = lp_mod._optimal_face(tab)
     leaf_sets = set()
     all_free = True
     for vx in verts:
@@ -241,7 +227,7 @@ def _record_leaf(state: _RunState, m: int, b: lp_mod._Build, tab: lp_mod._Tablea
 
 
 # An open node: its choice set, and for a node below a subtree root the
-# solved parent it extends, as (root build, parent tableau, new choice).
+# solved parent it extends, as (parent tableau, new choice).
 Node = tuple[frozenset, tuple | None]
 
 
@@ -250,23 +236,21 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
 
     A subtree root is built and solved from scratch.  Any other node adds
     its one new choice row to its parent's optimal tableau, which both
-    children share, and reoptimizes by dual simplex.  Returns the open
-    children, LEFT first; pruned and fathomed nodes have none.
+    children share, and reoptimizes by dual simplex.  A pattern LP is
+    never infeasible (``x = 0`` meets every row; ``lp`` asserts it), so
+    every node has an optimum.  Returns the open children, LEFT first;
+    pruned and fathomed nodes have none.
     """
     choices, parent = node
     state.nodes += 1
     if parent is None:
-        prog = build_pattern_lp(m, state.k, DisjunctionPattern(m, choices))
-        b, status = lp_mod._run_phases(prog)
-        tab = b.tab
+        tab = lp_mod._cold_solve(build_pattern_lp(m, state.k, DisjunctionPattern(m, choices)))
         state.builds += 1
     else:
-        b, tab, choice = parent
-        tab, status = lp_mod._reoptimize(b, tab, _choice_row(m, state.k, choice))
+        tab, choice = parent
+        tab = lp_mod._reoptimize(tab, _choice_row(m, state.k, choice))
     state.pivots += tab.pivots
-    if status != OPTIMAL:
-        return []
-    vertex, value = lp_mod._read_optimum(b, tab)
+    vertex, value = lp_mod._read_optimum(tab)
     if value < state.best:
         return []
     if value == state.best and not state.all_optima:
@@ -275,9 +259,9 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
         return []
     entry = _pick_branch(vertex, m, state.k, choices)
     if entry is None:
-        _record_leaf(state, m, b, tab, value, Configuration(m, vertex).to_union())
+        _record_leaf(state, m, tab, value, Configuration(m, vertex).to_union())
         return []
-    return [(choices | {choice}, (b, tab, choice))
+    return [(choices | {choice}, (tab, choice))
             for choice in ((LEFT, *entry), (RIGHT, *entry))]
 
 

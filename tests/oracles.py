@@ -105,11 +105,6 @@ def has_forbidden_triple(subset, k: int) -> bool:
 
 
 def satisfies_lp(prob, x) -> bool:
-    """``x`` meets every constraint and bound of the LinearProgram ``prob``, exactly."""
-    for con in prob.constraints:
-        lhs = sum(c * xj for c, xj in zip(con.coeffs, x))
-        if not {"<=": lhs <= con.rhs, "=": lhs == con.rhs, ">=": lhs >= con.rhs}[con.relation]:
-            return False
-    bounds = prob.bounds or [(None, None)] * len(x)
-    return all((lo is None or lo <= xj) and (hi is None or xj <= hi)
-               for xj, (lo, hi) in zip(x, bounds))
+    """``x`` lies in ``[0, 1]`` and meets every ``g . x <= 0`` row of ``prob``, exactly."""
+    return (all(0 <= xj <= 1 for xj in x)
+            and all(sum(g * xj for g, xj in zip(row, x)) <= 0 for row in prob.rows))

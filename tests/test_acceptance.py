@@ -19,7 +19,7 @@ from oracles import brute_force_f, has_forbidden_triple
 from sumfree.certify import derive_delta, sumset_bound_harness
 from sumfree.discrete import enumerate_maximum_sets, f_max
 from sumfree.intervals import IntervalUnion, is_k_sum_free, parse_union
-from sumfree.lp import constraint, linear_program, solve, check_certificate
+from sumfree.lp import LinearProgram, solve, check_certificate
 from sumfree.search import maximize_measure, mu_formula
 
 F = Fraction
@@ -145,10 +145,9 @@ def test_criterion_8_property_suites_sample():
     assert u.minkowski_sum(v) == v.minkowski_sum(u)
     assert is_k_sum_free(v, 3)[0] == is_k_sum_free(v.scale(F(7, 5)), 3)[0]
 
-    prob = linear_program([F(1), F(1)], [constraint([1, 1], "<=", F(77, 177))],
-                          bounds=[(F(0), None), (F(0), None)])
+    prob = LinearProgram(objective=(1, 1), rows=((177, -77),))  # x1 <= 77/177 x2
     res = solve(prob)
-    assert check_certificate(prob, res)
+    assert res.value == F(254, 177) and check_certificate(prob, res)
 
     seq = maximize_measure(2, 3, all_optima=True, parallel=1)
     par = maximize_measure(2, 3, all_optima=True, parallel=2)

@@ -2,13 +2,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import sumfree
 from sumfree import __version__
-from sumfree.cache import CacheRecord, append_record, load_records, lookup, make_record
+from sumfree import cli
+from sumfree.cache import (CacheRecord, append_record, load_records, lookup, make_record,
+                           solver_digest)
 from sumfree.cli import main
 
 
@@ -190,6 +193,40 @@ def test_report_marks_stale_records(cache_path, capsys):
             if line.startswith("| discrete ")]
     assert len(rows) == 1
     assert rows[0].endswith("| 0.0.0 (stale) |")
+
+
+def test_cache_record_from_another_solver_is_recomputed(cache_path, capsys):
+    # same version, older solver source: its tree took 45 nodes, today's 39
+    params = {"k": 3, "m": 3, "all_optima": False, "node_limit": None}
+    result = {"optimum": "77/177", "witnesses": [RECORD_SET], "nodes_explored": 45,
+              "status": "proven", "witnesses_exact": False}
+    old = replace(make_record("continuous", params, result, __version__), solver="0" * 8)
+    append_record(str(cache_path), old)
+    assert main(["report"]) == 0
+    assert f"| {__version__} (stale) |" in capsys.readouterr().out
+    assert main(["continuous", "--k", "3", "--m", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["nodes_explored"] == 39
+    lines = cache_path.read_text().strip().splitlines()
+    assert len(lines) == 2
+    assert json.loads(lines[1])["solver"] == solver_digest()
+
+
+def test_cache_path_that_is_a_directory_exits_2(tmp_path, capsys):
+    assert main(["discrete", "--n", "5", "--k", "1", "--cache", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path) in err
+
+
+def test_cache_path_in_a_missing_directory_exits_2_before_computing(
+        tmp_path, capsys, monkeypatch):
+    def not_reached(*args, **kwargs):
+        raise AssertionError("computed before the cache path was checked")
+
+    monkeypatch.setattr(cli, "f_max", not_reached)
+    path = tmp_path / "missing" / "cache.jsonl"
+    assert main(["discrete", "--n", "5", "--k", "1", "--cache", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err
 
 
 def test_cache_record_missing_result_fields_is_recomputed(cache_path, capsys):

@@ -1,22 +1,18 @@
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 from oracles import satisfies_lp
 
 from sumfree.lp import (
-    INFEASIBLE,
     OPTIMAL,
-    UNBOUNDED,
+    LinearProgram,
+    _cold_solve,
     _read_optimum,
     _reoptimize,
-    _run_phases,
     canonical_rows,
     check_certificate,
-    constraint,
     enumerate_optimal_vertices,
-    linear_program,
     solve,
 )
 
@@ -24,7 +20,7 @@ F = Fraction
 
 
 def test_single_variable_box():
-    prob = linear_program([F(1)], [constraint([1], "<=", 1)], bounds=[(F(0), None)])
+    prob = LinearProgram(objective=(1,), rows=())
     res = solve(prob)
     assert res.status == OPTIMAL
     assert res.value == 1 and res.vertex == (F(1),)
@@ -32,56 +28,27 @@ def test_single_variable_box():
 
 
 def test_binding_budget_row():
-    prob = linear_program(
-        [F(1), F(1)],
-        [constraint([1, 1], "<=", F(77, 177))],
-        bounds=[(F(0), None), (F(0), None)],
-    )
+    # 177 x1 <= 77 x2 with x2 at its box: x1 = 77/177
+    prob = LinearProgram(objective=(1, 1), rows=((177, -77),))
     res = solve(prob)
-    assert res.status == OPTIMAL and res.value == F(77, 177)
+    assert res.status == OPTIMAL and res.value == F(254, 177)
+    assert res.vertex == (F(77, 177), F(1))
     assert check_certificate(prob, res)
 
 
-def test_unbounded():
-    prob = linear_program([F(1)], [constraint([1], ">=", 0)])
-    assert solve(prob).status == UNBOUNDED
-
-
-def test_infeasible():
-    prob = linear_program(
-        [F(1)], [constraint([1], "<=", -1)], bounds=[(F(0), None)]
-    )
-    assert solve(prob).status == INFEASIBLE
-
-
-def test_equality_and_free_variables():
-    prob = linear_program(
-        [F(1), F(2)],
-        [constraint([1, 1], "=", 1), constraint([1, -1], ">=", -3)],
-    )
-    res = solve(prob)
-    assert res.status == OPTIMAL and res.value == 3
-    assert res.vertex == (F(-1), F(2))
-    assert check_certificate(prob, res)
-
-
-def test_general_bounds():
-    prob = linear_program(
-        [F(-1)],
-        [constraint([1], "<=", 10)],
-        bounds=[(F(3, 2), F(5))],
-    )
-    res = solve(prob)
-    assert res.status == OPTIMAL and res.vertex == (F(3, 2),)
-    assert check_certificate(prob, res)
+def test_rejects_non_integer_data_and_bad_lengths():
+    with pytest.raises(ValueError):
+        LinearProgram(objective=(F(1, 2), 1), rows=())
+    with pytest.raises(ValueError):
+        LinearProgram(objective=(1, 1), rows=((1, 0.5),))
+    with pytest.raises(ValueError):
+        LinearProgram(objective=(1, 1), rows=((1, -1, 0),))
+    with pytest.raises(ValueError):
+        LinearProgram(objective=(1, 1), rows=((1,),))
 
 
 def test_certificate_rejects_perturbations():
-    prob = linear_program(
-        [F(1), F(1)],
-        [constraint([1, 1], "<=", F(77, 177))],
-        bounds=[(F(0), None), (F(0), None)],
-    )
+    prob = LinearProgram(objective=(1, 1), rows=((177, -77),))
     res = solve(prob)
     assert check_certificate(prob, res)
     bad_value = type(res)(status=res.status, value=res.value + 1,
@@ -99,42 +66,30 @@ def test_certificate_rejects_perturbations():
 
 
 def test_duplicate_rows_are_dropped():
-    prob = linear_program(
-        [F(1)],
-        [constraint([1], "<=", 2), constraint([1], "<=", 2), constraint([1], "<=", 3)],
-        bounds=[(F(0), None)],
-    )
-    rows, _ = canonical_rows(prob)
-    assert len(rows) == 2
+    prob = LinearProgram(objective=(1, 1), rows=((1, -1), (1, -1), (1, -2)))
+    rows = canonical_rows(prob)
+    assert len(rows) == 4  # two distinct g rows, then two box rows
     res = solve(prob)
     assert res.value == 2 and check_certificate(prob, res)
+    assert len(res.dual) == len(rows)
 
 
 def test_beale_degenerate_instance_terminates():
-    # classic cycling instance for most-negative pivoting; Bland's rule ends
-    cons = [
-        constraint([F(1, 4), -60, F(-1, 25), 9], "<=", 0),
-        constraint([F(1, 2), -90, F(-1, 50), 3], "<=", 0),
-        constraint([0, 0, 1, 0], "<=", 1),
-    ]
-    objective = [F(3, 4), F(-150), F(1, 50), F(-6)]
-    bounds = [(F(0), None)] * 4
-    prob = linear_program(objective, cons, bounds=bounds)
+    # classic cycling instance for most-negative pivoting, every coefficient
+    # times 100; Beale's x3 <= 1 is the box row.  Bland's rule ends
+    rows = ((25, -6000, -4, 900), (50, -9000, -2, 300))
+    prob = LinearProgram(objective=(75, -15000, 2, -600), rows=rows)
     res = solve(prob)
     assert res.status == OPTIMAL
-    assert res.value == F(1, 20)
+    assert res.value == 5  # 100 * 1/20
+    assert res.vertex == (F(1, 25), F(0), F(1), F(0))
     assert check_certificate(prob, res)
 
 
 def test_degenerate_ties_resolve_deterministically():
-    # several rows tie at the optimum vertex
-    cons = [
-        constraint([1, 1], "<=", 1),
-        constraint([2, 2], "<=", 2),
-        constraint([1, 0], "<=", 1),
-        constraint([1, -1], "<=", 1),
-    ]
-    prob = linear_program([F(1), F(0)], cons, bounds=[(F(0), None), (F(0), None)])
+    # x1 = x2 from both sides, plus a scaled copy: five rows tie at (1, 1)
+    rows = ((1, -1), (2, -2), (-1, 1))
+    prob = LinearProgram(objective=(1, 0), rows=rows)
     first = solve(prob)
     second = solve(prob)
     assert first == second
@@ -142,40 +97,33 @@ def test_degenerate_ties_resolve_deterministically():
     assert check_certificate(prob, first)
 
 
-def _random_feasible_bounded_lp(rng: random.Random):
+def _random_lp(rng: random.Random) -> LinearProgram:
     n = rng.randint(1, 4)
-    m = rng.randint(1, 5)
-    x0 = [F(rng.randint(0, 8), rng.randint(1, 4)) for _ in range(n)]
-    cons = []
-    for _ in range(m):
-        coeffs = [F(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(n)]
-        lhs = sum(c * x for c, x in zip(coeffs, x0))
-        slack = F(rng.randint(0, 5), rng.randint(1, 3))
-        cons.append(constraint(coeffs, "<=", lhs + slack))
-    objective = [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)]
-    bounds = [(F(0), F(10))] * n  # keeps the value bounded
-    return linear_program(objective, cons, bounds=bounds)
+    rows = tuple(tuple(rng.randint(-6, 6) for _ in range(n))
+                 for _ in range(rng.randint(1, 5)))
+    objective = tuple(rng.randint(-5, 5) for _ in range(n))
+    return LinearProgram(objective=objective, rows=rows)
 
 
 def test_duality_on_random_feasible_lps():
     rng = random.Random(20250810)
     for _ in range(120):
-        prob = _random_feasible_bounded_lp(rng)
+        prob = _random_lp(rng)
         res = solve(prob)
         assert res.status == OPTIMAL
         assert check_certificate(prob, res)
-        rows, _ = canonical_rows(prob)
-        dual_value = sum(res.dual[i] * rows[i][1] for i in range(len(rows)))
+        rows = canonical_rows(prob)
+        dual_value = sum(y * b for y, (_, b) in zip(res.dual, rows))
         assert dual_value == res.value  # exact strong duality
 
 
 def test_objective_scaling_invariance():
     rng = random.Random(123)
     for _ in range(60):
-        prob = _random_feasible_bounded_lp(rng)
-        lam = F(rng.randint(1, 9), rng.randint(1, 9))
-        scaled = linear_program([lam * c for c in prob.objective],
-                                prob.constraints, prob.bounds)
+        prob = _random_lp(rng)
+        lam = rng.randint(1, 9)
+        scaled = LinearProgram(objective=tuple(lam * c for c in prob.objective),
+                               rows=prob.rows)
         base = solve(prob)
         up = solve(scaled)
         assert up.value == lam * base.value
@@ -183,60 +131,32 @@ def test_objective_scaling_invariance():
 
 
 def test_optimal_face_enumeration():
-    # objective parallel to a facet: the face is a segment with two vertices
-    prob = linear_program(
-        [F(1), F(1)],
-        [constraint([1, 1], "<=", 1)],
-        bounds=[(F(0), F(1)), (F(0), F(1))],
-    )
+    # x1 + x2 <= x3 <= 1, objective parallel to that facet: a segment
+    prob = LinearProgram(objective=(1, 1, 0), rows=((1, 1, -1),))
     verts, complete = enumerate_optimal_vertices(prob)
     assert complete
-    assert verts == [(F(0), F(1)), (F(1), F(0))]
+    assert verts == [(F(0), F(1), F(1)), (F(1), F(0), F(1))]
     # unique optimum: one vertex only
-    prob2 = linear_program(
-        [F(2), F(1)],
-        [constraint([1, 1], "<=", 1)],
-        bounds=[(F(0), F(1)), (F(0), F(1))],
-    )
+    prob2 = LinearProgram(objective=(2, 1, 0), rows=((1, 1, -1),))
     verts2, complete2 = enumerate_optimal_vertices(prob2)
-    assert complete2 and verts2 == [(F(1), F(0))]
-    # equality row (goes through phase 1): face is still the full segment
-    prob3 = linear_program(
-        [F(1), F(1)],
-        [constraint([1, 1], "=", 1)],
-        bounds=[(F(0), F(1)), (F(0), F(1))],
-    )
-    verts3, complete3 = enumerate_optimal_vertices(prob3)
-    assert complete3
-    assert verts3 == [(F(0), F(1)), (F(1), F(0))]
+    assert complete2 and verts2 == [(F(1), F(0), F(1))]
 
 
 def test_added_row_matches_a_cold_solve():
     """A warm child (one ``<= 0`` row, dual simplex) agrees with a cold solve."""
     rng = random.Random(77)
-    statuses = Counter()
-    for trial in range(80):
-        prob = _random_feasible_bounded_lp(rng)
-        if trial % 2:  # free variables: each is split into two columns
-            prob = linear_program(prob.objective, prob.constraints,
-                                  bounds=[(F(-10), F(10))] * prob.num_vars)
-        b, status = _run_phases(prob)
-        assert status == OPTIMAL
-        statuses["phase 1"] += bool(b.art_cols)  # dead artificial columns
-        tab = b.tab
+    dual_pivots = 0
+    for _ in range(80):
+        prob = _random_lp(rng)
+        tab = _cold_solve(prob)
         for _ in range(3):  # a warm child of a warm child, and so on
-            g = [rng.randint(-3, 3) for _ in range(prob.num_vars)]
-            tab, status = _reoptimize(b, tab, g)
-            prob = linear_program(prob.objective,
-                                  prob.constraints + (constraint(g, "<=", 0),),
-                                  bounds=prob.bounds)
+            g = tuple(rng.randint(-3, 3) for _ in range(prob.num_vars))
+            tab = _reoptimize(tab, g)
+            prob = LinearProgram(objective=prob.objective, rows=prob.rows + (g,))
             cold = solve(prob)
-            statuses[status] += 1
-            assert status == cold.status
+            dual_pivots += tab.pivots
             assert all(type(a) is int for row in tab.mat for a in row)
-            if status != OPTIMAL:
-                break
-            vertex, value = _read_optimum(b, tab)
+            vertex, value = _read_optimum(tab)
             assert value == cold.value
             assert satisfies_lp(prob, vertex)
-    assert statuses[OPTIMAL] and statuses[INFEASIBLE] and statuses["phase 1"]
+    assert dual_pivots  # the added rows cut off some parent optima

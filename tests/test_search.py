@@ -10,11 +10,10 @@ from oracles import grid_best_1_interval, grid_best_2_intervals, satisfies_lp
 
 from sumfree.intervals import IntervalUnion, is_k_sum_free
 from sumfree.lp import (
-    INFEASIBLE,
     OPTIMAL,
+    _cold_solve,
     _read_optimum,
     _reoptimize,
-    _run_phases,
     canonical_rows,
     solve,
 )
@@ -69,9 +68,7 @@ def test_single_interval_pattern_lps():
     # k = 1: left split is degenerate-only, right split gives the top half
     left1 = build_pattern_lp(1, 1, DisjunctionPattern(1).resolve("L", 0, 0, 0))
     res = solve(left1)
-    assert res.status in (OPTIMAL, INFEASIBLE)
-    if res.status == OPTIMAL:
-        assert res.value == 0
+    assert res.status == OPTIMAL and res.value == 0
     right1 = build_pattern_lp(1, 1, DisjunctionPattern(1).resolve("R", 0, 0, 0))
     res = solve(right1)
     assert res.value == F(1, 2) and res.vertex == (F(1, 2), F(1))
@@ -169,29 +166,24 @@ def test_relaxation_monotonicity():
         for entry in rng.sample(entries, rng.randint(0, 4)):
             pat = pat.resolve(rng.choice("LR"), *entry)
         parent = solve(build_pattern_lp(m, k, pat))
-        if parent.status != OPTIMAL:
-            continue
         i, j, t = rng.choice(entries)
         if pat.is_resolved(i, j, t):
             continue
         for side in "LR":
             child = solve(build_pattern_lp(m, k, pat.resolve(side, i, j, t)))
-            if child.status == OPTIMAL:
-                assert child.value <= parent.value
+            assert child.value <= parent.value
 
 
-def _warm_child_agrees(m, k, pat, b, tab, choice):
+def _warm_child_agrees(m, k, pat, tab, choice):
     """Add ``choice`` to ``tab`` warm; check it against a cold solve of the child."""
-    tab, status = _reoptimize(b, tab, _choice_row(m, k, choice))
+    tab = _reoptimize(tab, _choice_row(m, k, choice))
     child = build_pattern_lp(m, k, pat.resolve(*choice))
     cold = solve(child)
-    assert status == cold.status
     assert all(type(a) is int for row in tab.mat for a in row)
-    if status == OPTIMAL:
-        vertex, value = _read_optimum(b, tab)
-        assert value == cold.value
-        assert satisfies_lp(child, vertex)
-    return tab, status
+    vertex, value = _read_optimum(tab)
+    assert value == cold.value
+    assert satisfies_lp(child, vertex)
+    return tab
 
 
 @pytest.mark.parametrize("m,k", [(m, k) for m in (3, 4) for k in (2, 3, 4)])
@@ -202,26 +194,23 @@ def test_warm_child_matches_cold_solve(m, k):
         pat = DisjunctionPattern(m)
         for entry in rng.sample(entries, rng.randint(0, 4)):
             pat = pat.resolve(rng.choice("LR"), *entry)
-        b, _ = _run_phases(build_pattern_lp(m, k, pat))
-        tab = b.tab
+        tab = _cold_solve(build_pattern_lp(m, k, pat))
         for entry in rng.sample(entries, 3):  # a chain of warm children
             if pat.is_resolved(*entry):
                 continue
             choice = (rng.choice("LR"), *entry)
-            tab, status = _warm_child_agrees(m, k, pat, b, tab, choice)
+            tab = _warm_child_agrees(m, k, pat, tab, choice)
             pat = pat.resolve(*choice)
-            if status != OPTIMAL:
-                break
 
 
 def test_warm_child_with_a_row_the_cold_build_drops():
     # for k = 2, L(0,0,1) and R(1,1,0) are both 2 r_0 - 2 l_1 <= 0
     m, k = 2, 2
     pat = DisjunctionPattern(m).resolve("L", 0, 0, 1)
-    b, _ = _run_phases(build_pattern_lp(m, k, pat))
+    tab = _cold_solve(build_pattern_lp(m, k, pat))
     child = pat.resolve("R", 1, 1, 0)
-    assert len(canonical_rows(build_pattern_lp(m, k, child))[0]) == len(b.rows)
-    _warm_child_agrees(m, k, pat, b, b.tab, ("R", 1, 1, 0))
+    assert len(canonical_rows(build_pattern_lp(m, k, child))) == tab.nrows
+    _warm_child_agrees(m, k, pat, tab, ("R", 1, 1, 0))
 
 
 def test_monotone_in_m_and_stable_at_record():
@@ -230,10 +219,15 @@ def test_monotone_in_m_and_stable_at_record():
     assert values[2] == values[3] == values[4] == F(77, 177)
 
 
-# Nodes and LP pivots of the serial search; a change to the node step that
-# alters the tree shows up here first.  Warm-started children (dual simplex
-# from the parent's tableau) changed them from (172, 1873) and (619, 9467).
-SEARCH_COUNTERS = {4: (166, 258), 5: (635, 1077)}
+# Nodes and LP pivots of the serial search with all optima, by (m, k); a
+# change to the node step that alters the tree shows up here first.
+# Warm-started children (dual simplex from the parent's tableau) changed
+# them from (172, 1873), (619, 9467) and (421, 5719).
+SEARCH_COUNTERS = {(4, 3): (166, 258), (5, 3): (635, 1077), (5, 4): (459, 782)}
+# Nodes, pivots and cold builds of the same runs with parallel=2: the m'
+# runs, the root split and one cold build per worker root, whose choice
+# rows go through the cold build's deduplication.
+PARALLEL_COUNTERS = {3: (43, 113, 11), 4: (168, 331, 12)}
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -242,8 +236,16 @@ def test_record_witness_stays_unique_with_spare_intervals(m, largest_known_3sumf
     assert res.optimum == F(77, 177)
     assert res.witnesses == (largest_known_3sumfree,)
     assert res.witnesses_exact
-    assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[m]
+    assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[m, 3]
     assert res.lp_builds == m  # one cold solve per interval count, none per node
+
+
+def test_search_counters_k4():
+    res = maximize_measure(5, 4, all_optima=True)
+    assert res.optimum == mu_formula(4)
+    assert res.witnesses_exact
+    assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[5, 4]
+    assert res.lp_builds == 5
 
 
 def test_record_holds_for_six_intervals():
@@ -260,6 +262,7 @@ def test_schedule_independence_sequential_vs_parallel():
         assert seq.optimum == par.optimum
         assert seq.witnesses == par.witnesses
         assert seq.status == par.status == "proven"
+        assert (par.nodes_explored, par.lp_pivots, par.lp_builds) == PARALLEL_COUNTERS[m]
 
 
 def test_node_limit_interrupts():
@@ -269,7 +272,7 @@ def test_node_limit_interrupts():
 
 
 def test_node_limit_is_global_across_workers():
-    # the full m=4 search takes 172 nodes, so a limit of 100 must stop it
+    # the full parallel m=4 search takes 168 nodes, so a limit of 100 must stop it
     res = maximize_measure(4, 3, all_optima=True, parallel=2, node_limit=100)
     assert res.nodes_explored <= 100
     assert res.status == "interrupted"
