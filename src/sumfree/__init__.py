@@ -5,12 +5,12 @@ search for maximal configurations, the discrete f(n, k) solver, and the
 mechanical certificate for the 1/2 - 1/114 measure bound.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 from .rationals import (Rational, RationalParseError, ZeroDenominatorError,
                         make_rational, parse_rational, format_rational)
 from .intervals import Interval, IntervalUnion, Witness, is_k_sum_free, parse_union, format_union
-from .lp import LinearProgram, LPResult, solve, check_certificate
+from .lp import LinearProgram, solve, check_certificate
 from .search import (Configuration, DisjunctionPattern, SearchResult,
                      build_pattern_lp, maximize_measure, mu_formula)
 from .discrete import forbidden_triples, f_max, enumerate_maximum_sets, discretize
@@ -20,7 +20,7 @@ __all__ = [
     "Rational", "RationalParseError", "ZeroDenominatorError",
     "make_rational", "parse_rational", "format_rational",
     "Interval", "IntervalUnion", "Witness", "is_k_sum_free", "parse_union",
-    "format_union", "LinearProgram", "LPResult", "solve",
+    "format_union", "LinearProgram", "solve",
     "check_certificate", "Configuration", "DisjunctionPattern", "SearchResult",
     "build_pattern_lp", "maximize_measure", "mu_formula", "forbidden_triples",
     "f_max", "enumerate_maximum_sets", "discretize", "derive_delta",

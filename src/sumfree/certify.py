@@ -185,6 +185,8 @@ def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
     """Exact check of |A+A| >= min(3|A|, |A| + diam(A)) on random unions."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if max_intervals < 1:
+        raise ValueError(f"max_intervals must be >= 1, got {max_intervals}")
     rng = random.Random(seed)
     min_slack: Fraction | None = None
     min_example: IntervalUnion | None = None

@@ -188,8 +188,7 @@ def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) 
         if verbose:
             sys.stderr.write(f"continuous m={args.m} k={args.k}: "
                              f"{result.nodes_explored} nodes, "
-                             f"{result.lp_pivots} pivots, "
-                             f"{result.lp_builds} LP builds, {elapsed:.2f}s\n")
+                             f"{result.lp_pivots} pivots, {elapsed:.2f}s\n")
         return {
             "optimum": format_rational(result.optimum),
             "witnesses": [format_union(w) for w in result.witnesses],

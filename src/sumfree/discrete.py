@@ -156,6 +156,8 @@ def f_max(n: int, k: int) -> tuple[int, tuple[int, ...]]:
 
 def enumerate_maximum_sets(n: int, k: int, node_limit: int | None = None) -> list[tuple[int, ...]]:
     """All maximum-cardinality k-sum-free subsets, lexicographically sorted."""
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     inst = _Instance(n, k)
     best, sets, nodes, exhausted = _search(inst, enumerate_all=True, node_limit=node_limit)
     if not exhausted:

@@ -23,15 +23,16 @@ Bland's rule (the entering column is the first one with a negative
 reduced cost, ties in the ratio test go to the lowest basic index),
 which terminates without any anti-cycling guard.
 
-``solve`` also emits a dual vector over ``canonical_rows``, so any
+``solve`` returns the optimal ``Tableau`` itself, which gives the
+value, the vertex and a dual vector over ``canonical_rows``, so any
 claimed optimum can be re-verified from scratch by ``check_certificate``
 without trusting the solver: primal feasibility, dual feasibility and
 equality of the two objective values are checked exactly.
 
-An optimal tableau can also be reoptimized after one more row
-``g . x <= 0`` (branch-and-bound children): the row is written in the
-current basis with its own slack basic, which keeps the reduced costs
-dual feasible but may make its rhs negative, and the dual simplex
+An optimal tableau is reoptimized after one more row ``g . x <= 0``
+(branch-and-bound children) by ``Tableau.add_row``: the row is written
+in the current basis with its own slack basic, which keeps the reduced
+costs dual feasible but may make its rhs negative, and the dual simplex
 restores primal feasibility with the same Bareiss pivot.  It uses dual
 Bland's rule (the leaving row is the infeasible one with the lowest
 basic column; ties in the dual ratio test go to the lowest column),
@@ -71,16 +72,6 @@ class LinearProgram:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
-class LPResult:
-    status: str
-    value: Fraction | None = None
-    vertex: tuple[Fraction, ...] | None = None
-    # Dual multipliers over canonical_rows(lp), nonnegative at an optimum.
-    dual: tuple[Fraction, ...] | None = None
-    pivots: int = 0
-
-
 def canonical_rows(lp: LinearProgram) -> list[tuple[tuple[int, ...], int]]:
     """The tableau's rows as ``(a, b)`` for ``a . x <= b``, in tableau order.
 
@@ -92,24 +83,48 @@ def canonical_rows(lp: LinearProgram) -> list[tuple[tuple[int, ...], int]]:
     return [(g, 0) for g in dict.fromkeys(lp.rows)] + box
 
 
-class _Tableau:
+class Tableau:
     """Fraction-free simplex tableau; all entries are ints over ``den``.
 
     Columns: one per variable, then one slack per row; the last column
     is the rhs.  Rows: the constraint rows, then the objective row.
+    ``solve`` and ``add_row`` return it optimal, and it is then the LP's
+    result: ``value``, ``vertex`` and ``dual`` are read off it, and
+    ``pivots`` counts the pivots that the solve or the added row took.
     """
+
+    status = OPTIMAL
 
     __slots__ = ("mat", "den", "basis", "nrows", "ncols", "nvars", "pivots", "trace")
 
-    def __init__(self, mat, basis, nvars, trace=None):
+    def __init__(self, mat, basis, nvars, den=1, trace=None):
         self.mat = mat
-        self.den = 1
+        self.den = den
         self.basis = basis  # column index of the basic variable per constraint row
         self.nrows = len(basis)
         self.ncols = len(mat[0]) - 1
         self.nvars = nvars
         self.pivots = 0
         self.trace = trace
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.mat[self.nrows][-1], self.den)
+
+    @property
+    def vertex(self) -> tuple[Fraction, ...]:
+        col_val = {self.basis[i]: self.mat[i][-1] for i in range(self.nrows)}
+        return tuple(Fraction(col_val.get(j, 0), self.den) for j in range(self.nvars))
+
+    @property
+    def dual(self) -> tuple[Fraction, ...]:
+        """Dual multipliers, one per row, nonnegative at an optimum.
+
+        The rows of ``solve(lp)`` are ``canonical_rows(lp)``; each row
+        ``add_row`` adds follows them.  Column ``nvars + i`` is row i's slack.
+        """
+        obj = self.mat[self.nrows]
+        return tuple(Fraction(obj[self.nvars + i], self.den) for i in range(self.nrows))
 
     def pivot(self, r: int, c: int) -> None:
         mat, den = self.mat, self.den
@@ -163,15 +178,15 @@ class _Tableau:
             assert r is not None, "unbounded ray, but the box bounds every pattern LP"
             self.pivot(r, c)
 
-    def add_row(self, g: Sequence[int]) -> "_Tableau":
-        """A copy of this tableau with the row ``g . x <= 0`` appended.
+    def add_row(self, g: Sequence[int]) -> "Tableau":
+        """The optimum with the row ``g . x <= 0`` added, by dual simplex.
 
         ``g`` has one entry per variable.  The row is written in the
         current basis, ``den*g - sum g[basis[i]]*mat[i]``, and its new
         slack column is basic with entry ``den``, so every entry is still
         a minor of the enlarged input matrix and ``den`` is unchanged.
-        The row goes after the constraint rows, before the objective row;
-        this tableau is left as it was.
+        The row goes after the constraint rows, before the objective row.
+        This tableau is left as it was, so siblings can share it.
         """
         den = self.den
         g = list(g) + [0] * (self.ncols - self.nvars)
@@ -182,8 +197,8 @@ class _Tableau:
             if f:
                 new = [a - f * b for a, b in zip(new, mat[i])]
         mat.insert(self.nrows, new)
-        tab = _Tableau(mat, self.basis + [self.ncols], self.nvars, self.trace)
-        tab.den = den
+        tab = Tableau(mat, self.basis + [self.ncols], self.nvars, den, self.trace)
+        tab.dual_optimize()
         return tab
 
     def dual_optimize(self) -> None:
@@ -211,9 +226,48 @@ class _Tableau:
             assert c is not None, "infeasible, but x = 0 meets every pattern row"
             self.pivot(r, c)
 
+    def optimal_face(self) -> tuple[list[tuple[Fraction, ...]], bool]:
+        """All vertices of the optimal face, by walking zero-reduced-cost pivots.
 
-def _cold_solve(lp: LinearProgram, trace=None) -> _Tableau:
-    """Build the slack-basis tableau of ``lp`` and optimize it."""
+        Returns (vertices, complete).  ``complete`` is False when the basis
+        walk was cut off after ``_BASIS_LIMIT`` bases; the vertex list is
+        deduplicated and sorted for determinism.  This tableau is left as
+        it was.
+        """
+        complete = True
+        seen_bases = {tuple(sorted(self.basis))}
+        queue = [self]
+        vertices = {self.vertex}
+        while queue:
+            tab = queue.pop()
+            basic = set(tab.basis)
+            obj = tab.mat[tab.nrows]
+            for c in range(tab.ncols):
+                if c in basic or obj[c] != 0:
+                    continue
+                nxt = Tableau([row.copy() for row in tab.mat], list(tab.basis),
+                              tab.nvars, tab.den)
+                r = nxt._ratio_row(c)
+                assert r is not None, "unbounded optimal face, but the box bounds it"
+                nxt.pivot(r, c)
+                key = tuple(sorted(nxt.basis))
+                if key in seen_bases:
+                    continue
+                if len(seen_bases) >= _BASIS_LIMIT:
+                    complete = False
+                    continue
+                seen_bases.add(key)
+                vertices.add(nxt.vertex)
+                queue.append(nxt)
+        return sorted(vertices), complete
+
+
+def solve(lp: LinearProgram, trace: Callable[[str], None] | None = None) -> Tableau:
+    """Exact optimum of ``lp`` as its optimal tableau, built from the slack basis.
+
+    Deterministic (one pivot path per input).  ``trace``, if given,
+    receives each pivot and the tableau after it.
+    """
     rows = canonical_rows(lp)
     n, nrows = lp.num_vars, len(rows)
     mat = []
@@ -222,52 +276,23 @@ def _cold_solve(lp: LinearProgram, trace=None) -> _Tableau:
         row[n + i] = 1
         mat.append(row)
     mat.append([-c for c in lp.objective] + [0] * (nrows + 1))
-    tab = _Tableau(mat, list(range(n, n + nrows)), n, trace)
+    tab = Tableau(mat, list(range(n, n + nrows)), n, trace=trace)
     tab.optimize()
     return tab
 
 
-def _reoptimize(tab: _Tableau, coeffs: Sequence[int]) -> _Tableau:
-    """``tab`` with the row ``coeffs . x <= 0`` added, reoptimized by dual simplex.
-
-    ``tab`` is an optimal tableau; it is left untouched, so siblings can
-    share it.
-    """
-    child = tab.add_row(coeffs)
-    child.dual_optimize()
-    return child
-
-
-def _read_vertex(tab: _Tableau) -> tuple[Fraction, ...]:
-    col_val = {tab.basis[i]: tab.mat[i][-1] for i in range(tab.nrows)}
-    return tuple(Fraction(col_val.get(j, 0), tab.den) for j in range(tab.nvars))
-
-
-def _read_optimum(tab: _Tableau) -> tuple[tuple[Fraction, ...], Fraction]:
-    """Vertex and objective value of an optimal tableau."""
-    return _read_vertex(tab), Fraction(tab.mat[tab.nrows][-1], tab.den)
-
-
-def solve(lp: LinearProgram, trace: Callable[[str], None] | None = None) -> LPResult:
-    """Exact optimum of ``lp``; deterministic (one pivot path per input)."""
-    tab = _cold_solve(lp, trace)
-    vertex, value = _read_optimum(tab)
-    obj = tab.mat[tab.nrows]
-    dual = tuple(Fraction(obj[tab.nvars + i], tab.den) for i in range(tab.nrows))
-    return LPResult(status=OPTIMAL, value=value, vertex=vertex, dual=dual,
-                    pivots=tab.pivots)
-
-
-def check_certificate(lp: LinearProgram, result: LPResult) -> bool:
+def check_certificate(lp: LinearProgram, result) -> bool:
     """Re-verify an optimal result from scratch, exactly.
 
-    Checks: the vertex is nonnegative and satisfies every row of
+    ``result`` is any object with ``status``, ``value``, ``vertex`` and
+    ``dual`` (over ``canonical_rows``), such as ``solve(lp)``.  Checks:
+    the vertex is nonnegative and satisfies every row of
     ``canonical_rows``; the dual vector is nonnegative and dual-feasible
     (``y . a_j >= c_j`` on every variable's column); and both objective
     values agree.  Any failure, by however small a margin, returns
     False - there is no tolerance.
     """
-    if result.status != OPTIMAL or result.vertex is None or result.dual is None:
+    if result.status != OPTIMAL:
         return False
     rows = canonical_rows(lp)
     x, y = result.vertex, result.dual
@@ -286,41 +311,5 @@ def check_certificate(lp: LinearProgram, result: LPResult) -> bool:
 
 
 def enumerate_optimal_vertices(lp: LinearProgram) -> tuple[list[tuple[Fraction, ...]], bool]:
-    """All vertices of the optimal face, by walking zero-reduced-cost pivots.
-
-    Returns (vertices, complete).  ``complete`` is False when the basis
-    walk was cut off after ``_BASIS_LIMIT`` bases; the vertex list is
-    deduplicated and sorted for determinism.
-    """
-    return _optimal_face(_cold_solve(lp))
-
-
-def _optimal_face(tab: _Tableau) -> tuple[list[tuple[Fraction, ...]], bool]:
-    """``enumerate_optimal_vertices`` from ``tab``, an optimal tableau."""
-    obj_idx = tab.nrows
-    complete = True
-    seen_bases = {tuple(sorted(tab.basis))}
-    queue = [(tab.mat, tab.den, list(tab.basis))]
-    vertices = {_read_vertex(tab)}
-    while queue:
-        mat, den, basis = queue.pop()
-        basic = set(basis)
-        obj = mat[obj_idx]
-        for c in range(tab.ncols):
-            if c in basic or obj[c] != 0:
-                continue
-            nxt = _Tableau([row.copy() for row in mat], list(basis), tab.nvars)
-            nxt.den = den
-            r = nxt._ratio_row(c)
-            assert r is not None, "unbounded optimal face, but the box bounds it"
-            nxt.pivot(r, c)
-            key = tuple(sorted(nxt.basis))
-            if key in seen_bases:
-                continue
-            if len(seen_bases) >= _BASIS_LIMIT:
-                complete = False
-                continue
-            seen_bases.add(key)
-            vertices.add(_read_vertex(nxt))
-            queue.append((nxt.mat, nxt.den, list(nxt.basis)))
-    return sorted(vertices), complete
+    """``solve(lp).optimal_face()``: the vertices of the optimal face, and completeness."""
+    return solve(lp).optimal_face()

@@ -14,14 +14,15 @@ it LEFT/RIGHT; otherwise the vertex is feasible and fathoms the node.
 The two-sided split covers every configuration whose intervals all have
 positive length (for such, non-overlap really is left-or-right), so the
 search runs once per interval count m' = 1..m and takes the best;
-incumbents from small m' prune the larger trees.  Identical resolved sets
-reached along different branch orders are memoized away.
+incumbents from small m' prune the larger trees.  No choice set is
+reached twice: two nodes part where one holds L(e) and the other R(e),
+and an entry is never branched on once resolved.
 
-Only the root of each subtree (one per m', plus each root a parallel run
-hands to a worker) builds and solves its LP from scratch.  A child is its
-parent plus one choice row, so it is reoptimized from the parent's
-optimal tableau by a few dual simplex pivots; a fathomed leaf walks its
-optimal face from that same tableau.
+Only the root of each run (the empty pattern, one per m') builds and
+solves its LP from scratch.  Every other node, including each node a
+parallel run hands to a worker, is its parent plus one choice row, so it
+is reoptimized from the parent's optimal tableau by a few dual simplex
+pivots; a fathomed leaf walks its optimal face from that same tableau.
 
 With ``all_optima`` the search additionally enumerates every vertex of
 each fathomed node's optimal face (zero-reduced-cost pivots), proving
@@ -100,8 +101,6 @@ class SearchResult:
     # (all contributing optimal faces were single vertices or single sets).
     witnesses_exact: bool = True
     lp_pivots: int = 0
-    # Pattern LPs built and solved from scratch: one per subtree root.
-    lp_builds: int = 0
 
 
 def mu_formula(k: int) -> Fraction:
@@ -189,29 +188,36 @@ class _RunState:
     witnesses_exact: bool = True
     nodes: int = 0
     pivots: int = 0
-    builds: int = 0
     interrupted: bool = False
+
+    def offer(self, value: Fraction, keys: set, exact: bool) -> None:
+        """Take unions ``keys`` of measure ``value`` as candidate maximizers.
+
+        A higher value replaces the incumbent; an equal one adds its
+        unions, and ``exact`` says whether they are all of its maximizers.
+        """
+        if value > self.best:
+            self.best = value
+            self.witnesses = set()
+            self.witnesses_exact = True
+        if value == self.best:
+            self.witnesses |= keys
+            self.witnesses_exact &= exact
 
 
 def _union_key(u: IntervalUnion):
     return tuple((iv.lo, iv.hi) for iv in u.intervals)
 
 
-def _record_leaf(state: _RunState, m: int, tab: lp_mod._Tableau,
+def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau,
                  value: Fraction, union: IntervalUnion) -> None:
     free, _ = is_k_sum_free(union, state.k)
     if not free:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
-    if value > state.best:
-        state.best = value
-        state.witnesses = set()
-        state.witnesses_exact = True
-    if value < state.best:
-        return
     if not state.all_optima:
-        state.witnesses.add(_union_key(union))
+        state.offer(value, {_union_key(union)}, True)
         return
-    verts, complete = lp_mod._optimal_face(tab)
+    verts, complete = tab.optimal_face()
     leaf_sets = set()
     all_free = True
     for vx in verts:
@@ -221,21 +227,20 @@ def _record_leaf(state: _RunState, m: int, tab: lp_mod._Tableau,
             leaf_sets.add(_union_key(u))
         else:
             all_free = False
-    if not complete or not (len(verts) == 1 or (all_free and len(leaf_sets) == 1)):
-        state.witnesses_exact = False
-    state.witnesses |= leaf_sets
+    state.offer(value, leaf_sets,
+                complete and (len(verts) == 1 or (all_free and len(leaf_sets) == 1)))
 
 
-# An open node: its choice set, and for a node below a subtree root the
-# solved parent it extends, as (parent tableau, new choice).
+# An open node: its choice set, and the solved parent it extends, as
+# (parent tableau, new choice); the root of a run has no parent.
 Node = tuple[frozenset, tuple | None]
 
 
 def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     """Process one node: solve its LP, then prune it, fathom it or branch it.
 
-    A subtree root is built and solved from scratch.  Any other node adds
-    its one new choice row to its parent's optimal tableau, which both
+    The root is built and solved from scratch.  Any other node adds its
+    one new choice row to its parent's optimal tableau, which both
     children share, and reoptimizes by dual simplex.  A pattern LP is
     never infeasible (``x = 0`` meets every row; ``lp`` asserts it), so
     every node has an optimum.  Returns the open children, LEFT first;
@@ -244,19 +249,19 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     choices, parent = node
     state.nodes += 1
     if parent is None:
-        tab = lp_mod._cold_solve(build_pattern_lp(m, state.k, DisjunctionPattern(m, choices)))
-        state.builds += 1
+        tab = lp_mod.solve(build_pattern_lp(m, state.k, DisjunctionPattern(m, choices)))
     else:
         tab, choice = parent
-        tab = lp_mod._reoptimize(tab, _choice_row(m, state.k, choice))
+        tab = tab.add_row(_choice_row(m, state.k, choice))
     state.pivots += tab.pivots
-    vertex, value = lp_mod._read_optimum(tab)
+    value = tab.value
     if value < state.best:
         return []
     if value == state.best and not state.all_optima:
         # Equal-bound nodes can only tie the incumbent; when ties are
         # not being collected the incumbent witness already realizes it.
         return []
+    vertex = tab.vertex
     entry = _pick_branch(vertex, m, state.k, choices)
     if entry is None:
         _record_leaf(state, m, tab, value, Configuration(m, vertex).to_union())
@@ -265,37 +270,30 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
             for choice in ((LEFT, *entry), (RIGHT, *entry))]
 
 
-def _explore(m: int, state: _RunState, roots: Iterable[frozenset] = (frozenset(),),
-             want: int | None = None) -> list[frozenset]:
-    """Branch-and-bound over resolved-choice sets for fixed m.
+def _explore(m: int, state: _RunState, nodes: Iterable[Node] = ((frozenset(), None),),
+             want: int | None = None) -> list[Node]:
+    """Branch-and-bound below ``nodes`` (by default the root) for fixed m.
 
-    Each root is the root of a subtree.  Without ``want`` the tree is
-    searched depth-first, LEFT child first, until it is exhausted.  With
-    ``want`` it is expanded breadth-first until at least ``want`` nodes
-    are open, and the distinct unexpanded choice sets are returned in a
-    fixed order.
+    Without ``want`` the tree is searched depth-first, LEFT child first,
+    until it is exhausted.  With ``want`` it is expanded breadth-first
+    until at least ``want`` nodes are open, and those are returned in
+    order, each with its parent's tableau.
     """
-    open_nodes = deque((choices, None) for choices in roots)
-    memo: set[frozenset] = set()
+    open_nodes = deque(nodes)
     while open_nodes and (want is None or len(open_nodes) < want):
         if state.node_limit is not None and state.nodes >= state.node_limit:
             state.interrupted = True
             return []
-        node = open_nodes.pop() if want is None else open_nodes.popleft()
-        if node[0] in memo:
-            continue
-        memo.add(node[0])
-        children = _expand(m, state, node)
-        open_nodes.extend(reversed(children) if want is None else children)
-    return sorted({choices for choices, _ in open_nodes} - memo, key=sorted)
+        if want is None:
+            open_nodes.extend(reversed(_expand(m, state, open_nodes.pop())))
+        else:
+            open_nodes.extend(_expand(m, state, open_nodes.popleft()))
+    return list(open_nodes)
 
 
-def _worker(args):
-    m, k, all_optima, node_limit, best, roots = args
-    state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit, best=best)
-    _explore(m, state, roots=roots)
-    return (state.best, sorted(state.witnesses), state.witnesses_exact,
-            state.nodes, state.pivots, state.builds, state.interrupted)
+def _worker(m: int, state: _RunState, nodes: list[Node]) -> _RunState:
+    _explore(m, state, nodes)
+    return state
 
 
 def maximize_measure(m: int, k: int, *, all_optima: bool = False,
@@ -307,16 +305,24 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     intervals; together they cover every union of at most m).  The global
     incumbent is shared across runs, so the cheap small-m' optima prune
     the large trees.  ``parallel`` distributes the largest run's subtrees
-    over worker processes; the optimum is schedule-independent, and with
+    over worker processes.  They search the serial tree, each node warm
+    from its parent, so the optimum is schedule-independent, and with
     ``all_optima`` so is the witness list, which is then the complete,
     deduplicated set of maximizers whenever ``witnesses_exact`` is True.
-    Without ``all_optima`` the single reported witness may depend on the
-    schedule and no completeness is claimed.  ``node_limit`` caps the
-    nodes explored in total, across all runs and workers (each worker
-    gets a share of what is left); a search it stops is ``interrupted``.
+    The node and pivot counts can differ from the serial run's only if the
+    incumbent rises during the last run, where the workers prune against
+    their own incumbents.  Without ``all_optima`` the single reported
+    witness may depend on the schedule and no completeness is claimed.
+    ``node_limit`` caps the nodes explored in total, across all runs and
+    workers (each worker gets a share of what is left); a search it stops
+    is ``interrupted``.
     """
     if m < 1 or k < 1:
         raise ValueError("m and k must be positive")
+    if parallel < 1:
+        raise ValueError(f"parallel must be >= 1, got {parallel}")
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit)
     state.witnesses.add(_union_key(IntervalUnion()))  # measure-0 incumbent
 
@@ -344,34 +350,26 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
         status=INTERRUPTED if state.interrupted else PROVEN,
         witnesses_exact=exact,
         lp_pivots=state.pivots,
-        lp_builds=state.builds,
     )
 
 
 def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
     from concurrent.futures import ProcessPoolExecutor
 
-    roots = _explore(m, state, want=max(4 * workers, 8))
-    if state.interrupted or not roots:
+    nodes = _explore(m, state, want=max(4 * workers, 8))
+    if not nodes:  # interrupted, or the tree ran out first
         return
-    n = min(workers, len(roots))
     # node_limit caps the whole run, so the workers split what is left of it.
     left = None if state.node_limit is None else state.node_limit - state.nodes
-    args = [(m, state.k, state.all_optima,
-             None if left is None else left // n + (w < left % n),
-             state.best, roots[w::n]) for w in range(n)]
+    limits = [None if left is None else left // workers + (w < left % workers)
+              for w in range(workers)]
+    shares = [_RunState(k=state.k, all_optima=state.all_optima, node_limit=limit,
+                        best=state.best) for limit in limits]
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        outcomes = list(pool.map(_worker, args))
-    for best, wit_keys, exact, nodes, pivots, builds, interrupted in outcomes:
-        state.nodes += nodes
-        state.pivots += pivots
-        state.builds += builds
-        state.interrupted |= interrupted
-        if best > state.best:
-            state.best = best
-            state.witnesses = set()
-            state.witnesses_exact = True
-    for best, wit_keys, exact, nodes, pivots, builds, interrupted in outcomes:
-        if best == state.best:
-            state.witnesses.update(wit_keys)
-            state.witnesses_exact &= exact
+        outcomes = list(pool.map(_worker, [m] * workers, shares,
+                                 [nodes[w::workers] for w in range(workers)]))
+    for out in outcomes:
+        state.nodes += out.nodes
+        state.pivots += out.pivots
+        state.interrupted |= out.interrupted
+        state.offer(out.best, out.witnesses, out.witnesses_exact)

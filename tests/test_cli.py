@@ -72,6 +72,25 @@ def test_bad_usage_exits_2(cache_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["continuous", "--k", "3", "--m", "2", "--parallel", "0"], "parallel must be >= 1"),
+    (["continuous", "--k", "3", "--m", "2", "--parallel", "-3"], "parallel must be >= 1"),
+    (["continuous", "--k", "3", "--m", "2", "--node-limit", "-1"], "node_limit must be >= 0"),
+    (["discrete", "--n", "10", "--k", "3", "--enumerate", "--node-limit", "-1"],
+     "node_limit must be >= 0"),
+    (["certify", "--trials", "5", "--max-intervals", "0"], "max_intervals must be >= 1"),
+])
+def test_bad_numeric_option_exits_2(cache_path, capsys, argv, message):
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_node_limit_zero_is_legal(cache_path, capsys):
+    assert main(["continuous", "--k", "3", "--m", "2", "--node-limit", "0"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["status"], payload["nodes_explored"]) == ("interrupted", 0)
+
+
 def test_continuous_json_and_cache(cache_path, capsys):
     code = main(["continuous", "--k", "3", "--m", "3"])
     assert code == 0
@@ -108,7 +127,7 @@ def test_verbose_lp_trace(cache_path, capsys):
     captured = capsys.readouterr()
     assert code == 0
     assert "pivot #" in captured.err  # tableau trace behind the verbosity flag
-    assert "1 LP builds" in captured.err  # one cold solve for m' = 1
+    assert "continuous m=1 k=3: 3 nodes, 3 pivots, " in captured.err
 
 
 def test_discrete_cli(cache_path, capsys):

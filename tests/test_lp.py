@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 from oracles import satisfies_lp
@@ -7,9 +8,6 @@ from oracles import satisfies_lp
 from sumfree.lp import (
     OPTIMAL,
     LinearProgram,
-    _cold_solve,
-    _read_optimum,
-    _reoptimize,
     canonical_rows,
     check_certificate,
     enumerate_optimal_vertices,
@@ -51,18 +49,20 @@ def test_certificate_rejects_perturbations():
     prob = LinearProgram(objective=(1, 1), rows=((177, -77),))
     res = solve(prob)
     assert check_certificate(prob, res)
-    bad_value = type(res)(status=res.status, value=res.value + 1,
-                          vertex=res.vertex, dual=res.dual)
+    forged = SimpleNamespace(status=res.status, value=res.value,
+                             vertex=res.vertex, dual=res.dual)
+    assert check_certificate(prob, forged)  # the checker reads only these four
+    bad_value = SimpleNamespace(**{**vars(forged), "value": res.value + 1})
     assert not check_certificate(prob, bad_value)
     # vertex off by one millionth on a binding row: exactness, no tolerance
     eps = F(1, 10**6)
     shifted = tuple(x + eps for x in res.vertex)
-    bad_vertex = type(res)(status=res.status, value=res.value, vertex=shifted,
-                           dual=res.dual)
+    bad_vertex = SimpleNamespace(**{**vars(forged), "vertex": shifted})
     assert not check_certificate(prob, bad_vertex)
-    bad_dual = type(res)(status=res.status, value=res.value, vertex=res.vertex,
-                         dual=tuple(y + eps for y in res.dual))
+    bad_dual = SimpleNamespace(**{**vars(forged), "dual": tuple(y + eps for y in res.dual)})
     assert not check_certificate(prob, bad_dual)
+    bad_status = SimpleNamespace(**{**vars(forged), "status": "infeasible"})
+    assert not check_certificate(prob, bad_status)
 
 
 def test_duplicate_rows_are_dropped():
@@ -90,9 +90,9 @@ def test_degenerate_ties_resolve_deterministically():
     # x1 = x2 from both sides, plus a scaled copy: five rows tie at (1, 1)
     rows = ((1, -1), (2, -2), (-1, 1))
     prob = LinearProgram(objective=(1, 0), rows=rows)
-    first = solve(prob)
-    second = solve(prob)
-    assert first == second
+    first, second = solve(prob), solve(prob)
+    assert ((first.value, first.vertex, first.dual, first.pivots)
+            == (second.value, second.vertex, second.dual, second.pivots))
     assert first.value == 1
     assert check_certificate(prob, first)
 
@@ -148,15 +148,14 @@ def test_added_row_matches_a_cold_solve():
     dual_pivots = 0
     for _ in range(80):
         prob = _random_lp(rng)
-        tab = _cold_solve(prob)
+        tab = solve(prob)
         for _ in range(3):  # a warm child of a warm child, and so on
             g = tuple(rng.randint(-3, 3) for _ in range(prob.num_vars))
-            tab = _reoptimize(tab, g)
+            tab = tab.add_row(g)
             prob = LinearProgram(objective=prob.objective, rows=prob.rows + (g,))
             cold = solve(prob)
             dual_pivots += tab.pivots
             assert all(type(a) is int for row in tab.mat for a in row)
-            vertex, value = _read_optimum(tab)
-            assert value == cold.value
-            assert satisfies_lp(prob, vertex)
+            assert tab.value == cold.value
+            assert satisfies_lp(prob, tab.vertex)
     assert dual_pivots  # the added rows cut off some parent optima

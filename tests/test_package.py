@@ -1,3 +1,4 @@
+import ast
 import re
 from pathlib import Path
 
@@ -15,3 +16,29 @@ def test_every_exported_name_resolves():
     assert len(set(sumfree.__all__)) == len(sumfree.__all__)
     for name in sumfree.__all__:
         assert hasattr(sumfree, name), name
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def test_no_module_reads_another_modules_private_names():
+    """``from .lp import _x`` and ``lp_mod._x`` cross a module boundary."""
+    package = Path(sumfree.__file__).resolve().parent
+    crossings = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        modules = set()  # local names bound to sumfree modules
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").split(".")[0] == "sumfree"):
+                for alias in node.names:
+                    if _private(alias.name):
+                        crossings.append(f"{path.name}: imports {alias.name}")
+                    if not node.module or node.module == "sumfree":
+                        modules.add(alias.asname or alias.name)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and _private(node.attr)):
+                crossings.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
+    assert crossings == []

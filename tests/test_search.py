@@ -1,3 +1,4 @@
+import concurrent.futures
 import random
 import sys
 from fractions import Fraction
@@ -9,14 +10,8 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import grid_best_1_interval, grid_best_2_intervals, satisfies_lp
 
 from sumfree.intervals import IntervalUnion, is_k_sum_free
-from sumfree.lp import (
-    OPTIMAL,
-    _cold_solve,
-    _read_optimum,
-    _reoptimize,
-    canonical_rows,
-    solve,
-)
+from sumfree import search
+from sumfree.lp import OPTIMAL, canonical_rows, solve
 from sumfree.search import (
     Configuration,
     DisjunctionPattern,
@@ -176,13 +171,12 @@ def test_relaxation_monotonicity():
 
 def _warm_child_agrees(m, k, pat, tab, choice):
     """Add ``choice`` to ``tab`` warm; check it against a cold solve of the child."""
-    tab = _reoptimize(tab, _choice_row(m, k, choice))
+    tab = tab.add_row(_choice_row(m, k, choice))
     child = build_pattern_lp(m, k, pat.resolve(*choice))
     cold = solve(child)
     assert all(type(a) is int for row in tab.mat for a in row)
-    vertex, value = _read_optimum(tab)
-    assert value == cold.value
-    assert satisfies_lp(child, vertex)
+    assert tab.value == cold.value
+    assert satisfies_lp(child, tab.vertex)
     return tab
 
 
@@ -194,7 +188,7 @@ def test_warm_child_matches_cold_solve(m, k):
         pat = DisjunctionPattern(m)
         for entry in rng.sample(entries, rng.randint(0, 4)):
             pat = pat.resolve(rng.choice("LR"), *entry)
-        tab = _cold_solve(build_pattern_lp(m, k, pat))
+        tab = solve(build_pattern_lp(m, k, pat))
         for entry in rng.sample(entries, 3):  # a chain of warm children
             if pat.is_resolved(*entry):
                 continue
@@ -207,7 +201,7 @@ def test_warm_child_with_a_row_the_cold_build_drops():
     # for k = 2, L(0,0,1) and R(1,1,0) are both 2 r_0 - 2 l_1 <= 0
     m, k = 2, 2
     pat = DisjunctionPattern(m).resolve("L", 0, 0, 1)
-    tab = _cold_solve(build_pattern_lp(m, k, pat))
+    tab = solve(build_pattern_lp(m, k, pat))
     child = pat.resolve("R", 1, 1, 0)
     assert len(canonical_rows(build_pattern_lp(m, k, child))) == tab.nrows
     _warm_child_agrees(m, k, pat, tab, ("R", 1, 1, 0))
@@ -224,10 +218,6 @@ def test_monotone_in_m_and_stable_at_record():
 # Warm-started children (dual simplex from the parent's tableau) changed
 # them from (172, 1873), (619, 9467) and (421, 5719).
 SEARCH_COUNTERS = {(4, 3): (166, 258), (5, 3): (635, 1077), (5, 4): (459, 782)}
-# Nodes, pivots and cold builds of the same runs with parallel=2: the m'
-# runs, the root split and one cold build per worker root, whose choice
-# rows go through the cold build's deduplication.
-PARALLEL_COUNTERS = {3: (43, 113, 11), 4: (168, 331, 12)}
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -237,7 +227,6 @@ def test_record_witness_stays_unique_with_spare_intervals(m, largest_known_3sumf
     assert res.witnesses == (largest_known_3sumfree,)
     assert res.witnesses_exact
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[m, 3]
-    assert res.lp_builds == m  # one cold solve per interval count, none per node
 
 
 def test_search_counters_k4():
@@ -245,24 +234,54 @@ def test_search_counters_k4():
     assert res.optimum == mu_formula(4)
     assert res.witnesses_exact
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[5, 4]
-    assert res.lp_builds == 5
 
 
 def test_record_holds_for_six_intervals():
     res = maximize_measure(6, 3)
     assert res.optimum == F(77, 177)
     assert res.status == "proven"
-    assert res.lp_builds == 6
 
 
 def test_schedule_independence_sequential_vs_parallel():
-    for m in (3, 4):
+    # every worker node is a warm child, so both schedules search one tree
+    for m in (3, 4, 5):
         seq = maximize_measure(m, 3, all_optima=True, parallel=1)
         par = maximize_measure(m, 3, all_optima=True, parallel=2)
-        assert seq.optimum == par.optimum
-        assert seq.witnesses == par.witnesses
-        assert seq.status == par.status == "proven"
-        assert (par.nodes_explored, par.lp_pivots, par.lp_builds) == PARALLEL_COUNTERS[m]
+        assert par == seq
+        assert seq.status == "proven"
+
+
+class _InProcessPool:
+    """Stands in for ProcessPoolExecutor: runs the workers in this process."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, *iterables):
+        return map(fn, *iterables)
+
+
+def test_no_choice_set_is_expanded_twice(monkeypatch):
+    expanded = []
+    expand = search._expand
+
+    def recording_expand(m, state, node):
+        expanded.append((m, node[0]))
+        return expand(m, state, node)
+
+    monkeypatch.setattr(search, "_expand", recording_expand)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    for parallel in (1, 2):
+        expanded.clear()
+        res = maximize_measure(5, 3, all_optima=True, parallel=parallel)
+        assert len(expanded) == res.nodes_explored == SEARCH_COUNTERS[5, 3][0]
+        assert len(set(expanded)) == len(expanded)
 
 
 def test_node_limit_interrupts():
@@ -272,7 +291,7 @@ def test_node_limit_interrupts():
 
 
 def test_node_limit_is_global_across_workers():
-    # the full parallel m=4 search takes 168 nodes, so a limit of 100 must stop it
+    # the full parallel m=4 search takes 166 nodes, so a limit of 100 must stop it
     res = maximize_measure(4, 3, all_optima=True, parallel=2, node_limit=100)
     assert res.nodes_explored <= 100
     assert res.status == "interrupted"
@@ -283,3 +302,7 @@ def test_invalid_arguments():
         maximize_measure(0, 3)
     with pytest.raises(ValueError):
         maximize_measure(2, 0)
+    with pytest.raises(ValueError):
+        maximize_measure(2, 3, parallel=0)
+    with pytest.raises(ValueError):
+        maximize_measure(2, 3, node_limit=-1)
