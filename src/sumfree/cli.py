@@ -175,6 +175,8 @@ def _cmd_verify(args, fmt: str) -> int:
 def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) -> int:
     params = {"k": args.k, "m": args.m, "all_optima": args.all_optima,
               "node_limit": args.node_limit}
+    if args.parallel < 1:  # not part of the key, so a cache hit would skip the search's check
+        raise ValueError(f"parallel must be >= 1, got {args.parallel}")
 
     def compute() -> dict:
         if verbose >= 2:
@@ -328,10 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except EnumerationLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY_FAILED
-    except ValueError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except OSError as exc:  # e.g. a --cache path that is a directory
+    except (ValueError, OSError) as exc:  # OSError: e.g. a --cache path that is a directory
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     raise AssertionError(f"unhandled command {args.command}")

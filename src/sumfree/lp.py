@@ -12,15 +12,17 @@ and the box bounds the optimum, so the simplex can never report an
 unbounded ray and the dual simplex can never prove a child infeasible.
 Both are assertions.
 
-The tableau rows are, in a fixed order, the ``g`` rows with exact
+The constraint rows are, in a fixed order, the ``g`` rows with exact
 duplicates dropped, then one box row ``x_j <= 1`` per variable
-(``canonical_rows``), each with its own slack column.  The tableau is
-kept fraction-free: an integer matrix together with one shared positive
-denominator, updated by the two-term Edmonds/Bareiss recurrence
+(``canonical_rows``), each with its own slack.  The tableau is a
+dictionary, as in lrs (Avis, 2000): it keeps only the nonbasic columns,
+so its width stays ``nvars + 1`` however many rows are added.  It is
+fraction-free: an integer matrix with one shared positive denominator,
+updated by the two-term Edmonds/Bareiss recurrence
 m'[i][j] = (m[i][j]*piv - m[i][c]*m[r][j]) / den  whose divisions are
 exact (every entry is a minor of the input matrix).  Pivoting uses
-Bland's rule (the entering column is the first one with a negative
-reduced cost, ties in the ratio test go to the lowest basic index),
+Bland's rule (the entering variable is the lowest with a negative
+reduced cost, ties in the ratio test go to the lowest basic variable),
 which terminates without any anti-cycling guard.
 
 ``solve`` returns the optimal ``Tableau`` itself, which gives the
@@ -35,7 +37,7 @@ in the current basis with its own slack basic, which keeps the reduced
 costs dual feasible but may make its rhs negative, and the dual simplex
 restores primal feasibility with the same Bareiss pivot.  It uses dual
 Bland's rule (the leaving row is the infeasible one with the lowest
-basic column; ties in the dual ratio test go to the lowest column),
+basic variable; ties in the dual ratio test go to the lowest variable),
 which is Bland's rule run on the dual LP and so terminates without an
 anti-cycling guard.
 """
@@ -84,26 +86,33 @@ def canonical_rows(lp: LinearProgram) -> list[tuple[tuple[int, ...], int]]:
 
 
 class Tableau:
-    """Fraction-free simplex tableau; all entries are ints over ``den``.
+    """Fraction-free simplex dictionary; all entries are ints over ``den``.
 
-    Columns: one per variable, then one slack per row; the last column
-    is the rhs.  Rows: the constraint rows, then the objective row.
-    ``solve`` and ``add_row`` return it optimal, and it is then the LP's
-    result: ``value``, ``vertex`` and ``dual`` are read off it, and
-    ``pivots`` counts the pivots that the solve or the added row took.
+    Variable ``j < nvars`` is ``x_j`` and variable ``nvars + i`` is the
+    slack of row ``i``.  Rows: one per constraint row, whose basic
+    variable is ``basis[i]``, then the objective row.  Columns: one per
+    nonbasic variable, ``cobasis[p]`` being the variable of column ``p``,
+    then the rhs, so every row has ``nvars + 1`` entries at any depth.
+    ``pivot`` swaps ``basis[r]`` with ``cobasis[p]``, the leaving variable
+    taking the entering one's column, and the pivot rules choose by
+    variable id, never by column position.  Rows are replaced, never
+    changed in place, so tableaux may share them.  ``solve`` and
+    ``add_row`` return it optimal; ``value``, ``vertex`` and ``dual`` are
+    read off it, and ``pivots`` counts the pivots that the solve or the
+    added row took.
     """
 
     status = OPTIMAL
 
-    __slots__ = ("mat", "den", "basis", "nrows", "ncols", "nvars", "pivots", "trace")
+    __slots__ = ("mat", "den", "basis", "cobasis", "nrows", "nvars", "pivots", "trace")
 
-    def __init__(self, mat, basis, nvars, den=1, trace=None):
+    def __init__(self, mat, basis, cobasis, den=1, trace=None):
         self.mat = mat
         self.den = den
-        self.basis = basis  # column index of the basic variable per constraint row
+        self.basis = basis  # variable id of the basic variable per constraint row
+        self.cobasis = cobasis  # variable id of each nonbasic column
         self.nrows = len(basis)
-        self.ncols = len(mat[0]) - 1
-        self.nvars = nvars
+        self.nvars = len(cobasis)
         self.pivots = 0
         self.trace = trace
 
@@ -112,92 +121,102 @@ class Tableau:
         return Fraction(self.mat[self.nrows][-1], self.den)
 
     @property
+    def vertex_numerators(self) -> tuple[int, ...]:
+        """The vertex ``x`` as integer numerators over the positive ``den``."""
+        rhs = dict(zip(self.basis, (row[-1] for row in self.mat)))
+        return tuple(rhs.get(j, 0) for j in range(self.nvars))
+
+    @property
     def vertex(self) -> tuple[Fraction, ...]:
-        col_val = {self.basis[i]: self.mat[i][-1] for i in range(self.nrows)}
-        return tuple(Fraction(col_val.get(j, 0), self.den) for j in range(self.nvars))
+        return tuple(Fraction(a, self.den) for a in self.vertex_numerators)
 
     @property
     def dual(self) -> tuple[Fraction, ...]:
         """Dual multipliers, one per row, nonnegative at an optimum.
 
         The rows of ``solve(lp)`` are ``canonical_rows(lp)``; each row
-        ``add_row`` adds follows them.  Column ``nvars + i`` is row i's slack.
+        ``add_row`` adds follows them.  Row i's is the reduced cost of its
+        slack, variable ``nvars + i`` (0 when basic).
         """
-        obj = self.mat[self.nrows]
-        return tuple(Fraction(obj[self.nvars + i], self.den) for i in range(self.nrows))
+        reduced = dict(zip(self.cobasis, self.mat[self.nrows]))
+        return tuple(Fraction(reduced.get(self.nvars + i, 0), self.den)
+                     for i in range(self.nrows))
 
-    def pivot(self, r: int, c: int) -> None:
+    def pivot(self, r: int, p: int) -> None:
+        """Exchange ``basis[r]`` and ``cobasis[p]`` by one Bareiss step.
+
+        Column ``p`` then holds the leaving variable: ``den`` in row ``r``,
+        ``-f`` in a row whose entry there was ``f``, both negated with the row.
+        """
         mat, den = self.mat, self.den
-        prow = mat[r]
-        piv = prow[c]
-        if piv < 0:
-            # Keep den positive by negating the equation row first.  Every
-            # dual pivot lands here (its pivot and its rhs are both
-            # negative, so the entering value is positive).
-            prow = mat[r] = [-a for a in prow]
-            piv = -piv
+        # Keep den positive by negating the pivot row if need be, as every
+        # dual pivot does (its pivot and its rhs are both negative).
+        sign = 1 if mat[r][p] > 0 else -1
+        prow = [sign * a for a in mat[r]]
+        piv = prow[p]
         for i, row in enumerate(mat):
             if i == r:
                 continue
-            f = row[c]
+            f = row[p]
             if f:
-                mat[i] = [(a * piv - f * b) // den for a, b in zip(row, prow)]
+                new = [(a * piv - f * b) // den for a, b in zip(row, prow)]
+                new[p] = -sign * f
+                mat[i] = new
             elif piv != den:
                 mat[i] = [(a * piv) // den for a in row]
+        prow[p] = sign * den
+        mat[r] = prow
         self.den = piv
-        self.basis[r] = c
+        self.basis[r], self.cobasis[p] = self.cobasis[p], self.basis[r]
         self.pivots += 1
         if self.trace is not None:
-            self.trace(f"pivot #{self.pivots}: row {r}, col {c}, den {self.den}")
+            self.trace(f"pivot #{self.pivots}: row {r}, col {p}, den {self.den}, "
+                       f"basis {self.basis}, cobasis {self.cobasis}")
             for i, out in enumerate(self.mat):
                 self.trace(f"  [{i:2d}] " + " ".join(str(a) for a in out))
 
-    def _ratio_row(self, c: int) -> int | None:
-        """Leaving row by exact minimum ratio, ties to lowest basic index."""
-        mat = self.mat
-        best = None  # (num, den, basic index, row)
-        for i in range(self.nrows):
-            a = mat[i][c]
-            if a > 0:
-                b = mat[i][-1]
-                if best is None or b * best[1] < best[0] * a or (
-                    b * best[1] == best[0] * a and self.basis[i] < best[2]
-                ):
-                    best = (b, a, self.basis[i], i)
-        return None if best is None else best[3]
+    def _by_id(self) -> list[int]:
+        """The column positions in increasing order of their variable ids."""
+        return sorted(range(self.nvars), key=self.cobasis.__getitem__)
+
+    def _ratio_row(self, p: int) -> int | None:
+        """Leaving row by exact minimum ratio, ties to the lowest basic variable."""
+        mat, best = self.mat, None
+        for i in sorted(range(self.nrows), key=self.basis.__getitem__):
+            # mat[i][-1]/mat[i][p] < mat[best][-1]/mat[best][p], cross-multiplied
+            if mat[i][p] > 0 and (best is None
+                                  or mat[i][-1] * mat[best][p] < mat[best][-1] * mat[i][p]):
+                best = i
+        return best
 
     def optimize(self) -> None:
         """Primal simplex by Bland's rule from a feasible basis."""
-        obj = self.nrows
         while True:
-            row = self.mat[obj]
-            c = next((j for j in range(self.ncols) if row[j] < 0), None)
-            if c is None:
+            obj = self.mat[self.nrows]
+            p = next((p for p in self._by_id() if obj[p] < 0), None)
+            if p is None:
                 return
-            r = self._ratio_row(c)
+            r = self._ratio_row(p)
             assert r is not None, "unbounded ray, but the box bounds every pattern LP"
-            self.pivot(r, c)
+            self.pivot(r, p)
 
     def add_row(self, g: Sequence[int]) -> "Tableau":
         """The optimum with the row ``g . x <= 0`` added, by dual simplex.
 
-        ``g`` has one entry per variable.  The row is written in the
-        current basis, ``den*g - sum g[basis[i]]*mat[i]``, and its new
-        slack column is basic with entry ``den``, so every entry is still
-        a minor of the enlarged input matrix and ``den`` is unchanged.
-        The row goes after the constraint rows, before the objective row.
-        This tableau is left as it was, so siblings can share it.
+        ``g`` has one entry per variable.  The row, ``den*g - sum
+        g[basis[i]]*mat[i]`` over the nonbasic columns, goes before the
+        objective row with its new slack basic, so every entry is still a
+        minor of the enlarged input matrix and ``den`` is unchanged.  The
+        child shares this tableau's row lists and leaves them as they were.
         """
-        den = self.den
-        g = list(g) + [0] * (self.ncols - self.nvars)
-        mat = [row[:-1] + [0, row[-1]] for row in self.mat]
-        new = [den * a for a in g] + [den, 0]
-        for i in range(self.nrows):
-            f = g[self.basis[i]]
+        den, n, nrows = self.den, self.nvars, self.nrows
+        new = [den * g[v] if v < n else 0 for v in self.cobasis] + [0]
+        for b, row in zip(self.basis, self.mat):
+            f = g[b] if b < n else 0
             if f:
-                new = [a - f * b for a, b in zip(new, mat[i])]
-        mat.insert(self.nrows, new)
-        tab = Tableau(mat, self.basis + [self.ncols], self.nvars, den, self.trace)
+                new = [a - f * x for a, x in zip(new, row)]
+        mat = self.mat[:nrows] + [new, self.mat[nrows]]
+        tab = Tableau(mat, self.basis + [n + nrows], list(self.cobasis), den, self.trace)
         tab.dual_optimize()
         return tab
 
@@ -205,23 +224,21 @@ class Tableau:
         """Dual simplex from a dual-feasible basis.
 
         Dual Bland's rule: the leaving row is the one with a negative rhs
-        whose basic column is lowest; the entering column minimizes
-        ``obj[j] / -row[j]`` over ``row[j] < 0``, ties to the lowest column.
+        whose basic variable is lowest; the entering column minimizes
+        ``obj[p] / -row[p]`` over ``row[p] < 0``, ties to the lowest variable.
         """
         mat, basis = self.mat, self.basis
         while True:
-            r = None
-            for i in range(self.nrows):
-                if mat[i][-1] < 0 and (r is None or basis[i] < basis[r]):
-                    r = i
+            r = min((i for i in range(self.nrows) if mat[i][-1] < 0),
+                    key=basis.__getitem__, default=None)
             if r is None:
                 return
             row, obj = mat[r], mat[self.nrows]
             c = None
-            for j in range(self.ncols):
-                # obj[j]/-row[j] < obj[c]/-row[c], cross-multiplied
-                if row[j] < 0 and (c is None or obj[j] * row[c] > obj[c] * row[j]):
-                    c = j
+            for p in self._by_id():
+                # obj[p]/-row[p] < obj[c]/-row[c], cross-multiplied
+                if row[p] < 0 and (c is None or obj[p] * row[c] > obj[c] * row[p]):
+                    c = p
             # No negative entry would make the row a sum of nonnegatives < 0.
             assert c is not None, "infeasible, but x = 0 meets every pattern row"
             self.pivot(r, c)
@@ -229,10 +246,10 @@ class Tableau:
     def optimal_face(self) -> tuple[list[tuple[Fraction, ...]], bool]:
         """All vertices of the optimal face, by walking zero-reduced-cost pivots.
 
-        Returns (vertices, complete).  ``complete`` is False when the basis
-        walk was cut off after ``_BASIS_LIMIT`` bases; the vertex list is
-        deduplicated and sorted for determinism.  This tableau is left as
-        it was.
+        Returns (vertices, complete).  Columns are tried in variable-id
+        order.  ``complete`` is False when the basis walk was cut off
+        after ``_BASIS_LIMIT`` bases; the vertex list is deduplicated and
+        sorted for determinism.  This tableau is left as it was.
         """
         complete = True
         seen_bases = {tuple(sorted(self.basis))}
@@ -240,16 +257,14 @@ class Tableau:
         vertices = {self.vertex}
         while queue:
             tab = queue.pop()
-            basic = set(tab.basis)
             obj = tab.mat[tab.nrows]
-            for c in range(tab.ncols):
-                if c in basic or obj[c] != 0:
+            for p in tab._by_id():
+                if obj[p] != 0:
                     continue
-                nxt = Tableau([row.copy() for row in tab.mat], list(tab.basis),
-                              tab.nvars, tab.den)
-                r = nxt._ratio_row(c)
+                nxt = Tableau(list(tab.mat), list(tab.basis), list(tab.cobasis), tab.den)
+                r = nxt._ratio_row(p)
                 assert r is not None, "unbounded optimal face, but the box bounds it"
-                nxt.pivot(r, c)
+                nxt.pivot(r, p)
                 key = tuple(sorted(nxt.basis))
                 if key in seen_bases:
                     continue
@@ -269,14 +284,9 @@ def solve(lp: LinearProgram, trace: Callable[[str], None] | None = None) -> Tabl
     receives each pivot and the tableau after it.
     """
     rows = canonical_rows(lp)
-    n, nrows = lp.num_vars, len(rows)
-    mat = []
-    for i, (a, b) in enumerate(rows):
-        row = list(a) + [0] * nrows + [b]
-        row[n + i] = 1
-        mat.append(row)
-    mat.append([-c for c in lp.objective] + [0] * (nrows + 1))
-    tab = Tableau(mat, list(range(n, n + nrows)), n, trace=trace)
+    n = lp.num_vars
+    mat = [list(a) + [b] for a, b in rows] + [[-c for c in lp.objective] + [0]]
+    tab = Tableau(mat, list(range(n, n + len(rows))), list(range(n)), trace=trace)
     tab.optimize()
     return tab
 

@@ -34,7 +34,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .intervals import IntervalUnion, is_k_sum_free
 from . import lp as lp_mod
@@ -145,34 +145,28 @@ def build_pattern_lp(m: int, k: int, pattern: DisjunctionPattern) -> LinearProgr
     return LinearProgram(objective=(-1, 1) * m, rows=tuple(rows))
 
 
-def _pick_branch(v: tuple[Fraction, ...], m: int, k: int,
+def _pick_branch(v: Sequence[int], m: int, k: int,
                  choices: frozenset[Choice]) -> Choice | None:
     """Unresolved entry with the largest positive sum-window overlap.
 
-    Overlaps are measured in the (A+A)-scale (a constant k versus the
-    z-scale, so argmax is unchanged); ties go to the lowest (i, j, t).
+    ``v`` holds the vertex's numerators over one positive denominator
+    (``Tableau.vertex_numerators``), which scales every overlap alike, as
+    does the (A+A)-scale (a constant k versus the z-scale), so the argmax
+    is the exact vertex's; ties go to the lowest (i, j, t).
     Entries whose pair or target interval is degenerate at the vertex are
     skipped: they witness nothing about the actual point set.
     """
-    best_ov = Fraction(0)
+    resolved = {choice[1:] for choice in choices}
+    live = [(i, v[2 * i], v[2 * i + 1]) for i in range(m) if v[2 * i] != v[2 * i + 1]]
+    targets = [(t, k * lt, k * rt) for t, lt, rt in live]
+    best_ov = 0
     best = None
-    for i in range(m):
-        li, ri = v[2 * i], v[2 * i + 1]
-        if li == ri:
-            continue
-        for j in range(i, m):
-            lj, rj = v[2 * j], v[2 * j + 1]
-            if lj == rj:
-                continue
+    for a, (i, li, ri) in enumerate(live):
+        for j, lj, rj in live[a:]:
             slo, shi = li + lj, ri + rj
-            for t in range(m):
-                lt, rt = v[2 * t], v[2 * t + 1]
-                if lt == rt:
-                    continue
-                if (LEFT, i, j, t) in choices or (RIGHT, i, j, t) in choices:
-                    continue
-                ov = min(shi, k * rt) - max(slo, k * lt)
-                if ov > best_ov:
+            for t, klt, krt in targets:
+                ov = min(shi, krt) - max(slo, klt)
+                if ov > best_ov and (i, j, t) not in resolved:
                     best_ov = ov
                     best = (i, j, t)
     return best
@@ -261,10 +255,9 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
         # Equal-bound nodes can only tie the incumbent; when ties are
         # not being collected the incumbent witness already realizes it.
         return []
-    vertex = tab.vertex
-    entry = _pick_branch(vertex, m, state.k, choices)
+    entry = _pick_branch(tab.vertex_numerators, m, state.k, choices)
     if entry is None:
-        _record_leaf(state, m, tab, value, Configuration(m, vertex).to_union())
+        _record_leaf(state, m, tab, value, Configuration(m, tab.vertex).to_union())
         return []
     return [(choices | {choice}, (tab, choice))
             for choice in ((LEFT, *entry), (RIGHT, *entry))]

@@ -108,3 +108,35 @@ def satisfies_lp(prob, x) -> bool:
     """``x`` lies in ``[0, 1]`` and meets every ``g . x <= 0`` row of ``prob``, exactly."""
     return (all(0 <= xj <= 1 for xj in x)
             and all(sum(g * xj for g, xj in zip(row, x)) <= 0 for row in prob.rows))
+
+
+def pick_branch_fraction(v, m: int, k: int, choices):
+    """The search's branch choice on an exact ``Fraction`` vertex.
+
+    Unresolved entry (i, j, t) with the largest positive overlap of the
+    sum window (l_i+l_j, r_i+r_j) with k*(l_t, r_t), ties to the lowest
+    (i, j, t); entries with a degenerate pair or target interval are
+    skipped.  ``choices`` holds (side, i, j, t) tuples.
+    """
+    best_ov = Fraction(0)
+    best = None
+    for i in range(m):
+        li, ri = v[2 * i], v[2 * i + 1]
+        if li == ri:
+            continue
+        for j in range(i, m):
+            lj, rj = v[2 * j], v[2 * j + 1]
+            if lj == rj:
+                continue
+            slo, shi = li + lj, ri + rj
+            for t in range(m):
+                lt, rt = v[2 * t], v[2 * t + 1]
+                if lt == rt:
+                    continue
+                if ("L", i, j, t) in choices or ("R", i, j, t) in choices:
+                    continue
+                ov = min(shi, k * rt) - max(slo, k * lt)
+                if ov > best_ov:
+                    best_ov = ov
+                    best = (i, j, t)
+    return best

@@ -85,6 +85,13 @@ def test_bad_numeric_option_exits_2(cache_path, capsys, argv, message):
     assert message in capsys.readouterr().err
 
 
+def test_bad_parallel_exits_2_on_a_cache_hit(cache_path, capsys):
+    assert main(["continuous", "--k", "3", "--m", "2"]) == 0
+    capsys.readouterr()
+    assert main(["continuous", "--k", "3", "--m", "2", "--parallel", "0"]) == 2
+    assert "parallel must be >= 1" in capsys.readouterr().err
+
+
 def test_node_limit_zero_is_legal(cache_path, capsys):
     assert main(["continuous", "--k", "3", "--m", "2", "--node-limit", "0"]) == 0
     payload = json.loads(capsys.readouterr().out)

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 from types import SimpleNamespace
@@ -159,3 +160,29 @@ def test_added_row_matches_a_cold_solve():
             assert tab.value == cold.value
             assert satisfies_lp(prob, tab.vertex)
     assert dual_pivots  # the added rows cut off some parent optima
+
+
+def _dictionary_is_well_formed(tab):
+    assert all(len(row) == tab.nvars + 1 for row in tab.mat)
+    assert all(type(a) is int for row in tab.mat for a in row)
+    assert len(tab.mat) == tab.nrows + 1
+    assert sorted(tab.basis + tab.cobasis) == list(range(tab.nvars + tab.nrows))
+
+
+def test_dictionary_keeps_its_width_and_its_parent():
+    """Along chains of added rows: constant width, a partition of the
+    variables into basis and cobasis, and a parent left intact by both children."""
+    rng = random.Random(31)
+    for _ in range(60):
+        prob = _random_lp(rng)
+        tab = solve(prob)
+        _dictionary_is_well_formed(tab)
+        for _ in range(4):
+            before = copy.deepcopy((tab.mat, tab.den, tab.basis, tab.cobasis))
+            children = [tab.add_row(tuple(rng.randint(-3, 3) for _ in range(prob.num_vars)))
+                        for _ in range(2)]
+            assert (tab.mat, tab.den, tab.basis, tab.cobasis) == before
+            for child in children:
+                _dictionary_is_well_formed(child)
+                assert child.nrows == tab.nrows + 1
+            tab = rng.choice(children)

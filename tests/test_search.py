@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import grid_best_1_interval, grid_best_2_intervals, satisfies_lp
+from oracles import (grid_best_1_interval, grid_best_2_intervals, pick_branch_fraction,
+                     satisfies_lp)
 
 from sumfree.intervals import IntervalUnion, is_k_sum_free
 from sumfree import search
@@ -217,7 +218,8 @@ def test_monotone_in_m_and_stable_at_record():
 # change to the node step that alters the tree shows up here first.
 # Warm-started children (dual simplex from the parent's tableau) changed
 # them from (172, 1873), (619, 9467) and (421, 5719).
-SEARCH_COUNTERS = {(4, 3): (166, 258), (5, 3): (635, 1077), (5, 4): (459, 782)}
+SEARCH_COUNTERS = {(4, 3): (166, 258), (5, 3): (635, 1077), (5, 4): (459, 782),
+                   (6, 3): (2072, 3503)}
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -236,10 +238,46 @@ def test_search_counters_k4():
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[5, 4]
 
 
+def test_search_counters_six_intervals(largest_known_3sumfree):
+    # a tied optimal face at m = 6 holds unions that are not 3-sum-free
+    res = maximize_measure(6, 3, all_optima=True)
+    assert res.optimum == F(77, 177)
+    assert res.witnesses == (largest_known_3sumfree,)
+    assert not res.witnesses_exact
+    assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[6, 3]
+
+
 def test_record_holds_for_six_intervals():
     res = maximize_measure(6, 3)
     assert res.optimum == F(77, 177)
     assert res.status == "proven"
+
+
+def _overlap(v, k, entry):
+    i, j, t = entry
+    return (min(v[2 * i + 1] + v[2 * j + 1], k * v[2 * t + 1])
+            - max(v[2 * i] + v[2 * j], k * v[2 * t]))
+
+
+def test_integer_branch_choice_matches_the_fraction_choice():
+    """``_pick_branch`` on numerators over one denominator picks the exact entry."""
+    rng = random.Random(8)
+    seen = {"degenerate": 0, "resolved": 0, "tie": 0}
+    for _ in range(600):
+        m, k, den = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 12)
+        nums = tuple(sorted(rng.randint(0, den) for _ in range(2 * m)))
+        v = tuple(F(a, den) for a in nums)
+        entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
+        choices = frozenset((rng.choice("LR"), *e)
+                            for e in rng.sample(entries, rng.randint(0, len(entries) // 2)))
+        pick = pick_branch_fraction(v, m, k, choices)
+        assert search._pick_branch(nums, m, k, choices) == pick
+        seen["degenerate"] += any(nums[2 * i] == nums[2 * i + 1] for i in range(m))
+        seen["resolved"] += pick != pick_branch_fraction(v, m, k, frozenset())
+        if pick is not None:
+            nxt = pick_branch_fraction(v, m, k, choices | {("L", *pick)})
+            seen["tie"] += nxt is not None and _overlap(v, k, nxt) == _overlap(v, k, pick)
+    assert all(seen.values()), seen
 
 
 def test_schedule_independence_sequential_vs_parallel():
