@@ -5,7 +5,7 @@ search for maximal configurations, the discrete f(n, k) solver, and the
 mechanical certificate for the 1/2 - 1/114 measure bound.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .rationals import (Rational, RationalParseError, ZeroDenominatorError,
                         make_rational, parse_rational, format_rational)

@@ -25,8 +25,7 @@ from .certify import derive_delta, sumset_bound_harness
 from .discrete import EnumerationLimitError, enumerate_maximum_sets, f_max
 from .intervals import format_union, is_k_sum_free, parse_union
 from .rationals import decimal_str, format_rational
-from .search import build_pattern_lp, maximize_measure, DisjunctionPattern
-from . import lp as lp_mod
+from .search import maximize_measure
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -57,7 +56,7 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
                         help="recompute even if the cache holds the result")
     parser.add_argument("-v", "--verbose", action="count",
                         default=argparse.SUPPRESS if suppress else 0,
-                        help="-v timing, -vv LP pivot trace")
+                        help="print work counters and time to stderr")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -90,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--enumerate", action="store_true", dest="enumerate_all")
     p.add_argument("--witness", action="store_true")
     p.add_argument("--node-limit", type=int, default=None,
-                   help="node cap for --enumerate (ignored without it)")
+                   help="node cap; reaching it exits 1")
 
     p = sub.add_parser("certify", parents=[common],
                        help="re-derive delta and run the sumset-bound harness")
@@ -179,9 +178,6 @@ def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) 
         raise ValueError(f"parallel must be >= 1, got {args.parallel}")
 
     def compute() -> dict:
-        if verbose >= 2:
-            root = build_pattern_lp(args.m, args.k, DisjunctionPattern(args.m))
-            lp_mod.solve(root, trace=lambda s: sys.stderr.write(s + "\n"))
         t0 = time.perf_counter()
         result = maximize_measure(args.m, args.k, all_optima=args.all_optima,
                                   parallel=args.parallel,
@@ -217,7 +213,7 @@ def _cmd_discrete(args, fmt: str, cache_path: str, force: bool, verbose: int) ->
             sets = enumerate_maximum_sets(args.n, args.k, node_limit=args.node_limit)
             value = len(sets[0]) if sets else 0
         else:
-            value, witness = f_max(args.n, args.k)
+            value, witness = f_max(args.n, args.k, node_limit=args.node_limit)
             sets = [witness]
         if verbose:
             sys.stderr.write(f"discrete n={args.n} k={args.k}: "

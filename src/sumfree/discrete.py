@@ -31,7 +31,10 @@ from .intervals import IntervalUnion, is_k_sum_free
 
 
 class EnumerationLimitError(RuntimeError):
-    """Node limit hit before the enumeration tree was exhausted."""
+    """Node limit hit before the search tree was exhausted.
+
+    ``partial`` holds the best sets found so far, ``nodes`` the nodes explored.
+    """
 
     def __init__(self, partial: list[tuple[int, ...]], nodes: int):
         self.partial = partial
@@ -88,7 +91,13 @@ class _Instance:
 
 
 def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
-    """Shared B&B core; returns (best_size, sets, nodes, exhausted)."""
+    """Shared B&B core; returns (best_size, sets).
+
+    Raises ``EnumerationLimitError`` once ``node_limit`` nodes are explored
+    before the tree is exhausted, and ``ValueError`` on a negative limit.
+    """
+    if node_limit is not None and node_limit < 0:
+        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     n = inst.n
     by_elem = inst.by_elem
     best = 0
@@ -135,7 +144,9 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
                     new_banned |= missing
             stack.append((e - 1, new_chosen, new_banned))
     sets = sorted(tuple(_bits(mask)) for mask in best_sets if mask.bit_count() == best)
-    return best, sets, nodes, exhausted
+    if not exhausted:
+        raise EnumerationLimitError(sets, nodes)
+    return best, sets
 
 
 def _bits(mask: int) -> list[int]:
@@ -147,22 +158,21 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
-def f_max(n: int, k: int) -> tuple[int, tuple[int, ...]]:
-    """Maximum size of a k-sum-free subset of {1..n}, with one witness."""
-    inst = _Instance(n, k)
-    best, sets, _, _ = _search(inst, enumerate_all=False, node_limit=None)
+def f_max(n: int, k: int, node_limit: int | None = None) -> tuple[int, tuple[int, ...]]:
+    """Maximum size of a k-sum-free subset of {1..n}, with one witness.
+
+    A search stopped by ``node_limit`` raises ``EnumerationLimitError``.
+    """
+    best, sets = _search(_Instance(n, k), enumerate_all=False, node_limit=node_limit)
     return best, sets[0] if sets else ()
 
 
 def enumerate_maximum_sets(n: int, k: int, node_limit: int | None = None) -> list[tuple[int, ...]]:
-    """All maximum-cardinality k-sum-free subsets, lexicographically sorted."""
-    if node_limit is not None and node_limit < 0:
-        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
-    inst = _Instance(n, k)
-    best, sets, nodes, exhausted = _search(inst, enumerate_all=True, node_limit=node_limit)
-    if not exhausted:
-        raise EnumerationLimitError(sets, nodes)
-    return sets
+    """All maximum-cardinality k-sum-free subsets, lexicographically sorted.
+
+    A search stopped by ``node_limit`` raises ``EnumerationLimitError``.
+    """
+    return _search(_Instance(n, k), enumerate_all=True, node_limit=node_limit)[1]
 
 
 def discretize(u: IntervalUnion, n: int, k: int) -> tuple[int, ...]:

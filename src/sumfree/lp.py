@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 OPTIMAL = "optimal"
 
@@ -104,9 +104,9 @@ class Tableau:
 
     status = OPTIMAL
 
-    __slots__ = ("mat", "den", "basis", "cobasis", "nrows", "nvars", "pivots", "trace")
+    __slots__ = ("mat", "den", "basis", "cobasis", "nrows", "nvars", "pivots")
 
-    def __init__(self, mat, basis, cobasis, den=1, trace=None):
+    def __init__(self, mat, basis, cobasis, den=1):
         self.mat = mat
         self.den = den
         self.basis = basis  # variable id of the basic variable per constraint row
@@ -114,7 +114,6 @@ class Tableau:
         self.nrows = len(basis)
         self.nvars = len(cobasis)
         self.pivots = 0
-        self.trace = trace
 
     @property
     def value(self) -> Fraction:
@@ -169,11 +168,6 @@ class Tableau:
         self.den = piv
         self.basis[r], self.cobasis[p] = self.cobasis[p], self.basis[r]
         self.pivots += 1
-        if self.trace is not None:
-            self.trace(f"pivot #{self.pivots}: row {r}, col {p}, den {self.den}, "
-                       f"basis {self.basis}, cobasis {self.cobasis}")
-            for i, out in enumerate(self.mat):
-                self.trace(f"  [{i:2d}] " + " ".join(str(a) for a in out))
 
     def _by_id(self) -> list[int]:
         """The column positions in increasing order of their variable ids."""
@@ -216,7 +210,7 @@ class Tableau:
             if f:
                 new = [a - f * x for a, x in zip(new, row)]
         mat = self.mat[:nrows] + [new, self.mat[nrows]]
-        tab = Tableau(mat, self.basis + [n + nrows], list(self.cobasis), den, self.trace)
+        tab = Tableau(mat, self.basis + [n + nrows], list(self.cobasis), den)
         tab.dual_optimize()
         return tab
 
@@ -277,16 +271,15 @@ class Tableau:
         return sorted(vertices), complete
 
 
-def solve(lp: LinearProgram, trace: Callable[[str], None] | None = None) -> Tableau:
+def solve(lp: LinearProgram) -> Tableau:
     """Exact optimum of ``lp`` as its optimal tableau, built from the slack basis.
 
-    Deterministic (one pivot path per input).  ``trace``, if given,
-    receives each pivot and the tableau after it.
+    Deterministic: one pivot path per input.
     """
     rows = canonical_rows(lp)
     n = lp.num_vars
     mat = [list(a) + [b] for a, b in rows] + [[-c for c in lp.objective] + [0]]
-    tab = Tableau(mat, list(range(n, n + len(rows))), list(range(n)), trace=trace)
+    tab = Tableau(mat, list(range(n, n + len(rows))), list(range(n)))
     tab.optimize()
     return tab
 

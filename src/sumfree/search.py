@@ -26,7 +26,10 @@ pivots; a fathomed leaf walks its optimal face from that same tableau.
 
 With ``all_optima`` the search additionally enumerates every vertex of
 each fathomed node's optimal face (zero-reduced-cost pivots), proving
-uniqueness claims instead of merely returning one maximizer.
+uniqueness claims instead of merely returning one maximizer.  The branch
+rule judges every vertex: one with no positively overlapping window is
+k-sum-free.  Only the fathomed vertex itself is checked again, by the
+independent ``intervals.is_k_sum_free``.
 """
 
 from __future__ import annotations
@@ -145,16 +148,19 @@ def build_pattern_lp(m: int, k: int, pattern: DisjunctionPattern) -> LinearProgr
     return LinearProgram(objective=(-1, 1) * m, rows=tuple(rows))
 
 
-def _pick_branch(v: Sequence[int], m: int, k: int,
+def _pick_branch(v: Sequence, m: int, k: int,
                  choices: frozenset[Choice]) -> Choice | None:
     """Unresolved entry with the largest positive sum-window overlap.
 
-    ``v`` holds the vertex's numerators over one positive denominator
-    (``Tableau.vertex_numerators``), which scales every overlap alike, as
-    does the (A+A)-scale (a constant k versus the z-scale), so the argmax
-    is the exact vertex's; ties go to the lowest (i, j, t).
-    Entries whose pair or target interval is degenerate at the vertex are
-    skipped: they witness nothing about the actual point set.
+    ``v`` is the endpoint chain in any exact ordered numbers over one
+    positive scale: the integer numerators over the tableau's ``den``
+    (``Tableau.vertex_numerators``) or the ``Fraction`` vertex itself.
+    The scale multiplies every overlap alike, as does the (A+A)-scale (a
+    constant k versus the z-scale), so the argmax is the exact vertex's;
+    ties go to the lowest (i, j, t).  Entries whose pair or target
+    interval is degenerate at the vertex are skipped: they witness nothing
+    about the actual point set.  With no choices resolved, ``None`` says
+    that the configuration is k-sum-free.
     """
     resolved = {choice[1:] for choice in choices}
     live = [(i, v[2 * i], v[2 * i + 1]) for i in range(m) if v[2 * i] != v[2 * i + 1]]
@@ -184,8 +190,8 @@ class _RunState:
     pivots: int = 0
     interrupted: bool = False
 
-    def offer(self, value: Fraction, keys: set, exact: bool) -> None:
-        """Take unions ``keys`` of measure ``value`` as candidate maximizers.
+    def offer(self, value: Fraction, unions: set, exact: bool) -> None:
+        """Take ``unions`` of measure ``value`` as candidate maximizers.
 
         A higher value replaces the incumbent; an equal one adds its
         unions, and ``exact`` says whether they are all of its maximizers.
@@ -195,34 +201,30 @@ class _RunState:
             self.witnesses = set()
             self.witnesses_exact = True
         if value == self.best:
-            self.witnesses |= keys
+            self.witnesses |= unions
             self.witnesses_exact &= exact
 
 
-def _union_key(u: IntervalUnion):
-    return tuple((iv.lo, iv.hi) for iv in u.intervals)
+def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau) -> None:
+    """Offer the fathomed vertex of ``tab``, or with all optima its whole face.
 
-
-def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau,
-                 value: Fraction, union: IntervalUnion) -> None:
-    free, _ = is_k_sum_free(union, state.k)
-    if not free:
+    The vertex's sum-freeness, which ``_pick_branch`` decided, is checked
+    again by ``is_k_sum_free``.  Face vertices are judged by the branch
+    rule alone; the face's unions are all its maximizers when the walk is
+    complete and either the face is one vertex or every vertex gives the
+    same sum-free union.
+    """
+    union = Configuration(m, tab.vertex).to_union()
+    if not is_k_sum_free(union, state.k)[0]:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
     if not state.all_optima:
-        state.offer(value, {_union_key(union)}, True)
+        state.offer(tab.value, {union}, True)
         return
     verts, complete = tab.optimal_face()
-    leaf_sets = set()
-    all_free = True
-    for vx in verts:
-        u = Configuration(m, vx).to_union()
-        ok, _ = is_k_sum_free(u, state.k)
-        if ok:
-            leaf_sets.add(_union_key(u))
-        else:
-            all_free = False
-    state.offer(value, leaf_sets,
-                complete and (len(verts) == 1 or (all_free and len(leaf_sets) == 1)))
+    free = [vx for vx in verts if _pick_branch(vx, m, state.k, frozenset()) is None]
+    unions = {Configuration(m, vx).to_union() for vx in free}
+    state.offer(tab.value, unions, complete and (
+        len(verts) == 1 or (len(free) == len(verts) and len(unions) == 1)))
 
 
 # An open node: its choice set, and the solved parent it extends, as
@@ -257,7 +259,7 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
         return []
     entry = _pick_branch(tab.vertex_numerators, m, state.k, choices)
     if entry is None:
-        _record_leaf(state, m, tab, value, Configuration(m, tab.vertex).to_union())
+        _record_leaf(state, m, tab)
         return []
     return [(choices | {choice}, (tab, choice))
             for choice in ((LEFT, *entry), (RIGHT, *entry))]
@@ -317,7 +319,7 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     if node_limit is not None and node_limit < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit)
-    state.witnesses.add(_union_key(IntervalUnion()))  # measure-0 incumbent
+    state.witnesses.add(IntervalUnion())  # measure-0 incumbent
 
     for m_eff in range(1, m + 1):
         if state.interrupted:
@@ -327,18 +329,13 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
         else:
             _explore(m_eff, state)
 
-    witnesses = tuple(
-        IntervalUnion.from_pairs(key)
-        for key in sorted(state.witnesses)
-        if state.best == 0 or key  # drop the measure-0 seed once beaten
-    )
     # Completeness of the witness list is only established (and only
     # schedule-independent) when ties were collected and every optimal
     # face resolved cleanly.
     exact = all_optima and not state.interrupted and state.witnesses_exact
     return SearchResult(
         optimum=state.best,
-        witnesses=witnesses,
+        witnesses=tuple(sorted(state.witnesses, key=IntervalUnion.pairs)),
         nodes_explored=state.nodes,
         status=INTERRUPTED if state.interrupted else PROVEN,
         witnesses_exact=exact,

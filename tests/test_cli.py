@@ -79,6 +79,7 @@ def test_bad_usage_exits_2(cache_path):
     (["discrete", "--n", "10", "--k", "3", "--enumerate", "--node-limit", "-1"],
      "node_limit must be >= 0"),
     (["certify", "--trials", "5", "--max-intervals", "0"], "max_intervals must be >= 1"),
+    (["discrete", "--n", "10", "--k", "3", "--node-limit", "-1"], "node_limit must be >= 0"),
 ])
 def test_bad_numeric_option_exits_2(cache_path, capsys, argv, message):
     assert main(argv) == 2
@@ -133,7 +134,6 @@ def test_verbose_lp_trace(cache_path, capsys):
     code = main(["-vv", "--force", "continuous", "--k", "3", "--m", "1"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "pivot #" in captured.err  # tableau trace behind the verbosity flag
     assert "continuous m=1 k=3: 3 nodes, 3 pivots, " in captured.err
 
 

@@ -109,6 +109,14 @@ def test_enumeration_node_limit_is_explicit():
     assert err.value.nodes == 10
 
 
+def test_f_max_node_limit_is_explicit():
+    with pytest.raises(EnumerationLimitError) as err:
+        f_max(60, 3, node_limit=10)
+    assert err.value.nodes == 10
+    with pytest.raises(ValueError):
+        f_max(10, 3, node_limit=-1)
+
+
 def test_discretize_top_third():
     u = IntervalUnion.from_pairs([(F(2, 3), F(1))])
     assert discretize(u, 9, 3) == (7, 8, 9)

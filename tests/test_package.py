@@ -42,3 +42,16 @@ def test_no_module_reads_another_modules_private_names():
                     and node.value.id in modules and _private(node.attr)):
                 crossings.append(f"{path.name}:{node.lineno}: {node.value.id}.{node.attr}")
     assert crossings == []
+
+
+def test_no_float_in_the_package():
+    """Every computation is exact: no float literal and no use of ``float``."""
+    package = Path(sumfree.__file__).resolve().parent
+    floats = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, float):
+                floats.append(f"{path.name}:{node.lineno}: {node.value!r}")
+            elif isinstance(node, ast.Name) and node.id == "float":
+                floats.append(f"{path.name}:{node.lineno}: float")
+    assert floats == []

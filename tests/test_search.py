@@ -280,6 +280,22 @@ def test_integer_branch_choice_matches_the_fraction_choice():
     assert all(seen.values()), seen
 
 
+def test_branch_rule_decides_sum_freeness():
+    """No branch entry at a vertex exactly when its union is k-sum-free."""
+    rng = random.Random(9)
+    seen = {"free": 0, "not free": 0, "degenerate": 0, "touching": 0}
+    for _ in range(3000):
+        m, k, den = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 12)
+        v = tuple(F(a, den) for a in sorted(rng.randint(0, den) for _ in range(2 * m)))
+        free = is_k_sum_free(Configuration(m, v).to_union(), k)[0]
+        assert (search._pick_branch(v, m, k, frozenset()) is None) == free, (m, k, v)
+        seen["free" if free else "not free"] += 1
+        seen["degenerate"] += any(v[2 * i] == v[2 * i + 1] for i in range(m))
+        seen["touching"] += any(v[2 * i - 1] == v[2 * i] and v[2 * i - 2] < v[2 * i - 1]
+                                and v[2 * i] < v[2 * i + 1] for i in range(1, m))
+    assert all(seen.values()), seen
+
+
 def test_schedule_independence_sequential_vs_parallel():
     # every worker node is a warm child, so both schedules search one tree
     for m in (3, 4, 5):
