@@ -9,9 +9,13 @@ elements in decreasing order, with three exact pruning devices:
   against the chosen set;
 * unit propagation: once two elements of a triple are chosen, the third
   is banned for the rest of the subtree;
-* counting bound: chosen + remaining - (greedy count of element-disjoint
-  triples that are already fully inside chosen + remaining), each such
-  triple forcing at least one future removal.
+* counting bound: chosen + remaining - (greedy count of triples fully
+  inside chosen + remaining whose remaining parts are disjoint), each
+  such triple forcing at least one future removal.  The two-element
+  triples (``{z, 2z}`` for k = 3) are packed first, since each costs
+  two live elements per removal against three; only triples with an
+  undecided element are scanned, and the packing stops once the bound
+  falls below the pruning threshold.
 
 Sets are bitmasks (bit i = element i), so all of the above are a few
 integer operations per triple.  Enumeration of *all* maximum sets runs
@@ -64,34 +68,51 @@ def forbidden_triples(n: int, k: int) -> list[tuple[int, int, int]]:
 class _Instance:
     def __init__(self, n: int, k: int):
         self.n = n
-        self.k = k
         triples = forbidden_triples(n, k)
-        self.masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples})
+        # pairs before triples: the greedy packing takes the cheaper masks first
+        masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples},
+                       key=lambda tm: (tm.bit_count(), tm))
         self.by_elem: list[list[int]] = [[] for _ in range(n + 1)]
-        for tm in self.masks:
+        # below[b]: the masks with an element below b, in packing order
+        self.below: list[list[int]] = [[] for _ in range(n + 2)]
+        for tm in masks:
             m = tm
             while m:
                 low = m & -m
                 self.by_elem[low.bit_length() - 1].append(tm)
                 m ^= low
+            for b in range((tm & -tm).bit_length(), n + 2):
+                self.below[b].append(tm)
 
-    def bound(self, chosen: int, avail: int) -> int:
-        """chosen size + available size - greedy disjoint forced removals."""
+    def bound(self, chosen: int, avail: int, threshold: int) -> int:
+        """chosen size + available size - greedy disjoint forced removals.
+
+        ``chosen`` is k-sum-free and lies above every element of ``avail``.
+        A mask that meets no dead element (neither chosen nor available)
+        forces one removal from its available part; masks whose available
+        parts are disjoint force distinct removals.  The two-element masks
+        are packed first, as each uses fewer live elements per removal.
+        Only masks with an element <= max(avail) can qualify: any other
+        lies wholly in ``chosen`` or meets a dead element.  The packing
+        stops as soon as the bound falls below ``threshold`` (0 packs
+        every qualifying mask).
+        """
         ub = chosen.bit_count() + avail.bit_count()
+        if ub < threshold:
+            return ub
         live = chosen | avail
-        used = 0
-        for tm in self.masks:
-            if tm & ~live:
-                continue
-            inside = tm & avail
-            if inside and not inside & used:
-                used |= inside
+        blocked = ((2 << self.n) - 1) ^ live  # dead elements, then used ones
+        for tm in self.below[avail.bit_length()]:
+            if not tm & blocked:
+                blocked |= tm & avail
                 ub -= 1
+                if ub < threshold:
+                    break
         return ub
 
 
 def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
-    """Shared B&B core; returns (best_size, sets).
+    """Shared B&B core; returns (best_size, sets, nodes).
 
     Raises ``EnumerationLimitError`` once ``node_limit`` nodes are explored
     before the tree is exhausted, and ``ValueError`` on a negative limit.
@@ -124,8 +145,9 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
                 best_sets.append(chosen)
             continue
         avail = (((1 << (e + 1)) - 1) & ~1) & ~banned
-        ub = inst.bound(chosen, avail)
-        if ub < best or (ub == best and not enumerate_all):
+        # f_max needs a strictly larger set; enumeration keeps ties
+        threshold = best if enumerate_all else best + 1
+        if inst.bound(chosen, avail, threshold) < threshold:
             continue
         # exclude-branch first on the stack so the include-branch pops first
         stack.append((e - 1, chosen, banned))
@@ -146,7 +168,7 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     sets = sorted(tuple(_bits(mask)) for mask in best_sets if mask.bit_count() == best)
     if not exhausted:
         raise EnumerationLimitError(sets, nodes)
-    return best, sets
+    return best, sets, nodes
 
 
 def _bits(mask: int) -> list[int]:
@@ -163,7 +185,7 @@ def f_max(n: int, k: int, node_limit: int | None = None) -> tuple[int, tuple[int
 
     A search stopped by ``node_limit`` raises ``EnumerationLimitError``.
     """
-    best, sets = _search(_Instance(n, k), enumerate_all=False, node_limit=node_limit)
+    best, sets, _ = _search(_Instance(n, k), enumerate_all=False, node_limit=node_limit)
     return best, sets[0] if sets else ()
 
 

@@ -104,6 +104,15 @@ def has_forbidden_triple(subset, k: int) -> bool:
     return False
 
 
+def brute_force_extension(chosen, avail, k: int) -> int:
+    """Most elements of ``avail`` that join ``chosen`` with no triple, by raw enumeration."""
+    for size in range(len(avail), -1, -1):
+        for extra in combinations(sorted(avail), size):
+            if not has_forbidden_triple(set(chosen) | set(extra), k):
+                return size
+    return -1  # chosen itself holds a triple
+
+
 def satisfies_lp(prob, x) -> bool:
     """``x`` lies in ``[0, 1]`` and meets every ``g . x <= 0`` row of ``prob``, exactly."""
     return (all(0 <= xj <= 1 for xj in x)

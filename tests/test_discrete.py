@@ -1,3 +1,4 @@
+import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -5,10 +6,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_f, has_forbidden_triple
+from oracles import brute_force_extension, brute_force_f, has_forbidden_triple
 
 from sumfree.discrete import (
     EnumerationLimitError,
+    _Instance,
+    _search,
     discretize,
     enumerate_maximum_sets,
     f_max,
@@ -17,6 +20,11 @@ from sumfree.discrete import (
 from sumfree.intervals import IntervalUnion
 
 F = Fraction
+
+# (n, k, enumerate_all) -> nodes explored by the branch-and-bound; any
+# change to the bound or the branching order shows here first
+DISCRETE_COUNTERS = {(24, 3, False): 377, (23, 3, True): 627, (30, 3, True): 2433,
+                     (40, 3, False): 3539, (58, 4, False): 1397}
 
 
 def test_forbidden_triples_examples():
@@ -58,8 +66,8 @@ def test_ap_free_small_value_from_oracle():
     assert f_max(9, 2)[0] == brute_force_f(9, 2) == 5
 
 
-def test_halving_laws_up_to_30():
-    for n in range(1, 31):
+def test_halving_laws_up_to_40():
+    for n in range(1, 41):
         assert f_max(n, 1)[0] == (n + 1) // 2
         expected = 3 if n == 4 else (n + 1) // 2
         assert f_max(n, 3)[0] == expected
@@ -115,6 +123,45 @@ def test_f_max_node_limit_is_explicit():
     assert err.value.nodes == 10
     with pytest.raises(ValueError):
         f_max(10, 3, node_limit=-1)
+
+
+@pytest.mark.parametrize("n, k, enumerate_all", sorted(DISCRETE_COUNTERS))
+def test_discrete_counters(n, k, enumerate_all):
+    _, _, nodes = _search(_Instance(n, k), enumerate_all=enumerate_all, node_limit=None)
+    assert nodes == DISCRETE_COUNTERS[n, k, enumerate_all]
+
+
+def test_pinned_witnesses_and_enumeration():
+    assert f_max(58, 4) == (34, (1, 4, 5, 6, 7) + tuple(range(30, 59)))
+    assert f_max(24, 3) == (12, tuple(range(1, 24, 2)))
+    assert enumerate_maximum_sets(20, 4) == [(2, 3) + tuple(range(11, 21))]
+
+
+def _random_state(rng, n, k):
+    """A k-sum-free ``chosen`` inside {e+1..n} and any ``avail`` inside {1..e}."""
+    e = rng.randint(0, n)
+    chosen: list[int] = []
+    for x in rng.sample(range(e + 1, n + 1), n - e):
+        if rng.random() < 0.6 and not has_forbidden_triple(chosen + [x], k):
+            chosen.append(x)
+    avail = [x for x in range(1, e + 1) if rng.random() < 0.7]
+    return chosen, avail
+
+
+def test_bound_is_sound_against_brute_force():
+    rng = random.Random(10)
+    for k in (1, 2, 3, 4):
+        for n in range(1, 13):
+            inst = _Instance(n, k)
+            for _ in range(40):
+                chosen, avail = _random_state(rng, n, k)
+                cm = sum(1 << x for x in chosen)
+                am = sum(1 << x for x in avail)
+                ub = inst.bound(cm, am, 0)
+                assert ub >= len(chosen) + brute_force_extension(chosen, avail, k), (n, k, chosen, avail)
+                # the threshold only stops the packing early: same prune decision
+                for threshold in range(ub + 2):
+                    assert (inst.bound(cm, am, threshold) < threshold) == (ub < threshold)
 
 
 def test_discretize_top_third():
