@@ -5,6 +5,10 @@ Reads are forgiving: unknown fields are kept, corrupt lines are skipped
 with a warning, and duplicate (kind, parameters) keys resolve to the
 last written record.  Each record carries the sumfree version and a
 digest of the solver source that computed it.
+
+``lookup`` parses only the lines that hold the parameters' sorted JSON
+text, as every record ``append_record`` writes does, so a hand-written
+record serialized otherwise is a miss, recomputed and appended.
 """
 
 from __future__ import annotations
@@ -64,32 +68,38 @@ def append_record(path: str, record: CacheRecord) -> None:
         fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
 
 
-def load_records(path: str) -> dict[tuple[str, str], CacheRecord]:
-    """Latest record per (kind, parameters) key; corrupt lines are skipped."""
-    records: dict[tuple[str, str], CacheRecord] = {}
+def _read_records(path: str, text: str = ""):
+    """The records of the lines of ``path`` that contain ``text``, in order.
+
+    Corrupt lines are skipped with a warning; so is a record whose
+    ``kind`` is not a string, which no key could be sorted or hashed with.
+    """
     if not os.path.exists(path):
-        return records
+        return
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
-            if not line.strip():
+            if text not in line or not line.strip():
                 continue
             try:
                 raw = json.loads(line)
-                rec = CacheRecord(
-                    kind=raw["kind"],
-                    parameters=raw["parameters"],
-                    result=raw["result"],
-                    version=raw.get("version", "unknown"),
-                    timestamp=raw.get("timestamp", ""),
-                    solver=raw.get("solver", ""),
-                )
+                if not isinstance(raw["kind"], str):
+                    raise TypeError(f"kind {raw['kind']!r} is not a string")
+                rec = CacheRecord(raw["kind"], raw["parameters"], raw["result"],
+                                  raw.get("version", "unknown"), raw.get("timestamp", ""),
+                                  raw.get("solver", ""))
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 sys.stderr.write(f"warning: {path}:{lineno}: skipping bad cache line ({exc})\n")
                 continue
-            records[rec.key()] = rec
-    return records
+            yield rec
+
+
+def load_records(path: str) -> dict[tuple[str, str], CacheRecord]:
+    """Latest record per (kind, parameters) key; corrupt lines are skipped."""
+    return {rec.key(): rec for rec in _read_records(path)}
 
 
 def lookup(path: str, kind: str, parameters: dict) -> CacheRecord | None:
-    key = (kind, json.dumps(parameters, sort_keys=True))
-    return load_records(path).get(key)
+    """``load_records(path).get(key)``, parsing only the lines that can hold it."""
+    text = json.dumps(parameters, sort_keys=True)
+    hits = [rec for rec in _read_records(path, text) if rec.key() == (kind, text)]
+    return hits[-1] if hits else None

@@ -50,9 +50,6 @@ from typing import Sequence
 
 OPTIMAL = "optimal"
 
-# Bases the optimal-face walk visits before it gives up as incomplete.
-_BASIS_LIMIT = 5000
-
 
 @dataclass(frozen=True)
 class LinearProgram:
@@ -237,20 +234,16 @@ class Tableau:
             assert c is not None, "infeasible, but x = 0 meets every pattern row"
             self.pivot(r, c)
 
-    def optimal_face(self) -> tuple[list[tuple[Fraction, ...]], bool]:
-        """All vertices of the optimal face, by walking zero-reduced-cost pivots.
+    def optimal_face(self) -> list["Tableau"]:
+        """Every basis of the optimal face, this tableau first, each once.
 
-        Returns (vertices, complete).  Columns are tried in variable-id
-        order.  ``complete`` is False when the basis walk was cut off
-        after ``_BASIS_LIMIT`` bases; the vertex list is deduplicated and
-        sorted for determinism.  This tableau is left as it was.
+        The walk takes zero-reduced-cost pivots, columns in variable-id
+        order, which leave every other reduced cost as it was; bases are
+        finitely many and each is walked once.  This tableau is unchanged.
         """
-        complete = True
-        seen_bases = {tuple(sorted(self.basis))}
-        queue = [self]
-        vertices = {self.vertex}
-        while queue:
-            tab = queue.pop()
+        seen = {tuple(sorted(self.basis))}
+        face = [self]
+        for tab in face:  # face grows while it is walked
             obj = tab.mat[tab.nrows]
             for p in tab._by_id():
                 if obj[p] != 0:
@@ -260,15 +253,10 @@ class Tableau:
                 assert r is not None, "unbounded optimal face, but the box bounds it"
                 nxt.pivot(r, p)
                 key = tuple(sorted(nxt.basis))
-                if key in seen_bases:
-                    continue
-                if len(seen_bases) >= _BASIS_LIMIT:
-                    complete = False
-                    continue
-                seen_bases.add(key)
-                vertices.add(nxt.vertex)
-                queue.append(nxt)
-        return sorted(vertices), complete
+                if key not in seen:
+                    seen.add(key)
+                    face.append(nxt)
+        return face
 
 
 def solve(lp: LinearProgram) -> Tableau:
@@ -313,6 +301,6 @@ def check_certificate(lp: LinearProgram, result) -> bool:
     return primal == result.value and dual_val == result.value
 
 
-def enumerate_optimal_vertices(lp: LinearProgram) -> tuple[list[tuple[Fraction, ...]], bool]:
-    """``solve(lp).optimal_face()``: the vertices of the optimal face, and completeness."""
-    return solve(lp).optimal_face()
+def enumerate_optimal_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:
+    """The distinct vertices of ``solve(lp).optimal_face()``, sorted."""
+    return sorted({tab.vertex for tab in solve(lp).optimal_face()})

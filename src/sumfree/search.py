@@ -24,12 +24,12 @@ parallel run hands to a worker, is its parent plus one choice row, so it
 is reoptimized from the parent's optimal tableau by a few dual simplex
 pivots; a fathomed leaf walks its optimal face from that same tableau.
 
-With ``all_optima`` the search additionally enumerates every vertex of
-each fathomed node's optimal face (zero-reduced-cost pivots), proving
+With ``all_optima`` the search additionally walks every basis of each
+fathomed node's optimal face (zero-reduced-cost pivots), proving
 uniqueness claims instead of merely returning one maximizer.  The branch
-rule judges every vertex: one with no positively overlapping window is
-k-sum-free.  Only the fathomed vertex itself is checked again, by the
-independent ``intervals.is_k_sum_free``.
+rule judges every basis on its integer numerators: one with no
+positively overlapping window is k-sum-free.  Only the fathomed vertex
+itself is checked again, by the independent ``intervals.is_k_sum_free``.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ class SearchResult:
     nodes_explored: int
     status: str
     # True when the witness list is provably the complete set of maximizers
-    # (all contributing optimal faces were single vertices or single sets).
+    # (every basis of each contributing optimal face was sum-free, and each
+    # face gave one union).
     witnesses_exact: bool = True
     lp_pivots: int = 0
 
@@ -152,15 +153,14 @@ def _pick_branch(v: Sequence, m: int, k: int,
                  choices: frozenset[Choice]) -> Choice | None:
     """Unresolved entry with the largest positive sum-window overlap.
 
-    ``v`` is the endpoint chain in any exact ordered numbers over one
-    positive scale: the integer numerators over the tableau's ``den``
-    (``Tableau.vertex_numerators``) or the ``Fraction`` vertex itself.
-    The scale multiplies every overlap alike, as does the (A+A)-scale (a
-    constant k versus the z-scale), so the argmax is the exact vertex's;
-    ties go to the lowest (i, j, t).  Entries whose pair or target
-    interval is degenerate at the vertex are skipped: they witness nothing
-    about the actual point set.  With no choices resolved, ``None`` says
-    that the configuration is k-sum-free.
+    The search passes ``v`` as ``Tableau.vertex_numerators``, integers
+    over the positive ``den``.  Any exact numbers over one positive scale
+    give the same choice: the scale multiplies every overlap alike, as
+    does the (A+A)-scale (a constant k versus the z-scale), so the argmax
+    is the exact vertex's; ties go to the lowest (i, j, t).  Entries whose
+    pair or target interval is degenerate at the vertex are skipped: they
+    witness nothing about the actual point set.  With no choices resolved,
+    ``None`` says that the configuration is k-sum-free.
     """
     resolved = {choice[1:] for choice in choices}
     live = [(i, v[2 * i], v[2 * i + 1]) for i in range(m) if v[2 * i] != v[2 * i + 1]]
@@ -206,25 +206,21 @@ class _RunState:
 
 
 def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau) -> None:
-    """Offer the fathomed vertex of ``tab``, or with all optima its whole face.
+    """Offer the fathomed basis ``tab``, or with all optima its whole face.
 
-    The vertex's sum-freeness, which ``_pick_branch`` decided, is checked
-    again by ``is_k_sum_free``.  Face vertices are judged by the branch
-    rule alone; the face's unions are all its maximizers when the walk is
-    complete and either the face is one vertex or every vertex gives the
-    same sum-free union.
+    ``is_k_sum_free`` checks the fathomed vertex again.  The branch rule
+    judges each basis on its numerators, and the free ones give unions:
+    all the maximizers when every basis is free and they give one union
+    (as ``tab`` alone does, since a resolved row forbids positive overlap).
     """
     union = Configuration(m, tab.vertex).to_union()
     if not is_k_sum_free(union, state.k)[0]:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
-    if not state.all_optima:
-        state.offer(tab.value, {union}, True)
-        return
-    verts, complete = tab.optimal_face()
-    free = [vx for vx in verts if _pick_branch(vx, m, state.k, frozenset()) is None]
-    unions = {Configuration(m, vx).to_union() for vx in free}
-    state.offer(tab.value, unions, complete and (
-        len(verts) == 1 or (len(free) == len(verts) and len(unions) == 1)))
+    tabs = tab.optimal_face() if state.all_optima else [tab]
+    free = [t for t in tabs
+            if _pick_branch(t.vertex_numerators, m, state.k, frozenset()) is None]
+    unions = {Configuration(m, t.vertex).to_union() for t in free}
+    state.offer(tab.value, unions, len(free) == len(tabs) and len(unions) == 1)
 
 
 # An open node: its choice set, and the solved parent it extends, as

@@ -1,13 +1,15 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's algebra: integer numpy grids for
-the continuous searches, raw subset enumeration for the discrete solver.
+the continuous searches, raw subset enumeration for the discrete solver,
+and every tight constraint set for the LP's optimal face.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from math import lcm
 
 import numpy as np
 
@@ -149,3 +151,62 @@ def pick_branch_fraction(v, m: int, k: int, choices):
                     best_ov = ov
                     best = (i, j, t)
     return best
+
+
+def _solve_square(a, b):
+    """The unique ``x`` with ``a x = b`` for integer ``a`` and ``b``, or None.
+
+    Division-free elimination keeps every entry an integer.  Returns
+    ``x`` as integer numerators over one positive denominator.
+    """
+    n = len(a)
+    rows = [list(row) + [rhs] for row, rhs in zip(a, b)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if rows[r][col] != 0), None)
+        if piv is None:
+            return None
+        rows[col], rows[piv] = rows[piv], rows[col]
+        p = rows[col]
+        for r in range(n):
+            f = rows[r][col]
+            if r != col and f != 0:
+                rows[r] = [v * p[col] - f * w for v, w in zip(rows[r], p)]
+    den = lcm(*(abs(rows[i][i]) for i in range(n)))
+    return [rows[i][n] * (den // rows[i][i]) for i in range(n)], den
+
+
+def optimal_vertices_brute(prob):
+    """The optimal vertices of a pattern LP, by trying every tight set.
+
+    A vertex is a feasible point where ``n`` independent constraints
+    among the rows ``g . x <= 0``, ``x <= 1`` and ``x >= 0`` are tight.
+    ``x_j <= 1`` and ``x_j >= 0`` are never tight together, so each
+    variable is at 0, at 1 or free, and the free ones are fixed by as
+    many tight ``g`` rows.  Returns the feasible points of largest
+    objective value, distinct and sorted.
+    """
+    n = prob.num_vars
+    rows = list(dict.fromkeys(prob.rows))
+    vertices = set()
+    for fixed in product((0, 1, None), repeat=n):
+        free = [j for j in range(n) if fixed[j] is None]
+        ones = [j for j in range(n) if fixed[j] == 1]
+        # a row over the fixed variables alone must already hold, and
+        # a row with no free variable cannot help to fix them
+        if any(sum(g[j] for j in ones) > 0 for g in rows if not any(g[j] for j in free)):
+            continue
+        for tight in combinations([g for g in rows if any(g[j] for j in free)], len(free)):
+            sol = _solve_square([[g[j] for j in free] for g in tight],
+                                [-sum(g[j] for j in ones) for g in tight])
+            if sol is None:
+                continue
+            nums, den = sol
+            x = [den * (v or 0) for v in fixed]
+            for j, v in zip(free, nums):
+                x[j] = v
+            if (all(0 <= v <= den for v in x)
+                    and all(sum(g * v for g, v in zip(row, x)) <= 0 for row in rows)):
+                vertices.add(tuple(Fraction(v, den) for v in x))
+    best = max(sum(c * xj for c, xj in zip(prob.objective, x)) for x in vertices)
+    return sorted(x for x in vertices
+                  if sum(c * xj for c, xj in zip(prob.objective, x)) == best)

@@ -200,6 +200,42 @@ def test_cache_tolerates_unknown_fields(tmp_path):
     assert lookup(str(path), "discrete", {"n": 2}).result == {"f": 1}
 
 
+def test_lookup_agrees_with_load_records(tmp_path, capsys):
+    path = tmp_path / "c.jsonl"
+    append_record(str(path), CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", "t1"))
+    append_record(str(path), CacheRecord("continuous", {"n": 5}, {"f": 9}, "0", "t2"))
+    with open(path, "a") as fh:
+        fh.write('{"kind": "discrete", "parameters": {"n": 5}, "resu\n')
+        fh.write(json.dumps({"kind": "discrete", "parameters": {"n": 6}, "result": {"f": 4},
+                             "version": "0", "timestamp": "", "future_field": [1]}) + "\n")
+    append_record(str(path), CacheRecord("discrete", {"n": 5}, {"f": 2}, "0", "t3"))
+    # the result holds {"n": 5} verbatim, but the record's key is {"n": 7}
+    append_record(str(path), CacheRecord("discrete", {"n": 7}, {"from": {"n": 5}}, "0", "t4"))
+    records = load_records(str(path))
+    keys = [(kind, {"n": n}) for kind in ("discrete", "continuous", "certify")
+            for n in (5, 6, 7, 8)]
+    for kind, params in keys:
+        assert lookup(str(path), kind, params) == records.get(
+            (kind, json.dumps(params, sort_keys=True)))
+    assert lookup(str(path), "discrete", {"n": 5}).result == {"f": 2}
+    assert "skipping bad cache line" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", [["x"], 5], ids=["list", "int"])
+def test_cache_line_with_a_non_string_kind_is_skipped(cache_path, capsys, kind):
+    params = {"enumerate": False, "k": 1, "n": 5, "node_limit": None}
+    line = {"kind": kind, "parameters": params, "result": {}}
+    cache_path.write_text(json.dumps(line) + "\n")
+    assert main(["discrete", "--n", "5", "--k", "1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["f"] == 3
+    assert "skipping bad cache line" in captured.err
+    assert main(["report"]) == 0
+    captured = capsys.readouterr()
+    assert "f = 3" in captured.out
+    assert "skipping bad cache line" in captured.err
+
+
 def test_cache_record_from_another_version_is_recomputed(cache_path, capsys):
     params = {"n": 5, "k": 1, "enumerate": False, "node_limit": None}
     append_record(str(cache_path), make_record("discrete", params, {"f": 99}, "0.0.0"))

@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import satisfies_lp
+from oracles import optimal_vertices_brute, satisfies_lp
 
 from sumfree.lp import (
     OPTIMAL,
@@ -14,6 +14,7 @@ from sumfree.lp import (
     enumerate_optimal_vertices,
     solve,
 )
+from sumfree.search import DisjunctionPattern, build_pattern_lp
 
 F = Fraction
 
@@ -134,13 +135,44 @@ def test_objective_scaling_invariance():
 def test_optimal_face_enumeration():
     # x1 + x2 <= x3 <= 1, objective parallel to that facet: a segment
     prob = LinearProgram(objective=(1, 1, 0), rows=((1, 1, -1),))
-    verts, complete = enumerate_optimal_vertices(prob)
-    assert complete
+    verts = enumerate_optimal_vertices(prob)
     assert verts == [(F(0), F(1), F(1)), (F(1), F(0), F(1))]
     # unique optimum: one vertex only
     prob2 = LinearProgram(objective=(2, 1, 0), rows=((1, 1, -1),))
-    verts2, complete2 = enumerate_optimal_vertices(prob2)
-    assert complete2 and verts2 == [(F(1), F(0), F(1))]
+    assert enumerate_optimal_vertices(prob2) == [(F(1), F(0), F(1))]
+
+
+def _face_matches_brute_force(prob) -> tuple[int, int]:
+    """The face walk against the tight-set oracle; returns its vertex and basis counts."""
+    tab = solve(prob)
+    face = tab.optimal_face()
+    assert face[0] is tab
+    assert len({tuple(sorted(t.basis)) for t in face}) == len(face)
+    assert all(t.value == tab.value for t in face)
+    verts = enumerate_optimal_vertices(prob)
+    assert verts == optimal_vertices_brute(prob)
+    return len(verts), len(face)
+
+
+def test_optimal_face_matches_brute_force_on_random_lps():
+    rng = random.Random(404)
+    sizes = [_face_matches_brute_force(_random_lp(rng)) for _ in range(120)]
+    assert any(verts > 1 for verts, _ in sizes)  # some faces are more than a vertex
+    assert any(bases > verts for verts, bases in sizes)  # some vertices are degenerate
+
+
+def test_optimal_face_matches_brute_force_on_pattern_lps():
+    rng = random.Random(405)
+    sizes = []
+    for m, count in ((1, 8), (2, 12), (3, 6)):
+        entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
+        for _ in range(count):
+            pat = DisjunctionPattern(m)
+            for entry in rng.sample(entries, rng.randint(0, min(3, len(entries)))):
+                pat = pat.resolve(rng.choice("LR"), *entry)
+            sizes.append(_face_matches_brute_force(build_pattern_lp(m, rng.randint(1, 4), pat)))
+    assert any(verts > 1 for verts, _ in sizes)
+    assert any(bases > verts for verts, bases in sizes)
 
 
 def test_added_row_matches_a_cold_solve():

@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (grid_best_1_interval, grid_best_2_intervals, pick_branch_fraction,
                      satisfies_lp)
 
-from sumfree.intervals import IntervalUnion, is_k_sum_free
+from sumfree.intervals import IntervalUnion, format_union, is_k_sum_free
 from sumfree import search
 from sumfree.lp import OPTIMAL, canonical_rows, solve
 from sumfree.search import (
@@ -251,6 +251,61 @@ def test_record_holds_for_six_intervals():
     res = maximize_measure(6, 3)
     assert res.optimum == F(77, 177)
     assert res.status == "proven"
+
+
+# Optimum, witness texts and witnesses_exact by (m, k, all_optima), as
+# recorded before face bases were judged on integers.  Without all optima
+# no completeness is claimed; (5, 1) is the one inexact case with m <= 5.
+LEAF_RESULTS = {
+    (1, 1, False): ("1/2", ("(1/2,1)",), False),
+    (1, 1, True): ("1/2", ("(1/2,1)",), True),
+    (1, 2, False): ("0", ("",), False),
+    (1, 2, True): ("0", ("",), True),
+    (1, 3, False): ("1/3", ("(2/3,1)",), False),
+    (1, 3, True): ("1/3", ("(2/3,1)",), True),
+    (1, 4, False): ("1/2", ("(1/2,1)",), False),
+    (1, 4, True): ("1/2", ("(1/2,1)",), True),
+    (1, 5, False): ("3/5", ("(2/5,1)",), False),
+    (1, 5, True): ("3/5", ("(2/5,1)",), True),
+    (2, 1, False): ("1/2", ("(1/2,1)",), False),
+    (2, 1, True): ("1/2", ("(1/2,1)",), True),
+    (2, 2, False): ("0", ("",), False),
+    (2, 2, True): ("0", ("",), True),
+    (2, 3, False): ("3/7", ("(4/21,2/7);(2/3,1)",), False),
+    (2, 3, True): ("3/7", ("(4/21,2/7);(2/3,1)",), True),
+    (2, 4, False): ("4/7", ("(1/14,1/7);(1/2,1)",), False),
+    (2, 4, True): ("4/7", ("(1/14,1/7);(1/2,1)",), True),
+    (2, 5, False): ("15/23", ("(4/115,2/23);(2/5,1)",), False),
+    (2, 5, True): ("15/23", ("(4/115,2/23);(2/5,1)",), True),
+    (3, 1, False): ("1/2", ("(1/2,1)",), False),
+    (3, 1, True): ("1/2", ("(1/2,1)",), True),
+    (3, 2, False): ("0", ("",), False),
+    (3, 2, True): ("0", ("",), True),
+    (3, 3, False): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), False),
+    (3, 3, True): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), True),
+    (3, 4, False): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), False),
+    (3, 4, True): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), True),
+    (3, 5, False): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), False),
+    (3, 5, True): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), True),
+    (4, 1, False): ("1/2", ("(1/2,1)",), False),
+    (4, 1, True): ("1/2", ("(1/2,1)",), True),
+    (4, 2, False): ("0", ("",), False),
+    (4, 2, True): ("0", ("",), True),
+    (4, 3, False): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), False),
+    (4, 3, True): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), True),
+    (4, 4, False): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), False),
+    (4, 4, True): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), True),
+    (4, 5, False): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), False),
+    (4, 5, True): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), True),
+    (5, 1, True): ("1/2", ("(1/2,1)",), False),
+}
+
+
+def test_leaf_rule_results_are_pinned():
+    for (m, k, all_optima), (optimum, witnesses, exact) in LEAF_RESULTS.items():
+        res = maximize_measure(m, k, all_optima=all_optima)
+        got = (str(res.optimum), tuple(map(format_union, res.witnesses)), res.witnesses_exact)
+        assert got == (optimum, witnesses, exact), (m, k, all_optima)
 
 
 def _overlap(v, k, entry):
