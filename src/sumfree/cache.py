@@ -71,23 +71,25 @@ def append_record(path: str, record: CacheRecord) -> None:
 def _read_records(path: str, text: str = ""):
     """The records of the lines of ``path`` that contain ``text``, in order.
 
-    Corrupt lines are skipped with a warning; so is a record whose
-    ``kind`` is not a string, which no key could be sorted or hashed with.
+    Corrupt lines, UTF-8 or JSON, are skipped with a warning; so is a
+    record whose ``kind`` is not a string, which no key could be sorted or
+    hashed with.
     """
     if not os.path.exists(path):
         return
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for lineno, line in enumerate(fh, 1):
             if text not in line or not line.strip():
                 continue
             try:
-                raw = json.loads(line)
+                # back to the bytes read, so that a line that is not UTF-8 fails here
+                raw = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
                 if not isinstance(raw["kind"], str):
                     raise TypeError(f"kind {raw['kind']!r} is not a string")
                 rec = CacheRecord(raw["kind"], raw["parameters"], raw["result"],
                                   raw.get("version", "unknown"), raw.get("timestamp", ""),
                                   raw.get("solver", ""))
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
                 sys.stderr.write(f"warning: {path}:{lineno}: skipping bad cache line ({exc})\n")
                 continue
             yield rec

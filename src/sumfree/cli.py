@@ -31,15 +31,17 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-# Result fields the CLI reads back from a cached record, per kind.
-_RESULT_FIELDS = {
-    "continuous": ("optimum", "witnesses", "nodes_explored", "status"),
-    "discrete": ("f", "witnesses"),
-    "certify": ("delta_star", "branches", "chain_ok", "harness"),
+# The shape in which the CLI reads each result field back from a cached
+# record, per kind: a type, a one-item list for a list of that shape, or
+# a dict of named fields.
+_RESULT_SHAPES = {
+    "continuous": {"optimum": str, "witnesses": [str], "nodes_explored": int,
+                   "status": str},
+    "discrete": {"f": int, "witnesses": [list]},
+    "certify": {"delta_star": str, "chain_ok": bool,
+                "branches": [{"name": str, "bound": str, "delta_sup": str}],
+                "harness": {"trials": int, "violations": int, "min_slack": str}},
 }
-# Fields the CLI reads inside a certify result's harness and branch entries.
-_HARNESS_FIELDS = ("trials", "violations", "min_slack")
-_BRANCH_FIELDS = ("name", "bound", "delta_sup")
 
 
 def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
@@ -110,19 +112,18 @@ def _emit(payload: dict, fmt: str, table_lines) -> None:
             print(line)
 
 
-def _has_fields(obj, names) -> bool:
-    return isinstance(obj, dict) and all(name in obj for name in names)
+def _fits(value, shape) -> bool:
+    if isinstance(shape, dict):
+        return isinstance(value, dict) and all(
+            name in value and _fits(value[name], sub) for name, sub in shape.items())
+    if isinstance(shape, list):
+        return isinstance(value, list) and all(_fits(item, shape[0]) for item in value)
+    return isinstance(value, shape)
 
 
 def _well_formed(kind: str, result) -> bool:
-    """True when ``result`` carries every field the CLI reads for ``kind``."""
-    if kind not in _RESULT_FIELDS or not _has_fields(result, _RESULT_FIELDS[kind]):
-        return False
-    if kind == "certify":
-        return (_has_fields(result["harness"], _HARNESS_FIELDS)
-                and isinstance(result["branches"], list)
-                and all(_has_fields(b, _BRANCH_FIELDS) for b in result["branches"]))
-    return True
+    """True when ``result`` has every field the CLI reads for ``kind``, of its shape."""
+    return kind in _RESULT_SHAPES and _fits(result, _RESULT_SHAPES[kind])
 
 
 def _current(rec: cache_mod.CacheRecord) -> bool:
@@ -136,7 +137,8 @@ def _cached(kind: str, params: dict, cache_path: str, force: bool, compute) -> d
     ``--force`` skips the lookup.  A record written by another sumfree
     version or another solver source is a miss, so a solver fix is never
     hidden by an old result; so is a record that lacks a result field the
-    CLI reads.  A path that cannot take a record fails before computing.
+    CLI reads, or holds one of another type.  A path that cannot take a
+    record fails before computing.
     """
     cached = None if force else cache_mod.lookup(cache_path, kind, params)
     if cached is not None and _current(cached) and _well_formed(kind, cached.result):

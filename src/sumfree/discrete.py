@@ -3,12 +3,12 @@
 The forbidden structures are the triples a + b = k*c inside {1..n}
 (taken as element sets, so a triple may involve only two distinct
 numbers).  f(n, k) is computed by depth-first branch-and-bound over
-elements in decreasing order, with three exact pruning devices:
+elements in decreasing order, with two exact pruning devices:
 
-* membership check: an element is added only if it completes no triple
-  against the chosen set;
-* unit propagation: once two elements of a triple are chosen, the third
-  is banned for the rest of the subtree;
+* unit propagation: once all but one element of a triple are chosen,
+  the last is banned for the rest of the subtree, so the chosen set
+  never completes a triple (every triple has two or more elements, and
+  the ban comes before its last element is decided);
 * counting bound: chosen + remaining - (greedy count of triples fully
   inside chosen + remaining whose remaining parts are disjoint), each
   such triple forcing at least one future removal.  The two-element
@@ -151,20 +151,15 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
             continue
         # exclude-branch first on the stack so the include-branch pops first
         stack.append((e - 1, chosen, banned))
-        can_add = True
-        bit = 1 << e
+        new_chosen = chosen | (1 << e)
+        new_banned = banned
         for tm in by_elem[e]:
-            if tm & ~chosen == bit:
-                can_add = False
-                break
-        if can_add:
-            new_chosen = chosen | bit
-            new_banned = banned
-            for tm in by_elem[e]:
-                missing = tm & ~new_chosen
-                if missing and missing & (missing - 1) == 0:
-                    new_banned |= missing
-            stack.append((e - 1, new_chosen, new_banned))
+            missing = tm & ~new_chosen
+            if missing & (missing - 1) == 0:
+                if not missing:  # unit propagation banned e before it got here
+                    raise AssertionError(f"choosing {e} completes a forbidden triple")
+                new_banned |= missing
+        stack.append((e - 1, new_chosen, new_banned))
     sets = sorted(tuple(_bits(mask)) for mask in best_sets if mask.bit_count() == best)
     if not exhausted:
         raise EnumerationLimitError(sets, nodes)
@@ -204,6 +199,8 @@ def discretize(u: IntervalUnion, n: int, k: int) -> tuple[int, ...]:
     (a solution i + j = k*l would shift down by a small epsilon into the
     open set), so it is a valid lower-bound certificate for f(n, k).
     """
+    if n < 1:
+        raise ValueError(f"n must be positive, got {n}")
     free, witness = is_k_sum_free(u, k)
     if not free:
         raise ValueError(f"input union is not {k}-sum-free (witness {witness})")

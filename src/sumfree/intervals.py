@@ -158,7 +158,8 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
     points is legal under the open-interval convention).  On failure the
     witness z is the midpoint of a positive-length slice of the first
     overlap component, so all three points are strictly interior and the
-    arithmetic is exact.
+    arithmetic is exact.  For k = 2 the witness has x != y, since the
+    trivial x = y = z is exempt.
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
@@ -181,6 +182,8 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
                 x_lo = max(a.lo, s - b.hi)
                 x_hi = min(a.hi, s - b.lo)
                 x = (x_lo + x_hi) / 2
+                if k == 2 and 2 * x == s:  # x = y = z is exempt: take x below s/2
+                    x = (x_lo + x) / 2
                 return False, Witness(x=x, y=s - x, z=s / k)
     raise AssertionError("overlap detected but no generating pair found")
 

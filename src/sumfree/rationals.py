@@ -10,13 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rational = Fraction
-
 HALF = Fraction(1, 2)
-
-
-class ZeroDenominatorError(ValueError):
-    """Raised when a rational is constructed with denominator zero."""
 
 
 class RationalParseError(ValueError):
@@ -27,13 +21,6 @@ class RationalParseError(ValueError):
         self.pos = pos
         self.reason = message
         super().__init__(f"{message} at position {pos} in {text!r}")
-
-
-def make_rational(p: int, q: int = 1) -> Fraction:
-    """Build p/q in canonical form; the sign is carried by the numerator."""
-    if q == 0:
-        raise ZeroDenominatorError(f"zero denominator in {p}/{q}")
-    return Fraction(p, q)
 
 
 def parse_rational(text: str, offset: int = 0) -> Fraction:

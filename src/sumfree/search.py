@@ -18,7 +18,7 @@ incumbents from small m' prune the larger trees.  No choice set is
 reached twice: two nodes part where one holds L(e) and the other R(e),
 and an entry is never branched on once resolved.
 
-Only the root of each run (the empty pattern, one per m') builds and
+Only the root of each run (the empty choice set, one per m') builds and
 solves its LP from scratch.  Every other node, including each node a
 parallel run hands to a worker, is its parent plus one choice row, so it
 is reoptimized from the parent's optimal tableau by a few dual simplex
@@ -50,48 +50,6 @@ PROVEN = "proven"
 INTERRUPTED = "interrupted"
 
 Choice = tuple[str, int, int, int]  # side, i, j, t
-
-
-@dataclass(frozen=True)
-class Configuration:
-    """Endpoint chain of m possibly-degenerate intervals in [0, 1]."""
-
-    m: int
-    endpoints: tuple[Fraction, ...]  # l1, r1, l2, r2, ...
-
-    def __post_init__(self):
-        if len(self.endpoints) != 2 * self.m:
-            raise ValueError("endpoint count != 2m")
-        prev = Fraction(0)
-        for x in self.endpoints:
-            if x < prev:
-                raise ValueError("endpoint chain is not nondecreasing")
-            prev = x
-        if prev > 1:
-            raise ValueError("endpoints must lie in [0, 1]")
-
-    def to_union(self) -> IntervalUnion:
-        """Drop vanished intervals and canonicalize."""
-        e = self.endpoints
-        return IntervalUnion.from_pairs([(e[2 * i], e[2 * i + 1]) for i in range(self.m)])
-
-
-@dataclass(frozen=True)
-class DisjunctionPattern:
-    """Resolved LEFT/RIGHT choices per (pair, target); absent = unresolved."""
-
-    m: int
-    choices: frozenset[Choice] = frozenset()
-
-    def resolve(self, side: str, i: int, j: int, t: int) -> "DisjunctionPattern":
-        if side not in (LEFT, RIGHT):
-            raise ValueError(f"bad side {side!r}")
-        if not (0 <= i <= j < self.m and 0 <= t < self.m):
-            raise ValueError(f"bad entry ({i},{j},{t}) for m={self.m}")
-        return DisjunctionPattern(self.m, self.choices | {(side, i, j, t)})
-
-    def is_resolved(self, i: int, j: int, t: int) -> bool:
-        return (LEFT, i, j, t) in self.choices or (RIGHT, i, j, t) in self.choices
 
 
 @dataclass(frozen=True)
@@ -131,21 +89,23 @@ def _choice_row(m: int, k: int, choice: Choice) -> list[int]:
     return row
 
 
-def build_pattern_lp(m: int, k: int, pattern: DisjunctionPattern) -> LinearProgram:
-    """LP relaxation: maximize total length under chain, box and resolved rows.
+def build_pattern_lp(m: int, k: int, choices: Iterable[Choice] = ()) -> LinearProgram:
+    """LP relaxation: maximize total length under chain, box and choice rows.
 
     Variables are (l1, r1, ..., lm, rm) in [0, 1].  All rows are
     non-strict: touching windows are legal under the open-interval
-    convention, so no epsilons.
+    convention, so no epsilons.  A choice is (side, i, j, t) with side
+    ``L`` or ``R`` and ``0 <= i <= j < m``, ``0 <= t < m``.
     """
-    if pattern.m != m:
-        raise ValueError("pattern built for a different m")
     rows = []
     for x in range(2 * m - 1):  # l_i <= r_i, and r_i <= l_{i+1}
         row = [0] * (2 * m)
         row[x], row[x + 1] = 1, -1
         rows.append(tuple(row))
-    rows += [tuple(_choice_row(m, k, choice)) for choice in sorted(pattern.choices)]
+    for side, i, j, t in sorted(choices):
+        if side not in (LEFT, RIGHT) or not (0 <= i <= j < m and 0 <= t < m):
+            raise ValueError(f"bad choice {(side, i, j, t)} for m={m}")
+        rows.append(tuple(_choice_row(m, k, (side, i, j, t))))
     return LinearProgram(objective=(-1, 1) * m, rows=tuple(rows))
 
 
@@ -205,6 +165,13 @@ class _RunState:
             self.witnesses_exact &= exact
 
 
+def _union(vertex: Sequence[Fraction]) -> IntervalUnion:
+    """The union of a vertex's intervals (l1, r1), (l2, r2), ...; vanished ones drop out."""
+    if not all(a <= b for a, b in zip((0, *vertex), (*vertex, 1))):
+        raise AssertionError(f"vertex {vertex} is not a nondecreasing chain in [0, 1]")
+    return IntervalUnion.from_pairs(zip(vertex[0::2], vertex[1::2]))
+
+
 def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau) -> None:
     """Offer the fathomed basis ``tab``, or with all optima its whole face.
 
@@ -213,13 +180,13 @@ def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau) -> None:
     all the maximizers when every basis is free and they give one union
     (as ``tab`` alone does, since a resolved row forbids positive overlap).
     """
-    union = Configuration(m, tab.vertex).to_union()
+    union = _union(tab.vertex)
     if not is_k_sum_free(union, state.k)[0]:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
     tabs = tab.optimal_face() if state.all_optima else [tab]
     free = [t for t in tabs
             if _pick_branch(t.vertex_numerators, m, state.k, frozenset()) is None]
-    unions = {Configuration(m, t.vertex).to_union() for t in free}
+    unions = {_union(t.vertex) for t in free}
     state.offer(tab.value, unions, len(free) == len(tabs) and len(unions) == 1)
 
 
@@ -241,7 +208,7 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     choices, parent = node
     state.nodes += 1
     if parent is None:
-        tab = lp_mod.solve(build_pattern_lp(m, state.k, DisjunctionPattern(m, choices)))
+        tab = lp_mod.solve(build_pattern_lp(m, state.k, choices))
     else:
         tab, choice = parent
         tab = tab.add_row(_choice_row(m, state.k, choice))

@@ -329,6 +329,60 @@ def test_certify_record_missing_nested_fields(cache_path, capsys, damage):
     assert len(cache_path.read_text().strip().splitlines()) == 3
 
 
+def _set_first_branch_name(result):
+    result["branches"][0]["name"] = 7
+
+
+@pytest.mark.parametrize("argv,damage", [
+    (["continuous", "--k", "3", "--m", "2"], lambda result: result.update(witnesses=5)),
+    (["continuous", "--k", "3", "--m", "2"], lambda result: result.update(witnesses=[5])),
+    (["discrete", "--n", "5", "--k", "1", "--witness"],
+     lambda result: result.update(witnesses=5)),
+    (["discrete", "--n", "5", "--k", "1", "--witness"],
+     lambda result: result.update(witnesses=[5])),
+    (["discrete", "--n", "5", "--k", "1", "--witness"], lambda result: result.update(f="3")),
+    (["certify", "--trials", "20"], _set_first_branch_name),
+    (["certify", "--trials", "20"], lambda result: result["harness"].update(violations=None)),
+], ids=["continuous-witnesses", "continuous-witness", "discrete-witnesses",
+        "discrete-witness", "discrete-f", "certify-branch-name", "certify-violations"])
+def test_record_with_a_field_of_the_wrong_type_is_recomputed(cache_path, capsys, argv, damage):
+    assert main(argv + ["--format", "json"]) == 0
+    expected = capsys.readouterr().out
+    first = json.loads(cache_path.read_text())
+    damage(first["result"])
+    append_record(str(cache_path), make_record(
+        first["kind"], first["parameters"], first["result"], __version__))
+    assert main(["report"]) == 0
+    rows = [line for line in capsys.readouterr().out.splitlines()
+            if line.startswith(f"| {first['kind']} ")]
+    assert len(rows) == 1 and json.dumps(first["result"], sort_keys=True) in rows[0]
+    assert main(argv + ["--format", "table"]) == 0
+    assert capsys.readouterr().out
+    assert len(cache_path.read_text().strip().splitlines()) == 3
+    assert main(argv + ["--format", "json"]) == 0
+    assert capsys.readouterr().out == expected
+
+
+def test_cache_line_that_is_not_utf8_is_skipped(cache_path, capsys):
+    assert main(["discrete", "--n", "5", "--k", "1"]) == 0
+    capsys.readouterr()
+    params = json.dumps({"enumerate": False, "k": 1, "n": 5, "node_limit": None},
+                        sort_keys=True)
+    with open(cache_path, "ab") as fh:
+        fh.write(b"\xff\xfe garbage\n")
+        fh.write(b"\xff " + params.encode() + b"\n")  # holds the key text
+    size = cache_path.stat().st_size
+    assert main(["discrete", "--n", "5", "--k", "1"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["f"] == 3
+    assert "skipping bad cache line" in captured.err
+    assert cache_path.stat().st_size == size  # a hit: nothing appended
+    assert main(["report"]) == 0
+    captured = capsys.readouterr()
+    assert "f = 3" in captured.out
+    assert captured.err.count("skipping bad cache line") == 2
+
+
 def test_console_entry_point(tmp_path):
     """`python -m sumfree.cli`: main()'s return value is the exit code, and stdout is right."""
     env = dict(os.environ, SUMFREE_CACHE=str(tmp_path / "cli-cache.jsonl"))

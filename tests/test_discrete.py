@@ -182,6 +182,13 @@ def test_discretize_requires_freeness():
         discretize(bad, 10, 3)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_discretize_rejects_a_nonpositive_n(n):
+    u = IntervalUnion.from_pairs([(F(2, 3), F(1))])
+    with pytest.raises(ValueError):
+        discretize(u, n, 3)
+
+
 def test_discretize_never_beats_f_max(largest_known_3sumfree):
     for n in (9, 12, 18, 24):
         pts = discretize(largest_known_3sumfree, n, 3)

@@ -225,6 +225,24 @@ def test_witness_soundness_on_random_unions():
     assert checked > 50  # the sample actually exercised failing cases
 
 
+def test_k2_witness_is_not_the_trivial_triple():
+    """For k = 2 the exempt x = y = z is never the witness."""
+    rng = random.Random(12)
+    unions = [IntervalUnion.from_pairs([(F(0), F(1))]),
+              IntervalUnion.from_pairs([(F(1, 3), F(1, 2)), (F(3, 4), F(1))])]
+    unions += [rand_union(rng, 4) for _ in range(100)]
+    checked = 0
+    for u in unions:
+        free, w = is_k_sum_free(u, 2)
+        if u.is_empty():
+            continue
+        assert not free
+        checked += 1
+        assert w.x != w.y and w.x + w.y == 2 * w.z
+        assert u.contains(w.x) and u.contains(w.y) and u.contains(w.z)
+    assert checked > 50
+
+
 def test_touching_sumset_is_not_a_violation():
     # scaled sum window of (1/3, 1/2) is (2/9, 1/3): touches the set at 1/3 only
     u = IntervalUnion.from_pairs([(F(1, 3), F(1, 2))])

@@ -14,7 +14,7 @@ from sumfree.lp import (
     enumerate_optimal_vertices,
     solve,
 )
-from sumfree.search import DisjunctionPattern, build_pattern_lp
+from sumfree.search import build_pattern_lp
 
 F = Fraction
 
@@ -167,9 +167,8 @@ def test_optimal_face_matches_brute_force_on_pattern_lps():
     for m, count in ((1, 8), (2, 12), (3, 6)):
         entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
         for _ in range(count):
-            pat = DisjunctionPattern(m)
-            for entry in rng.sample(entries, rng.randint(0, min(3, len(entries)))):
-                pat = pat.resolve(rng.choice("LR"), *entry)
+            pat = {(rng.choice("LR"), *entry)
+                   for entry in rng.sample(entries, rng.randint(0, min(3, len(entries))))}
             sizes.append(_face_matches_brute_force(build_pattern_lp(m, rng.randint(1, 4), pat)))
     assert any(verts > 1 for verts, _ in sizes)
     assert any(bases > verts for verts, bases in sizes)

@@ -14,9 +14,8 @@ from sumfree.intervals import IntervalUnion, format_union, is_k_sum_free
 from sumfree import search
 from sumfree.lp import OPTIMAL, canonical_rows, solve
 from sumfree.search import (
-    Configuration,
-    DisjunctionPattern,
     _choice_row,
+    _union,
     build_pattern_lp,
     maximize_measure,
     mu_formula,
@@ -26,46 +25,49 @@ F = Fraction
 
 
 def test_configuration_validation():
-    Configuration(2, (F(0), F(1, 4), F(1, 4), F(1)))
-    with pytest.raises(ValueError):
-        Configuration(2, (F(0), F(1, 2), F(1, 4), F(1)))  # chain broken
-    with pytest.raises(ValueError):
-        Configuration(1, (F(1, 2), F(3, 2)))  # above 1
-    with pytest.raises(ValueError):
-        Configuration(2, (F(0), F(1)))  # wrong arity
+    """``_union`` asserts that a vertex is a nondecreasing chain in [0, 1]."""
+    assert _union((F(0), F(1, 4), F(1, 4), F(1))).pairs() == [(F(0), F(1))]
+    with pytest.raises(AssertionError):
+        _union((F(0), F(1, 2), F(1, 4), F(1)))  # chain broken
+    with pytest.raises(AssertionError):
+        _union((F(1, 2), F(3, 2)))  # above 1
+    with pytest.raises(AssertionError):
+        _union((F(-1, 2), F(1, 2)))  # below 0
 
 
 def test_configuration_to_union_drops_vanished():
-    cfg = Configuration(3, (F(0), F(1, 4), F(1, 2), F(1, 2), F(1, 2), F(1)))
-    assert cfg.to_union().pairs() == [(F(0), F(1, 4)), (F(1, 2), F(1))]
+    v = (F(0), F(1, 4), F(1, 2), F(1, 2), F(1, 2), F(1))
+    assert _union(v).pairs() == [(F(0), F(1, 4)), (F(1, 2), F(1))]
 
 
 def test_pattern_resolution_guards():
-    pat = DisjunctionPattern(2)
-    pat2 = pat.resolve("L", 0, 1, 1)
-    assert pat2.is_resolved(0, 1, 1) and not pat2.is_resolved(0, 0, 0)
-    with pytest.raises(ValueError):
-        pat.resolve("X", 0, 0, 0)
-    with pytest.raises(ValueError):
-        pat.resolve("L", 1, 0, 0)  # needs i <= j
+    """``build_pattern_lp`` takes a choice set and rejects a bad choice."""
+    lp = build_pattern_lp(2, 3, frozenset({("L", 0, 1, 1)}))
+    assert lp.rows[-1] == tuple(_choice_row(2, 3, ("L", 0, 1, 1)))
+    assert build_pattern_lp(2, 3).rows == lp.rows[:-1]
+    for bad in [("X", 0, 0, 0),
+                ("L", 1, 0, 0),  # needs i <= j
+                ("R", 0, 2, 0), ("L", -1, 0, 0), ("L", 0, 0, 2), ("R", 0, 0, -1)]:
+        with pytest.raises(ValueError):
+            build_pattern_lp(2, 3, {bad})
 
 
 def test_single_interval_pattern_lps():
     # sums pushed left of the interval: classic (2/3, 1) for k = 3
-    left = build_pattern_lp(1, 3, DisjunctionPattern(1).resolve("L", 0, 0, 0))
+    left = build_pattern_lp(1, 3, {("L", 0, 0, 0)})
     res = solve(left)
     assert res.status == OPTIMAL
     assert res.value == F(1, 3)
     assert res.vertex == (F(2, 3), F(1))
     # sums pushed right: forces a degenerate interval for k = 3
-    right = build_pattern_lp(1, 3, DisjunctionPattern(1).resolve("R", 0, 0, 0))
+    right = build_pattern_lp(1, 3, {("R", 0, 0, 0)})
     res = solve(right)
     assert res.status == OPTIMAL and res.value == 0
     # k = 1: left split is degenerate-only, right split gives the top half
-    left1 = build_pattern_lp(1, 1, DisjunctionPattern(1).resolve("L", 0, 0, 0))
+    left1 = build_pattern_lp(1, 1, {("L", 0, 0, 0)})
     res = solve(left1)
     assert res.status == OPTIMAL and res.value == 0
-    right1 = build_pattern_lp(1, 1, DisjunctionPattern(1).resolve("R", 0, 0, 0))
+    right1 = build_pattern_lp(1, 1, {("R", 0, 0, 0)})
     res = solve(right1)
     assert res.value == F(1, 2) and res.vertex == (F(1, 2), F(1))
 
@@ -153,27 +155,34 @@ def test_witness_soundness_independent_path():
             assert w.measure() == res.optimum
 
 
+def _random_choices(rng, entries):
+    return frozenset((rng.choice("LR"), *entry)
+                     for entry in rng.sample(entries, rng.randint(0, 4)))
+
+
+def _resolved(choices, entry):
+    return ("L", *entry) in choices or ("R", *entry) in choices
+
+
 def test_relaxation_monotonicity():
     rng = random.Random(11)
     m, k = 3, 3
     entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
     for _ in range(40):
-        pat = DisjunctionPattern(m)
-        for entry in rng.sample(entries, rng.randint(0, 4)):
-            pat = pat.resolve(rng.choice("LR"), *entry)
+        pat = _random_choices(rng, entries)
         parent = solve(build_pattern_lp(m, k, pat))
         i, j, t = rng.choice(entries)
-        if pat.is_resolved(i, j, t):
+        if _resolved(pat, (i, j, t)):
             continue
         for side in "LR":
-            child = solve(build_pattern_lp(m, k, pat.resolve(side, i, j, t)))
+            child = solve(build_pattern_lp(m, k, pat | {(side, i, j, t)}))
             assert child.value <= parent.value
 
 
 def _warm_child_agrees(m, k, pat, tab, choice):
     """Add ``choice`` to ``tab`` warm; check it against a cold solve of the child."""
     tab = tab.add_row(_choice_row(m, k, choice))
-    child = build_pattern_lp(m, k, pat.resolve(*choice))
+    child = build_pattern_lp(m, k, pat | {choice})
     cold = solve(child)
     assert all(type(a) is int for row in tab.mat for a in row)
     assert tab.value == cold.value
@@ -186,24 +195,22 @@ def test_warm_child_matches_cold_solve(m, k):
     rng = random.Random(100 * m + k)
     entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
     for _ in range(34):
-        pat = DisjunctionPattern(m)
-        for entry in rng.sample(entries, rng.randint(0, 4)):
-            pat = pat.resolve(rng.choice("LR"), *entry)
+        pat = _random_choices(rng, entries)
         tab = solve(build_pattern_lp(m, k, pat))
         for entry in rng.sample(entries, 3):  # a chain of warm children
-            if pat.is_resolved(*entry):
+            if _resolved(pat, entry):
                 continue
             choice = (rng.choice("LR"), *entry)
             tab = _warm_child_agrees(m, k, pat, tab, choice)
-            pat = pat.resolve(*choice)
+            pat = pat | {choice}
 
 
 def test_warm_child_with_a_row_the_cold_build_drops():
     # for k = 2, L(0,0,1) and R(1,1,0) are both 2 r_0 - 2 l_1 <= 0
     m, k = 2, 2
-    pat = DisjunctionPattern(m).resolve("L", 0, 0, 1)
+    pat = frozenset({("L", 0, 0, 1)})
     tab = solve(build_pattern_lp(m, k, pat))
-    child = pat.resolve("R", 1, 1, 0)
+    child = pat | {("R", 1, 1, 0)}
     assert len(canonical_rows(build_pattern_lp(m, k, child))) == tab.nrows
     _warm_child_agrees(m, k, pat, tab, ("R", 1, 1, 0))
 
@@ -342,7 +349,7 @@ def test_branch_rule_decides_sum_freeness():
     for _ in range(3000):
         m, k, den = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 12)
         v = tuple(F(a, den) for a in sorted(rng.randint(0, den) for _ in range(2 * m)))
-        free = is_k_sum_free(Configuration(m, v).to_union(), k)[0]
+        free = is_k_sum_free(_union(v), k)[0]
         assert (search._pick_branch(v, m, k, frozenset()) is None) == free, (m, k, v)
         seen["free" if free else "not free"] += 1
         seen["degenerate"] += any(v[2 * i] == v[2 * i + 1] for i in range(m))
