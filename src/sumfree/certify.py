@@ -25,6 +25,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .intervals import IntervalUnion
 from .rationals import HALF
@@ -171,11 +172,13 @@ def random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
     """Seeded random union of up to max_intervals intervals in [0, 1]."""
     while True:
         m = rng.randint(1, max_intervals)
-        cuts = sorted(
-            Fraction(rng.randint(0, d), d)
-            for d in (rng.randint(1, _MAX_DENOMINATOR) for _ in range(2 * m))
-        )
-        u = IntervalUnion.from_pairs(list(zip(cuts[0::2], cuts[1::2])))
+        # the draw order (a denominator, then its numerator) fixes every seeded union
+        draws = [(rng.randint(0, d), d)
+                 for d in (rng.randint(1, _MAX_DENOMINATOR) for _ in range(2 * m))]
+        den = lcm(*[d for _, d in draws])  # a list: see intervals._from_numerators
+        cuts = sorted(p * (den // d) for p, d in draws)
+        u = IntervalUnion.from_pairs([(Fraction(lo, den), Fraction(hi, den))
+                                      for lo, hi in zip(cuts[0::2], cuts[1::2])])
         if not u.is_empty():
             return u
 

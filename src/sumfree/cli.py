@@ -5,7 +5,7 @@ Subcommands:
   continuous  branch-and-bound maximum measure over <= m intervals
   discrete    f(n, k), optionally enumerating all maximum sets
   certify     branch bounds for the 1/2 - delta measure bound + sumset harness
-  report      markdown table of cached results
+  report      cached results, as a markdown table or a JSON list
 
 All numbers are printed as exact "p/q" strings; decimals appear only in
 parentheses.  Exit codes: 0 success, 1 verification failure, 2 usage or
@@ -100,7 +100,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
 
     sub.add_parser("report", parents=[common],
-                   help="render cached results as a markdown table")
+                   help="render cached results as a markdown table (or --format json)")
     return top
 
 
@@ -282,12 +282,18 @@ def _cmd_certify(args, fmt: str, cache_path: str, force: bool, verbose: int) -> 
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_report(cache_path: str) -> int:
+def _cmd_report(cache_path: str, fmt: str) -> int:
     records = cache_mod.load_records(cache_path)
+    rows = [records[key] for key in sorted(records)]
+    # a stale record, from another version or solver, is one the CLI recomputes rather than serves
+    if fmt == "json":
+        print(json.dumps([{"kind": rec.kind, "parameters": rec.parameters, "result": rec.result,
+                           "version": rec.version, "stale": not _current(rec)}
+                          for rec in rows], sort_keys=True))
+        return EXIT_OK
     print("| kind | parameters | result | version |")
     print("| --- | --- | --- | --- |")
-    for key in sorted(records):
-        rec = records[key]
+    for rec in rows:
         params = json.dumps(rec.parameters, sort_keys=True)
         if not _well_formed(rec.kind, rec.result):
             summary = json.dumps(rec.result, sort_keys=True)
@@ -301,7 +307,6 @@ def _cmd_report(cache_path: str) -> int:
         else:
             summary = (f"delta* = {rec.result['delta_star']}, "
                        f"{rec.result['harness']['violations']} violations")
-        # the CLI recomputes a record from another version or solver rather than serve it
         version = rec.version if _current(rec) else f"{rec.version} (stale)"
         print(f"| {rec.kind} | `{params}` | {summary} | {version} |")
     return EXIT_OK
@@ -324,7 +329,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "certify":
             return _cmd_certify(args, fmt, cache_path, args.force, args.verbose)
         if args.command == "report":
-            return _cmd_report(cache_path)
+            return _cmd_report(cache_path, fmt)
     except EnumerationLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY_FAILED

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple
 
 from .rationals import RationalParseError, parse_rational, format_rational
@@ -36,10 +37,6 @@ class Interval:
         if not self.lo < self.hi:
             raise ValueError(f"degenerate interval ({self.lo}, {self.hi})")
 
-    @property
-    def length(self) -> Fraction:
-        return self.hi - self.lo
-
     def contains(self, x: Fraction) -> bool:
         return self.lo < x < self.hi
 
@@ -53,6 +50,37 @@ class Witness(NamedTuple):
     x: Fraction
     y: Fraction
     z: Fraction
+
+
+def _numerators(pairs: list[tuple[Fraction, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
+    """(den, numerators): ``den`` is the lcm of the endpoint denominators,
+    and each (lo, hi) becomes its pair of integer numerators over ``den``.
+
+    ``int`` and ``Fraction`` both carry ``.numerator`` and ``.denominator``,
+    so no endpoint is re-wrapped.
+    """
+    den = lcm(*[v.denominator for pair in pairs for v in pair])  # a list: see _from_numerators
+    return den, [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
+                 for lo, hi in pairs]
+
+
+def _merge(pairs: list[tuple[int, int]]) -> list[list[int]]:
+    """Integer canonical form: drop lo >= hi, sort, merge overlapping or touching pairs."""
+    merged: list[list[int]] = []
+    for lo, hi in sorted(p for p in pairs if p[0] < p[1]):
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1][1] = hi
+        else:
+            merged.append([lo, hi])
+    return merged
+
+
+def _from_numerators(merged: list[list[int]], den: int) -> "IntervalUnion":
+    # tuple() of a list, not of a generator: on CPython 3.11 the generator
+    # form leaves resized tuples behind and grows the peak RSS of long runs
+    return IntervalUnion(tuple([Interval(Fraction(lo, den), Fraction(hi, den))
+                                for lo, hi in merged]))
 
 
 @dataclass(frozen=True)
@@ -73,17 +101,17 @@ class IntervalUnion:
     def from_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> "IntervalUnion":
         """Canonicalize raw (lo, hi) pairs: drop degenerates, sort, merge.
 
-        Overlapping and touching intervals are merged; idempotent.
+        Overlapping and touching intervals are merged; idempotent.  Only
+        ``int`` and ``Fraction`` endpoints are accepted (``TypeError``
+        otherwise), so no inexact value enters the exact algebra.
         """
-        live = sorted((Fraction(lo), Fraction(hi)) for lo, hi in pairs if lo < hi)
-        merged: list[tuple[Fraction, Fraction]] = []
-        for lo, hi in live:
-            if merged and lo <= merged[-1][1]:
-                if hi > merged[-1][1]:
-                    merged[-1] = (merged[-1][0], hi)
-            else:
-                merged.append((lo, hi))
-        return IntervalUnion(tuple(Interval(lo, hi) for lo, hi in merged))
+        pairs = list(pairs)
+        for pair in pairs:
+            for v in pair:
+                if not isinstance(v, (int, Fraction)):
+                    raise TypeError(f"interval endpoint {v!r} is not an int or a Fraction")
+        den, nums = _numerators(pairs)
+        return _from_numerators(_merge(nums), den)
 
     def pairs(self) -> list[tuple[Fraction, Fraction]]:
         return [(iv.lo, iv.hi) for iv in self.intervals]
@@ -92,7 +120,8 @@ class IntervalUnion:
         return not self.intervals
 
     def measure(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Fraction(0))
+        den, nums = _numerators(self.pairs())
+        return Fraction(sum(hi - lo for lo, hi in nums), den)
 
     def contains(self, x: Fraction) -> bool:
         return any(iv.contains(x) for iv in self.intervals)
@@ -136,9 +165,10 @@ class IntervalUnion:
 
     def minkowski_sum(self, other: "IntervalUnion") -> "IntervalUnion":
         """Pairwise sum of components, O(m*n) intervals before merging."""
-        return IntervalUnion.from_pairs(
-            [(a.lo + b.lo, a.hi + b.hi) for a in self.intervals for b in other.intervals]
-        )
+        den, nums = _numerators(self.pairs() + other.pairs())
+        ours, theirs = nums[:len(self.intervals)], nums[len(self.intervals):]
+        return _from_numerators(
+            _merge([(alo + blo, ahi + bhi) for alo, ahi in ours for blo, bhi in theirs]), den)
 
     def scale(self, q: Fraction) -> "IntervalUnion":
         """Dilation by q > 0."""
@@ -163,22 +193,26 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    if u.is_empty():
+    den, nums = _numerators(u.pairs())
+    # the sum windows, merged; (u+u) is symmetric, so pairs i <= j suffice
+    sums = _merge([(alo + blo, ahi + bhi) for i, (alo, ahi) in enumerate(nums)
+                   for blo, bhi in nums[i:]])
+    # first overlap component of (u+u) with k*u, all numerators over den;
+    # both lists are sorted and disjoint, so the first hit is the lowest
+    first = next(((max(s_lo, k * lo), min(s_hi, k * hi))
+                  for s_lo, s_hi in sums for lo, hi in nums
+                  if max(s_lo, k * lo) < min(s_hi, k * hi)), None)
+    if first is None:
         return True, None
-    sums = u.minkowski_sum(u)
-    overlap = sums.scale(Fraction(1, k)).intersect(u)
-    if overlap.is_empty():
-        return True, None
-    # k * (first overlap component) is covered, up to finitely many touch
+    # this component (scaled by k) is covered, up to finitely many touch
     # points, by the open pairwise sum windows; some window slice has
     # positive length, and its midpoint yields a strictly interior witness.
-    first = overlap.intervals[0]
-    for a in u.intervals:
-        for b in u.intervals:
-            s_lo = max(a.lo + b.lo, k * first.lo)
-            s_hi = min(a.hi + b.hi, k * first.hi)
+    for (alo, ahi), a in zip(nums, u.intervals):
+        for (blo, bhi), b in zip(nums, u.intervals):
+            s_lo = max(alo + blo, first[0])
+            s_hi = min(ahi + bhi, first[1])
             if s_lo < s_hi:
-                s = (s_lo + s_hi) / 2
+                s = Fraction(s_lo + s_hi, 2 * den)
                 x_lo = max(a.lo, s - b.hi)
                 x_hi = min(a.hi, s - b.lo)
                 x = (x_lo + x_hi) / 2

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's algebra: integer numpy grids for
 the continuous searches, raw subset enumeration for the discrete solver,
-and every tight constraint set for the LP's optimal face.
+every tight constraint set for the LP's optimal face, and plain
+``Fraction`` interval algebra for the integer interval kernel.
 """
 
 from __future__ import annotations
@@ -210,3 +211,61 @@ def optimal_vertices_brute(prob):
     best = max(sum(c * xj for c, xj in zip(prob.objective, x)) for x in vertices)
     return sorted(x for x in vertices
                   if sum(c * xj for c, xj in zip(prob.objective, x)) == best)
+
+
+def canonical_pairs_fraction(pairs):
+    """Canonical form of raw (lo, hi) pairs in ``Fraction`` arithmetic.
+
+    Drops degenerate pairs, sorts, and merges overlapping or touching
+    ones; the reference for ``IntervalUnion.from_pairs``.
+    """
+    live = sorted((Fraction(lo), Fraction(hi)) for lo, hi in pairs if lo < hi)
+    merged = []
+    for lo, hi in live:
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def measure_fraction(pairs):
+    """Total length of canonical pairs, summed in ``Fraction``."""
+    return sum((hi - lo for lo, hi in pairs), Fraction(0))
+
+
+def minkowski_sum_fraction(ours, theirs):
+    """Canonical pairwise sum of two canonical pair lists, in ``Fraction``."""
+    return canonical_pairs_fraction(
+        [(alo + blo, ahi + bhi) for alo, ahi in ours for blo, bhi in theirs])
+
+
+def is_k_sum_free_fraction(pairs, k: int):
+    """The k-sum-free verdict and witness ``(x, y, z)`` of canonical pairs, in ``Fraction``.
+
+    The sum windows are scaled by ``1/k`` and intersected with the set;
+    the witness comes from the first overlap component, as documented
+    for ``intervals.is_k_sum_free``.
+    """
+    if not pairs:
+        return True, None
+    scaled = [(lo / k, hi / k) for lo, hi in minkowski_sum_fraction(pairs, pairs)]
+    overlap = canonical_pairs_fraction(
+        [(max(slo, lo), min(shi, hi)) for slo, shi in scaled for lo, hi in pairs])
+    if not overlap:
+        return True, None
+    first_lo, first_hi = overlap[0]
+    for alo, ahi in pairs:
+        for blo, bhi in pairs:
+            s_lo = max(alo + blo, k * first_lo)
+            s_hi = min(ahi + bhi, k * first_hi)
+            if s_lo < s_hi:
+                s = (s_lo + s_hi) / 2
+                x_lo = max(alo, s - bhi)
+                x_hi = min(ahi, s - blo)
+                x = (x_lo + x_hi) / 2
+                if k == 2 and 2 * x == s:
+                    x = (x_lo + x) / 2
+                return False, (x, s - x, s / k)
+    raise AssertionError("overlap detected but no generating pair found")

@@ -12,7 +12,7 @@ from sumfree.certify import (
     sumset_case_bounds,
     top_slice_bounds,
 )
-from sumfree.intervals import IntervalUnion
+from sumfree.intervals import IntervalUnion, parse_union
 
 F = Fraction
 
@@ -124,6 +124,20 @@ def test_harness_is_reproducible():
     a = sumset_bound_harness(trials=100, max_intervals=4, seed=7)
     b = sumset_bound_harness(trials=100, max_intervals=4, seed=7)
     assert a == b
+
+
+@pytest.mark.parametrize("seed,example", [
+    (0, "(5/21,3/4)"),
+    (1, "(1/21,27/50)"),
+    (2, "(1/12,10/47)"),
+    (3, "(2/9,1/3)"),
+])
+def test_harness_reports_are_pinned(seed, example):
+    """The seeded unions, and so the reports, depend on random_union's draw order."""
+    report = sumset_bound_harness(trials=5000, max_intervals=6, seed=seed)
+    assert report.violations == 0 and report.first_violation is None
+    assert report.min_slack == 0
+    assert report.min_slack_example == parse_union(example)
 
 
 def test_harness_rejects_bad_trials():

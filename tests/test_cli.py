@@ -257,6 +257,25 @@ def test_report_marks_stale_records(cache_path, capsys):
     assert rows[0].endswith("| 0.0.0 (stale) |")
 
 
+def test_report_format_json_lists_records_in_table_order(cache_path, capsys):
+    params = {"n": 5, "k": 1, "enumerate": False, "node_limit": None}
+    append_record(str(cache_path), make_record("discrete", params, {"f": 99}, "0.0.0"))
+    main(["certify", "--trials", "20"])
+    main(["discrete", "--n", "10", "--k", "1"])
+    capsys.readouterr()
+    assert main(["report"]) == 0
+    table = [line.split(" | ")[:2] for line in capsys.readouterr().out.splitlines()[2:]]
+    assert main(["report", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [[f"| {r['kind']}", f"`{json.dumps(r['parameters'], sort_keys=True)}`"]
+            for r in rows] == table
+    assert [set(r) for r in rows] == [{"kind", "parameters", "result", "version", "stale"}] * 3
+    assert [(r["kind"], r["stale"]) for r in rows] == [
+        ("certify", False), ("discrete", False), ("discrete", True)]
+    assert rows[2]["result"] == {"f": 99} and rows[2]["version"] == "0.0.0"
+    assert rows[0]["result"]["delta_star"] == "1/114"
+
+
 def test_cache_record_from_another_solver_is_recomputed(cache_path, capsys):
     # same version, older solver source: its tree took 45 nodes, today's 39
     params = {"k": 3, "m": 3, "all_optima": False, "node_limit": None}

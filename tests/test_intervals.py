@@ -1,8 +1,15 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from oracles import (
+    canonical_pairs_fraction,
+    is_k_sum_free_fraction,
+    measure_fraction,
+    minkowski_sum_fraction,
+)
 from sumfree.intervals import (
     EmptyUnionError,
     Interval,
@@ -52,6 +59,68 @@ def test_canonicalize_sorts_record_configuration(largest_known_3sumfree):
     ])
     assert u == largest_known_3sumfree
     assert [iv.lo for iv in u.intervals] == [F(8, 177), F(28, 177), F(2, 3)]
+
+
+@pytest.mark.parametrize("endpoint", [0.25, Decimal("0.25"), "1/4", None])
+def test_from_pairs_rejects_inexact_endpoints(endpoint):
+    with pytest.raises(TypeError):
+        IntervalUnion.from_pairs([(endpoint, F(1, 2))])
+    with pytest.raises(TypeError):
+        IntervalUnion.from_pairs([(F(0), F(1, 8)), (F(1, 4), endpoint)])
+
+
+def test_from_pairs_takes_int_endpoints():
+    u = IntervalUnion.from_pairs([(0, 1), (F(3, 2), 2)])
+    assert u.pairs() == [(F(0), F(1)), (F(3, 2), F(2))]
+
+
+# Denominators for the kernel-against-oracle test: small ones, the record
+# set's coprime 177 and 59, and primes near 10^6, so the common
+# denominator of one union can be a product of large coprime factors.
+_ORACLE_DENOMS = (1, 2, 3, 5, 8, 12, 24, 59, 177, 999_983, 1_000_003)
+
+
+def _raw_pairs(rng: random.Random) -> list:
+    """Unsorted raw pairs: some overlapping, touching, degenerate or int-valued."""
+    points = []
+    for _ in range(rng.randint(0, 6)):
+        roll = rng.random()
+        if points and roll < 0.2:
+            points.append(rng.choice(points))  # shared endpoint: touching or degenerate
+        elif roll < 0.35:
+            points.append(rng.randint(0, 2))  # a plain int
+        else:
+            d = rng.choice(_ORACLE_DENOMS)
+            points.append(F(rng.randint(0, 2 * d), d))
+    pairs = []
+    for _ in range(rng.randint(0, 6)):
+        if len(points) < 2:
+            break
+        lo, hi = rng.sample(points, 2)  # either order, so some pairs are degenerate
+        pairs.append((lo, hi) if rng.random() < 0.7 else (hi, lo))
+    rng.shuffle(pairs)
+    return pairs
+
+
+def test_integer_kernel_matches_fraction_oracle():
+    """from_pairs, measure, minkowski_sum and is_k_sum_free against plain Fraction algebra."""
+    rng = random.Random(13)
+    raws = [[]] + [_raw_pairs(rng) for _ in range(2400)]
+    unions = [IntervalUnion.from_pairs(raw) for raw in raws]
+    assert sum(u.is_empty() for u in unions) > 50
+    assert sum(len(raw) > len(u.intervals) > 0 for raw, u in zip(raws, unions)) > 500
+    verdicts = set()
+    for raw, u, v in zip(raws, unions, unions[1:] + unions[:1]):
+        ref = canonical_pairs_fraction(raw)
+        assert u.pairs() == ref
+        assert all(type(p) is Fraction for pair in u.pairs() for p in pair)
+        assert u.measure() == measure_fraction(ref)
+        assert u.minkowski_sum(v).pairs() == minkowski_sum_fraction(ref, v.pairs())
+        for k in range(1, 8):
+            free, witness = is_k_sum_free(u, k)
+            assert (free, witness and tuple(witness)) == is_k_sum_free_fraction(ref, k)
+            verdicts.add((k, free))
+    assert verdicts == {(k, free) for k in range(1, 8) for free in (True, False)}
 
 
 def test_canonicalize_merges_touching():
