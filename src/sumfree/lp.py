@@ -13,12 +13,14 @@ unbounded ray and the dual simplex can never prove a child infeasible.
 Both are assertions.
 
 The constraint rows are, in a fixed order, the ``g`` rows with exact
-duplicates dropped, then one box row ``x_j <= 1`` per variable
-(``canonical_rows``), each with its own slack.  The tableau is a
-dictionary, as in lrs (Avis, 2000): it keeps only the nonbasic columns,
-so its width stays ``nvars + 1`` however many rows are added.  It is
-fraction-free: an integer matrix with one shared positive denominator,
-updated by the two-term Edmonds/Bareiss recurrence
+duplicates dropped, then one box row ``x_j <= 1`` per variable that no
+``g`` row ``x_j - x_l <= 0`` with ``l > j`` already bounds by a later
+variable (``canonical_rows``), each with its own slack.  A pattern LP's
+chain rows thus leave only ``r_m <= 1`` of its ``2m`` box rows.  The
+tableau is a dictionary, as in lrs (Avis, 2000): it keeps only the
+nonbasic columns, so its width stays ``nvars + 1`` however many rows are
+added.  It is fraction-free: an integer matrix with one shared
+positive denominator, updated by the two-term Edmonds/Bareiss recurrence
 m'[i][j] = (m[i][j]*piv - m[i][c]*m[r][j]) / den  whose divisions are
 exact (every entry is a minor of the input matrix).  Pivoting uses
 Bland's rule (the entering variable is the lowest with a negative
@@ -75,11 +77,21 @@ def canonical_rows(lp: LinearProgram) -> list[tuple[tuple[int, ...], int]]:
     """The tableau's rows as ``(a, b)`` for ``a . x <= b``, in tableau order.
 
     The ``g`` rows in order with exact duplicates dropped, then the box
-    row ``x_j <= 1`` for each variable.
+    row ``x_j <= 1`` for each variable whose box row is not implied.  It
+    is implied when some ``g`` row reads ``x_j - x_l <= 0`` with ``l > j``:
+    by induction down from the highest such ``l``, whose own box row is
+    kept, every dropped ``x_j`` is at most some kept ``x_l <= 1``.  So a
+    chain ``x_0 <= x_1 <= ... <= x_{n-1}`` keeps only ``x_{n-1} <= 1``.
     """
     n = lp.num_vars
-    box = [(tuple(int(i == j) for i in range(n)), 1) for j in range(n)]
-    return [(g, 0) for g in dict.fromkeys(lp.rows)] + box
+    rows = list(dict.fromkeys(lp.rows))
+    implied = set()
+    for g in rows:
+        terms = [(j, a) for j, a in enumerate(g) if a]
+        if [a for _, a in terms] == [1, -1]:  # x_j - x_l <= 0 with l > j
+            implied.add(terms[0][0])
+    box = [(tuple(int(i == j) for i in range(n)), 1) for j in range(n) if j not in implied]
+    return [(g, 0) for g in rows] + box
 
 
 class Tableau:
@@ -239,7 +251,9 @@ class Tableau:
 
         The walk takes zero-reduced-cost pivots, columns in variable-id
         order, which leave every other reduced cost as it was; bases are
-        finitely many and each is walked once.  This tableau is unchanged.
+        finitely many and each is walked once.  A pivot whose basis was
+        already seen is not taken, so the walk pivots ``len(face) - 1``
+        times.  This tableau is unchanged.
         """
         seen = {tuple(sorted(self.basis))}
         face = [self]
@@ -248,14 +262,16 @@ class Tableau:
             for p in tab._by_id():
                 if obj[p] != 0:
                     continue
-                nxt = Tableau(list(tab.mat), list(tab.basis), list(tab.cobasis), tab.den)
-                r = nxt._ratio_row(p)
+                r = tab._ratio_row(p)
                 assert r is not None, "unbounded optimal face, but the box bounds it"
+                # The basis the pivot would reach; a seen one is not pivoted into.
+                key = tuple(sorted(tab.basis[:r] + [tab.cobasis[p]] + tab.basis[r + 1:]))
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt = Tableau(list(tab.mat), list(tab.basis), list(tab.cobasis), tab.den)
                 nxt.pivot(r, p)
-                key = tuple(sorted(nxt.basis))
-                if key not in seen:
-                    seen.add(key)
-                    face.append(nxt)
+                face.append(nxt)
         return face
 
 

@@ -14,9 +14,12 @@ it LEFT/RIGHT; otherwise the vertex is feasible and fathoms the node.
 The two-sided split covers every configuration whose intervals all have
 positive length (for such, non-overlap really is left-or-right), so the
 search runs once per interval count m' = 1..m and takes the best;
-incumbents from small m' prune the larger trees.  No choice set is
-reached twice: two nodes part where one holds L(e) and the other R(e),
-and an entry is never branched on once resolved.
+incumbents from small m' prune the larger trees.  For k >= 2 the RIGHT
+child of an entry (i, j, t) with j <= t is never opened: with the chain
+its row forces l_t = r_t, so it holds only configurations that run
+m' - 1 covers.  No choice set is reached twice: two nodes part where one
+holds L(e) and the other R(e), and an entry is never branched on once
+resolved.
 
 Only the root of each run (the empty choice set, one per m') builds and
 solves its LP from scratch.  Every other node, including each node a
@@ -186,7 +189,7 @@ def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau) -> None:
     tabs = tab.optimal_face() if state.all_optima else [tab]
     free = [t for t in tabs
             if _pick_branch(t.vertex_numerators, m, state.k, frozenset()) is None]
-    unions = {_union(t.vertex) for t in free}
+    unions = {_union(v) for v in {t.vertex for t in free}}
     state.offer(tab.value, unions, len(free) == len(tabs) and len(unions) == 1)
 
 
@@ -203,7 +206,8 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     children share, and reoptimizes by dual simplex.  A pattern LP is
     never infeasible (``x = 0`` meets every row; ``lp`` asserts it), so
     every node has an optimum.  Returns the open children, LEFT first;
-    pruned and fathomed nodes have none.
+    pruned and fathomed nodes have none, and a degenerate-only RIGHT
+    child is not opened.
     """
     choices, parent = node
     state.nodes += 1
@@ -224,8 +228,14 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     if entry is None:
         _record_leaf(state, m, tab)
         return []
-    return [(choices | {choice}, (tab, choice))
-            for choice in ((LEFT, *entry), (RIGHT, *entry))]
+    children = [(LEFT, *entry)]
+    _, j, t = entry
+    # With i <= j <= t the chain gives l_i + l_j <= 2 l_t, so for k >= 2 the
+    # RIGHT row l_i + l_j >= k r_t forces l_t = r_t: that child holds only
+    # configurations with a vanished interval, which run m - 1 covers.
+    if state.k < 2 or j > t:
+        children.append((RIGHT, *entry))
+    return [(choices | {choice}, (tab, choice)) for choice in children]
 
 
 def _explore(m: int, state: _RunState, nodes: Iterable[Node] = ((frozenset(), None),),

@@ -134,7 +134,7 @@ def test_verbose_lp_trace(cache_path, capsys):
     code = main(["-vv", "--force", "continuous", "--k", "3", "--m", "1"])
     captured = capsys.readouterr()
     assert code == 0
-    assert "continuous m=1 k=3: 3 nodes, 3 pivots, " in captured.err
+    assert "continuous m=1 k=3: 2 nodes, 2 pivots, " in captured.err
 
 
 def test_discrete_cli(cache_path, capsys):
@@ -277,7 +277,7 @@ def test_report_format_json_lists_records_in_table_order(cache_path, capsys):
 
 
 def test_cache_record_from_another_solver_is_recomputed(cache_path, capsys):
-    # same version, older solver source: its tree took 45 nodes, today's 39
+    # same version, older solver source: its tree took 45 nodes, today's 29
     params = {"k": 3, "m": 3, "all_optima": False, "node_limit": None}
     result = {"optimum": "77/177", "witnesses": [RECORD_SET], "nodes_explored": 45,
               "status": "proven", "witnesses_exact": False}
@@ -286,7 +286,7 @@ def test_cache_record_from_another_solver_is_recomputed(cache_path, capsys):
     assert main(["report"]) == 0
     assert f"| {__version__} (stale) |" in capsys.readouterr().out
     assert main(["continuous", "--k", "3", "--m", "3"]) == 0
-    assert json.loads(capsys.readouterr().out)["nodes_explored"] == 39
+    assert json.loads(capsys.readouterr().out)["nodes_explored"] == 29
     lines = cache_path.read_text().strip().splitlines()
     assert len(lines) == 2
     assert json.loads(lines[1])["solver"] == solver_digest()

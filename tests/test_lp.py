@@ -9,6 +9,7 @@ from oracles import optimal_vertices_brute, satisfies_lp
 from sumfree.lp import (
     OPTIMAL,
     LinearProgram,
+    Tableau,
     canonical_rows,
     check_certificate,
     enumerate_optimal_vertices,
@@ -70,10 +71,26 @@ def test_certificate_rejects_perturbations():
 def test_duplicate_rows_are_dropped():
     prob = LinearProgram(objective=(1, 1), rows=((1, -1), (1, -1), (1, -2)))
     rows = canonical_rows(prob)
-    assert len(rows) == 4  # two distinct g rows, then two box rows
+    assert len(rows) == 3  # two distinct g rows, then x1 <= 1 (x0 <= x1 implies x0 <= 1)
     res = solve(prob)
     assert res.value == 2 and check_certificate(prob, res)
     assert len(res.dual) == len(rows)
+
+
+def test_box_rows_implied_by_a_later_variable_are_dropped():
+    # x0 <= x1 bounds x0 by x1; x1 <= x0 bounds nothing by a later variable,
+    # so the cycle keeps x1 <= 1 and stays bounded
+    prob = LinearProgram(objective=(1, 1), rows=((1, -1), (-1, 1)))
+    assert canonical_rows(prob) == [((1, -1), 0), ((-1, 1), 0), ((0, 1), 1)]
+    res = solve(prob)
+    assert res.value == 2 and res.vertex == (F(1), F(1))
+    assert check_certificate(prob, res)
+    # a scaled or three-term row implies no box row
+    prob = LinearProgram(objective=(1, 1, 1), rows=((2, -2, 0), (1, 1, -1)))
+    assert [b for _, b in canonical_rows(prob)] == [0, 0, 1, 1, 1]
+    # the pattern LP's chain l1 <= r1 <= ... <= r5 keeps only r5 <= 1
+    rows = canonical_rows(build_pattern_lp(5, 3))
+    assert len(rows) == 10 and rows[-1] == ((0,) * 9 + (1,), 1)
 
 
 def test_beale_degenerate_instance_terminates():
@@ -154,24 +171,53 @@ def _face_matches_brute_force(prob) -> tuple[int, int]:
     return len(verts), len(face)
 
 
-def test_optimal_face_matches_brute_force_on_random_lps():
+def _random_face_lps() -> list[LinearProgram]:
     rng = random.Random(404)
-    sizes = [_face_matches_brute_force(_random_lp(rng)) for _ in range(120)]
-    assert any(verts > 1 for verts, _ in sizes)  # some faces are more than a vertex
-    assert any(bases > verts for verts, bases in sizes)  # some vertices are degenerate
+    return [_random_lp(rng) for _ in range(120)]
 
 
-def test_optimal_face_matches_brute_force_on_pattern_lps():
+def _pattern_face_lps() -> list[LinearProgram]:
     rng = random.Random(405)
-    sizes = []
+    lps = []
     for m, count in ((1, 8), (2, 12), (3, 6)):
         entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
         for _ in range(count):
             pat = {(rng.choice("LR"), *entry)
                    for entry in rng.sample(entries, rng.randint(0, min(3, len(entries))))}
-            sizes.append(_face_matches_brute_force(build_pattern_lp(m, rng.randint(1, 4), pat)))
+            lps.append(build_pattern_lp(m, rng.randint(1, 4), pat))
+    return lps
+
+
+def test_optimal_face_matches_brute_force_on_random_lps():
+    sizes = [_face_matches_brute_force(prob) for prob in _random_face_lps()]
+    assert any(verts > 1 for verts, _ in sizes)  # some faces are more than a vertex
+    assert any(bases > verts for verts, bases in sizes)  # some vertices are degenerate
+
+
+def test_optimal_face_matches_brute_force_on_pattern_lps():
+    sizes = [_face_matches_brute_force(prob) for prob in _pattern_face_lps()]
     assert any(verts > 1 for verts, _ in sizes)
     assert any(bases > verts for verts, bases in sizes)
+
+
+def test_face_walk_never_pivots_into_a_seen_basis(monkeypatch):
+    """One pivot per basis of the face after the first: a seen basis is skipped unpivoted."""
+    pivots = []
+    pivot = Tableau.pivot
+
+    def counting_pivot(tab, r, p):
+        pivots.append((r, p))
+        pivot(tab, r, p)
+
+    monkeypatch.setattr(Tableau, "pivot", counting_pivot)
+    sizes = []
+    for prob in _random_face_lps() + _pattern_face_lps():
+        tab = solve(prob)
+        pivots.clear()
+        face = tab.optimal_face()
+        assert len(pivots) == len(face) - 1
+        sizes.append(len(face))
+    assert any(size > 1 for size in sizes)  # some faces have more than one basis
 
 
 def test_added_row_matches_a_cold_solve():

@@ -12,7 +12,7 @@ from oracles import (grid_best_1_interval, grid_best_2_intervals, pick_branch_fr
 
 from sumfree.intervals import IntervalUnion, format_union, is_k_sum_free
 from sumfree import search
-from sumfree.lp import OPTIMAL, canonical_rows, solve
+from sumfree.lp import OPTIMAL, LinearProgram, canonical_rows, solve
 from sumfree.search import (
     _choice_row,
     _union,
@@ -215,6 +215,25 @@ def test_warm_child_with_a_row_the_cold_build_drops():
     _warm_child_agrees(m, k, pat, tab, ("R", 1, 1, 0))
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_unopened_right_children_hold_only_degenerate_targets(m):
+    """For k >= 2, chain rows plus RIGHT(i, j, t) with j <= t force r_t = l_t."""
+    entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(j, m)]
+
+    def max_target_length(k, entry):
+        t = entry[2]
+        objective = [0] * (2 * m)
+        objective[2 * t], objective[2 * t + 1] = -1, 1  # r_t - l_t
+        rows = build_pattern_lp(m, k, {("R", *entry)}).rows
+        return solve(LinearProgram(objective=tuple(objective), rows=rows)).value
+
+    for k in range(2, 8):
+        for entry in entries:
+            assert max_target_length(k, entry) == 0, (k, entry)
+    # for k = 1 the RIGHT child can hold a live target, so the guard k >= 2 is needed
+    assert any(max_target_length(1, entry) > 0 for entry in entries)
+
+
 def test_monotone_in_m_and_stable_at_record():
     values = [maximize_measure(m, 3).optimum for m in range(1, 6)]
     assert values == sorted(values)
@@ -224,9 +243,11 @@ def test_monotone_in_m_and_stable_at_record():
 # Nodes and LP pivots of the serial search with all optima, by (m, k); a
 # change to the node step that alters the tree shows up here first.
 # Warm-started children (dual simplex from the parent's tableau) changed
-# them from (172, 1873), (619, 9467) and (421, 5719).
-SEARCH_COUNTERS = {(4, 3): (166, 258), (5, 3): (635, 1077), (5, 4): (459, 782),
-                   (6, 3): (2072, 3503)}
+# them from (172, 1873), (619, 9467) and (421, 5719); not opening the
+# degenerate-only RIGHT children from (166, 258), (635, 1077), (459, 782)
+# and (2072, 3503).
+SEARCH_COUNTERS = {(4, 3): (130, 205), (5, 3): (481, 827), (5, 4): (352, 603),
+                   (6, 3): (1537, 2623)}
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -407,7 +428,7 @@ def test_node_limit_interrupts():
 
 
 def test_node_limit_is_global_across_workers():
-    # the full parallel m=4 search takes 166 nodes, so a limit of 100 must stop it
+    # the full parallel m=4 search takes 130 nodes, so a limit of 100 must stop it
     res = maximize_measure(4, 3, all_optima=True, parallel=2, node_limit=100)
     assert res.nodes_explored <= 100
     assert res.status == "interrupted"
