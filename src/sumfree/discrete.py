@@ -13,8 +13,10 @@ elements in decreasing order, with two exact pruning devices:
   inside chosen + remaining whose remaining parts are disjoint), each
   such triple forcing at least one future removal.  The two-element
   triples (``{z, 2z}`` for k = 3) are packed first, since each costs
-  two live elements per removal against three; only triples with an
-  undecided element are scanned, and the packing stops once the bound
+  two live elements per removal against three.  Each stack entry carries
+  ``live``, a bitset over the masks (bit i = mask i) that meet no dead
+  element: excluding or banning x clears ``meets[x]`` from it, so the
+  packing walks only the set bits of ``live`` and stops once the bound
   falls below the pruning threshold.
 
 Sets are bitmasks (bit i = element i), so all of the above are a few
@@ -56,12 +58,11 @@ def forbidden_triples(n: int, k: int) -> list[tuple[int, int, int]]:
         raise ValueError("n and k must be positive")
     out = []
     for a in range(1, n + 1):
-        for b in range(a, n + 1):
-            s = a + b
-            if s % k == 0:
-                c = s // k
-                if 1 <= c <= n and not (k == 2 and a == b == c):
-                    out.append((a, b, c))
+        # b runs over a + b = 0 (mod k), from the first b >= a up to c = n
+        for b in range(a + (-2 * a) % k, min(n, k * n - a) + 1, k):
+            c = (a + b) // k
+            if not (k == 2 and a == b == c):
+                out.append((a, b, c))
     return out
 
 
@@ -70,44 +71,42 @@ class _Instance:
         self.n = n
         triples = forbidden_triples(n, k)
         # pairs before triples: the greedy packing takes the cheaper masks first
-        masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples},
-                       key=lambda tm: (tm.bit_count(), tm))
-        self.by_elem: list[list[int]] = [[] for _ in range(n + 1)]
-        # below[b]: the masks with an element below b, in packing order
-        self.below: list[list[int]] = [[] for _ in range(n + 2)]
-        for tm in masks:
-            m = tm
-            while m:
-                low = m & -m
-                self.by_elem[low.bit_length() - 1].append(tm)
-                m ^= low
-            for b in range((tm & -tm).bit_length(), n + 2):
-                self.below[b].append(tm)
+        self.masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples},
+                            key=lambda tm: (tm.bit_count(), tm))
+        # meets[x]: bit i set when masks[i] holds element x
+        self.meets = [0] * (n + 1)
+        for i, tm in enumerate(self.masks):
+            for x in _bits(tm):
+                self.meets[x] |= 1 << i
 
-    def bound(self, chosen: int, avail: int, threshold: int) -> int:
+    def bound(self, chosen: int, avail: int, live: int, threshold: int) -> int:
         """chosen size + available size - greedy disjoint forced removals.
 
-        ``chosen`` is k-sum-free and lies above every element of ``avail``.
-        A mask that meets no dead element (neither chosen nor available)
-        forces one removal from its available part; masks whose available
-        parts are disjoint force distinct removals.  The two-element masks
-        are packed first, as each uses fewer live elements per removal.
-        Only masks with an element <= max(avail) can qualify: any other
-        lies wholly in ``chosen`` or meets a dead element.  The packing
-        stops as soon as the bound falls below ``threshold`` (0 packs
-        every qualifying mask).
+        ``chosen`` is k-sum-free and lies above every element of ``avail``;
+        ``live`` holds the masks (by index) that meet no dead element, one
+        that is neither chosen nor available.  Each such mask forces one
+        removal from its available part (it has one, as ``chosen`` is
+        sum-free); masks whose available parts are disjoint force distinct
+        removals.  The packing takes the lowest live mask, so the
+        two-element masks go first, then drops every mask meeting its
+        available part.  It stops as soon as the bound falls below
+        ``threshold`` (0 packs every live mask).
         """
         ub = chosen.bit_count() + avail.bit_count()
         if ub < threshold:
             return ub
-        live = chosen | avail
-        blocked = ((2 << self.n) - 1) ^ live  # dead elements, then used ones
-        for tm in self.below[avail.bit_length()]:
-            if not tm & blocked:
-                blocked |= tm & avail
-                ub -= 1
-                if ub < threshold:
-                    break
+        masks, meets = self.masks, self.meets
+        while live:
+            ub -= 1
+            if ub < threshold:
+                break
+            low = live & -live
+            live ^= low
+            used = masks[low.bit_length() - 1] & avail
+            while used:
+                low = used & -used
+                live &= ~meets[low.bit_length() - 1]
+                used ^= low
         return ub
 
 
@@ -120,20 +119,21 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     if node_limit is not None and node_limit < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     n = inst.n
-    by_elem = inst.by_elem
+    masks, meets = inst.masks, inst.meets
     best = 0
     best_sets: list[int] = []
     nodes = 0
     exhausted = True
 
-    # chosen/banned masks plus e = highest element not yet decided
-    stack = [(n, 0, 0)]
+    # e = highest element not yet decided, chosen/banned element masks, and
+    # live = the forbidden masks (by index) that meet no dead element
+    stack = [(n, 0, 0, (1 << len(masks)) - 1)]
     while stack:
         if node_limit is not None and nodes >= node_limit:
             exhausted = False
             break
         nodes += 1
-        e, chosen, banned = stack.pop()
+        e, chosen, banned, live = stack.pop()
         while e >= 1 and (banned >> e) & 1:
             e -= 1
         if e == 0:
@@ -147,19 +147,24 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
         avail = (((1 << (e + 1)) - 1) & ~1) & ~banned
         # f_max needs a strictly larger set; enumeration keeps ties
         threshold = best if enumerate_all else best + 1
-        if inst.bound(chosen, avail, threshold) < threshold:
+        if inst.bound(chosen, avail, live, threshold) < threshold:
             continue
         # exclude-branch first on the stack so the include-branch pops first
-        stack.append((e - 1, chosen, banned))
+        stack.append((e - 1, chosen, banned, live & ~meets[e]))
         new_chosen = chosen | (1 << e)
-        new_banned = banned
-        for tm in by_elem[e]:
-            missing = tm & ~new_chosen
+        new_banned, new_live = banned, live
+        # a mask inside new_chosen meets no dead element, so it is live here
+        pending = live & meets[e]
+        while pending:
+            low = pending & -pending
+            pending ^= low
+            missing = masks[low.bit_length() - 1] & ~new_chosen
             if missing & (missing - 1) == 0:
                 if not missing:  # unit propagation banned e before it got here
                     raise AssertionError(f"choosing {e} completes a forbidden triple")
                 new_banned |= missing
-        stack.append((e - 1, new_chosen, new_banned))
+                new_live &= ~meets[missing.bit_length() - 1]
+        stack.append((e - 1, new_chosen, new_banned, new_live))
     sets = sorted(tuple(_bits(mask)) for mask in best_sets if mask.bit_count() == best)
     if not exhausted:
         raise EnumerationLimitError(sets, nodes)

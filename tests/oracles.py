@@ -1,9 +1,10 @@
 """Independent brute-force oracles used to freeze expected values.
 
 These deliberately avoid the library's algebra: integer numpy grids for
-the continuous searches, raw subset enumeration for the discrete solver,
-every tight constraint set for the LP's optimal face, and plain
-``Fraction`` interval algebra for the integer interval kernel.
+the continuous searches, raw subset enumeration and a plain mask scan for
+the discrete solver, every tight constraint set for the LP's optimal
+face, and plain ``Fraction`` interval algebra for the integer interval
+kernel.
 """
 
 from __future__ import annotations
@@ -74,8 +75,8 @@ def grid_best_2_intervals(k: int, grid: int) -> Fraction:
     return Fraction(best, grid)
 
 
-def brute_force_f(n: int, k: int) -> int:
-    """Largest k-sum-free subset of {1..n} by raw subset enumeration."""
+def triples_double_loop(n: int, k: int) -> list[tuple[int, int, int]]:
+    """Every (a, b, c) with a <= b, a + b = k*c in {1..n}, by trying all (a, b) in order."""
     triples = []
     for a in range(1, n + 1):
         for b in range(a, n + 1):
@@ -84,6 +85,40 @@ def brute_force_f(n: int, k: int) -> int:
                 if k == 2 and a == b == s // k:
                     continue
                 triples.append((a, b, s // k))
+    return triples
+
+
+class ScanBound:
+    """The discrete counting bound by a scan of the mask list, as a reference.
+
+    Masks are sorted pairs first, then by value; ``below[b]`` keeps those
+    with an element below ``b``.  A mask counts when it meets no dead
+    element and no element an earlier counted mask used.
+    """
+
+    def __init__(self, n: int, k: int):
+        self.n = n
+        masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples_double_loop(n, k)},
+                       key=lambda tm: (tm.bit_count(), tm))
+        self.below = [[tm for tm in masks if (tm & -tm).bit_length() <= b] for b in range(n + 2)]
+
+    def bound(self, chosen: int, avail: int, threshold: int) -> int:
+        ub = chosen.bit_count() + avail.bit_count()
+        if ub < threshold:
+            return ub
+        blocked = ((2 << self.n) - 1) ^ (chosen | avail)  # dead elements, then used ones
+        for tm in self.below[avail.bit_length()]:
+            if not tm & blocked:
+                blocked |= tm & avail
+                ub -= 1
+                if ub < threshold:
+                    break
+        return ub
+
+
+def brute_force_f(n: int, k: int) -> int:
+    """Largest k-sum-free subset of {1..n} by raw subset enumeration."""
+    triples = triples_double_loop(n, k)
     elems = list(range(1, n + 1))
     for size in range(n, 0, -1):
         for subset in combinations(elems, size):

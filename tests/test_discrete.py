@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_extension, brute_force_f, has_forbidden_triple
+from oracles import (
+    ScanBound,
+    brute_force_extension,
+    brute_force_f,
+    has_forbidden_triple,
+    triples_double_loop,
+)
 
 from sumfree.discrete import (
     EnumerationLimitError,
@@ -24,7 +30,8 @@ F = Fraction
 # (n, k, enumerate_all) -> nodes explored by the branch-and-bound; any
 # change to the bound or the branching order shows here first
 DISCRETE_COUNTERS = {(24, 3, False): 377, (23, 3, True): 627, (30, 3, True): 2433,
-                     (40, 3, False): 3539, (58, 4, False): 1397}
+                     (40, 3, False): 3539, (58, 4, False): 1397, (50, 3, False): 39915,
+                     (60, 4, False): 2353}
 
 
 def test_forbidden_triples_examples():
@@ -45,6 +52,12 @@ def test_forbidden_triples_complete_and_duplicate_free():
             if a + b == k * c and not (k == 2 and a == b == c)
         }
         assert set(triples) == expected
+
+
+def test_forbidden_triples_match_the_double_loop():
+    for n in range(1, 41):
+        for k in range(1, 8):
+            assert forbidden_triples(n, k) == triples_double_loop(n, k), (n, k)
 
 
 def test_f_against_brute_force_oracle():
@@ -148,6 +161,12 @@ def _random_state(rng, n, k):
     return chosen, avail
 
 
+def _live(inst, chosen: int, avail: int) -> int:
+    """The masks (by index) that meet no element outside chosen | avail, recomputed."""
+    dead = ((2 << inst.n) - 2) & ~(chosen | avail)
+    return sum(1 << i for i, tm in enumerate(inst.masks) if not tm & dead)
+
+
 def test_bound_is_sound_against_brute_force():
     rng = random.Random(10)
     for k in (1, 2, 3, 4):
@@ -157,11 +176,46 @@ def test_bound_is_sound_against_brute_force():
                 chosen, avail = _random_state(rng, n, k)
                 cm = sum(1 << x for x in chosen)
                 am = sum(1 << x for x in avail)
-                ub = inst.bound(cm, am, 0)
+                live = _live(inst, cm, am)
+                ub = inst.bound(cm, am, live, 0)
                 assert ub >= len(chosen) + brute_force_extension(chosen, avail, k), (n, k, chosen, avail)
                 # the threshold only stops the packing early: same prune decision
                 for threshold in range(ub + 2):
-                    assert (inst.bound(cm, am, threshold) < threshold) == (ub < threshold)
+                    assert (inst.bound(cm, am, live, threshold) < threshold) == (ub < threshold)
+
+
+def test_bound_equals_the_scan_reference():
+    rng = random.Random(15)
+    for k in range(1, 8):
+        for n in range(1, 31):
+            inst, ref = _Instance(n, k), ScanBound(n, k)
+            for _ in range(20):
+                chosen, avail = _random_state(rng, n, k)
+                cm = sum(1 << x for x in chosen)
+                am = sum(1 << x for x in avail)
+                live = _live(inst, cm, am)
+                for threshold in range(cm.bit_count() + am.bit_count() + 3):
+                    assert inst.bound(cm, am, live, threshold) == ref.bound(cm, am, threshold), \
+                        (n, k, chosen, avail, threshold)
+
+
+def test_carried_live_matches_a_recomputed_one(monkeypatch):
+    calls = 0
+    bound = _Instance.bound
+
+    def checked(inst, chosen, avail, live, threshold):
+        nonlocal calls
+        calls += 1
+        assert live == _live(inst, chosen, avail), (inst.n, chosen, avail)
+        return bound(inst, chosen, avail, live, threshold)
+
+    monkeypatch.setattr(_Instance, "bound", checked)
+    assert f_max(24, 3)[0] == 12
+    assert enumerate_maximum_sets(23, 3) == [tuple(range(1, 24, 2))]
+    assert enumerate_maximum_sets(20, 4) == [(2, 3) + tuple(range(11, 21))]
+    for k in range(1, 8):
+        f_max(12, k)
+    assert calls > 1000
 
 
 def test_discretize_top_third():
