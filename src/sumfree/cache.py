@@ -6,9 +6,11 @@ with a warning, and duplicate (kind, parameters) keys resolve to the
 last written record.  Each record carries the sumfree version and a
 digest of the solver source that computed it.
 
-``lookup`` parses only the lines that hold the parameters' sorted JSON
-text, as every record ``append_record`` writes does, so a hand-written
-record serialized otherwise is a miss, recomputed and appended.
+``read_records`` reads the file once as bytes.  ``lookup`` finds the
+parameters' sorted JSON text in it with one byte search and parses only
+the lines that hold it, as every record ``append_record`` writes does,
+so a hand-written record serialized otherwise is a miss, recomputed and
+appended.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
@@ -63,45 +65,91 @@ def make_record(kind: str, parameters: dict, result: dict, version: str) -> Cach
                        version=version, timestamp=stamp, solver=solver_digest())
 
 
+def check_appendable(path: str) -> None:
+    """Raise the ``OSError`` that appending to ``path`` would, creating no file.
+
+    An existing path is opened for append and closed, which changes
+    nothing; a new one must have a writable directory, and otherwise
+    ``open`` itself raises, as it cannot create the file there.
+    """
+    parent = os.path.dirname(path) or os.curdir
+    if os.path.exists(path) or not (
+            os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
+        open(path, "a", encoding="utf-8").close()
+
+
 def append_record(path: str, record: CacheRecord) -> None:
+    # vars, not asdict: the same JSON without a deep copy of every witness list
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(asdict(record), sort_keys=True) + "\n")
+        fh.write(json.dumps(vars(record), sort_keys=True) + "\n")
 
 
-def _read_records(path: str, text: str = ""):
+def _lines(data: bytes, needle: bytes):
+    """(offset, line) for each line of ``data`` that holds ``needle``, in order.
+
+    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, where a text-mode read
+    ends them, and each is given as that read gives it: ending in
+    ``\\n`` unless it is the unterminated last line.  An empty ``needle``
+    gives every line, one at a time.
+    """
+    at = data.find(needle)
+    while 0 <= at < len(data):
+        # each search stops at the nearest break, so a match costs its line only
+        start = data.rfind(b"\n", 0, at) + 1
+        start = max(start, data.rfind(b"\r", start, at) + 1)
+        end = data.find(b"\n", at)
+        if end < 0:
+            end = len(data)
+        if (cr := data.find(b"\r", at, end)) >= 0:
+            end = cr
+        yield start, (data[start:end] + b"\n" if end < len(data) else data[start:])
+        at = data.find(needle, end + (2 if data.startswith(b"\r\n", end) else 1))
+
+
+def read_records(path: str, text: str = ""):
     """The records of the lines of ``path`` that contain ``text``, in order.
 
-    Corrupt lines, UTF-8 or JSON, are skipped with a warning; so is a
-    record whose ``kind`` is not a string, which no key could be sorted or
-    hashed with.
+    The file is read once as bytes and searched for ``text``'s UTF-8
+    bytes; ``text`` holds no line break.  Corrupt lines, UTF-8 or JSON,
+    are skipped with a warning that names the line's number; so is a
+    record whose ``kind`` is not a string, which no key could be sorted
+    or hashed with.
     """
     if not os.path.exists(path):
         return
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if text not in line or not line.strip():
+    with open(path, "rb") as fh:
+        data = fh.read()
+    counted, lineno = 0, 1  # a warning counts lines on from the previous warning
+    for offset, line in _lines(data, text.encode()):
+        try:
+            line = line.decode("utf-8")
+            if not line.strip():
                 continue
-            try:
-                # back to the bytes read, so that a line that is not UTF-8 fails here
-                raw = json.loads(line.encode("utf-8", "surrogateescape").decode("utf-8"))
-                if not isinstance(raw["kind"], str):
-                    raise TypeError(f"kind {raw['kind']!r} is not a string")
-                rec = CacheRecord(raw["kind"], raw["parameters"], raw["result"],
-                                  raw.get("version", "unknown"), raw.get("timestamp", ""),
-                                  raw.get("solver", ""))
-            except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-                sys.stderr.write(f"warning: {path}:{lineno}: skipping bad cache line ({exc})\n")
-                continue
-            yield rec
+            raw = json.loads(line)
+            if not isinstance(raw["kind"], str):
+                raise TypeError(f"kind {raw['kind']!r} is not a string")
+            rec = CacheRecord(raw["kind"], raw["parameters"], raw["result"],
+                              raw.get("version", "unknown"), raw.get("timestamp", ""),
+                              raw.get("solver", ""))
+        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+            lineno += (data.count(b"\n", counted, offset) + data.count(b"\r", counted, offset)
+                       - data.count(b"\r\n", counted, offset))
+            counted = offset
+            sys.stderr.write(f"warning: {path}:{lineno}: skipping bad cache line ({exc})\n")
+            continue
+        yield rec
 
 
 def load_records(path: str) -> dict[tuple[str, str], CacheRecord]:
     """Latest record per (kind, parameters) key; corrupt lines are skipped."""
-    return {rec.key(): rec for rec in _read_records(path)}
+    return {rec.key(): rec for rec in read_records(path)}
 
 
 def lookup(path: str, kind: str, parameters: dict) -> CacheRecord | None:
     """``load_records(path).get(key)``, parsing only the lines that can hold it."""
     text = json.dumps(parameters, sort_keys=True)
-    hits = [rec for rec in _read_records(path, text) if rec.key() == (kind, text)]
-    return hits[-1] if hits else None
+    found = None
+    for rec in read_records(path, text):
+        if rec.key() == (kind, text):
+            found = rec
+    return found

@@ -15,6 +15,7 @@ parse error, or a cache path that cannot be read or appended to.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -61,7 +62,13 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
                         help="print work counters and time to stderr")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built on first use and then shared by every ``main`` call.
+
+    Building it costs more than serving a cached result; ``parse_args``
+    fills a fresh namespace on each call, so no call sees another's flags.
+    """
     common = argparse.ArgumentParser(add_help=False)
     _add_global_options(common, suppress=True)
     top = argparse.ArgumentParser(
@@ -138,12 +145,12 @@ def _cached(kind: str, params: dict, cache_path: str, force: bool, compute) -> d
     version or another solver source is a miss, so a solver fix is never
     hidden by an old result; so is a record that lacks a result field the
     CLI reads, or holds one of another type.  A path that cannot take a
-    record fails before computing.
+    record fails before computing, and a run that fails creates no file.
     """
     cached = None if force else cache_mod.lookup(cache_path, kind, params)
     if cached is not None and _current(cached) and _well_formed(kind, cached.result):
         return cached.result
-    open(cache_path, "a", encoding="utf-8").close()
+    cache_mod.check_appendable(cache_path)
     payload = compute()
     cache_mod.append_record(cache_path, cache_mod.make_record(
         kind, params, payload, __version__))
@@ -282,33 +289,40 @@ def _cmd_certify(args, fmt: str, cache_path: str, force: bool, verbose: int) -> 
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _cmd_report(cache_path: str, fmt: str) -> int:
-    records = cache_mod.load_records(cache_path)
-    rows = [records[key] for key in sorted(records)]
+def _report_row(rec: cache_mod.CacheRecord, fmt: str) -> str:
+    """``rec`` rendered as its markdown table row, or as its JSON list item."""
     # a stale record, from another version or solver, is one the CLI recomputes rather than serves
     if fmt == "json":
-        print(json.dumps([{"kind": rec.kind, "parameters": rec.parameters, "result": rec.result,
-                           "version": rec.version, "stale": not _current(rec)}
-                          for rec in rows], sort_keys=True))
+        return json.dumps({"kind": rec.kind, "parameters": rec.parameters, "result": rec.result,
+                           "version": rec.version, "stale": not _current(rec)}, sort_keys=True)
+    params = json.dumps(rec.parameters, sort_keys=True)
+    if not _well_formed(rec.kind, rec.result):
+        summary = json.dumps(rec.result, sort_keys=True)
+    elif rec.kind == "continuous":
+        summary = (f"optimum {rec.result['optimum']}, "
+                   f"{len(rec.result['witnesses'])} witness(es), "
+                   f"{rec.result['status']}")
+    elif rec.kind == "discrete":
+        summary = (f"f = {rec.result['f']}, "
+                   f"{len(rec.result['witnesses'])} set(s)")
+    else:
+        summary = (f"delta* = {rec.result['delta_star']}, "
+                   f"{rec.result['harness']['violations']} violations")
+    version = rec.version if _current(rec) else f"{rec.version} (stale)"
+    return f"| {rec.kind} | `{params}` | {summary} | {version} |"
+
+
+def _cmd_report(cache_path: str, fmt: str) -> int:
+    # each record is rendered as it is read; only the latest row per key is kept
+    rows = {rec.key(): _report_row(rec, fmt) for rec in cache_mod.read_records(cache_path)}
+    ordered = [rows[key] for key in sorted(rows)]
+    if fmt == "json":
+        print("[" + ", ".join(ordered) + "]")  # as json.dumps prints the list of items
         return EXIT_OK
     print("| kind | parameters | result | version |")
     print("| --- | --- | --- | --- |")
-    for rec in rows:
-        params = json.dumps(rec.parameters, sort_keys=True)
-        if not _well_formed(rec.kind, rec.result):
-            summary = json.dumps(rec.result, sort_keys=True)
-        elif rec.kind == "continuous":
-            summary = (f"optimum {rec.result['optimum']}, "
-                       f"{len(rec.result['witnesses'])} witness(es), "
-                       f"{rec.result['status']}")
-        elif rec.kind == "discrete":
-            summary = (f"f = {rec.result['f']}, "
-                       f"{len(rec.result['witnesses'])} set(s)")
-        else:
-            summary = (f"delta* = {rec.result['delta_star']}, "
-                       f"{rec.result['harness']['violations']} violations")
-        version = rec.version if _current(rec) else f"{rec.version} (stale)"
-        print(f"| {rec.kind} | `{params}` | {summary} | {version} |")
+    for row in ordered:
+        print(row)
     return EXIT_OK
 
 

@@ -1,8 +1,9 @@
 import json
 import os
+import re
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -200,25 +201,70 @@ def test_cache_tolerates_unknown_fields(tmp_path):
     assert lookup(str(path), "discrete", {"n": 2}).result == {"f": 1}
 
 
+def _warned_lines(err: str) -> list[int]:
+    return [int(n) for n in re.findall(r":(\d+): skipping bad cache line", err)]
+
+
+def _record_line(kind: str, params: dict, result: dict, **extra) -> bytes:
+    return json.dumps({"kind": kind, "parameters": params, "result": result,
+                       "version": "0", "timestamp": "", **extra}).encode()
+
+
 def test_lookup_agrees_with_load_records(tmp_path, capsys):
-    path = tmp_path / "c.jsonl"
-    append_record(str(path), CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", "t1"))
-    append_record(str(path), CacheRecord("continuous", {"n": 5}, {"f": 9}, "0", "t2"))
-    with open(path, "a") as fh:
-        fh.write('{"kind": "discrete", "parameters": {"n": 5}, "resu\n')
-        fh.write(json.dumps({"kind": "discrete", "parameters": {"n": 6}, "result": {"f": 4},
-                             "version": "0", "timestamp": "", "future_field": [1]}) + "\n")
-    append_record(str(path), CacheRecord("discrete", {"n": 5}, {"f": 2}, "0", "t3"))
-    # the result holds {"n": 5} verbatim, but the record's key is {"n": 7}
-    append_record(str(path), CacheRecord("discrete", {"n": 7}, {"from": {"n": 5}}, "0", "t4"))
-    records = load_records(str(path))
+    key = b'{"n": 5}'
+    lines = [
+        _record_line("discrete", {"n": 5}, {"f": 1}),
+        _record_line("continuous", {"n": 5}, {"f": 9}),
+        b'{"kind": "discrete", "parameters": {"n": 5}, "resu',  # bad JSON, holds the key
+        _record_line("discrete", {"n": 6}, {"f": 4}, future_field=[1]),
+        b"\xff " + key,  # not UTF-8, holds the key
+        b"{not json ]",  # bad, without the key
+        _record_line("discrete", {"n": 5}, {"f": 2}),
+        b"",
+        # the result holds {"n": 5} verbatim, but the record's key is {"n": 7}
+        _record_line("discrete", {"n": 7}, {"from": {"n": 5}}),
+        _record_line("certify", {"n": 5}, {"again": {"n": 5}}),  # the key text twice
+        key + b" " + key,  # the key text twice on a bad line: one warning
+        b'{"parameters": ' + key + b",",  # its JSON error is placed after the line break
+        _record_line("discrete", {"n": 8}, {"f": 5}),
+    ]
+    bad, bad_with_key = [3, 5, 6, 11, 12], [3, 5, 11, 12]
     keys = [(kind, {"n": n}) for kind in ("discrete", "continuous", "certify")
             for n in (5, 6, 7, 8)]
-    for kind, params in keys:
-        assert lookup(str(path), kind, params) == records.get(
-            (kind, json.dumps(params, sort_keys=True)))
-    assert lookup(str(path), "discrete", {"n": 5}).result == {"f": 2}
-    assert "skipping bad cache line" in capsys.readouterr().err
+    path = tmp_path / "c.jsonl"
+    warnings = []
+    # each of the line breaks a text-mode read splits at, with and without a final one;
+    # that read gives every line ending in "\n", so each prints the same warnings
+    for brk in (b"\n", b"\r\n", b"\r"):
+        for last in (brk, b""):
+            path.write_bytes(brk.join(lines) + last)
+            capsys.readouterr()
+            records = load_records(str(path))
+            err = capsys.readouterr().err
+            assert _warned_lines(err) == bad
+            assert len(records) == 6 and records[("discrete", '{"n": 8}')].result == {"f": 5}
+            for kind, params in keys:
+                found = lookup(str(path), kind, params)
+                assert found == records.get((kind, json.dumps(params, sort_keys=True)))
+                lookup_err = capsys.readouterr().err
+                assert _warned_lines(lookup_err) == (
+                    bad_with_key if params == {"n": 5} else [])
+                err += lookup_err
+            warnings.append(err)
+            assert lookup(str(path), "discrete", {"n": 5}).result == {"f": 2}
+            assert lookup(str(path), "certify", {"n": 5}).result == {"again": {"n": 5}}
+    assert warnings == [warnings[0]] * 6
+    assert "(Expecting property name enclosed in double quotes: line 2 column 1" in warnings[0]
+
+
+def test_append_record_writes_the_asdict_line(tmp_path):
+    path = tmp_path / "c.jsonl"
+    rec = make_record("discrete", {"n": 9, "k": 3, "enumerate": True, "node_limit": None},
+                      {"f": 5, "witnesses": [[1, 3, 5, 7, 9], [2, [4, {"x": [6]}]]]},
+                      __version__)
+    append_record(str(path), rec)
+    assert path.read_text() == json.dumps(asdict(rec), sort_keys=True) + "\n"
+    assert load_records(str(path)) == {rec.key(): rec}
 
 
 @pytest.mark.parametrize("kind", [["x"], 5], ids=["list", "int"])
@@ -308,6 +354,18 @@ def test_cache_path_in_a_missing_directory_exits_2_before_computing(
     assert main(["discrete", "--n", "5", "--k", "1", "--cache", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+@pytest.mark.parametrize("argv,code", [
+    (["discrete", "--n", "0", "--k", "3"], 2),
+    (["continuous", "--k", "3", "--m", "2", "--node-limit", "-1"], 2),
+    (["discrete", "--n", "30", "--k", "3", "--node-limit", "5"], 1),
+], ids=["discrete-n-0", "continuous-node-limit", "discrete-node-limit-reached"])
+def test_rejected_run_creates_no_cache_file(tmp_path, capsys, argv, code):
+    path = tmp_path / "fresh.jsonl"
+    assert main(argv + ["--cache", str(path)]) == code
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not path.exists()
 
 
 def test_cache_record_missing_result_fields_is_recomputed(cache_path, capsys):
@@ -400,6 +458,49 @@ def test_cache_line_that_is_not_utf8_is_skipped(cache_path, capsys):
     captured = capsys.readouterr()
     assert "f = 3" in captured.out
     assert captured.err.count("skipping bad cache line") == 2
+
+
+def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    """Each call in one process prints what it would with a freshly built parser."""
+    def transcript(argvs):
+        runs = []
+        for argv in argvs:
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            runs.append((code, captured.out, re.sub(r"\d+\.\d\ds", "<t>", captured.err)))
+        return runs
+
+    def calls(cache):
+        c = ["--cache", str(cache)]
+        return [
+            ["--format", "json", "verify", "--k", "3", "--set", RECORD_SET],
+            ["verify", "--k", "3", "--set", RECORD_SET],  # --format back at its default
+            ["-v", "-v", "discrete", "--n", "9", "--k", "3", "--force"] + c,
+            ["discrete", "--n", "9", "--k", "3", "-v"] + c,  # no --force: a hit
+            c + ["discrete", "--n", "9", "--k", "3", "--witness", "--format", "table"],
+            ["discrete", "--n", "9", "--k", "3"] + c,
+            ["discrete", "--n", "9", "--k", "x"] + c,  # a usage error in between
+            ["continuous", "--k", "3", "--m", "2", "--force", "-v"] + c,
+            ["continuous", "--k", "3", "--m", "2", "--all-optima", "--format", "table"] + c,
+            ["report", "--format", "json"] + c,
+            ["report"] + c,
+        ]
+
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    for argv in calls(tmp_path / "any.jsonl"):
+        if "x" not in argv:  # the usage error exits instead
+            assert vars(parser.parse_args(argv)) == vars(
+                cli._build_parser.__wrapped__().parse_args(argv))
+    shared = transcript(calls(tmp_path / "shared.jsonl"))
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    fresh = transcript(calls(tmp_path / "fresh.jsonl"))
+    assert [(code, out, err.replace("fresh.jsonl", "shared.jsonl"))
+            for code, out, err in fresh] == shared
+    assert [code for code, _, _ in shared] == [0] * 6 + [2] + [0] * 4
 
 
 def test_console_entry_point(tmp_path):
