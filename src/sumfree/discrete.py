@@ -3,7 +3,7 @@
 The forbidden structures are the triples a + b = k*c inside {1..n}
 (taken as element sets, so a triple may involve only two distinct
 numbers).  f(n, k) is computed by depth-first branch-and-bound over
-elements in decreasing order, with two exact pruning devices:
+elements in decreasing order, with three exact devices:
 
 * unit propagation: once all but one element of a triple are chosen,
   the last is banned for the rest of the subtree, so the chosen set
@@ -17,7 +17,21 @@ elements in decreasing order, with two exact pruning devices:
   ``live``, a bitset over the masks (bit i = mask i) that meet no dead
   element: excluding or banning x clears ``meets[x]`` from it, so the
   packing walks only the set bits of ``live`` and stops once the bound
-  falls below the pruning threshold.
+  falls below the pruning threshold;
+* seeded incumbent: ``_seed`` gives a known k-sum-free set (the odd
+  numbers for odd k, since x + y is even and k*z odd), checked against
+  the forbidden masks, and the pruning threshold starts at its size.
+
+The seed cannot change a witness or an enumerated list.  f >= |seed|
+and the bound is sound, so a node whose subtree holds a set of size f
+has a bound of at least f, which is at least the threshold until that
+set is found: the first maximum set in DFS order is still the first one
+reached, and every maximum set is still enumerated.  That is why f_max
+starts from |seed| - 1 and not |seed|: a strict threshold of |seed|
+would prune the path to the first maximum set when f = |seed|, and the
+witness would become the seed.  Enumeration keeps ties, so it starts at
+|seed|.  A search stopped by its node limit before it met a set as large
+as the seed reports the seed as its partial result.
 
 Sets are bitmasks (bit i = element i), so all of the above are a few
 integer operations per triple.  Enumeration of *all* maximum sets runs
@@ -39,7 +53,8 @@ from .intervals import IntervalUnion, is_k_sum_free
 class EnumerationLimitError(RuntimeError):
     """Node limit hit before the search tree was exhausted.
 
-    ``partial`` holds the best sets found so far, ``nodes`` the nodes explored.
+    ``partial`` holds the best sets found so far (the seed, when none found is
+    as large), ``nodes`` the nodes explored.
     """
 
     def __init__(self, partial: list[tuple[int, ...]], nodes: int):
@@ -68,7 +83,7 @@ def forbidden_triples(n: int, k: int) -> list[tuple[int, int, int]]:
 
 class _Instance:
     def __init__(self, n: int, k: int):
-        self.n = n
+        self.n, self.k = n, k
         triples = forbidden_triples(n, k)
         # pairs before triples: the greedy packing takes the cheaper masks first
         self.masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples},
@@ -110,6 +125,12 @@ class _Instance:
         return ub
 
 
+def _seed(inst: _Instance) -> int:
+    """Bitmask of a known k-sum-free subset of {1..n}: the odd numbers for
+    odd k (x + y is even, k*z odd), else the empty set."""
+    return sum(1 << x for x in range(1, inst.n + 1, 2)) if inst.k % 2 else 0
+
+
 def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     """Shared B&B core; returns (best_size, sets, nodes).
 
@@ -120,7 +141,12 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     n = inst.n
     masks, meets = inst.masks, inst.meets
-    best = 0
+    seed = _seed(inst)
+    if seed & ~((2 << n) - 2) or any(not tm & ~seed for tm in masks):
+        raise AssertionError(f"seed {_bits(seed)} is not a {inst.k}-sum-free subset of 1..{n}")
+    # the pruning threshold starts at |seed| in both modes (see the module
+    # docstring); f_max needs a strictly larger set, so it starts one below
+    best = max(seed.bit_count() - (not enumerate_all), 0)
     best_sets: list[int] = []
     nodes = 0
     exhausted = True
@@ -167,7 +193,7 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
         stack.append((e - 1, new_chosen, new_banned, new_live))
     sets = sorted(tuple(_bits(mask)) for mask in best_sets if mask.bit_count() == best)
     if not exhausted:
-        raise EnumerationLimitError(sets, nodes)
+        raise EnumerationLimitError(sets or ([tuple(_bits(seed))] if seed else []), nodes)
     return best, sets, nodes
 
 

@@ -14,6 +14,7 @@ from oracles import (
     triples_double_loop,
 )
 
+from sumfree import discrete
 from sumfree.discrete import (
     EnumerationLimitError,
     _Instance,
@@ -28,10 +29,10 @@ from sumfree.intervals import IntervalUnion
 F = Fraction
 
 # (n, k, enumerate_all) -> nodes explored by the branch-and-bound; any
-# change to the bound or the branching order shows here first
-DISCRETE_COUNTERS = {(24, 3, False): 377, (23, 3, True): 627, (30, 3, True): 2433,
-                     (40, 3, False): 3539, (58, 4, False): 1397, (50, 3, False): 39915,
-                     (60, 4, False): 2353}
+# change to the bound, the branching order or the seed shows here first
+DISCRETE_COUNTERS = {(24, 3, False): 373, (23, 3, True): 313, (30, 3, True): 837,
+                     (40, 3, False): 3511, (58, 4, False): 1397, (50, 3, False): 10499,
+                     (60, 4, False): 2353, (45, 3, False): 1771}
 
 
 def test_forbidden_triples_examples():
@@ -79,8 +80,8 @@ def test_ap_free_small_value_from_oracle():
     assert f_max(9, 2)[0] == brute_force_f(9, 2) == 5
 
 
-def test_halving_laws_up_to_40():
-    for n in range(1, 41):
+def test_halving_laws_up_to_50():
+    for n in range(1, 51):
         assert f_max(n, 1)[0] == (n + 1) // 2
         expected = 3 if n == 4 else (n + 1) // 2
         assert f_max(n, 3)[0] == expected
@@ -136,6 +137,40 @@ def test_f_max_node_limit_is_explicit():
     assert err.value.nodes == 10
     with pytest.raises(ValueError):
         f_max(10, 3, node_limit=-1)
+    # f(45,3) takes 1771 nodes: one fewer stops it, exactly that many is enough
+    with pytest.raises(EnumerationLimitError) as err:
+        f_max(45, 3, node_limit=1770)
+    assert err.value.nodes == 1770
+    assert f_max(45, 3, node_limit=1771)[0] == 23
+
+
+@pytest.mark.parametrize("enumerate_all", [False, True])
+def test_a_stopped_search_reports_the_seed(enumerate_all):
+    with pytest.raises(EnumerationLimitError) as err:
+        _search(_Instance(23, 3), enumerate_all=enumerate_all, node_limit=10)
+    assert err.value.partial == [tuple(range(1, 24, 2))]
+
+
+def test_seeded_search_equals_the_unseeded_one(monkeypatch):
+    def run(n, k, enumerate_all):
+        return _search(_Instance(n, k), enumerate_all=enumerate_all, node_limit=None)
+
+    seeded = {(n, k, e): run(n, k, e)
+              for k in range(1, 8) for n in range(1, 31) for e in (False, True)}
+    monkeypatch.setattr(discrete, "_seed", lambda inst: 0)
+    for key, (best, sets, nodes) in seeded.items():
+        ref_best, ref_sets, ref_nodes = run(*key)
+        assert (best, sets) == (ref_best, ref_sets), key
+        assert nodes <= ref_nodes, key
+
+
+@pytest.mark.parametrize("seed", [[1, 2], [2, 3, 4, 6], [0], [11]],
+                         ids=["triple-1-2", "triple-2-4", "element-0", "element-n+1"])
+def test_a_bad_seed_is_rejected(monkeypatch, seed):
+    monkeypatch.setattr(discrete, "_seed", lambda inst: sum(1 << x for x in seed))
+    for enumerate_all in (False, True):
+        with pytest.raises(AssertionError):
+            _search(_Instance(10, 3), enumerate_all=enumerate_all, node_limit=None)
 
 
 @pytest.mark.parametrize("n, k, enumerate_all", sorted(DISCRETE_COUNTERS))
@@ -211,6 +246,7 @@ def test_carried_live_matches_a_recomputed_one(monkeypatch):
 
     monkeypatch.setattr(_Instance, "bound", checked)
     assert f_max(24, 3)[0] == 12
+    assert f_max(30, 3)[0] == 15
     assert enumerate_maximum_sets(23, 3) == [tuple(range(1, 24, 2))]
     assert enumerate_maximum_sets(20, 4) == [(2, 3) + tuple(range(11, 21))]
     for k in range(1, 8):
