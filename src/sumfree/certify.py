@@ -175,10 +175,9 @@ def random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
         # the draw order (a denominator, then its numerator) fixes every seeded union
         draws = [(rng.randint(0, d), d)
                  for d in (rng.randint(1, _MAX_DENOMINATOR) for _ in range(2 * m))]
-        den = lcm(*[d for _, d in draws])  # a list: see intervals._from_numerators
+        den = lcm(*[d for _, d in draws])  # a list: see IntervalUnion.from_numerators
         cuts = sorted(p * (den // d) for p, d in draws)
-        u = IntervalUnion.from_pairs([(Fraction(lo, den), Fraction(hi, den))
-                                      for lo, hi in zip(cuts[0::2], cuts[1::2])])
+        u = IntervalUnion.from_numerators(zip(cuts[0::2], cuts[1::2]), den)
         if not u.is_empty():
             return u
 

@@ -45,8 +45,6 @@ solution inside the open union.
 
 from __future__ import annotations
 
-from math import floor
-
 from .intervals import IntervalUnion, is_k_sum_free
 
 
@@ -236,9 +234,9 @@ def discretize(u: IntervalUnion, n: int, k: int) -> tuple[int, ...]:
     if not free:
         raise ValueError(f"input union is not {k}-sum-free (witness {witness})")
     points: list[int] = []
-    for iv in u.intervals:
-        first = floor(iv.lo * n) + 1  # smallest integer strictly above lo*n
-        last = floor(iv.hi * n)       # hi*n itself is included when integral
+    for lo, hi in u.nums:
+        first = lo * n // u.den + 1  # smallest integer strictly above lo*n/den
+        last = hi * n // u.den       # hi*n/den itself is included when integral
         for i in range(max(first, 1), min(last, n) + 1):
             points.append(i)
     return tuple(sorted(set(points)))

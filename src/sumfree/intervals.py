@@ -1,10 +1,15 @@
 """Canonical unions of open intervals with rational endpoints.
 
-The canonical form is a sorted tuple of disjoint, non-touching open
-intervals: overlapping or touching inputs are merged, degenerate pairs
-(lo >= hi) are dropped.  Touch-merging stores (a,b) u (b,c) as (a,c);
-the two differ by a null set and every predicate here is measure
-theoretic, so the merged form is the unique representative.
+A union is stored as integer numerators over one positive denominator:
+``den`` and a tuple ``nums`` of (lo, hi) pairs, the interval (lo/den,
+hi/den) each.  The canonical form has strictly increasing numerators
+(sorted, lo < hi, no two pairs touching) and ``den`` in lowest terms
+against all of them, so equal sets are equal unions with equal hashes.
+Overlapping or touching inputs are merged and degenerate pairs (lo >= hi)
+are dropped.  Touch-merging stores (a,b) u (b,c) as (a,c); the two
+differ by a null set and every predicate here is measure theoretic, so
+the merged form is the unique representative.  The ``Fraction`` view,
+``intervals``, is built only when it is read.
 
 The k-sum-free test follows the same open-interval convention: a union U
 is k-sum-free when (U+U)/k and U overlap in measure zero, i.e. sum sets
@@ -16,8 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Sequence
 
 from .rationals import RationalParseError, parse_rational, format_rational
 
@@ -59,43 +65,62 @@ def _numerators(pairs: list[tuple[Fraction, Fraction]]) -> tuple[int, list[tuple
     ``int`` and ``Fraction`` both carry ``.numerator`` and ``.denominator``,
     so no endpoint is re-wrapped.
     """
-    den = lcm(*[v.denominator for pair in pairs for v in pair])  # a list: see _from_numerators
+    den = lcm(*[v.denominator for pair in pairs for v in pair])  # a list: see from_numerators
     return den, [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
                  for lo, hi in pairs]
 
 
-def _merge(pairs: list[tuple[int, int]]) -> list[list[int]]:
+def _merge(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     """Integer canonical form: drop lo >= hi, sort, merge overlapping or touching pairs."""
-    merged: list[list[int]] = []
-    for lo, hi in sorted(p for p in pairs if p[0] < p[1]):
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(pairs):
+        if lo >= hi:
+            continue
         if merged and lo <= merged[-1][1]:
             if hi > merged[-1][1]:
-                merged[-1][1] = hi
+                merged[-1] = (merged[-1][0], hi)
         else:
-            merged.append([lo, hi])
+            merged.append((lo, hi))
     return merged
-
-
-def _from_numerators(merged: list[list[int]], den: int) -> "IntervalUnion":
-    # tuple() of a list, not of a generator: on CPython 3.11 the generator
-    # form leaves resized tuples behind and grows the peak RSS of long runs
-    return IntervalUnion(tuple([Interval(Fraction(lo, den), Fraction(hi, den))
-                                for lo, hi in merged]))
 
 
 @dataclass(frozen=True)
 class IntervalUnion:
-    """Canonical finite union of disjoint open intervals."""
+    """Canonical finite union of disjoint open intervals (lo/den, hi/den).
 
-    intervals: tuple[Interval, ...] = ()
+    Build one with ``from_numerators``, ``from_pairs`` or ``parse_union``;
+    the fields must already be canonical (see the module docstring).
+    """
+
+    den: int = 1
+    nums: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            if a.hi >= b.lo:
-                raise ValueError(
-                    f"non-canonical union: {a} and {b} overlap or touch; "
-                    "construct via IntervalUnion.from_pairs"
-                )
+        den, nums = self.den, self.nums
+        if not (type(den) is int and type(nums) is tuple and all(
+                type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+                for p in nums)):
+            raise TypeError(f"IntervalUnion takes an int den and a tuple of int pairs, "
+                            f"got den={den!r}, nums={nums!r}")
+        flat = [v for pair in nums for v in pair]
+        if den <= 0 or gcd(den, *flat) != 1:
+            raise ValueError(f"den {den} is not positive and in lowest terms against {nums}")
+        if not all(a < b for a, b in zip(flat, flat[1:])):
+            raise ValueError(f"non-canonical union {nums}: pairs must be sorted, nonempty "
+                             "and neither overlap nor touch; construct via from_numerators")
+
+    @staticmethod
+    def from_numerators(pairs: Iterable[tuple[int, int]], den: int) -> "IntervalUnion":
+        """Canonicalize integer pairs over ``den`` > 0: drop degenerates, sort, merge, reduce."""
+        if den <= 0:
+            raise ValueError(f"den must be positive, got {den}")
+        merged = _merge(pairs)
+        g = gcd(den, *[v for pair in merged for v in pair])
+        if g > 1:
+            merged = [(lo // g, hi // g) for lo, hi in merged]
+        # tuple() of a list, not of a generator: on CPython 3.11 the generator
+        # form leaves resized tuples behind and grows the peak RSS of long runs
+        return IntervalUnion(den // g, tuple(merged))
 
     @staticmethod
     def from_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> "IntervalUnion":
@@ -111,71 +136,81 @@ class IntervalUnion:
                 if not isinstance(v, (int, Fraction)):
                     raise TypeError(f"interval endpoint {v!r} is not an int or a Fraction")
         den, nums = _numerators(pairs)
-        return _from_numerators(_merge(nums), den)
+        return IntervalUnion.from_numerators(nums, den)
+
+    @cached_property
+    def intervals(self) -> tuple[Interval, ...]:
+        den = self.den
+        return tuple([Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in self.nums])
+
+    def _over(self, den: int) -> Sequence[tuple[int, int]]:
+        """The numerator pairs over ``den``, a multiple of ``self.den``."""
+        f = den // self.den
+        return self.nums if f == 1 else [(lo * f, hi * f) for lo, hi in self.nums]
 
     def pairs(self) -> list[tuple[Fraction, Fraction]]:
         return [(iv.lo, iv.hi) for iv in self.intervals]
 
     def is_empty(self) -> bool:
-        return not self.intervals
+        return not self.nums
 
     def measure(self) -> Fraction:
-        den, nums = _numerators(self.pairs())
-        return Fraction(sum(hi - lo for lo, hi in nums), den)
+        return Fraction(sum(hi - lo for lo, hi in self.nums), self.den)
 
     def contains(self, x: Fraction) -> bool:
         return any(iv.contains(x) for iv in self.intervals)
 
     def extent(self) -> tuple[Fraction, Fraction, Fraction]:
         """(inf, sup, diam); raises on the empty union."""
-        if not self.intervals:
+        if not self.nums:
             raise EmptyUnionError("extent of empty union")
-        lo = self.intervals[0].lo
-        hi = self.intervals[-1].hi
-        return lo, hi, hi - lo
+        lo, hi, den = self.nums[0][0], self.nums[-1][1], self.den
+        return Fraction(lo, den), Fraction(hi, den), Fraction(hi - lo, den)
 
     def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        return IntervalUnion.from_pairs(self.pairs() + other.pairs())
+        den = lcm(self.den, other.den)
+        return IntervalUnion.from_numerators([*self._over(den), *other._over(den)], den)
 
     def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        out = []
-        for a in self.intervals:
-            for b in other.intervals:
-                lo = max(a.lo, b.lo)
-                hi = min(a.hi, b.hi)
-                if lo < hi:
-                    out.append((lo, hi))
-        return IntervalUnion.from_pairs(out)
+        den = lcm(self.den, other.den)
+        theirs = other._over(den)
+        return IntervalUnion.from_numerators(
+            [(max(alo, blo), min(ahi, bhi)) for alo, ahi in self._over(den) for blo, bhi in theirs],
+            den)
 
     def subtract(self, other: "IntervalUnion") -> "IntervalUnion":
+        den = lcm(self.den, other.den)
+        theirs = other._over(den)
         out = []
-        for a in self.intervals:
-            cursor = a.lo
-            for b in other.intervals:
-                if b.hi <= cursor:
+        for lo, hi in self._over(den):
+            cursor = lo
+            for blo, bhi in theirs:
+                if bhi <= cursor:
                     continue
-                if b.lo >= a.hi:
+                if blo >= hi:
                     break
-                if b.lo > cursor:
-                    out.append((cursor, b.lo))
-                cursor = max(cursor, b.hi)
-            if cursor < a.hi:
-                out.append((cursor, a.hi))
-        return IntervalUnion.from_pairs(out)
+                if blo > cursor:
+                    out.append((cursor, blo))
+                cursor = max(cursor, bhi)
+            if cursor < hi:
+                out.append((cursor, hi))
+        return IntervalUnion.from_numerators(out, den)
 
     def minkowski_sum(self, other: "IntervalUnion") -> "IntervalUnion":
         """Pairwise sum of components, O(m*n) intervals before merging."""
-        den, nums = _numerators(self.pairs() + other.pairs())
-        ours, theirs = nums[:len(self.intervals)], nums[len(self.intervals):]
-        return _from_numerators(
-            _merge([(alo + blo, ahi + bhi) for alo, ahi in ours for blo, bhi in theirs]), den)
+        den = lcm(self.den, other.den)
+        theirs = other._over(den)
+        return IntervalUnion.from_numerators(
+            [(alo + blo, ahi + bhi) for alo, ahi in self._over(den) for blo, bhi in theirs], den)
 
     def scale(self, q: Fraction) -> "IntervalUnion":
         """Dilation by q > 0."""
         q = Fraction(q)
         if q <= 0:
             raise ValueError(f"scale factor must be positive, got {q}")
-        return IntervalUnion.from_pairs([(iv.lo * q, iv.hi * q) for iv in self.intervals])
+        p = q.numerator
+        return IntervalUnion.from_numerators([(lo * p, hi * p) for lo, hi in self.nums],
+                                             self.den * q.denominator)
 
     def __str__(self) -> str:
         return format_union(self)
@@ -193,7 +228,7 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
     """
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
-    den, nums = _numerators(u.pairs())
+    den, nums = u.den, u.nums
     # the sum windows, merged; (u+u) is symmetric, so pairs i <= j suffice
     sums = _merge([(alo + blo, ahi + bhi) for i, (alo, ahi) in enumerate(nums)
                    for blo, bhi in nums[i:]])
@@ -207,18 +242,21 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
     # this component (scaled by k) is covered, up to finitely many touch
     # points, by the open pairwise sum windows; some window slice has
     # positive length, and its midpoint yields a strictly interior witness.
-    for (alo, ahi), a in zip(nums, u.intervals):
-        for (blo, bhi), b in zip(nums, u.intervals):
+    # The sum s and the range (x_lo, x_hi) of x are numerators over h.
+    h = 2 * den
+    for alo, ahi in nums:
+        for blo, bhi in nums:
             s_lo = max(alo + blo, first[0])
             s_hi = min(ahi + bhi, first[1])
             if s_lo < s_hi:
-                s = Fraction(s_lo + s_hi, 2 * den)
-                x_lo = max(a.lo, s - b.hi)
-                x_hi = min(a.hi, s - b.lo)
-                x = (x_lo + x_hi) / 2
-                if k == 2 and 2 * x == s:  # x = y = z is exempt: take x below s/2
-                    x = (x_lo + x) / 2
-                return False, Witness(x=x, y=s - x, z=s / k)
+                s = s_lo + s_hi
+                x_lo = max(2 * alo, s - 2 * bhi)
+                x_hi = min(2 * ahi, s - 2 * blo)
+                x, r = x_lo + x_hi, 2  # x over r*h: the midpoint of (x_lo, x_hi)
+                if k == 2 and x == s:  # x = y = z is exempt: take x below s/2
+                    x, r = 2 * x_lo + x, 4
+                return False, Witness(x=Fraction(x, r * h), y=Fraction(r * s - x, r * h),
+                                      z=Fraction(s, k * h))
     raise AssertionError("overlap detected but no generating pair found")
 
 

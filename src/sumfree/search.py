@@ -168,28 +168,29 @@ class _RunState:
             self.witnesses_exact &= exact
 
 
-def _union(vertex: Sequence[Fraction]) -> IntervalUnion:
-    """The union of a vertex's intervals (l1, r1), (l2, r2), ...; vanished ones drop out."""
-    if not all(a <= b for a, b in zip((0, *vertex), (*vertex, 1))):
-        raise AssertionError(f"vertex {vertex} is not a nondecreasing chain in [0, 1]")
-    return IntervalUnion.from_pairs(zip(vertex[0::2], vertex[1::2]))
+def _union(v: Sequence[int], den: int) -> IntervalUnion:
+    """The union of a vertex's intervals (l1, r1), (l2, r2), ..., given as
+    numerators over ``den`` > 0; vanished ones drop out."""
+    if not all(a <= b for a, b in zip((0, *v), (*v, den))):
+        raise AssertionError(f"vertex {v} over {den} is not a nondecreasing chain in [0, 1]")
+    return IntervalUnion.from_numerators(zip(v[0::2], v[1::2]), den)
 
 
 def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau) -> None:
     """Offer the fathomed basis ``tab``, or with all optima its whole face.
 
-    ``is_k_sum_free`` checks the fathomed vertex again.  The branch rule
-    judges each basis on its numerators, and the free ones give unions:
-    all the maximizers when every basis is free and they give one union
-    (as ``tab`` alone does, since a resolved row forbids positive overlap).
+    ``is_k_sum_free`` checks the fathomed vertex again.  Each basis's
+    vertex numerators are read once; the branch rule judges them, and the
+    free ones, deduped on (numerators, den), give unions: all the
+    maximizers when every basis is free and they give one union (as
+    ``tab`` alone does, since a resolved row forbids positive overlap).
     """
-    union = _union(tab.vertex)
-    if not is_k_sum_free(union, state.k)[0]:
+    tabs = tab.optimal_face() if state.all_optima else [tab]  # ``tab`` first
+    vertices = [(t.vertex_numerators, t.den) for t in tabs]
+    if not is_k_sum_free(_union(*vertices[0]), state.k)[0]:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
-    tabs = tab.optimal_face() if state.all_optima else [tab]
-    free = [t for t in tabs
-            if _pick_branch(t.vertex_numerators, m, state.k, frozenset()) is None]
-    unions = {_union(v) for v in {t.vertex for t in free}}
+    free = [vx for vx in vertices if _pick_branch(vx[0], m, state.k, frozenset()) is None]
+    unions = {_union(*vx) for vx in set(free)}
     state.offer(tab.value, unions, len(free) == len(tabs) and len(unions) == 1)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import lcm
+from math import floor, lcm
 
 import numpy as np
 
@@ -304,3 +304,12 @@ def is_k_sum_free_fraction(pairs, k: int):
                     x = (x_lo + x) / 2
                 return False, (x, s - x, s / k)
     raise AssertionError("overlap detected but no generating pair found")
+
+
+def discretize_fraction(pairs, n: int):
+    """Lattice points {i in 1..n : i/n in (lo, hi]} of canonical pairs, by
+    ``floor`` of ``Fraction`` products; the reference for ``discrete.discretize``."""
+    points = set()
+    for lo, hi in pairs:
+        points.update(range(max(floor(lo * n) + 1, 1), min(floor(hi * n), n) + 1))
+    return tuple(sorted(points))

@@ -10,6 +10,7 @@ from oracles import (
     ScanBound,
     brute_force_extension,
     brute_force_f,
+    discretize_fraction,
     has_forbidden_triple,
     triples_double_loop,
 )
@@ -24,7 +25,7 @@ from sumfree.discrete import (
     f_max,
     forbidden_triples,
 )
-from sumfree.intervals import IntervalUnion
+from sumfree.intervals import IntervalUnion, is_k_sum_free
 
 F = Fraction
 
@@ -264,6 +265,23 @@ def test_discretize_record_set(largest_known_3sumfree):
     assert len(pts) >= 74
     assert pts == tuple(range(9, 13)) + tuple(range(29, 43)) + tuple(range(119, 178))
     assert not has_forbidden_triple(pts, 3)
+
+
+def test_discretize_matches_the_fraction_floor_formula(largest_known_3sumfree):
+    """Integer floor division against floor(lo * n) + 1 and floor(hi * n)."""
+    rng = random.Random(15)
+    cases = [(largest_known_3sumfree, 3)]
+    while len(cases) < 300:
+        d = rng.choice((2, 3, 7, 12, 59, 177, 1000))
+        cuts = sorted(F(rng.randint(0, d), d) for _ in range(2 * rng.randint(1, 4)))
+        u, k = IntervalUnion.from_pairs(zip(cuts[0::2], cuts[1::2])), rng.randint(1, 5)
+        if not u.is_empty() and is_k_sum_free(u, k)[0]:
+            cases.append((u, k))
+    for u, k in cases:
+        for n in (1, 2, 3, 9, 24, 59, 100, 177, 354):
+            assert discretize(u, n, k) == discretize_fraction(u.pairs(), n), (u, n)
+    # endpoints on the lattice, where (lo, hi] drops lo*n and keeps hi*n
+    assert sum(lo * 354 % u.den == 0 for u, _ in cases[1:] for lo, _ in u.nums) > 50
 
 
 def test_discretize_requires_freeness():

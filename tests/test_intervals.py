@@ -1,3 +1,4 @@
+import pickle
 import random
 from decimal import Decimal
 from fractions import Fraction
@@ -35,12 +36,76 @@ def test_interval_requires_positive_length():
 
 
 def test_direct_construction_rejects_non_canonical_tuples():
-    touching = (Interval(F(0), F(1, 2)), Interval(F(1, 2), F(1)))
+    touching = ((0, 2), (2, 4))  # (0, 1/2) and (1/2, 1) over 4
     with pytest.raises(ValueError):
-        IntervalUnion(touching)
-    out_of_order = (Interval(F(1, 2), F(1)), Interval(F(0), F(1, 4)))
+        IntervalUnion(4, touching)
+    out_of_order = ((2, 4), (0, 1))  # (1/2, 1) before (0, 1/4)
     with pytest.raises(ValueError):
-        IntervalUnion(out_of_order)
+        IntervalUnion(4, out_of_order)
+    assert IntervalUnion.from_numerators(touching, 4).pairs() == [(F(0), F(1))]
+    assert IntervalUnion.from_numerators(out_of_order, 4).pairs() == [(F(0), F(1, 4)),
+                                                                      (F(1, 2), F(1))]
+
+
+@pytest.mark.parametrize("den,nums,error", [
+    pytest.param(F(4), ((0, 1),), TypeError, id="fraction-den"),
+    pytest.param(4, ((0, F(1)),), TypeError, id="fraction-numerator"),
+    pytest.param(4, [(0, 1)], TypeError, id="list-of-pairs"),
+    pytest.param(True, ((0, 1),), TypeError, id="bool-den"),
+    pytest.param(0, ((0, 1),), ValueError, id="zero-den"),
+    pytest.param(-3, ((0, 1),), ValueError, id="negative-den"),
+    pytest.param(4, ((0, 2),), ValueError, id="unreduced"),  # (0, 1/2) is (0, 1) over 2
+    pytest.param(2, (), ValueError, id="unreduced-empty"),  # the empty union is over 1
+    pytest.param(4, ((2, 3), (0, 1)), ValueError, id="unsorted"),
+    pytest.param(4, ((0, 1), (1, 3)), ValueError, id="touching"),
+    pytest.param(4, ((3, 3),), ValueError, id="lo-equals-hi"),
+    pytest.param(4, ((3, 1),), ValueError, id="lo-above-hi"),
+])
+def test_direct_construction_rejects_each_non_canonical_field(den, nums, error):
+    with pytest.raises(error):
+        IntervalUnion(den, nums)
+
+
+def test_the_three_constructors_agree():
+    """Unreduced Fractions, numerators over a multiple of den and text give one union."""
+    want = IntervalUnion(177, ((8, 12), (28, 42), (118, 177)))
+    built = [
+        IntervalUnion.from_pairs([(F(16, 354), F(8, 118)), (F(2, 3), F(6, 6)),
+                                  (F(28, 177), F(14, 59))]),
+        IntervalUnion.from_numerators([(118 * 6, 177 * 6), (8 * 6, 12 * 6), (28 * 6, 42 * 6)],
+                                      177 * 6),
+        parse_union("(2/3,1);(8/177,4/59);(28/177,14/59)"),
+    ]
+    for u in built:
+        assert u == want and hash(u) == hash(want)
+        assert (u.den, u.nums) == (177, ((8, 12), (28, 42), (118, 177)))
+    assert IntervalUnion.from_numerators([], 7) == IntervalUnion()
+    assert IntervalUnion.from_numerators([(3, 3)], 5) == IntervalUnion()
+    with pytest.raises(ValueError):
+        IntervalUnion.from_numerators([(0, 1)], 0)
+
+
+def test_pickle_round_trip_keeps_the_union():
+    rng = random.Random(14)
+    for u in [IntervalUnion()] + [rand_union(rng) for _ in range(50)]:
+        for read_first in (False, True):
+            if read_first:
+                u.intervals  # the lazy view travels along, or is rebuilt
+            v = pickle.loads(pickle.dumps(u))
+            assert v == u and hash(v) == hash(u)
+            assert v.intervals == u.intervals and v.pairs() == u.pairs()
+
+
+def test_intervals_view_is_built_only_when_read(largest_known_3sumfree):
+    u = largest_known_3sumfree
+    u = IntervalUnion(u.den, u.nums)  # a fresh copy, whatever the fixture has read
+    assert u.measure() == F(77, 177)
+    assert u.extent() == (F(8, 177), F(1), F(169, 177))
+    assert not u.minkowski_sum(u).is_empty()
+    assert is_k_sum_free(u, 3) == (True, None)
+    assert "intervals" not in vars(u)
+    assert u.intervals[0] == Interval(F(8, 177), F(12, 177))
+    assert "intervals" in vars(u)
 
 
 def test_canonicalize_overlap_merge():
