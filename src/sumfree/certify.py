@@ -184,30 +184,37 @@ def random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
 
 def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
                         seed: int = 0) -> HarnessReport:
-    """Exact check of |A+A| >= min(3|A|, |A| + diam(A)) on random unions."""
+    """Exact check of |A+A| >= min(3|A|, |A| + diam(A)) on random unions.
+
+    Each trial's slack is an integer numerator over the union's ``den``
+    (``A+A``'s denominator divides it); slacks are compared by
+    cross-multiplying, and only the reported minimum is a ``Fraction``.
+    """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if max_intervals < 1:
         raise ValueError(f"max_intervals must be >= 1, got {max_intervals}")
     rng = random.Random(seed)
-    min_slack: Fraction | None = None
+    min_num = min_den = 0
     min_example: IntervalUnion | None = None
     violations = 0
     first_violation = None
     for _ in range(trials):
         u = random_union(rng, max_intervals)
-        measure = u.measure()
-        _, _, diam = u.extent()
-        sum_measure = u.minkowski_sum(u).measure()
-        slack = sum_measure - min(3 * measure, measure + diam)
+        den, nums = u.den, u.nums
+        measure = sum(hi - lo for lo, hi in nums)
+        diam = nums[-1][1] - nums[0][0]
+        s = u.minkowski_sum(u)
+        slack = (sum(hi - lo for lo, hi in s.nums) * (den // s.den)
+                 - min(3 * measure, measure + diam))
         if slack < 0:
             violations += 1
             if first_violation is None:
                 first_violation = u
-        if min_slack is None or slack < min_slack:
-            min_slack = slack
-            min_example = u
+        # slack/den < min_num/min_den, both denominators positive
+        if min_example is None or slack * min_den < min_num * den:
+            min_num, min_den, min_example = slack, den, u
     return HarnessReport(trials=trials, max_intervals=max_intervals, seed=seed,
-                         violations=violations, min_slack=min_slack,
+                         violations=violations, min_slack=Fraction(min_num, min_den),
                          min_slack_example=min_example,
                          first_violation=first_violation)

@@ -5,18 +5,19 @@ subject to  g . x <= 0   for each row g
             0 <= x <= 1
 
 with integer ``c`` and ``g``.  This is the only shape the branch-and-bound
-relaxations take (chain rows and LEFT/RIGHT sum-window rows over the
-endpoints), and it needs no general machinery: ``x = 0`` meets every
-row, so the slack basis is feasible from the start and no phase 1 runs,
-and the box bounds the optimum, so the simplex can never report an
-unbounded ray and the dual simplex can never prove a child infeasible.
+relaxations take (one chain row and LEFT/RIGHT sum-window rows over the
+gaps between endpoints), and it needs no general machinery: ``x = 0``
+meets every row, so the slack basis is feasible from the start and no
+phase 1 runs, and the box bounds the optimum, so the simplex can never
+report an unbounded ray and the dual simplex can never prove a child
+infeasible.
 Both are assertions.
 
 The constraint rows are, in a fixed order, the ``g`` rows with exact
 duplicates dropped, then one box row ``x_j <= 1`` per variable that no
-``g`` row ``x_j - x_l <= 0`` with ``l > j`` already bounds by a later
-variable (``canonical_rows``), each with its own slack.  A pattern LP's
-chain rows thus leave only ``r_m <= 1`` of its ``2m`` box rows.  The
+``g`` row already bounds by a later variable (``canonical_rows``), each
+with its own slack.  A pattern LP's one chain row bounds every gap by
+its last variable ``r_m``, so ``r_m <= 1`` is its only box row.  The
 tableau is a dictionary, as in lrs (Avis, 2000): it keeps only the
 nonbasic columns, so its width stays ``nvars + 1`` however many rows are
 added.  It is fraction-free: an integer matrix with one shared
@@ -78,18 +79,21 @@ def canonical_rows(lp: LinearProgram) -> list[tuple[tuple[int, ...], int]]:
 
     The ``g`` rows in order with exact duplicates dropped, then the box
     row ``x_j <= 1`` for each variable whose box row is not implied.  It
-    is implied when some ``g`` row reads ``x_j - x_l <= 0`` with ``l > j``:
-    by induction down from the highest such ``l``, whose own box row is
-    kept, every dropped ``x_j`` is at most some kept ``x_l <= 1``.  So a
-    chain ``x_0 <= x_1 <= ... <= x_{n-1}`` keeps only ``x_{n-1} <= 1``.
+    is implied when some ``g`` row's only negative coefficient is a ``-1``
+    at ``l > j`` and its coefficient at ``j`` is positive: with ``x >= 0``
+    that row reads ``x_j <= a_j x_j <= x_l``.  By induction down from the
+    highest such ``l``, whose own box row is kept, every dropped ``x_j``
+    is at most some kept ``x_l <= 1``.  So a chain ``x_0 <= x_1 <= ... <=
+    x_{n-1}``, or the one row ``x_0 + ... + x_{n-2} <= x_{n-1}``, keeps
+    only ``x_{n-1} <= 1``.
     """
     n = lp.num_vars
     rows = list(dict.fromkeys(lp.rows))
     implied = set()
     for g in rows:
-        terms = [(j, a) for j, a in enumerate(g) if a]
-        if [a for _, a in terms] == [1, -1]:  # x_j - x_l <= 0 with l > j
-            implied.add(terms[0][0])
+        neg = [l for l, a in enumerate(g) if a < 0]
+        if len(neg) == 1 and g[neg[0]] == -1:  # sum of a_j x_j over a_j > 0 <= x_l
+            implied.update(j for j in range(neg[0]) if g[j] > 0)
     box = [(tuple(int(i == j) for i in range(n)), 1) for j in range(n) if j not in implied]
     return [(g, 0) for g in rows] + box
 

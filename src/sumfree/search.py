@@ -21,6 +21,15 @@ m' - 1 covers.  No choice set is reached twice: two nodes part where one
 holds L(e) and the other R(e), and an entry is never branched on once
 resolved.
 
+The LP is solved in gap coordinates: its variables are d_0 = l1, the
+gaps d_q = x_q - x_{q-1} between consecutive endpoints of the chain
+x = (l1, r1, ..., lm, rm) for 0 < q < 2m - 1, and r_m itself.  The chain
+is then d >= 0 and the one row d_0 + ... + d_{2m-2} <= r_m, and r_m <= 1
+is the only box row, so every tableau has two base rows instead of 2m.
+The change of variables is unimodular, so each node's feasible set is
+the chain form's under that map; the search reads a vertex back as its
+endpoint numerators, the prefix sums of the gaps.
+
 Only the root of each run (the empty choice set, one per m') builds and
 solves its LP from scratch.  Every other node, including each node a
 parallel run hands to a worker, is its parent plus one choice row, so it
@@ -31,7 +40,9 @@ With ``all_optima`` the search additionally walks every basis of each
 fathomed node's optimal face (zero-reduced-cost pivots), proving
 uniqueness claims instead of merely returning one maximizer.  The branch
 rule judges every basis on its integer numerators: one with no
-positively overlapping window is k-sum-free.  Only the fathomed vertex
+positively overlapping window is k-sum-free.  A face that mixes free
+bases with one that is not is branched on that basis's entry like any
+other node, after its free unions are offered.  Only the fathomed vertex
 itself is checked again, by the independent ``intervals.is_k_sum_free``.
 """
 
@@ -40,6 +51,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .intervals import IntervalUnion, is_k_sum_free
@@ -62,8 +74,8 @@ class SearchResult:
     nodes_explored: int
     status: str
     # True when the witness list is provably the complete set of maximizers
-    # (every basis of each contributing optimal face was sum-free, and each
-    # face gave one union).
+    # (the sum-free bases of each contributing optimal face gave one union,
+    # and a face with a basis that is not sum-free was branched on).
     witnesses_exact: bool = True
     lp_pivots: int = 0
 
@@ -77,8 +89,19 @@ def mu_formula(k: int) -> Fraction:
     return main + corr
 
 
-def _choice_row(m: int, k: int, choice: Choice) -> list[int]:
-    """Coefficients over (l1, r1, ..., lm, rm) of a choice as a ``<= 0`` row."""
+def _gap_row(row: Sequence[int]) -> tuple[int, ...]:
+    """A row over (l1, r1, ..., lm, rm) written over the gap variables.
+
+    Each endpoint but r_m is the sum of the gaps up to it, so a gap's
+    coefficient is the sum of ``row``'s from its position to the one
+    before r_m's; r_m keeps its own.
+    """
+    *head, top = row
+    return (*reversed(list(accumulate(reversed(head)))), top)
+
+
+def _choice_row(m: int, k: int, choice: Choice) -> tuple[int, ...]:
+    """Coefficients over the gap variables of a choice as a ``<= 0`` row."""
     side, i, j, t = choice
     row = [0] * (2 * m)
     if side == LEFT:  # r_i + r_j <= k l_t
@@ -89,41 +112,48 @@ def _choice_row(m: int, k: int, choice: Choice) -> list[int]:
         row[2 * i] -= 1
         row[2 * j] -= 1
         row[2 * t + 1] += k
-    return row
+    return _gap_row(row)
 
 
 def build_pattern_lp(m: int, k: int, choices: Iterable[Choice] = ()) -> LinearProgram:
-    """LP relaxation: maximize total length under chain, box and choice rows.
+    """LP relaxation: maximize total length under the chain and choice rows.
 
-    Variables are (l1, r1, ..., lm, rm) in [0, 1].  All rows are
+    Variables are the gaps (d_0, ..., d_{2m-2}, r_m) of the endpoint chain
+    (l1, r1, ..., lm, rm), all in [0, 1]; the chain is the first row,
+    d_0 + ... + d_{2m-2} <= r_m.  The objective and each choice row are
+    the chain form's written over the gaps (``_gap_row``).  All rows are
     non-strict: touching windows are legal under the open-interval
     convention, so no epsilons.  A choice is (side, i, j, t) with side
     ``L`` or ``R`` and ``0 <= i <= j < m``, ``0 <= t < m``.
     """
-    rows = []
-    for x in range(2 * m - 1):  # l_i <= r_i, and r_i <= l_{i+1}
-        row = [0] * (2 * m)
-        row[x], row[x + 1] = 1, -1
-        rows.append(tuple(row))
+    rows = [(1,) * (2 * m - 1) + (-1,)]
     for side, i, j, t in sorted(choices):
         if side not in (LEFT, RIGHT) or not (0 <= i <= j < m and 0 <= t < m):
             raise ValueError(f"bad choice {(side, i, j, t)} for m={m}")
-        rows.append(tuple(_choice_row(m, k, (side, i, j, t))))
-    return LinearProgram(objective=(-1, 1) * m, rows=tuple(rows))
+        rows.append(_choice_row(m, k, (side, i, j, t)))
+    return LinearProgram(objective=_gap_row((-1, 1) * m), rows=tuple(rows))
+
+
+def _point(tab: lp_mod.Tableau) -> tuple[int, ...]:
+    """The vertex as endpoint numerators (l1, r1, ..., lm, rm) over ``tab.den``."""
+    *gaps, top = tab.vertex_numerators
+    return (*accumulate(gaps), top)
 
 
 def _pick_branch(v: Sequence, m: int, k: int,
                  choices: frozenset[Choice]) -> Choice | None:
     """Unresolved entry with the largest positive sum-window overlap.
 
-    The search passes ``v`` as ``Tableau.vertex_numerators``, integers
-    over the positive ``den``.  Any exact numbers over one positive scale
-    give the same choice: the scale multiplies every overlap alike, as
-    does the (A+A)-scale (a constant k versus the z-scale), so the argmax
-    is the exact vertex's; ties go to the lowest (i, j, t).  Entries whose
-    pair or target interval is degenerate at the vertex are skipped: they
-    witness nothing about the actual point set.  With no choices resolved,
-    ``None`` says that the configuration is k-sum-free.
+    The search passes ``v`` as the vertex's endpoint numerators
+    (``_point``), integers over the positive ``den``.  Any exact numbers
+    over one positive scale give the same choice: the scale multiplies
+    every overlap alike, as does the (A+A)-scale (a constant k versus the
+    z-scale), so the argmax is the exact vertex's; ties go to the lowest
+    (i, j, t).  Entries whose pair or target interval is degenerate at the
+    vertex are skipped: they witness nothing about the actual point set.
+    At a point that meets the rows of ``choices`` (every resolved entry's
+    overlap is then at most 0), ``None`` says that the configuration is
+    k-sum-free.
     """
     resolved = {choice[1:] for choice in choices}
     live = [(i, v[2 * i], v[2 * i + 1]) for i in range(m) if v[2 * i] != v[2 * i + 1]]
@@ -176,22 +206,29 @@ def _union(v: Sequence[int], den: int) -> IntervalUnion:
     return IntervalUnion.from_numerators(zip(v[0::2], v[1::2]), den)
 
 
-def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau) -> None:
-    """Offer the fathomed basis ``tab``, or with all optima its whole face.
+def _record_leaf(state: _RunState, m: int, choices: frozenset[Choice],
+                 tab: lp_mod.Tableau, v: tuple[int, ...]) -> Choice | None:
+    """Offer the free basis ``tab`` (endpoints ``v``), or with all optima
+    its face's free bases; return the entry to branch on, if any.
 
-    ``is_k_sum_free`` checks the fathomed vertex again.  Each basis's
-    vertex numerators are read once; the branch rule judges them, and the
-    free ones, deduped on (numerators, den), give unions: all the
-    maximizers when every basis is free and they give one union (as
-    ``tab`` alone does, since a resolved row forbids positive overlap).
+    ``is_k_sum_free`` checks the fathomed vertex again.  Each other
+    basis's endpoints are read once and, deduped on (numerators, den),
+    judged by the branch rule; a resolved row forbids positive overlap
+    at every feasible point, so the entry it finds is unresolved.  The
+    free bases give unions, offered as all this face's free maximizers
+    when they give one union.  The first basis that is not free gives
+    the entry to branch on, whose children cover the rest of the face.
     """
-    tabs = tab.optimal_face() if state.all_optima else [tab]  # ``tab`` first
-    vertices = [(t.vertex_numerators, t.den) for t in tabs]
-    if not is_k_sum_free(_union(*vertices[0]), state.k)[0]:
+    first = _union(v, tab.den)
+    if not is_k_sum_free(first, state.k)[0]:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
-    free = [vx for vx in vertices if _pick_branch(vx[0], m, state.k, frozenset()) is None]
-    unions = {_union(*vx) for vx in set(free)}
-    state.offer(tab.value, unions, len(free) == len(tabs) and len(unions) == 1)
+    bases = tab.optimal_face()[1:] if state.all_optima else []
+    others = dict.fromkeys((_point(t), t.den) for t in bases)  # in face order
+    others.pop((v, tab.den), None)
+    entries = {vx: _pick_branch(vx[0], m, state.k, choices) for vx in others}
+    unions = {first} | {_union(*vx) for vx, entry in entries.items() if entry is None}
+    state.offer(tab.value, unions, len(unions) == 1)
+    return next((entry for entry in entries.values() if entry is not None), None)
 
 
 # An open node: its choice set, and the solved parent it extends, as
@@ -208,7 +245,8 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     never infeasible (``x = 0`` meets every row; ``lp`` asserts it), so
     every node has an optimum.  Returns the open children, LEFT first;
     pruned and fathomed nodes have none, and a degenerate-only RIGHT
-    child is not opened.
+    child is not opened.  A fathomed node whose optimal face holds a
+    basis that is not free is branched on that basis's entry.
     """
     choices, parent = node
     state.nodes += 1
@@ -225,10 +263,12 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
         # Equal-bound nodes can only tie the incumbent; when ties are
         # not being collected the incumbent witness already realizes it.
         return []
-    entry = _pick_branch(tab.vertex_numerators, m, state.k, choices)
+    v = _point(tab)
+    entry = _pick_branch(v, m, state.k, choices)
     if entry is None:
-        _record_leaf(state, m, tab)
-        return []
+        entry = _record_leaf(state, m, choices, tab, v)
+        if entry is None:
+            return []
     children = [(LEFT, *entry)]
     _, j, t = entry
     # With i <= j <= t the chain gives l_i + l_j <= 2 l_t, so for k >= 2 the

@@ -3,8 +3,9 @@
 These deliberately avoid the library's algebra: integer numpy grids for
 the continuous searches, raw subset enumeration and a plain mask scan for
 the discrete solver, every tight constraint set for the LP's optimal
-face, and plain ``Fraction`` interval algebra for the integer interval
-kernel.
+face, the pattern LP in its chain form over the endpoints, and plain
+``Fraction`` interval algebra for the integer interval kernel and the
+sumset harness.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from itertools import combinations, product
 from math import floor, lcm
 
 import numpy as np
+
+from sumfree.lp import LinearProgram
 
 
 def grid_best_1_interval(k: int, grid: int) -> Fraction:
@@ -155,6 +158,45 @@ def satisfies_lp(prob, x) -> bool:
     """``x`` lies in ``[0, 1]`` and meets every ``g . x <= 0`` row of ``prob``, exactly."""
     return (all(0 <= xj <= 1 for xj in x)
             and all(sum(g * xj for g, xj in zip(row, x)) <= 0 for row in prob.rows))
+
+
+def chain_pattern_lp(m: int, k: int, choices=()) -> LinearProgram:
+    """The search's pattern LP in chain form, over the endpoints (l1, r1, ..., lm, rm).
+
+    The rows ``l1 <= r1 <= ... <= rm`` (``2m - 1`` of them), then for each
+    choice (side, i, j, t) in sorted order ``r_i + r_j <= k l_t`` (``L``)
+    or ``l_i + l_j >= k r_t`` (``R``); the objective is the total length.
+    The reference for ``search.build_pattern_lp``, which writes the same
+    LP over the gaps between endpoints.
+    """
+    n = 2 * m
+    rows = []
+    for q in range(n - 1):
+        row = [0] * n
+        row[q], row[q + 1] = 1, -1
+        rows.append(tuple(row))
+    for side, i, j, t in sorted(choices):
+        row = [0] * n
+        if side == "L":
+            row[2 * i + 1] += 1
+            row[2 * j + 1] += 1
+            row[2 * t] -= k
+        else:
+            row[2 * i] -= 1
+            row[2 * j] -= 1
+            row[2 * t + 1] += k
+        rows.append(tuple(row))
+    return LinearProgram(objective=(-1, 1) * m, rows=tuple(rows))
+
+
+def gap_form(row) -> tuple[int, ...]:
+    """A row over (l1, r1, ..., lm, rm) written over (d_0, ..., d_{2m-2}, r_m).
+
+    Each endpoint x_q with q < 2m - 1 is d_0 + ... + d_q, so the
+    coefficient of d_p is ``row[p] + ... + row[2m - 2]``; r_m keeps its own.
+    """
+    n = len(row)
+    return tuple(sum(row[p:n - 1]) for p in range(n - 1)) + (row[-1],)
 
 
 def pick_branch_fraction(v, m: int, k: int, choices):
@@ -313,3 +355,28 @@ def discretize_fraction(pairs, n: int):
     for lo, hi in pairs:
         points.update(range(max(floor(lo * n) + 1, 1), min(floor(hi * n), n) + 1))
     return tuple(sorted(points))
+
+
+def sumset_harness_fraction(draw, trials: int):
+    """The sumset harness's report fields, with every slack in ``Fraction``.
+
+    ``draw()`` gives the next union; the slack of A is
+    ``|A+A| - min(3|A|, |A| + diam(A))`` over the union's pairs, and the
+    first union of least slack is the example.  The reference for
+    ``certify.sumset_bound_harness``.
+    """
+    violations, first_violation = 0, None
+    min_slack = min_example = None
+    for _ in range(trials):
+        u = draw()
+        pairs = u.pairs()
+        measure = measure_fraction(pairs)
+        diam = pairs[-1][1] - pairs[0][0]
+        slack = (measure_fraction(minkowski_sum_fraction(pairs, pairs))
+                 - min(3 * measure, measure + diam))
+        if slack < 0:
+            violations += 1
+            first_violation = first_violation or u
+        if min_slack is None or slack < min_slack:
+            min_slack, min_example = slack, u
+    return violations, min_slack, min_example, first_violation

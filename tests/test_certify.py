@@ -3,8 +3,11 @@ from fractions import Fraction
 
 import pytest
 
+from oracles import sumset_harness_fraction
+
 from sumfree.certify import (
     BRANCHES,
+    HarnessReport,
     check_chain,
     derive_delta,
     random_union,
@@ -138,6 +141,32 @@ def test_harness_reports_are_pinned(seed, example):
     assert report.violations == 0 and report.first_violation is None
     assert report.min_slack == 0
     assert report.min_slack_example == parse_union(example)
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_harness_matches_the_fraction_reference(seed):
+    """Integer slacks give the report that ``Fraction`` slacks give."""
+    trials, max_intervals = 400, 1 + seed % 6
+    report = sumset_bound_harness(trials=trials, max_intervals=max_intervals, seed=seed)
+    rng = random.Random(seed)
+    violations, min_slack, example, first = sumset_harness_fraction(
+        lambda: random_union(rng, max_intervals), trials)
+    assert report == HarnessReport(trials=trials, max_intervals=max_intervals, seed=seed,
+                                   violations=violations, min_slack=min_slack,
+                                   min_slack_example=example, first_violation=first)
+    assert type(report.min_slack) is Fraction
+
+
+def test_harness_counts_violations(monkeypatch):
+    """With A+A replaced by A, every union of positive diameter is a violation."""
+    monkeypatch.setattr(IntervalUnion, "minkowski_sum", lambda u, v: u)
+    report = sumset_bound_harness(trials=200, max_intervals=3, seed=5)
+    rng = random.Random(5)
+    unions = [random_union(rng, 3) for _ in range(200)]
+    assert report.violations == 200 and report.first_violation == unions[0]
+    slacks = [-min(2 * u.measure(), u.extent()[2]) for u in unions]
+    assert report.min_slack == min(slacks)
+    assert report.min_slack_example == unions[slacks.index(min(slacks))]
 
 
 def test_harness_rejects_bad_trials():

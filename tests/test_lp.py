@@ -85,12 +85,46 @@ def test_box_rows_implied_by_a_later_variable_are_dropped():
     res = solve(prob)
     assert res.value == 2 and res.vertex == (F(1), F(1))
     assert check_certificate(prob, res)
-    # a scaled or three-term row implies no box row
+    # a scaled row implies no box row; x0 + x1 <= x2 bounds both x0 and x1 by x2
     prob = LinearProgram(objective=(1, 1, 1), rows=((2, -2, 0), (1, 1, -1)))
-    assert [b for _, b in canonical_rows(prob)] == [0, 0, 1, 1, 1]
-    # the pattern LP's chain l1 <= r1 <= ... <= r5 keeps only r5 <= 1
+    assert [b for _, b in canonical_rows(prob)] == [0, 0, 1]
+    res = solve(prob)
+    assert res.value == 2 and check_certificate(prob, res)
+    # a positive coefficient after the -1, or a second negative one, bounds nothing
+    prob = LinearProgram(objective=(1, 1, 1), rows=((3, -1, 2), (1, -1, -1)))
+    assert canonical_rows(prob)[2:] == [((0, 1, 0), 1), ((0, 0, 1), 1)]
+    # the pattern LP's one chain row d_0 + ... + d_8 <= r_5 keeps only r_5 <= 1
     rows = canonical_rows(build_pattern_lp(5, 3))
-    assert len(rows) == 10 and rows[-1] == ((0,) * 9 + (1,), 1)
+    assert rows == [((1,) * 9 + (-1,), 0), ((0,) * 9 + (1,), 1)]
+
+
+def _implying_row(rng: random.Random, n: int) -> tuple[int, ...]:
+    """A row whose only negative coefficient is a -1, or often nearly so."""
+    row = [rng.randint(0, 3) for _ in range(n)]
+    row[rng.randrange(n)] = rng.choice((-1, -1, -1, -2))
+    if rng.random() < 0.2:
+        row[rng.randrange(n)] = -1  # a second negative coefficient, at times
+    return tuple(row)
+
+
+def test_implied_box_rows_against_brute_force():
+    """Dropping the implied box rows changes no optimum: ``solve`` over
+    ``canonical_rows`` agrees with the tight-set oracle, which keeps every
+    box row, and its certificate checks."""
+    rng = random.Random(1919)
+    dropped = 0
+    for _ in range(150):
+        n = rng.randint(2, 4)
+        rows = tuple(_implying_row(rng, n) if rng.random() < 0.7
+                     else tuple(rng.randint(-4, 4) for _ in range(n))
+                     for _ in range(rng.randint(1, 4)))
+        prob = LinearProgram(objective=tuple(rng.randint(-3, 5) for _ in range(n)), rows=rows)
+        res = solve(prob)
+        best = optimal_vertices_brute(prob)[0]
+        assert res.value == sum(c * x for c, x in zip(prob.objective, best))
+        assert check_certificate(prob, res)
+        dropped += len(canonical_rows(prob)) < len(set(rows)) + n
+    assert dropped > 50  # about half of them drop some box row
 
 
 def test_beale_degenerate_instance_terminates():

@@ -7,12 +7,12 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (grid_best_1_interval, grid_best_2_intervals, pick_branch_fraction,
-                     satisfies_lp)
+from oracles import (chain_pattern_lp, gap_form, grid_best_1_interval, grid_best_2_intervals,
+                     pick_branch_fraction, satisfies_lp)
 
 from sumfree.intervals import IntervalUnion, format_union, is_k_sum_free
 from sumfree import search
-from sumfree.lp import OPTIMAL, LinearProgram, canonical_rows, solve
+from sumfree.lp import OPTIMAL, LinearProgram, canonical_rows, enumerate_optimal_vertices, solve
 from sumfree.search import (
     _choice_row,
     _union,
@@ -226,13 +226,40 @@ def test_unopened_right_children_hold_only_degenerate_targets(m):
         objective = [0] * (2 * m)
         objective[2 * t], objective[2 * t + 1] = -1, 1  # r_t - l_t
         rows = build_pattern_lp(m, k, {("R", *entry)}).rows
-        return solve(LinearProgram(objective=tuple(objective), rows=rows)).value
+        return solve(LinearProgram(objective=gap_form(objective), rows=rows)).value
 
     for k in range(2, 8):
         for entry in entries:
             assert max_target_length(k, entry) == 0, (k, entry)
     # for k = 1 the RIGHT child can hold a live target, so the guard k >= 2 is needed
     assert any(max_target_length(1, entry) > 0 for entry in entries)
+
+
+def _endpoints(tab):
+    """The search's read-back of an optimal tableau's vertex, as ``Fraction`` endpoints."""
+    return tuple(F(a, tab.den) for a in search._point(tab))
+
+
+def test_gap_form_matches_the_chain_form():
+    """Over seeded choice sets, the gap-form pattern LP has the chain form's
+    value, its read-back point meets every chain-form row, and its optimal
+    face's vertices, read back, are the chain form's."""
+    rng = random.Random(19)
+    faces = 0
+    for _ in range(150):
+        m, k = rng.randint(1, 4), rng.randint(1, 5)
+        entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
+        pat = frozenset((rng.choice("LR"), *entry)
+                        for entry in rng.sample(entries, rng.randint(0, min(5, len(entries)))))
+        gaps, chain = build_pattern_lp(m, k, pat), chain_pattern_lp(m, k, pat)
+        assert gaps.rows[1:] == tuple(gap_form(row) for row in chain.rows[2 * m - 1:])
+        tab = solve(gaps)
+        assert tab.value == solve(chain).value
+        assert satisfies_lp(chain, _endpoints(tab))
+        face = sorted({_endpoints(t) for t in tab.optimal_face()})
+        assert face == enumerate_optimal_vertices(chain)
+        faces += len(face) > 1
+    assert faces  # some optimal faces are more than a vertex
 
 
 def test_monotone_in_m_and_stable_at_record():
@@ -246,17 +273,19 @@ def test_monotone_in_m_and_stable_at_record():
 # Warm-started children (dual simplex from the parent's tableau) changed
 # them from (172, 1873), (619, 9467) and (421, 5719); not opening the
 # degenerate-only RIGHT children from (166, 258), (635, 1077), (459, 782)
-# and (2072, 3503).
-SEARCH_COUNTERS = {(4, 3): (130, 205), (5, 3): (481, 827), (5, 4): (352, 603),
-                   (6, 3): (1537, 2623)}
+# and (2072, 3503); the gap-form LP, whose vertices differ, and branching
+# on mixed optimal faces from (130, 205), (481, 827), (352, 603) and
+# (1537, 2623).
+SEARCH_COUNTERS = {(4, 3): (122, 178), (5, 3): (456, 745), (5, 4): (232, 293),
+                   (6, 3): (1485, 2481), (7, 3): (4971, 8636)}
 
 
-@pytest.mark.parametrize("m", [4, 5])
+@pytest.mark.parametrize("m", [4, 5, 7])
 def test_record_witness_stays_unique_with_spare_intervals(m, largest_known_3sumfree):
     res = maximize_measure(m, 3, all_optima=True)
     assert res.optimum == F(77, 177)
     assert res.witnesses == (largest_known_3sumfree,)
-    assert res.witnesses_exact
+    assert res.witnesses_exact and res.status == "proven"
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[m, 3]
 
 
@@ -268,12 +297,14 @@ def test_search_counters_k4():
 
 
 def test_search_counters_six_intervals(largest_known_3sumfree):
-    # a tied optimal face at m = 6 holds unions that are not 3-sum-free
+    # a tied optimal face at m = 6 holds unions that are not 3-sum-free;
+    # the search branches on it, so the record set is proven unique
     res = maximize_measure(6, 3, all_optima=True)
     assert res.optimum == F(77, 177)
     assert res.witnesses == (largest_known_3sumfree,)
-    assert not res.witnesses_exact
+    assert res.witnesses_exact
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[6, 3]
+
 
 
 def test_record_holds_for_six_intervals():
@@ -284,7 +315,8 @@ def test_record_holds_for_six_intervals():
 
 # Optimum, witness texts and witnesses_exact by (m, k, all_optima), as
 # recorded before face bases were judged on integers.  Without all optima
-# no completeness is claimed; (5, 1) is the one inexact case with m <= 5.
+# no completeness is claimed.  (5, 1) with all optima meets a mixed
+# optimal face, and is exact because the search branches on it.
 LEAF_RESULTS = {
     (1, 1, False): ("1/2", ("(1/2,1)",), False),
     (1, 1, True): ("1/2", ("(1/2,1)",), True),
@@ -326,7 +358,7 @@ LEAF_RESULTS = {
     (4, 4, True): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), True),
     (4, 5, False): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), False),
     (4, 5, True): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), True),
-    (5, 1, True): ("1/2", ("(1/2,1)",), False),
+    (5, 1, True): ("1/2", ("(1/2,1)",), True),
 }
 
 
@@ -383,11 +415,11 @@ def test_branch_rule_decides_sum_freeness():
 
 def test_schedule_independence_sequential_vs_parallel():
     # every worker node is a warm child, so both schedules search one tree
-    for m in (3, 4, 5):
+    for m in (3, 4, 5, 6):
         seq = maximize_measure(m, 3, all_optima=True, parallel=1)
         par = maximize_measure(m, 3, all_optima=True, parallel=2)
         assert par == seq
-        assert seq.status == "proven"
+        assert seq.status == "proven" and seq.witnesses_exact
 
 
 class _InProcessPool:
@@ -430,7 +462,7 @@ def test_node_limit_interrupts():
 
 
 def test_node_limit_is_global_across_workers():
-    # the full parallel m=4 search takes 130 nodes, so a limit of 100 must stop it
+    # the full parallel m=4 search takes 122 nodes, so a limit of 100 must stop it
     res = maximize_measure(4, 3, all_optima=True, parallel=2, node_limit=100)
     assert res.nodes_explored <= 100
     assert res.status == "interrupted"
