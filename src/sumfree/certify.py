@@ -17,7 +17,9 @@ substitution points the argument actually uses.
 The sumset growth inequality |A+A| >= min(3|A|, |A| + diam(A)) enters the
 derivation as an external fact; ``sumset_bound_harness`` stress-tests it
 exactly on seeded random interval unions (any violation would mean a bug
-in the interval algebra, not new mathematics).
+in the interval algebra, not new mathematics).  The harness draws,
+measures and compares each union as integer numerator pairs over one
+denominator; only the unions it reports are built as ``IntervalUnion``.
 """
 
 from __future__ import annotations
@@ -27,10 +29,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-from .intervals import IntervalUnion
+from .intervals import IntervalUnion, sum_windows
 from .rationals import HALF
 
-# Largest denominator of the random endpoints in ``random_union``.
+# Largest denominator of the random endpoints in ``_draw``.
 _MAX_DENOMINATOR = 64
 
 
@@ -168,53 +170,66 @@ class HarnessReport:
         return self.violations == 0
 
 
-def random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
-    """Seeded random union of up to max_intervals intervals in [0, 1]."""
+def _draw(rng: random.Random, max_intervals: int) -> tuple[list[tuple[int, int]], int]:
+    """One seeded draw of up to max_intervals intervals in [0, 1]: ``(pairs, den)``.
+
+    ``pairs`` are the sorted nondegenerate cut pairs (they may touch), as
+    numerators over ``den``, the lcm of the drawn denominators (not
+    reduced).  Python defines ``randint(a, b)`` as ``randrange(a, b + 1)``,
+    so ``1 + randrange(n)`` and ``randrange(d + 1)`` are the draws of
+    ``randint(1, n)`` and ``randint(0, d)``.
+    """
+    randrange = rng.randrange
     while True:
-        m = rng.randint(1, max_intervals)
+        m = 1 + randrange(max_intervals)
         # the draw order (a denominator, then its numerator) fixes every seeded union
-        draws = [(rng.randint(0, d), d)
-                 for d in (rng.randint(1, _MAX_DENOMINATOR) for _ in range(2 * m))]
+        draws = [(randrange(d + 1), d)
+                 for d in (1 + randrange(_MAX_DENOMINATOR) for _ in range(2 * m))]
         den = lcm(*[d for _, d in draws])  # a list: see IntervalUnion.from_numerators
         cuts = sorted(p * (den // d) for p, d in draws)
-        u = IntervalUnion.from_numerators(zip(cuts[0::2], cuts[1::2]), den)
-        if not u.is_empty():
-            return u
+        pairs = [(lo, hi) for lo, hi in zip(cuts[0::2], cuts[1::2]) if lo < hi]
+        if pairs:
+            return pairs, den
+
+
+def random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
+    """Seeded random union of up to max_intervals intervals in [0, 1]."""
+    return IntervalUnion.from_numerators(*_draw(rng, max_intervals))
 
 
 def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
                         seed: int = 0) -> HarnessReport:
     """Exact check of |A+A| >= min(3|A|, |A| + diam(A)) on random unions.
 
-    Each trial's slack is an integer numerator over the union's ``den``
-    (``A+A``'s denominator divides it); slacks are compared by
-    cross-multiplying, and only the reported minimum is a ``Fraction``.
+    Each trial is drawn, measured and compared on integer numerator pairs
+    over the draw's unreduced ``den``: the slack is an integer numerator
+    over ``den``, slacks are compared by cross-multiplying, and only the
+    reported unions (the least slack, the first violation) are built as
+    ``IntervalUnion`` and the least slack as a ``Fraction``.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if max_intervals < 1:
         raise ValueError(f"max_intervals must be >= 1, got {max_intervals}")
     rng = random.Random(seed)
-    min_num = min_den = 0
-    min_example: IntervalUnion | None = None
+    min_num, min_den, min_draw = 0, 1, None
     violations = 0
-    first_violation = None
+    first_draw = None
     for _ in range(trials):
-        u = random_union(rng, max_intervals)
-        den, nums = u.den, u.nums
-        measure = sum(hi - lo for lo, hi in nums)
-        diam = nums[-1][1] - nums[0][0]
-        s = u.minkowski_sum(u)
-        slack = (sum(hi - lo for lo, hi in s.nums) * (den // s.den)
+        pairs, den = draw = _draw(rng, max_intervals)
+        measure = sum(hi - lo for lo, hi in pairs)
+        diam = pairs[-1][1] - pairs[0][0]
+        slack = (sum(hi - lo for lo, hi in sum_windows(pairs))
                  - min(3 * measure, measure + diam))
         if slack < 0:
             violations += 1
-            if first_violation is None:
-                first_violation = u
+            if first_draw is None:
+                first_draw = draw
         # slack/den < min_num/min_den, both denominators positive
-        if min_example is None or slack * min_den < min_num * den:
-            min_num, min_den, min_example = slack, den, u
+        if min_draw is None or slack * min_den < min_num * den:
+            min_num, min_den, min_draw = slack, den, draw
     return HarnessReport(trials=trials, max_intervals=max_intervals, seed=seed,
                          violations=violations, min_slack=Fraction(min_num, min_den),
-                         min_slack_example=min_example,
-                         first_violation=first_violation)
+                         min_slack_example=IntervalUnion.from_numerators(*min_draw),
+                         first_violation=None if first_draw is None
+                         else IntervalUnion.from_numerators(*first_draw))

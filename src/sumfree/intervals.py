@@ -204,7 +204,9 @@ class IntervalUnion:
             [(alo + blo, ahi + bhi) for alo, ahi in self._over(den) for blo, bhi in theirs], den)
 
     def scale(self, q: Fraction) -> "IntervalUnion":
-        """Dilation by q > 0."""
+        """Dilation by q > 0; ``q`` is an ``int`` or a ``Fraction`` (``TypeError`` otherwise)."""
+        if not isinstance(q, (int, Fraction)):
+            raise TypeError(f"scale factor {q!r} is not an int or a Fraction")
         q = Fraction(q)
         if q <= 0:
             raise ValueError(f"scale factor must be positive, got {q}")
@@ -216,6 +218,16 @@ class IntervalUnion:
         return format_union(self)
 
 
+def sum_windows(nums: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The merged windows of U+U, numerator pairs over U's denominator.
+
+    ``nums`` are U's (lo, hi) numerator pairs, sorted or not, touching or
+    not.  U+U is symmetric, so the pairs i <= j suffice.
+    """
+    return _merge([(alo + blo, ahi + bhi) for i, (alo, ahi) in enumerate(nums)
+                   for blo, bhi in nums[i:]])
+
+
 def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
     """Measure-theoretic test for x + y = k*z having no solutions in u.
 
@@ -224,14 +236,15 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
     witness z is the midpoint of a positive-length slice of the first
     overlap component, so all three points are strictly interior and the
     arithmetic is exact.  For k = 2 the witness has x != y, since the
-    trivial x = y = z is exempt.
+    trivial x = y = z is exempt.  ``k`` must be an ``int`` (``TypeError``
+    otherwise), so no inexact value enters the comparisons.
     """
+    if not isinstance(k, int):
+        raise TypeError(f"k must be an int, got {k!r}")
     if k < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     den, nums = u.den, u.nums
-    # the sum windows, merged; (u+u) is symmetric, so pairs i <= j suffice
-    sums = _merge([(alo + blo, ahi + bhi) for i, (alo, ahi) in enumerate(nums)
-                   for blo, bhi in nums[i:]])
+    sums = sum_windows(nums)
     # first overlap component of (u+u) with k*u, all numerators over den;
     # both lists are sorted and disjoint, so the first hit is the lowest
     first = next(((max(s_lo, k * lo), min(s_hi, k * hi))

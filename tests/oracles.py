@@ -16,6 +16,7 @@ from math import floor, lcm
 
 import numpy as np
 
+from sumfree.intervals import IntervalUnion
 from sumfree.lp import LinearProgram
 
 
@@ -355,6 +356,20 @@ def discretize_fraction(pairs, n: int):
     for lo, hi in pairs:
         points.update(range(max(floor(lo * n) + 1, 1), min(floor(hi * n), n) + 1))
     return tuple(sorted(points))
+
+
+def random_union_randint(rng, max_intervals: int) -> IntervalUnion:
+    """``certify.random_union`` as written with ``randint``: the reference
+    for its draws.  Each union is built in ``Fraction`` and merged by
+    ``from_pairs``."""
+    while True:
+        m = rng.randint(1, max_intervals)
+        draws = [Fraction(rng.randint(0, d), d)
+                 for d in (rng.randint(1, 64) for _ in range(2 * m))]
+        cuts = sorted(draws)
+        u = IntervalUnion.from_pairs(list(zip(cuts[0::2], cuts[1::2])))
+        if not u.is_empty():
+            return u
 
 
 def sumset_harness_fraction(draw, trials: int):

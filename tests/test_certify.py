@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import sumset_harness_fraction
+from oracles import random_union_randint, sumset_harness_fraction
 
 from sumfree.certify import (
     BRANCHES,
@@ -159,7 +159,7 @@ def test_harness_matches_the_fraction_reference(seed):
 
 def test_harness_counts_violations(monkeypatch):
     """With A+A replaced by A, every union of positive diameter is a violation."""
-    monkeypatch.setattr(IntervalUnion, "minkowski_sum", lambda u, v: u)
+    monkeypatch.setattr("sumfree.certify.sum_windows", lambda nums: nums)
     report = sumset_bound_harness(trials=200, max_intervals=3, seed=5)
     rng = random.Random(5)
     unions = [random_union(rng, 3) for _ in range(200)]
@@ -167,6 +167,30 @@ def test_harness_counts_violations(monkeypatch):
     slacks = [-min(2 * u.measure(), u.extent()[2]) for u in unions]
     assert report.min_slack == min(slacks)
     assert report.min_slack_example == unions[slacks.index(min(slacks))]
+
+
+def test_harness_builds_only_the_reported_unions(monkeypatch):
+    """Draws and slacks stay integer pairs: at most the least-slack example
+    and the first violation become ``IntervalUnion``s."""
+    built = []
+    post_init = IntervalUnion.__post_init__
+
+    def counted(u):
+        built.append(u)
+        post_init(u)
+
+    monkeypatch.setattr(IntervalUnion, "__post_init__", counted)
+    report = sumset_bound_harness(trials=5000, max_intervals=6, seed=1)
+    assert report.passed() and len(built) <= 2
+
+
+@pytest.mark.parametrize("seed", range(21))
+def test_random_union_matches_the_randint_draws(seed):
+    """``randrange`` draws give the unions that ``randint`` draws gave."""
+    for max_intervals in range(1, 7):
+        ours, ref = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            assert random_union(ours, max_intervals) == random_union_randint(ref, max_intervals)
 
 
 def test_harness_rejects_bad_trials():

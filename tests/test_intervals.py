@@ -19,6 +19,7 @@ from sumfree.intervals import (
     format_union,
     is_k_sum_free,
     parse_union,
+    sum_windows,
 )
 
 F = Fraction
@@ -134,6 +135,18 @@ def test_from_pairs_rejects_inexact_endpoints(endpoint):
         IntervalUnion.from_pairs([(F(0), F(1, 8)), (F(1, 4), endpoint)])
 
 
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: is_k_sum_free(parse_union("(1/2,1)"), 3.0), id="float-k"),
+    pytest.param(lambda: is_k_sum_free(parse_union("(1/2,1)"), 2.5), id="fractional-float-k"),
+    pytest.param(lambda: parse_union("(1/2,1)").scale(0.1), id="float-scale"),
+    pytest.param(lambda: parse_union("(1/2,1)").scale("1/3"), id="string-scale"),
+])
+def test_inexact_numbers_are_rejected_up_front(call):
+    """``k`` is an ``int`` and a scale factor an ``int`` or ``Fraction``, as endpoints are."""
+    with pytest.raises(TypeError):
+        call()
+
+
 def test_from_pairs_takes_int_endpoints():
     u = IntervalUnion.from_pairs([(0, 1), (F(3, 2), 2)])
     assert u.pairs() == [(F(0), F(1)), (F(3, 2), F(2))]
@@ -186,6 +199,14 @@ def test_integer_kernel_matches_fraction_oracle():
             assert (free, witness and tuple(witness)) == is_k_sum_free_fraction(ref, k)
             verdicts.add((k, free))
     assert verdicts == {(k, free) for k in range(1, 8) for free in (True, False)}
+
+
+def test_sum_windows_match_minkowski_sum(largest_known_3sumfree):
+    """``sum_windows`` over a union's own ``den`` is its Minkowski square."""
+    rng = random.Random(14)
+    unions = [largest_known_3sumfree] + [rand_union(rng, 6, 64) for _ in range(500)]
+    for u in unions:
+        assert IntervalUnion.from_numerators(sum_windows(u.nums), u.den) == u.minkowski_sum(u)
 
 
 def test_canonicalize_merges_touching():

@@ -306,6 +306,19 @@ def test_search_counters_six_intervals(largest_known_3sumfree):
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[6, 3]
 
 
+# (m, k) = (5, 1) by all_optima.  The chain-form LP took 191/277 and
+# 229/347 nodes/pivots here; k = 1 has no closure of RIGHT children, so
+# these counts follow which tied optimal vertex each node returns.  They
+# are pinned so that a change to that choice re-pins them on purpose.
+K1_COUNTERS = {False: (297, 434), True: (369, 570)}
+
+
+@pytest.mark.parametrize("all_optima", [False, True])
+def test_search_counters_k1(all_optima):
+    res = maximize_measure(5, 1, all_optima=all_optima)
+    assert res.optimum == F(1, 2)
+    assert (res.nodes_explored, res.lp_pivots) == K1_COUNTERS[all_optima]
+
 
 def test_record_holds_for_six_intervals():
     res = maximize_measure(6, 3)
