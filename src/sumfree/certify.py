@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .intervals import IntervalUnion, sum_windows
-from .rationals import HALF
+from .rationals import HALF, require_exact
 
 # Largest denominator of the random endpoints in ``_draw``.
 _MAX_DENOMINATOR = 64
@@ -118,11 +118,11 @@ def check_chain(delta: Fraction, set_inf: Fraction,
     ``set_inf`` is the infimum of the candidate set, ``top_gap`` the
     measure missing from its top third (2/3, 1].  Each step's ``ok``
     means "no contradiction fires at this point"; a False anywhere shows
-    the assumed parameters cannot coexist.
+    the assumed parameters cannot coexist.  Each parameter is an ``int``
+    or a ``Fraction`` (``TypeError`` otherwise).
     """
-    delta = Fraction(delta)
-    set_inf = Fraction(set_inf)
-    top_gap = Fraction(top_gap)
+    delta, set_inf, top_gap = (Fraction(require_exact(v, "chain parameter"))
+                               for v in (delta, set_inf, top_gap))
     if delta < 0 or set_inf < 0 or top_gap < 0:
         raise ValueError("parameters must be nonnegative")
     x = HALF - delta
@@ -170,21 +170,29 @@ class HarnessReport:
         return self.violations == 0
 
 
+def _below(getrandbits, n: int) -> int:
+    """``randrange(n)`` as ``random.Random`` draws it: ``bit_length(n)`` bits, redrawn while >= n."""
+    k = n.bit_length()
+    r = getrandbits(k)
+    while r >= n:
+        r = getrandbits(k)
+    return r
+
+
 def _draw(rng: random.Random, max_intervals: int) -> tuple[list[tuple[int, int]], int]:
     """One seeded draw of up to max_intervals intervals in [0, 1]: ``(pairs, den)``.
 
     ``pairs`` are the sorted nondegenerate cut pairs (they may touch), as
     numerators over ``den``, the lcm of the drawn denominators (not
-    reduced).  Python defines ``randint(a, b)`` as ``randrange(a, b + 1)``,
-    so ``1 + randrange(n)`` and ``randrange(d + 1)`` are the draws of
-    ``randint(1, n)`` and ``randint(0, d)``.
+    reduced).  ``randint(a, b)`` is ``randrange(a, b + 1)``, so ``1 +
+    _below(n)`` and ``_below(d + 1)`` draw ``randint(1, n)`` and ``randint(0, d)``.
     """
-    randrange = rng.randrange
+    bits = rng.getrandbits
     while True:
-        m = 1 + randrange(max_intervals)
+        m = 1 + _below(bits, max_intervals)
         # the draw order (a denominator, then its numerator) fixes every seeded union
-        draws = [(randrange(d + 1), d)
-                 for d in (1 + randrange(_MAX_DENOMINATOR) for _ in range(2 * m))]
+        draws = [(_below(bits, d + 1), d)
+                 for d in (1 + _below(bits, _MAX_DENOMINATOR) for _ in range(2 * m))]
         den = lcm(*[d for _, d in draws])  # a list: see IntervalUnion.from_numerators
         cuts = sorted(p * (den // d) for p, d in draws)
         pairs = [(lo, hi) for lo, hi in zip(cuts[0::2], cuts[1::2]) if lo < hi]

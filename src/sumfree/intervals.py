@@ -25,7 +25,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .rationals import RationalParseError, parse_rational, format_rational
+from .rationals import RationalParseError, format_rational, parse_pair, require_exact
+from .rationals import parse_rational  # noqa: F401  (bench/spans.py wraps it at this name)
 
 
 class EmptyUnionError(ValueError):
@@ -44,7 +45,7 @@ class Interval:
             raise ValueError(f"degenerate interval ({self.lo}, {self.hi})")
 
     def contains(self, x: Fraction) -> bool:
-        return self.lo < x < self.hi
+        return self.lo < require_exact(x, "point") < self.hi
 
     def __str__(self) -> str:
         return f"({format_rational(self.lo)},{format_rational(self.hi)})"
@@ -58,16 +59,11 @@ class Witness(NamedTuple):
     z: Fraction
 
 
-def _numerators(pairs: list[tuple[Fraction, Fraction]]) -> tuple[int, list[tuple[int, int]]]:
-    """(den, numerators): ``den`` is the lcm of the endpoint denominators,
-    and each (lo, hi) becomes its pair of integer numerators over ``den``.
-
-    ``int`` and ``Fraction`` both carry ``.numerator`` and ``.denominator``,
-    so no endpoint is re-wrapped.
-    """
-    den = lcm(*[v.denominator for pair in pairs for v in pair])  # a list: see from_numerators
-    return den, [(lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator))
-                 for lo, hi in pairs]
+def _numerators(pairs: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[tuple[int, int]], int]:
+    """(numerators, den) of endpoint pairs written as integer ``(p, q)``, ``q > 0``:
+    ``den`` is the lcm of the q's, and each endpoint becomes its numerator over ``den``."""
+    den = lcm(*[q for pair in pairs for _, q in pair])  # a list: see from_numerators
+    return [(lp * (den // lq), hp * (den // hq)) for (lp, lq), (hp, hq) in pairs], den
 
 
 def _merge(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -130,13 +126,9 @@ class IntervalUnion:
         ``int`` and ``Fraction`` endpoints are accepted (``TypeError``
         otherwise), so no inexact value enters the exact algebra.
         """
-        pairs = list(pairs)
-        for pair in pairs:
-            for v in pair:
-                if not isinstance(v, (int, Fraction)):
-                    raise TypeError(f"interval endpoint {v!r} is not an int or a Fraction")
-        den, nums = _numerators(pairs)
-        return IntervalUnion.from_numerators(nums, den)
+        return IntervalUnion.from_numerators(*_numerators(
+            [[(require_exact(v, "interval endpoint").numerator, v.denominator) for v in pair]
+             for pair in pairs]))
 
     @cached_property
     def intervals(self) -> tuple[Interval, ...]:
@@ -158,6 +150,7 @@ class IntervalUnion:
         return Fraction(sum(hi - lo for lo, hi in self.nums), self.den)
 
     def contains(self, x: Fraction) -> bool:
+        require_exact(x, "point")
         return any(iv.contains(x) for iv in self.intervals)
 
     def extent(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -205,9 +198,7 @@ class IntervalUnion:
 
     def scale(self, q: Fraction) -> "IntervalUnion":
         """Dilation by q > 0; ``q`` is an ``int`` or a ``Fraction`` (``TypeError`` otherwise)."""
-        if not isinstance(q, (int, Fraction)):
-            raise TypeError(f"scale factor {q!r} is not an int or a Fraction")
-        q = Fraction(q)
+        q = Fraction(require_exact(q, "scale factor"))
         if q <= 0:
             raise ValueError(f"scale factor must be positive, got {q}")
         p = q.numerator
@@ -245,12 +236,17 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
         raise ValueError(f"k must be a positive integer, got {k}")
     den, nums = u.den, u.nums
     sums = sum_windows(nums)
-    # first overlap component of (u+u) with k*u, all numerators over den;
-    # both lists are sorted and disjoint, so the first hit is the lowest
-    first = next(((max(s_lo, k * lo), min(s_hi, k * hi))
-                  for s_lo, s_hi in sums for lo, hi in nums
-                  if max(s_lo, k * lo) < min(s_hi, k * hi)), None)
-    if first is None:
+    # first overlap component of (u+u) with k*u, all numerators over den:
+    # both lists are sorted and disjoint, so a merge sweep that drops the
+    # window ending first meets the lowest overlap first
+    i = j = 0
+    while i < len(sums) and j < len(nums):
+        (s_lo, s_hi), (lo, hi) = sums[i], nums[j]
+        first = max(s_lo, k * lo), min(s_hi, k * hi)
+        if first[0] < first[1]:
+            break
+        i, j = (i + 1, j) if s_hi <= k * hi else (i, j + 1)
+    else:
         return True, None
     # this component (scaled by k) is covered, up to finitely many touch
     # points, by the open pairwise sum windows; some window slice has
@@ -277,7 +273,8 @@ def parse_union(text: str) -> IntervalUnion:
     """Parse the ";"-separated "(p/q,r/s)" form, e.g. "(2/3,1);(0,1/8)".
 
     An empty or all-whitespace string is the empty union.  Errors carry
-    the character position of the offending token.
+    the character position of the offending token.  Endpoints are parsed
+    straight to integer numerators (``parse_pair``); no ``Fraction`` is built.
     """
     if not text.strip():
         return IntervalUnion()
@@ -295,13 +292,13 @@ def parse_union(text: str) -> IntervalUnion:
         if not comma:
             raise RationalParseError(text, shift, "interval needs two comma-separated endpoints")
         try:
-            lo = parse_rational(lo_txt, offset=shift + 1)
-            hi = parse_rational(hi_txt, offset=shift + 2 + len(lo_txt))
+            lo = parse_pair(lo_txt, offset=shift + 1)
+            hi = parse_pair(hi_txt, offset=shift + 2 + len(lo_txt))
         except RationalParseError as exc:
             raise RationalParseError(text, exc.pos, exc.reason) from None
         pairs.append((lo, hi))  # lo >= hi pairs are dropped by canonicalization
         pos += len(chunk) + 1
-    return IntervalUnion.from_pairs(pairs)
+    return IntervalUnion.from_numerators(*_numerators(pairs))
 
 
 def format_union(u: IntervalUnion) -> str:

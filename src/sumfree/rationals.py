@@ -1,9 +1,11 @@
 """Exact rational arithmetic and the "p/q" text form.
 
-Every quantity in this package is a :class:`fractions.Fraction` (arbitrary
-precision, canonical form: positive denominator, gcd-reduced, 0/1 for zero).
-Floating point is never used in a computation path; ``decimal_str`` exists
-for report rendering only and its output never feeds back into arithmetic.
+Every quantity in this package is an ``int`` or a :class:`fractions.Fraction`
+(canonical form: positive denominator, gcd-reduced); ``require_exact``
+rejects anything else.  Interval unions are integer numerators over one
+denominator, ``Fraction`` is their read view, and ``parse_pair`` reads
+"p/q" text straight to integers.  Floating point is never used in a
+computation path; ``decimal_str`` renders reports only.
 """
 
 from __future__ import annotations
@@ -23,11 +25,17 @@ class RationalParseError(ValueError):
         super().__init__(f"{message} at position {pos} in {text!r}")
 
 
-def parse_rational(text: str, offset: int = 0) -> Fraction:
-    """Parse "p/q" or a bare integer, e.g. "77/177", "-1/114", "1".
+def require_exact(value, what: str):
+    """``value`` if it is an ``int`` or a ``Fraction``, else ``TypeError``."""
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"{what} {value!r} is not an int or a Fraction")
+    return value
 
-    ``offset`` shifts reported error positions when the text is a slice of
-    a larger input (used by the interval-union parser and the CLI).
+
+def parse_pair(text: str, offset: int = 0) -> tuple[int, int]:
+    """Parse "p/q" or a bare integer to ``(p, q)``, ``q > 0``, not reduced:
+    "3/-6" gives (-3, 6).  ``offset`` shifts reported error positions when
+    the text is a slice of a larger input (used by the union parser).
     """
     s = text.strip()
     if not s:
@@ -39,7 +47,7 @@ def parse_rational(text: str, offset: int = 0) -> Fraction:
     except ValueError:
         raise RationalParseError(text, shift, f"bad integer {num_part!r}") from None
     if not slash:
-        return Fraction(p)
+        return p, 1
     try:
         q = int(den_part)
     except ValueError:
@@ -48,7 +56,12 @@ def parse_rational(text: str, offset: int = 0) -> Fraction:
         ) from None
     if q == 0:
         raise RationalParseError(text, shift + len(num_part) + 1, "zero denominator")
-    return Fraction(p, q)
+    return (-p, -q) if q < 0 else (p, q)
+
+
+def parse_rational(text: str, offset: int = 0) -> Fraction:
+    """Parse "p/q" or a bare integer, e.g. "77/177", "-1/114", "1"; see ``parse_pair``."""
+    return Fraction(*parse_pair(text, offset))
 
 
 def format_rational(q: Fraction) -> str:

@@ -4,8 +4,8 @@ These deliberately avoid the library's algebra: integer numpy grids for
 the continuous searches, raw subset enumeration and a plain mask scan for
 the discrete solver, every tight constraint set for the LP's optimal
 face, the pattern LP in its chain form over the endpoints, and plain
-``Fraction`` interval algebra for the integer interval kernel and the
-sumset harness.
+``Fraction`` interval algebra for the integer interval kernel, the
+union parser and the sumset harness.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import numpy as np
 
 from sumfree.intervals import IntervalUnion
 from sumfree.lp import LinearProgram
+from sumfree.rationals import RationalParseError
 
 
 def grid_best_1_interval(k: int, grid: int) -> Fraction:
@@ -395,3 +396,68 @@ def sumset_harness_fraction(draw, trials: int):
         if min_slack is None or slack < min_slack:
             min_slack, min_example = slack, u
     return violations, min_slack, min_example, first_violation
+
+
+def parse_rational_fraction(text: str, offset: int = 0) -> Fraction:
+    """"p/q" or a bare integer straight to a ``Fraction``, with the same
+    checks, messages and positions as ``rationals.parse_pair``."""
+    s = text.strip()
+    if not s:
+        raise RationalParseError(text, offset, "empty rational")
+    shift = offset + text.index(s[0])
+    num_part, slash, den_part = s.partition("/")
+    try:
+        p = int(num_part)
+    except ValueError:
+        raise RationalParseError(text, shift, f"bad integer {num_part!r}") from None
+    if not slash:
+        return Fraction(p)
+    try:
+        q = int(den_part)
+    except ValueError:
+        raise RationalParseError(
+            text, shift + len(num_part) + 1, f"bad integer {den_part!r}") from None
+    if q == 0:
+        raise RationalParseError(text, shift + len(num_part) + 1, "zero denominator")
+    return Fraction(p, q)
+
+
+def parse_union_fraction(text: str) -> IntervalUnion:
+    """``intervals.parse_union`` through ``Fraction`` endpoints and ``from_pairs``:
+    the reference for its integer parse, its results and its errors."""
+    if not text.strip():
+        return IntervalUnion()
+    pairs = []
+    pos = 0
+    for chunk in text.split(";"):
+        piece = chunk.strip()
+        if not piece:
+            raise RationalParseError(text, pos, "empty interval entry")
+        shift = pos + chunk.index(piece[0])
+        if not (piece.startswith("(") and piece.endswith(")")):
+            raise RationalParseError(text, shift, "interval must look like (p/q,r/s)")
+        lo_txt, comma, hi_txt = piece[1:-1].partition(",")
+        if not comma:
+            raise RationalParseError(text, shift, "interval needs two comma-separated endpoints")
+        try:
+            lo = parse_rational_fraction(lo_txt, offset=shift + 1)
+            hi = parse_rational_fraction(hi_txt, offset=shift + 2 + len(lo_txt))
+        except RationalParseError as exc:
+            raise RationalParseError(text, exc.pos, exc.reason) from None
+        pairs.append((lo, hi))
+        pos += len(chunk) + 1
+    return IntervalUnion.from_pairs(pairs)
+
+
+# Malformed ``--set`` texts, one per parse error: a zero denominator, a bad
+# numerator, a bad denominator, empty entries, a missing comma, missing
+# parentheses and empty endpoints, some after a good first interval.
+MALFORMED_UNION_TEXTS = [
+    "(1/0,1)", "(0,3/0)", "(1/2,1);(1/-0,1)",
+    "(a,1)", "(x/2,1)", "(1.5,2)", "(1/2,1);( q/3 ,1)",
+    "(1/b,1)", "(1/2,1/)", "(0,1/2.0)", "(1/2,1);(1/3,2/ x)",
+    ";(1/2,1)", "(1/2,1);", "(1/2,1);;(0,1/8)", "(1/2,1); ;(0,1/8)",
+    "(1/2 1)", "(1/2,1);(0)", "(1,2);(3;4)",
+    "1/2,1", "(1/2,1", "1/2,1)", "(1/2,1);0,1/8",
+    "(,1)", "(1/2,)", "( , )",
+]

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -104,6 +105,18 @@ def test_check_chain_rejects_negative_parameters():
         check_chain(F(-1, 10), F(0))
 
 
+@pytest.mark.parametrize("args", [(0.01, F(1, 25)), (F(1, 100), 0.04), (F(1, 100), F(0), 0.0),
+                                  ("1/100", F(0)), (Decimal("0.01"), F(0))])
+def test_check_chain_rejects_inexact_parameters(args):
+    """Parameters are ``int`` or ``Fraction``, as interval endpoints are."""
+    with pytest.raises(TypeError):
+        check_chain(*args)
+
+
+def test_check_chain_takes_int_parameters():
+    assert check_chain(0, 0, 0) == check_chain(F(0), F(0), F(0))
+
+
 def test_tight_sumset_examples():
     a = IntervalUnion.from_pairs([(F(0), F(1, 4)), (F(3, 4), F(1))])
     s = a.minkowski_sum(a)
@@ -186,8 +199,12 @@ def test_harness_builds_only_the_reported_unions(monkeypatch):
 
 @pytest.mark.parametrize("seed", range(21))
 def test_random_union_matches_the_randint_draws(seed):
-    """``randrange`` draws give the unions that ``randint`` draws gave."""
-    for max_intervals in range(1, 7):
+    """``getrandbits`` draws give the unions that ``randint`` draws gave.
+
+    ``randrange(2**j)`` redraws half of its ``getrandbits`` results, so the
+    bounds at and around powers of two would show an off-by-one first.
+    """
+    for max_intervals in (*range(1, 9), 16, 31, 32, 33, 64, 65):
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(200):
             assert random_union(ours, max_intervals) == random_union_randint(ref, max_intervals)

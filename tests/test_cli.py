@@ -8,12 +8,15 @@ from pathlib import Path
 
 import pytest
 
+from oracles import MALFORMED_UNION_TEXTS, parse_union_fraction
+
 import sumfree
 from sumfree import __version__
 from sumfree import cli
 from sumfree.cache import (CacheRecord, append_record, load_records, lookup, make_record,
                            solver_digest)
 from sumfree.cli import main
+from sumfree.rationals import RationalParseError
 
 
 @pytest.fixture
@@ -65,6 +68,17 @@ def test_malformed_set_exits_2_with_position(cache_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "position 3" in err
+
+
+@pytest.mark.parametrize("text", MALFORMED_UNION_TEXTS)
+def test_every_malformed_set_exits_2_with_its_position(cache_path, capsys, text):
+    """The message is the ``Fraction`` parse path's, position included, and no traceback."""
+    ref = pytest.raises(RationalParseError, parse_union_fraction, text).value
+    code = main(["verify", "--k", "3", "--set", text])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (2, "")
+    assert captured.err == f"error: {ref}\n"
+    assert f"at position {ref.pos} in " in captured.err
 
 
 def test_bad_usage_exits_2(cache_path):

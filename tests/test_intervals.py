@@ -6,10 +6,12 @@ from fractions import Fraction
 import pytest
 
 from oracles import (
+    MALFORMED_UNION_TEXTS,
     canonical_pairs_fraction,
     is_k_sum_free_fraction,
     measure_fraction,
     minkowski_sum_fraction,
+    parse_union_fraction,
 )
 from sumfree.intervals import (
     EmptyUnionError,
@@ -140,9 +142,13 @@ def test_from_pairs_rejects_inexact_endpoints(endpoint):
     pytest.param(lambda: is_k_sum_free(parse_union("(1/2,1)"), 2.5), id="fractional-float-k"),
     pytest.param(lambda: parse_union("(1/2,1)").scale(0.1), id="float-scale"),
     pytest.param(lambda: parse_union("(1/2,1)").scale("1/3"), id="string-scale"),
+    pytest.param(lambda: parse_union("(1/2,1)").contains(0.75), id="float-point-union"),
+    pytest.param(lambda: Interval(F(1, 2), F(1)).contains(0.75), id="float-point-interval"),
+    pytest.param(lambda: IntervalUnion().contains(0.75), id="float-point-empty-union"),
 ])
 def test_inexact_numbers_are_rejected_up_front(call):
-    """``k`` is an ``int`` and a scale factor an ``int`` or ``Fraction``, as endpoints are."""
+    """``k`` is an ``int``; a scale factor or a point is an ``int`` or ``Fraction``, as
+    endpoints are."""
     with pytest.raises(TypeError):
         call()
 
@@ -460,3 +466,51 @@ def test_parse_union_reports_positions(text, pos):
     err = pytest.raises(RationalParseError, parse_union, text).value
     assert err.pos == pos
     assert err.text == text
+
+
+def _union_text(rng: random.Random) -> str:
+    """Up to 6 intervals in shuffled order, some in (1/2, 1] or (2/3, 1], endpoints
+    written reduced, unreduced, as integers or with a moved sign."""
+    m = rng.randint(1, 6)
+    base = rng.choice((F(0), F(0), F(1, 2), F(2, 3)))
+    cuts = sorted(base + (1 - base) * F(rng.randint(0, d), d)
+                  for d in (rng.randint(1, 64) for _ in range(2 * m)))
+    pairs = list(zip(cuts[0::2], cuts[1::2]))
+    rng.shuffle(pairs)
+
+    def write(v):
+        roll, s = rng.random(), rng.randint(2, 5)
+        if roll < 0.2:
+            return f"{v.numerator * s}/{v.denominator * s}"
+        if roll < 0.3:
+            return f"{-v.numerator}/-{v.denominator}"
+        return str(v)
+
+    return ";".join(f"({write(lo)},{write(hi)})" for lo, hi in pairs)
+
+
+@pytest.mark.parametrize("text", [
+    "(1/-2,1)", "(+3/4,1)", "(-0/5,1/2)", "( 1 / 2 , 1 )", "(1_0/40,1)",
+    "(0,1);(2,3)", "(-1,0);(1,2)", "(3,1)", "(2/4,4/8)", "(1/3,2/6);(2/6,1/2)",
+    "(-1/3,-1/6)", "(2/-3,1/-6)", "(0/7,14/-21);(1,2)", "", "  ",
+])
+def test_parse_union_matches_the_fraction_path_on_edge_cases(text):
+    assert parse_union(text) == parse_union_fraction(text)
+
+
+def test_parse_union_matches_the_fraction_path_on_seeded_texts():
+    """Integer numerators over the lcm of the written denominators, reduced by
+    ``from_numerators``, give the union ``Fraction`` endpoints and ``from_pairs`` give."""
+    rng = random.Random(21)
+    texts = [_union_text(rng) for _ in range(2000)]
+    assert sum("-" in t for t in texts) > 100
+    for text in texts:
+        assert parse_union(text) == parse_union_fraction(text)
+
+
+@pytest.mark.parametrize("text", MALFORMED_UNION_TEXTS)
+def test_parse_union_errors_match_the_fraction_path(text):
+    ours = pytest.raises(RationalParseError, parse_union, text).value
+    ref = pytest.raises(RationalParseError, parse_union_fraction, text).value
+    assert (ours.text, ours.pos, ours.reason, str(ours)) == (ref.text, ref.pos, ref.reason,
+                                                             str(ref))

@@ -8,6 +8,7 @@ from sumfree.rationals import (
     RationalParseError,
     decimal_str,
     format_rational,
+    parse_pair,
     parse_rational,
 )
 
@@ -119,3 +120,18 @@ def test_decimal_rendering_is_display_only():
     assert decimal_str(Fraction(-1, 3)) == "-0.333333"
     assert decimal_str(Fraction(5, 2)) == "2.500000"
     assert decimal_str(Fraction(-3, 1000)) == "-0.003000"
+
+
+@pytest.mark.parametrize("text,pair", [
+    ("77/177", (77, 177)),
+    ("2/4", (2, 4)),  # not reduced
+    ("3/-6", (-3, 6)),
+    ("-3/-6", (3, 6)),
+    ("-0/5", (0, 5)),
+    ("+3/4", (3, 4)),
+    (" 1_0 / 40 ", (10, 40)),
+    ("-7", (-7, 1)),
+])
+def test_parse_pair_moves_the_sign_to_the_numerator(text, pair):
+    assert parse_pair(text) == pair
+    assert parse_rational(text) == Fraction(*pair)
