@@ -42,7 +42,11 @@ restores primal feasibility with the same Bareiss pivot.  It uses dual
 Bland's rule (the leaving row is the infeasible one with the lowest
 basic variable; ties in the dual ratio test go to the lowest variable),
 which is Bland's rule run on the dual LP and so terminates without an
-anti-cycling guard.
+anti-cycling guard.  Every basis on its way is dual feasible, so its
+value bounds the child's optimum from above and never rises; given a
+``cutoff`` (the search's incumbent), ``add_row`` stops before the first
+pivot that would take the value below it and returns the child with
+status ``CUTOFF``.  That comparison is one integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -52,6 +56,7 @@ from fractions import Fraction
 from typing import Sequence
 
 OPTIMAL = "optimal"
+CUTOFF = "cutoff"
 
 
 @dataclass(frozen=True)
@@ -109,15 +114,14 @@ class Tableau:
     ``pivot`` swaps ``basis[r]`` with ``cobasis[p]``, the leaving variable
     taking the entering one's column, and the pivot rules choose by
     variable id, never by column position.  Rows are replaced, never
-    changed in place, so tableaux may share them.  ``solve`` and
-    ``add_row`` return it optimal; ``value``, ``vertex`` and ``dual`` are
-    read off it, and ``pivots`` counts the pivots that the solve or the
+    changed in place, so tableaux may share them.  ``solve`` returns it
+    optimal, and so does ``add_row`` unless its cutoff stops it (status
+    ``CUTOFF``); ``value``, ``vertex`` and ``dual`` are read off an
+    optimal one, and ``pivots`` counts the pivots that the solve or the
     added row took.
     """
 
-    status = OPTIMAL
-
-    __slots__ = ("mat", "den", "basis", "cobasis", "nrows", "nvars", "pivots")
+    __slots__ = ("mat", "den", "basis", "cobasis", "nrows", "nvars", "pivots", "status")
 
     def __init__(self, mat, basis, cobasis, den=1):
         self.mat = mat
@@ -127,6 +131,7 @@ class Tableau:
         self.nrows = len(basis)
         self.nvars = len(cobasis)
         self.pivots = 0
+        self.status = OPTIMAL
 
     @property
     def value(self) -> Fraction:
@@ -207,7 +212,7 @@ class Tableau:
             assert r is not None, "unbounded ray, but the box bounds every pattern LP"
             self.pivot(r, p)
 
-    def add_row(self, g: Sequence[int]) -> "Tableau":
+    def add_row(self, g: Sequence[int], cutoff: Fraction | int | None = None) -> "Tableau":
         """The optimum with the row ``g . x <= 0`` added, by dual simplex.
 
         ``g`` has one entry per variable.  The row, ``den*g - sum
@@ -215,6 +220,12 @@ class Tableau:
         objective row with its new slack basic, so every entry is still a
         minor of the enlarged input matrix and ``den`` is unchanged.  The
         child shares this tableau's row lists and leaves them as they were.
+
+        With a ``cutoff`` (an int or a ``Fraction``) the dual simplex stops
+        before a pivot that would take the value, which never rises, below
+        it; the child then has status ``CUTOFF`` and is read only for
+        ``status`` and ``pivots``.  The first check, on the new row, copies
+        none of this tableau's rows.
         """
         den, n, nrows = self.den, self.nvars, self.nrows
         new = [den * g[v] if v < n else 0 for v in self.cobasis] + [0]
@@ -222,17 +233,50 @@ class Tableau:
             f = g[b] if b < n else 0
             if f:
                 new = [a - f * x for a, x in zip(new, row)]
+        # This tableau is optimal, so only the new row can be infeasible, and
+        # the child's objective row and cobasis are this tableau's.
+        c = self._entering(new) if new[-1] < 0 else None
+        if c is not None and self._cuts(new, c, cutoff):
+            tab = Tableau([], [], [], den)
+            tab.status = CUTOFF
+            return tab
         mat = self.mat[:nrows] + [new, self.mat[nrows]]
         tab = Tableau(mat, self.basis + [n + nrows], list(self.cobasis), den)
-        tab.dual_optimize()
+        if c is not None:
+            tab.pivot(nrows, c)
+            tab.dual_optimize(cutoff)
         return tab
 
-    def dual_optimize(self) -> None:
+    def _entering(self, row: list[int]) -> int:
+        """The dual ratio test's column for the infeasible ``row``: it
+        minimizes ``obj[p] / -row[p]`` over ``row[p] < 0``, ties to the
+        lowest variable."""
+        obj, c = self.mat[self.nrows], None
+        for p in self._by_id():
+            # obj[p]/-row[p] < obj[c]/-row[c], cross-multiplied
+            if row[p] < 0 and (c is None or obj[p] * row[c] > obj[c] * row[p]):
+                c = p
+        # No negative entry would make the row a sum of nonnegatives < 0.
+        assert c is not None, "infeasible, but x = 0 meets every pattern row"
+        return c
+
+    def _cuts(self, row: list[int], c: int, cutoff: Fraction | int | None) -> bool:
+        """Whether the dual pivot on ``row`` at column ``c`` takes the value
+        below ``cutoff``: it negates ``row``, so the new ``den`` is ``piv =
+        -row[c]`` and the value ``(obj[-1]*piv + obj[c]*row[-1]) / (den*piv)``."""
+        if cutoff is None:
+            return False
+        obj, piv = self.mat[self.nrows], -row[c]
+        num = obj[-1] * piv + obj[c] * row[-1]
+        return num * cutoff.denominator < cutoff.numerator * self.den * piv
+
+    def dual_optimize(self, cutoff: Fraction | int | None = None) -> None:
         """Dual simplex from a dual-feasible basis.
 
         Dual Bland's rule: the leaving row is the one with a negative rhs
-        whose basic variable is lowest; the entering column minimizes
-        ``obj[p] / -row[p]`` over ``row[p] < 0``, ties to the lowest variable.
+        whose basic variable is lowest, and ``_entering`` gives the
+        column.  With a ``cutoff`` it stops, with status ``CUTOFF``, before
+        a pivot that would take the value below it (``_cuts``).
         """
         mat, basis = self.mat, self.basis
         while True:
@@ -240,14 +284,10 @@ class Tableau:
                     key=basis.__getitem__, default=None)
             if r is None:
                 return
-            row, obj = mat[r], mat[self.nrows]
-            c = None
-            for p in self._by_id():
-                # obj[p]/-row[p] < obj[c]/-row[c], cross-multiplied
-                if row[p] < 0 and (c is None or obj[p] * row[c] > obj[c] * row[p]):
-                    c = p
-            # No negative entry would make the row a sum of nonnegatives < 0.
-            assert c is not None, "infeasible, but x = 0 meets every pattern row"
+            c = self._entering(mat[r])
+            if self._cuts(mat[r], c, cutoff):
+                self.status = CUTOFF
+                return
             self.pivot(r, c)
 
     def optimal_face(self) -> list["Tableau"]:

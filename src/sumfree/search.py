@@ -35,6 +35,9 @@ solves its LP from scratch.  Every other node, including each node a
 parallel run hands to a worker, is its parent plus one choice row, so it
 is reoptimized from the parent's optimal tableau by a few dual simplex
 pivots; a fathomed leaf walks its optimal face from that same tableau.
+The dual simplex stops as soon as its bound would fall below the
+incumbent, since such a child is pruned whatever its optimum; this
+saves pivots and changes no node, witness or status.
 
 With ``all_optima`` the search additionally walks every basis of each
 fathomed node's optimal face (zero-reduced-cost pivots), proving
@@ -164,7 +167,7 @@ def _pick_branch(v: Sequence, m: int, k: int,
         for j, lj, rj in live[a:]:
             slo, shi = li + lj, ri + rj
             for t, klt, krt in targets:
-                ov = min(shi, krt) - max(slo, klt)
+                ov = (shi if shi < krt else krt) - (slo if slo > klt else klt)
                 if ov > best_ov and (i, j, t) not in resolved:
                     best_ov = ov
                     best = (i, j, t)
@@ -243,7 +246,9 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     one new choice row to its parent's optimal tableau, which both
     children share, and reoptimizes by dual simplex.  A pattern LP is
     never infeasible (``x = 0`` meets every row; ``lp`` asserts it), so
-    every node has an optimum.  Returns the open children, LEFT first;
+    every node has an optimum; a warm child's dual simplex stops, and the
+    child is pruned, once its bound falls below the incumbent.  Returns the
+    open children, LEFT first;
     pruned and fathomed nodes have none, and a degenerate-only RIGHT
     child is not opened.  A fathomed node whose optimal face holds a
     basis that is not free is branched on that basis's entry.
@@ -254,8 +259,10 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
         tab = lp_mod.solve(build_pattern_lp(m, state.k, choices))
     else:
         tab, choice = parent
-        tab = tab.add_row(_choice_row(m, state.k, choice))
+        tab = tab.add_row(_choice_row(m, state.k, choice), cutoff=state.best)
     state.pivots += tab.pivots
+    if tab.status == lp_mod.CUTOFF:
+        return []
     value = tab.value
     if value < state.best:
         return []
@@ -320,8 +327,10 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     deduplicated set of maximizers whenever ``witnesses_exact`` is True.
     The node and pivot counts can differ from the serial run's only if the
     incumbent rises during the last run, where the workers prune against
-    their own incumbents.  Without ``all_optima`` the single reported
-    witness may depend on the schedule and no completeness is claimed.
+    their own incumbents; a warm child stops pivoting once its bound falls
+    below the incumbent it sees, so the pivot count follows the incumbent.
+    Without ``all_optima`` the single reported witness may depend on the
+    schedule and no completeness is claimed.
     ``node_limit`` caps the nodes explored in total, across all runs and
     workers (each worker gets a share of what is left); a search it stops
     is ``interrupted``.

@@ -7,6 +7,7 @@ import pytest
 from oracles import optimal_vertices_brute, satisfies_lp
 
 from sumfree.lp import (
+    CUTOFF,
     OPTIMAL,
     LinearProgram,
     Tableau,
@@ -297,3 +298,39 @@ def test_dictionary_keeps_its_width_and_its_parent():
                 _dictionary_is_well_formed(child)
                 assert child.nrows == tab.nrows + 1
             tab = rng.choice(children)
+
+
+def test_added_row_with_a_cutoff_stops_only_below_it():
+    """``add_row(g, cutoff)`` is the full reoptimization, pivot for pivot,
+    or stops early, with status ``CUTOFF``, on a child whose optimum is
+    below ``cutoff``, and it stops whenever a pivot would reach a value
+    below ``cutoff``; cutoffs are drawn just above, at and below the cold
+    optimum, and well above it."""
+    rng = random.Random(2026)
+    seen = {"optimal": 0, "cut at once": 0, "cut after pivots": 0}
+    for _ in range(120):
+        prob = _random_lp(rng)
+        tab = solve(prob)
+        for _ in range(3):
+            g = tuple(rng.randint(-3, 3) for _ in range(prob.num_vars))
+            prob = LinearProgram(objective=prob.objective, rows=prob.rows + (g,))
+            cold = solve(prob).value
+            full = tab.add_row(g)
+            eps = F(1, rng.randint(1, 50))
+            for cutoff in (cold + eps, cold, cold - eps, tab.value + 1, int(cold) + 1):
+                before = copy.deepcopy((tab.mat, tab.den, tab.basis, tab.cobasis))
+                child = tab.add_row(g, cutoff)
+                assert (tab.mat, tab.den, tab.basis, tab.cobasis) == before
+                if child.status == OPTIMAL:
+                    # the last pivot of the full solve reaches the cold optimum
+                    assert cold >= cutoff or full.pivots == 0
+                    assert ((child.mat, child.den, child.basis, child.cobasis, child.pivots)
+                            == (full.mat, full.den, full.basis, full.cobasis, full.pivots))
+                    seen["optimal"] += 1
+                else:
+                    assert child.status == CUTOFF
+                    assert cold < cutoff and child.pivots <= full.pivots
+                    assert not check_certificate(prob, child)
+                    seen["cut after pivots" if child.pivots else "cut at once"] += 1
+            tab = full
+    assert all(seen.values()), seen

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import random
 import sys
 from fractions import Fraction
@@ -12,7 +13,8 @@ from oracles import (chain_pattern_lp, gap_form, grid_best_1_interval, grid_best
 
 from sumfree.intervals import IntervalUnion, format_union, is_k_sum_free
 from sumfree import search
-from sumfree.lp import OPTIMAL, LinearProgram, canonical_rows, enumerate_optimal_vertices, solve
+from sumfree.lp import (OPTIMAL, LinearProgram, Tableau, canonical_rows,
+                        enumerate_optimal_vertices, solve)
 from sumfree.search import (
     _choice_row,
     _union,
@@ -275,9 +277,11 @@ def test_monotone_in_m_and_stable_at_record():
 # degenerate-only RIGHT children from (166, 258), (635, 1077), (459, 782)
 # and (2072, 3503); the gap-form LP, whose vertices differ, and branching
 # on mixed optimal faces from (130, 205), (481, 827), (352, 603) and
-# (1537, 2623).
-SEARCH_COUNTERS = {(4, 3): (122, 178), (5, 3): (456, 745), (5, 4): (232, 293),
-                   (6, 3): (1485, 2481), (7, 3): (4971, 8636)}
+# (1537, 2623); stopping each warm child's dual simplex once its bound
+# falls below the incumbent, which leaves the nodes as they were, from
+# (122, 178), (456, 745), (232, 293), (1485, 2481) and (4971, 8636).
+SEARCH_COUNTERS = {(4, 3): (122, 93), (5, 3): (456, 352), (5, 4): (232, 171),
+                   (6, 3): (1485, 1207), (7, 3): (4971, 4179)}
 
 
 @pytest.mark.parametrize("m", [4, 5, 7])
@@ -310,7 +314,8 @@ def test_search_counters_six_intervals(largest_known_3sumfree):
 # 229/347 nodes/pivots here; k = 1 has no closure of RIGHT children, so
 # these counts follow which tied optimal vertex each node returns.  They
 # are pinned so that a change to that choice re-pins them on purpose.
-K1_COUNTERS = {False: (297, 434), True: (369, 570)}
+# The incumbent cutoff on warm children took the pivots from 434 and 570.
+K1_COUNTERS = {False: (297, 314), True: (369, 398)}
 
 
 @pytest.mark.parametrize("all_optima", [False, True])
@@ -431,8 +436,41 @@ def test_schedule_independence_sequential_vs_parallel():
     for m in (3, 4, 5, 6):
         seq = maximize_measure(m, 3, all_optima=True, parallel=1)
         par = maximize_measure(m, 3, all_optima=True, parallel=2)
+        if m == 3:
+            # 77/177 is first found in the last run, so the workers cut their
+            # warm children off against their own incumbents: the pivots
+            # differ (26 and 25), the tree and the results do not.
+            par, seq = (dataclasses.replace(res, lp_pivots=0) for res in (par, seq))
         assert par == seq
         assert seq.status == "proven" and seq.witnesses_exact
+
+
+def test_incumbent_cutoff_leaves_the_tree_as_it_was(monkeypatch):
+    """Each node's choice set and open children, and every result field
+    but the pivots, are those of the search with ``add_row``'s cutoff
+    ignored."""
+    expand, add_row = search._expand, Tableau.add_row
+    calls = []
+
+    def recording_expand(m, state, node):
+        children = expand(m, state, node)
+        calls.append((m, node[0], len(children)))
+        return children
+
+    def run(m, k, all_optima):
+        calls.clear()
+        res = maximize_measure(m, k, all_optima=all_optima)
+        return list(calls), res
+
+    monkeypatch.setattr(search, "_expand", recording_expand)
+    for m, k, all_optima in ((5, 3, True), (5, 1, False)):
+        cut_calls, res = run(m, k, all_optima)
+        with monkeypatch.context() as patch:
+            patch.setattr(Tableau, "add_row", lambda tab, g, cutoff=None: add_row(tab, g))
+            uncut_calls, uncut = run(m, k, all_optima)
+        assert cut_calls == uncut_calls and len(cut_calls) == res.nodes_explored
+        assert dataclasses.replace(uncut, lp_pivots=res.lp_pivots) == res
+        assert res.lp_pivots < uncut.lp_pivots
 
 
 class _InProcessPool:
