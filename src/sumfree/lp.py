@@ -224,8 +224,7 @@ class Tableau:
         With a ``cutoff`` (an int or a ``Fraction``) the dual simplex stops
         before a pivot that would take the value, which never rises, below
         it; the child then has status ``CUTOFF`` and is read only for
-        ``status`` and ``pivots``.  The first check, on the new row, copies
-        none of this tableau's rows.
+        ``status`` and ``pivots``.
         """
         den, n, nrows = self.den, self.nvars, self.nrows
         new = [den * g[v] if v < n else 0 for v in self.cobasis] + [0]
@@ -233,50 +232,19 @@ class Tableau:
             f = g[b] if b < n else 0
             if f:
                 new = [a - f * x for a, x in zip(new, row)]
-        # This tableau is optimal, so only the new row can be infeasible, and
-        # the child's objective row and cobasis are this tableau's.
-        c = self._entering(new) if new[-1] < 0 else None
-        if c is not None and self._cuts(new, c, cutoff):
-            tab = Tableau([], [], [], den)
-            tab.status = CUTOFF
-            return tab
         mat = self.mat[:nrows] + [new, self.mat[nrows]]
         tab = Tableau(mat, self.basis + [n + nrows], list(self.cobasis), den)
-        if c is not None:
-            tab.pivot(nrows, c)
-            tab.dual_optimize(cutoff)
+        tab.dual_optimize(cutoff)
         return tab
 
-    def _entering(self, row: list[int]) -> int:
-        """The dual ratio test's column for the infeasible ``row``: it
-        minimizes ``obj[p] / -row[p]`` over ``row[p] < 0``, ties to the
-        lowest variable."""
-        obj, c = self.mat[self.nrows], None
-        for p in self._by_id():
-            # obj[p]/-row[p] < obj[c]/-row[c], cross-multiplied
-            if row[p] < 0 and (c is None or obj[p] * row[c] > obj[c] * row[p]):
-                c = p
-        # No negative entry would make the row a sum of nonnegatives < 0.
-        assert c is not None, "infeasible, but x = 0 meets every pattern row"
-        return c
-
-    def _cuts(self, row: list[int], c: int, cutoff: Fraction | int | None) -> bool:
-        """Whether the dual pivot on ``row`` at column ``c`` takes the value
-        below ``cutoff``: it negates ``row``, so the new ``den`` is ``piv =
-        -row[c]`` and the value ``(obj[-1]*piv + obj[c]*row[-1]) / (den*piv)``."""
-        if cutoff is None:
-            return False
-        obj, piv = self.mat[self.nrows], -row[c]
-        num = obj[-1] * piv + obj[c] * row[-1]
-        return num * cutoff.denominator < cutoff.numerator * self.den * piv
-
-    def dual_optimize(self, cutoff: Fraction | int | None = None) -> None:
+    def dual_optimize(self, cutoff: Fraction | int | None) -> None:
         """Dual simplex from a dual-feasible basis.
 
         Dual Bland's rule: the leaving row is the one with a negative rhs
-        whose basic variable is lowest, and ``_entering`` gives the
-        column.  With a ``cutoff`` it stops, with status ``CUTOFF``, before
-        a pivot that would take the value below it (``_cuts``).
+        whose basic variable is lowest; the entering column minimizes
+        ``obj[p] / -row[p]`` over ``row[p] < 0``, ties to the lowest variable.
+        With a ``cutoff`` it stops, with status ``CUTOFF``, before a pivot
+        that would take the value below it.
         """
         mat, basis = self.mat, self.basis
         while True:
@@ -284,10 +252,22 @@ class Tableau:
                     key=basis.__getitem__, default=None)
             if r is None:
                 return
-            c = self._entering(mat[r])
-            if self._cuts(mat[r], c, cutoff):
-                self.status = CUTOFF
-                return
+            row, obj = mat[r], mat[self.nrows]
+            c = None
+            for p in self._by_id():
+                # obj[p]/-row[p] < obj[c]/-row[c], cross-multiplied
+                if row[p] < 0 and (c is None or obj[p] * row[c] > obj[c] * row[p]):
+                    c = p
+            # No negative entry would make the row a sum of nonnegatives < 0.
+            assert c is not None, "infeasible, but x = 0 meets every pattern row"
+            if cutoff is not None:
+                # The pivot makes den piv = -row[c] > 0 and the value
+                # (obj[-1]*piv + obj[c]*row[-1]) / (den*piv), cross-multiplied here.
+                piv = -row[c]
+                num = obj[-1] * piv + obj[c] * row[-1]
+                if num * cutoff.denominator < cutoff.numerator * self.den * piv:
+                    self.status = CUTOFF
+                    return
             self.pivot(r, c)
 
     def optimal_face(self) -> list["Tableau"]:
