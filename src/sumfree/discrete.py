@@ -17,7 +17,10 @@ elements in decreasing order, with three exact devices:
   ``live``, a bitset over the masks (bit i = mask i) that meet no dead
   element: excluding or banning x clears ``meets[x]`` from it, so the
   packing walks only the set bits of ``live`` and stops once the bound
-  falls below the pruning threshold;
+  falls below the pruning threshold.  Packing mask i drops the masks
+  that meet its available part, which for a live mask is its elements
+  below ``b = avail.bit_length()``; ``_Instance`` tabulates that set once
+  per level as ``drops[b][i]``, so each packed mask costs one lookup;
 * seeded incumbent: ``_seed`` gives a known k-sum-free set (the odd
   numbers for odd k, since x + y is even and k*z odd), checked against
   the forbidden masks, and the pruning threshold starts at its size.
@@ -91,6 +94,16 @@ class _Instance:
         for i, tm in enumerate(self.masks):
             for x in _bits(tm):
                 self.meets[x] |= 1 << i
+        # drops[b][i]: meets[x] ORed over the elements x < b of masks[i], the
+        # masks that packing masks[i] drops when avail.bit_length() == b; each
+        # row copies the one before it, so the rows share their ints
+        row = [0] * len(self.masks)
+        self.drops = [row, row]
+        for x in range(1, n + 1):
+            row = row.copy()
+            for i in _bits(self.meets[x]):
+                row[i] |= self.meets[x]
+            self.drops.append(row)
 
     def bound(self, chosen: int, avail: int, live: int, threshold: int) -> int:
         """chosen size + available size - greedy disjoint forced removals.
@@ -102,24 +115,21 @@ class _Instance:
         sum-free); masks whose available parts are disjoint force distinct
         removals.  The packing takes the lowest live mask, so the
         two-element masks go first, then drops every mask meeting its
-        available part.  It stops as soon as the bound falls below
+        available part, itself included.  A live mask's available part is
+        exactly its elements below ``b = avail.bit_length()`` (those above
+        are chosen), so the masks to drop are the table entry
+        ``drops[b][i]``.  It stops as soon as the bound falls below
         ``threshold`` (0 packs every live mask).
         """
         ub = chosen.bit_count() + avail.bit_count()
         if ub < threshold:
             return ub
-        masks, meets = self.masks, self.meets
+        drop = self.drops[avail.bit_length()]
         while live:
             ub -= 1
             if ub < threshold:
                 break
-            low = live & -live
-            live ^= low
-            used = masks[low.bit_length() - 1] & avail
-            while used:
-                low = used & -used
-                live &= ~meets[low.bit_length() - 1]
-                used ^= low
+            live &= ~drop[(live & -live).bit_length() - 1]
         return ub
 
 
@@ -233,10 +243,11 @@ def discretize(u: IntervalUnion, n: int, k: int) -> tuple[int, ...]:
     free, witness = is_k_sum_free(u, k)
     if not free:
         raise ValueError(f"input union is not {k}-sum-free (witness {witness})")
+    # the components are sorted and never touch, so their lattice ranges
+    # (lo*n, hi*n] are disjoint and increasing
     points: list[int] = []
     for lo, hi in u.nums:
         first = lo * n // u.den + 1  # smallest integer strictly above lo*n/den
         last = hi * n // u.den       # hi*n/den itself is included when integral
-        for i in range(max(first, 1), min(last, n) + 1):
-            points.append(i)
-    return tuple(sorted(set(points)))
+        points.extend(range(max(first, 1), min(last, n) + 1))
+    return tuple(points)

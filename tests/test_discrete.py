@@ -33,7 +33,8 @@ F = Fraction
 # change to the bound, the branching order or the seed shows here first
 DISCRETE_COUNTERS = {(24, 3, False): 373, (23, 3, True): 313, (30, 3, True): 837,
                      (40, 3, False): 3511, (58, 4, False): 1397, (50, 3, False): 10499,
-                     (60, 4, False): 2353, (45, 3, False): 1771}
+                     (60, 4, False): 2353, (45, 3, False): 1771, (59, 4, False): 1305,
+                     (60, 3, False): 29243}
 
 
 def test_forbidden_triples_examples():
@@ -233,6 +234,25 @@ def test_bound_equals_the_scan_reference():
                 for threshold in range(cm.bit_count() + am.bit_count() + 3):
                     assert inst.bound(cm, am, live, threshold) == ref.bound(cm, am, threshold), \
                         (n, k, chosen, avail, threshold)
+
+
+def test_drop_rows_match_their_definition():
+    for k in range(1, 8):
+        for n in range(1, 31):
+            inst = _Instance(n, k)
+            assert len(inst.drops) == n + 2
+            assert not any(inst.drops[0]) and not any(inst.drops[1])
+            for b, row in enumerate(inst.drops):
+                for i, tm in enumerate(inst.masks):
+                    expected = 0
+                    for x in range(1, b):
+                        if tm >> x & 1:
+                            expected |= inst.meets[x]
+                    assert row[i] == expected, (n, k, b, i)
+            # an empty avail leaves no mask to pack: the bound is |chosen|
+            chosen = sum(1 << x for x in range(1, n + 1, 2)) if k % 2 else 0
+            for t in range(chosen.bit_count() + 2):
+                assert inst.bound(chosen, 0, 0, t) == chosen.bit_count()
 
 
 def test_carried_live_matches_a_recomputed_one(monkeypatch):
