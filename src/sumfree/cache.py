@@ -140,13 +140,8 @@ def read_records(path: str, text: str = ""):
         yield rec
 
 
-def load_records(path: str) -> dict[tuple[str, str], CacheRecord]:
-    """Latest record per (kind, parameters) key; corrupt lines are skipped."""
-    return {rec.key(): rec for rec in read_records(path)}
-
-
 def lookup(path: str, kind: str, parameters: dict) -> CacheRecord | None:
-    """``load_records(path).get(key)``, parsing only the lines that can hold it."""
+    """The last record of this kind and parameters, parsing only the lines that hold them."""
     text = json.dumps(parameters, sort_keys=True)
     found = None
     for rec in read_records(path, text):

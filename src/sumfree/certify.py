@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import lcm
 
 from .intervals import IntervalUnion, sum_windows
-from .rationals import HALF, require_exact
+from .rationals import HALF, require_exact, require_int
 
 # Largest denominator of the random endpoints in ``_draw``.
 _MAX_DENOMINATOR = 64
@@ -49,9 +49,6 @@ class BranchBound:
     def delta_sup(self) -> Fraction:
         """Exact delta where the branch bound meets x = 1/2 - delta."""
         return (HALF - self.constant) / (self.delta_coeff + 1)
-
-    def bound_at(self, delta: Fraction) -> Fraction:
-        return self.constant + self.delta_coeff * delta
 
 
 @dataclass(frozen=True)
@@ -166,9 +163,6 @@ class HarnessReport:
     min_slack_example: IntervalUnion
     first_violation: IntervalUnion | None = None
 
-    def passed(self) -> bool:
-        return self.violations == 0
-
 
 def _below(getrandbits, n: int) -> int:
     """``randrange(n)`` as ``random.Random`` draws it: ``bit_length(n)`` bits, redrawn while >= n."""
@@ -215,11 +209,11 @@ def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
     reported unions (the least slack, the first violation) are built as
     ``IntervalUnion`` and the least slack as a ``Fraction``.
     """
-    if trials < 1:
+    if require_int(trials, "trials") < 1:
         raise ValueError("trials must be >= 1")
-    if max_intervals < 1:
+    if require_int(max_intervals, "max_intervals") < 1:
         raise ValueError(f"max_intervals must be >= 1, got {max_intervals}")
-    rng = random.Random(seed)
+    rng = random.Random(require_int(seed, "seed"))
     min_num, min_den, min_draw = 0, 1, None
     violations = 0
     first_draw = None

@@ -49,6 +49,7 @@ solution inside the open union.
 from __future__ import annotations
 
 from .intervals import IntervalUnion, is_k_sum_free
+from .rationals import require_int
 
 
 class EnumerationLimitError(RuntimeError):
@@ -70,7 +71,7 @@ def forbidden_triples(n: int, k: int) -> list[tuple[int, int, int]]:
     For k = 2 the all-equal triple is excluded as trivial; for any other
     k it cannot occur.
     """
-    if n < 1 or k < 1:
+    if require_int(n, "n") < 1 or require_int(k, "k") < 1:
         raise ValueError("n and k must be positive")
     out = []
     for a in range(1, n + 1):
@@ -145,7 +146,7 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     Raises ``EnumerationLimitError`` once ``node_limit`` nodes are explored
     before the tree is exhausted, and ``ValueError`` on a negative limit.
     """
-    if node_limit is not None and node_limit < 0:
+    if node_limit is not None and require_int(node_limit, "node_limit") < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     n = inst.n
     masks, meets = inst.masks, inst.meets
@@ -238,7 +239,7 @@ def discretize(u: IntervalUnion, n: int, k: int) -> tuple[int, ...]:
     (a solution i + j = k*l would shift down by a small epsilon into the
     open set), so it is a valid lower-bound certificate for f(n, k).
     """
-    if n < 1:
+    if require_int(n, "n") < 1:
         raise ValueError(f"n must be positive, got {n}")
     free, witness = is_k_sum_free(u, k)
     if not free:

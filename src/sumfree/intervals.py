@@ -1,14 +1,15 @@
 """Canonical unions of open intervals with rational endpoints.
 
+The prover needs three things of a union U: its measure, the windows of
+U+U (``sum_windows``) and the test that (U+U)/k misses U (``is_k_sum_free``).
 A union is stored as integer numerators over one positive denominator:
 ``den`` and a tuple ``nums`` of (lo, hi) pairs, the interval (lo/den,
 hi/den) each.  The canonical form has strictly increasing numerators
 (sorted, lo < hi, no two pairs touching) and ``den`` in lowest terms
 against all of them, so equal sets are equal unions with equal hashes.
 Overlapping or touching inputs are merged and degenerate pairs (lo >= hi)
-are dropped.  Touch-merging stores (a,b) u (b,c) as (a,c); the two
-differ by a null set and every predicate here is measure theoretic, so
-the merged form is the unique representative.  The ``Fraction`` view,
+are dropped; merging (a,b) u (b,c) to (a,c) adds a null set, which every
+predicate here, being measure theoretic, ignores.  The ``Fraction`` view,
 ``intervals``, is built only when it is read.
 
 The k-sum-free test follows the same open-interval convention: a union U
@@ -25,12 +26,8 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .rationals import RationalParseError, format_rational, parse_pair, require_exact
+from .rationals import RationalParseError, format_rational, parse_pair, require_exact, require_int
 from .rationals import parse_rational  # noqa: F401  (bench/spans.py wraps it at this name)
-
-
-class EmptyUnionError(ValueError):
-    """Raised when an operation needs a nonempty union (e.g. extent)."""
 
 
 @dataclass(frozen=True, order=True)
@@ -43,9 +40,6 @@ class Interval:
     def __post_init__(self):
         if not self.lo < self.hi:
             raise ValueError(f"degenerate interval ({self.lo}, {self.hi})")
-
-    def contains(self, x: Fraction) -> bool:
-        return self.lo < require_exact(x, "point") < self.hi
 
     def __str__(self) -> str:
         return f"({format_rational(self.lo)},{format_rational(self.hi)})"
@@ -108,7 +102,7 @@ class IntervalUnion:
     @staticmethod
     def from_numerators(pairs: Iterable[tuple[int, int]], den: int) -> "IntervalUnion":
         """Canonicalize integer pairs over ``den`` > 0: drop degenerates, sort, merge, reduce."""
-        if den <= 0:
+        if require_int(den, "den") <= 0:
             raise ValueError(f"den must be positive, got {den}")
         merged = _merge(pairs)
         g = gcd(den, *[v for pair in merged for v in pair])
@@ -123,8 +117,7 @@ class IntervalUnion:
         """Canonicalize raw (lo, hi) pairs: drop degenerates, sort, merge.
 
         Overlapping and touching intervals are merged; idempotent.  Only
-        ``int`` and ``Fraction`` endpoints are accepted (``TypeError``
-        otherwise), so no inexact value enters the exact algebra.
+        ``int`` and ``Fraction`` endpoints are accepted (``TypeError`` otherwise).
         """
         return IntervalUnion.from_numerators(*_numerators(
             [[(require_exact(v, "interval endpoint").numerator, v.denominator) for v in pair]
@@ -143,51 +136,8 @@ class IntervalUnion:
     def pairs(self) -> list[tuple[Fraction, Fraction]]:
         return [(iv.lo, iv.hi) for iv in self.intervals]
 
-    def is_empty(self) -> bool:
-        return not self.nums
-
     def measure(self) -> Fraction:
         return Fraction(sum(hi - lo for lo, hi in self.nums), self.den)
-
-    def contains(self, x: Fraction) -> bool:
-        require_exact(x, "point")
-        return any(iv.contains(x) for iv in self.intervals)
-
-    def extent(self) -> tuple[Fraction, Fraction, Fraction]:
-        """(inf, sup, diam); raises on the empty union."""
-        if not self.nums:
-            raise EmptyUnionError("extent of empty union")
-        lo, hi, den = self.nums[0][0], self.nums[-1][1], self.den
-        return Fraction(lo, den), Fraction(hi, den), Fraction(hi - lo, den)
-
-    def union(self, other: "IntervalUnion") -> "IntervalUnion":
-        den = lcm(self.den, other.den)
-        return IntervalUnion.from_numerators([*self._over(den), *other._over(den)], den)
-
-    def intersect(self, other: "IntervalUnion") -> "IntervalUnion":
-        den = lcm(self.den, other.den)
-        theirs = other._over(den)
-        return IntervalUnion.from_numerators(
-            [(max(alo, blo), min(ahi, bhi)) for alo, ahi in self._over(den) for blo, bhi in theirs],
-            den)
-
-    def subtract(self, other: "IntervalUnion") -> "IntervalUnion":
-        den = lcm(self.den, other.den)
-        theirs = other._over(den)
-        out = []
-        for lo, hi in self._over(den):
-            cursor = lo
-            for blo, bhi in theirs:
-                if bhi <= cursor:
-                    continue
-                if blo >= hi:
-                    break
-                if blo > cursor:
-                    out.append((cursor, blo))
-                cursor = max(cursor, bhi)
-            if cursor < hi:
-                out.append((cursor, hi))
-        return IntervalUnion.from_numerators(out, den)
 
     def minkowski_sum(self, other: "IntervalUnion") -> "IntervalUnion":
         """Pairwise sum of components, O(m*n) intervals before merging."""
@@ -195,15 +145,6 @@ class IntervalUnion:
         theirs = other._over(den)
         return IntervalUnion.from_numerators(
             [(alo + blo, ahi + bhi) for alo, ahi in self._over(den) for blo, bhi in theirs], den)
-
-    def scale(self, q: Fraction) -> "IntervalUnion":
-        """Dilation by q > 0; ``q`` is an ``int`` or a ``Fraction`` (``TypeError`` otherwise)."""
-        q = Fraction(require_exact(q, "scale factor"))
-        if q <= 0:
-            raise ValueError(f"scale factor must be positive, got {q}")
-        p = q.numerator
-        return IntervalUnion.from_numerators([(lo * p, hi * p) for lo, hi in self.nums],
-                                             self.den * q.denominator)
 
     def __str__(self) -> str:
         return format_union(self)
@@ -227,12 +168,9 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
     witness z is the midpoint of a positive-length slice of the first
     overlap component, so all three points are strictly interior and the
     arithmetic is exact.  For k = 2 the witness has x != y, since the
-    trivial x = y = z is exempt.  ``k`` must be an ``int`` (``TypeError``
-    otherwise), so no inexact value enters the comparisons.
+    trivial x = y = z is exempt.  ``k`` is an ``int`` (``TypeError`` otherwise).
     """
-    if not isinstance(k, int):
-        raise TypeError(f"k must be an int, got {k!r}")
-    if k < 1:
+    if require_int(k, "k") < 1:
         raise ValueError(f"k must be a positive integer, got {k}")
     den, nums = u.den, u.nums
     sums = sum_windows(nums)

@@ -2,10 +2,10 @@
 
 Every quantity in this package is an ``int`` or a :class:`fractions.Fraction`
 (canonical form: positive denominator, gcd-reduced); ``require_exact``
-rejects anything else.  Interval unions are integer numerators over one
-denominator, ``Fraction`` is their read view, and ``parse_pair`` reads
-"p/q" text straight to integers.  Floating point is never used in a
-computation path; ``decimal_str`` renders reports only.
+rejects anything else, and ``require_int`` a non-``int`` count.  Unions are
+integer numerators over one denominator, ``Fraction`` is their read view,
+and ``parse_pair`` reads "p/q" text straight to integers.  Floating point
+is never used in a computation path; ``decimal_str`` renders reports only.
 """
 
 from __future__ import annotations
@@ -29,6 +29,13 @@ def require_exact(value, what: str):
     """``value`` if it is an ``int`` or a ``Fraction``, else ``TypeError``."""
     if not isinstance(value, (int, Fraction)):
         raise TypeError(f"{what} {value!r} is not an int or a Fraction")
+    return value
+
+
+def require_int(value, what: str) -> int:
+    """``value`` if it is an ``int``, else ``TypeError``."""
+    if not isinstance(value, int):
+        raise TypeError(f"{what} must be an int, got {value!r}")
     return value
 
 

@@ -60,6 +60,7 @@ from typing import Iterable, Sequence
 from .intervals import IntervalUnion, is_k_sum_free
 from . import lp as lp_mod
 from .lp import LinearProgram
+from .rationals import require_int
 
 LEFT = "L"
 RIGHT = "R"
@@ -85,7 +86,7 @@ class SearchResult:
 
 def mu_formula(k: int) -> Fraction:
     """Closed form for the maximal k-sum-free measure, valid for k >= 4."""
-    if k < 4:
+    if require_int(k, "k") < 4:
         raise ValueError(f"the closed form is only asserted for k >= 4, got {k}")
     main = Fraction(k * (k - 2), k * k - 2)
     corr = Fraction(8 * (k - 2), k * (k * k - 2) * (k**4 - 2 * k * k - 4))
@@ -129,6 +130,7 @@ def build_pattern_lp(m: int, k: int, choices: Iterable[Choice] = ()) -> LinearPr
     convention, so no epsilons.  A choice is (side, i, j, t) with side
     ``L`` or ``R`` and ``0 <= i <= j < m``, ``0 <= t < m``.
     """
+    require_int(m, "m"), require_int(k, "k")
     rows = [(1,) * (2 * m - 1) + (-1,)]
     for side, i, j, t in sorted(choices):
         if side not in (LEFT, RIGHT) or not (0 <= i <= j < m and 0 <= t < m):
@@ -335,11 +337,11 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     workers (each worker gets a share of what is left); a search it stops
     is ``interrupted``.
     """
-    if m < 1 or k < 1:
+    if require_int(m, "m") < 1 or require_int(k, "k") < 1:
         raise ValueError("m and k must be positive")
-    if parallel < 1:
+    if require_int(parallel, "parallel") < 1:
         raise ValueError(f"parallel must be >= 1, got {parallel}")
-    if node_limit is not None and node_limit < 0:
+    if node_limit is not None and require_int(node_limit, "node_limit") < 0:
         raise ValueError(f"node_limit must be >= 0, got {node_limit}")
     state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit)
     state.witnesses.add(IntervalUnion())  # measure-0 incumbent

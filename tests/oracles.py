@@ -369,7 +369,7 @@ def random_union_randint(rng, max_intervals: int) -> IntervalUnion:
                  for d in (rng.randint(1, 64) for _ in range(2 * m))]
         cuts = sorted(draws)
         u = IntervalUnion.from_pairs(list(zip(cuts[0::2], cuts[1::2])))
-        if not u.is_empty():
+        if u.nums:
             return u
 
 

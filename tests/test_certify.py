@@ -31,23 +31,22 @@ def test_branch_suprema():
 def test_branch_suprema_solve_their_equations():
     for b in BRANCHES:
         d = b.delta_sup
-        assert b.bound_at(d) == F(1, 2) - d  # exact crossing point
+        assert b.constant + b.delta_coeff * d == F(1, 2) - d  # exact crossing point
 
 
 def test_branch_totals_decompose_into_block_bounds():
     # each branch total is a sum of named block bounds; both sides are
     # affine in d, so agreement at two points proves the identity
-    by_name = {b.name: b for b in BRANCHES}
     top_block = F(1, 3)  # measure of the top third (2/3, 1]
     for d in (F(0), F(1)):
         low_block = 2 * d / 3 + F(1, 9)  # halved block below inf/3 + 2/9 at inf = 4d
         discard = 2 * d                  # the two slices removed up front
         middle_cap = 8 * d / 3           # middle block swallowed by the sum window
-        assert by_name["middle_block_empty"].bound_at(d) == low_block + top_block + discard
-        assert by_name["narrow_gap"].bound_at(d) == (
-            low_block + middle_cap + top_block + discard)
+        bound = {b.name: b.constant + b.delta_coeff * d for b in BRANCHES}
+        assert bound["middle_block_empty"] == low_block + top_block + discard
+        assert bound["narrow_gap"] == low_block + middle_cap + top_block + discard
         # wide gap: the two lower blocks jointly fit in 1/9 regardless of d
-        assert by_name["wide_gap"].bound_at(d) == F(1, 9) + top_block + discard
+        assert bound["wide_gap"] == F(1, 9) + top_block + discard
 
 
 def test_delta_star_is_the_strict_minimum():
@@ -96,8 +95,8 @@ def test_epsilon_correction_terms():
 def test_overlap_branch_contradicts_any_smaller_delta():
     overlap = next(b for b in BRANCHES if b.name == "narrow_gap")
     for d in (F(0), F(1, 1000), F(1, 200), F(1, 115)):
-        assert overlap.bound_at(d) < F(1, 2) - d
-    assert overlap.bound_at(F(1, 114)) == F(1, 2) - F(1, 114)
+        assert overlap.constant + overlap.delta_coeff * d < F(1, 2) - d
+    assert overlap.constant + overlap.delta_coeff * F(1, 114) == F(1, 2) - F(1, 114)
 
 
 def test_check_chain_rejects_negative_parameters():
@@ -122,16 +121,17 @@ def test_tight_sumset_examples():
     s = a.minkowski_sum(a)
     assert s.pairs() == [(F(0), F(1, 2)), (F(3, 4), F(5, 4)), (F(3, 2), F(2))]
     assert s.measure() == F(3, 2)
-    assert min(3 * a.measure(), a.measure() + a.extent()[2]) == F(3, 2)
+    diam = a.pairs()[-1][1] - a.pairs()[0][0]
+    assert min(3 * a.measure(), a.measure() + diam) == F(3, 2)
 
     whole = IntervalUnion.from_pairs([(F(0), F(1))])
     assert whole.minkowski_sum(whole).measure() == 2
-    assert min(3 * whole.measure(), whole.measure() + whole.extent()[2]) == 2
+    diam = whole.pairs()[-1][1] - whole.pairs()[0][0]
+    assert min(3 * whole.measure(), whole.measure() + diam) == 2
 
 
 def test_harness_small_run_has_no_violations():
     report = sumset_bound_harness(trials=400, max_intervals=6, seed=42)
-    assert report.passed()
     assert report.violations == 0
     assert report.min_slack >= 0
 
@@ -177,7 +177,7 @@ def test_harness_counts_violations(monkeypatch):
     rng = random.Random(5)
     unions = [random_union(rng, 3) for _ in range(200)]
     assert report.violations == 200 and report.first_violation == unions[0]
-    slacks = [-min(2 * u.measure(), u.extent()[2]) for u in unions]
+    slacks = [-min(2 * u.measure(), F(u.nums[-1][1] - u.nums[0][0], u.den)) for u in unions]
     assert report.min_slack == min(slacks)
     assert report.min_slack_example == unions[slacks.index(min(slacks))]
 
@@ -194,7 +194,7 @@ def test_harness_builds_only_the_reported_unions(monkeypatch):
 
     monkeypatch.setattr(IntervalUnion, "__post_init__", counted)
     report = sumset_bound_harness(trials=5000, max_intervals=6, seed=1)
-    assert report.passed() and len(built) <= 2
+    assert report.violations == 0 and len(built) <= 2
 
 
 @pytest.mark.parametrize("seed", range(21))
@@ -219,6 +219,5 @@ def test_random_union_is_seeded_and_nonempty():
     rng = random.Random(3)
     for _ in range(50):
         u = random_union(rng, 5)
-        assert not u.is_empty()
-        lo, hi, _ = u.extent()
-        assert 0 <= lo < hi <= 1
+        assert u.nums
+        assert 0 <= u.nums[0][0] < u.nums[-1][1] <= u.den

@@ -13,7 +13,7 @@ from oracles import MALFORMED_UNION_TEXTS, parse_union_fraction
 import sumfree
 from sumfree import __version__
 from sumfree import cli
-from sumfree.cache import (CacheRecord, append_record, load_records, lookup, make_record,
+from sumfree.cache import (CacheRecord, append_record, lookup, make_record, read_records,
                            solver_digest)
 from sumfree.cli import main
 from sumfree.rationals import RationalParseError
@@ -126,13 +126,12 @@ def test_continuous_json_and_cache(cache_path, capsys):
     code = main(["continuous", "--k", "3", "--m", "3"])
     repeat = json.loads(capsys.readouterr().out)
     assert code == 0 and repeat == payload
-    records = load_records(str(cache_path))
-    assert len(records) == 1
+    assert len(list(read_records(str(cache_path)))) == 1
 
-    # --force recomputes and appends; read still deduplicates to the latest
+    # --force recomputes and appends a record under the same key
     code = main(["--force", "continuous", "--k", "3", "--m", "3"])
     assert code == 0
-    assert len(load_records(str(cache_path))) == 1
+    assert len({rec.key() for rec in read_records(str(cache_path))}) == 1
     raw_lines = cache_path.read_text().strip().splitlines()
     assert len(raw_lines) == 2
 
@@ -202,8 +201,7 @@ def test_cache_survives_corrupt_middle_line(tmp_path, capsys):
     with open(path, "a") as fh:
         fh.write("{not json ]\n")
     append_record(str(path), CacheRecord("discrete", {"n": 6}, {"f": 2}, "0", "t2"))
-    records = load_records(str(path))
-    assert len(records) == 2
+    assert [rec.parameters for rec in read_records(str(path))] == [{"n": 5}, {"n": 6}]
     assert "skipping bad cache line" in capsys.readouterr().err
 
 
@@ -225,6 +223,7 @@ def _record_line(kind: str, params: dict, result: dict, **extra) -> bytes:
 
 
 def test_lookup_agrees_with_load_records(tmp_path, capsys):
+    """``lookup`` finds what loading every record and keeping the last per key finds."""
     key = b'{"n": 5}'
     lines = [
         _record_line("discrete", {"n": 5}, {"f": 1}),
@@ -253,7 +252,7 @@ def test_lookup_agrees_with_load_records(tmp_path, capsys):
         for last in (brk, b""):
             path.write_bytes(brk.join(lines) + last)
             capsys.readouterr()
-            records = load_records(str(path))
+            records = {rec.key(): rec for rec in read_records(str(path))}
             err = capsys.readouterr().err
             assert _warned_lines(err) == bad
             assert len(records) == 6 and records[("discrete", '{"n": 8}')].result == {"f": 5}
@@ -278,7 +277,7 @@ def test_append_record_writes_the_asdict_line(tmp_path):
                       __version__)
     append_record(str(path), rec)
     assert path.read_text() == json.dumps(asdict(rec), sort_keys=True) + "\n"
-    assert load_records(str(path)) == {rec.key(): rec}
+    assert list(read_records(str(path))) == [rec]
 
 
 @pytest.mark.parametrize("kind", [["x"], 5], ids=["list", "int"])

@@ -295,7 +295,7 @@ def test_discretize_matches_the_fraction_floor_formula(largest_known_3sumfree):
         d = rng.choice((2, 3, 7, 12, 59, 177, 1000))
         cuts = sorted(F(rng.randint(0, d), d) for _ in range(2 * rng.randint(1, 4)))
         u, k = IntervalUnion.from_pairs(zip(cuts[0::2], cuts[1::2])), rng.randint(1, 5)
-        if not u.is_empty() and is_k_sum_free(u, k)[0]:
+        if u.nums and is_k_sum_free(u, k)[0]:
             cases.append((u, k))
     for u, k in cases:
         for n in (1, 2, 3, 9, 24, 59, 100, 177, 354):

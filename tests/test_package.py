@@ -1,6 +1,9 @@
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 import sumfree
 
@@ -55,3 +58,66 @@ def test_no_float_in_the_package():
             elif isinstance(node, ast.Name) and node.id == "float":
                 floats.append(f"{path.name}:{node.lineno}: float")
     assert floats == []
+
+
+def _names(tree: ast.AST, strings: bool) -> set[str]:
+    """The names ``tree`` reads: ``Name`` ids, attributes, import aliases and, with
+    ``strings``, string constants."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.update((node.name, node.asname or node.name))
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.add(node.value)
+    return out
+
+
+def test_every_definition_is_reached():
+    """Each ``def`` and ``class`` of the package is named somewhere in it, in the
+    bench scripts or in ``__all__``.  A name that an unrelated attribute shares
+    passes, so this is a floor against dead code, not a proof of use."""
+    package = Path(sumfree.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    reached = set(sumfree.__all__).union(*(_names(tree, False) for tree in trees.values()))
+    for path in sorted((PYPROJECT.parent / "bench").glob("*.py")):
+        reached |= _names(ast.parse(path.read_text(), str(path)), True)
+    unreached = [f"{name}:{node.lineno}: {node.name}" for name, tree in trees.items()
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                 and not (node.name.startswith("__") and node.name.endswith("__"))
+                 and node.name not in reached]
+    assert unreached == []
+
+
+_UNION = sumfree.parse_union("(2/3,1)")
+# each public function with integer or rational parameters, and arguments it accepts
+_NUMERIC_CALLS = [
+    (sumfree.maximize_measure, {"m": 2, "k": 3, "parallel": 1, "node_limit": 1000}),
+    (sumfree.build_pattern_lp, {"m": 2, "k": 3}),
+    (sumfree.f_max, {"n": 10, "k": 3, "node_limit": 1000}),
+    (sumfree.enumerate_maximum_sets, {"n": 10, "k": 3, "node_limit": 1000}),
+    (sumfree.forbidden_triples, {"n": 10, "k": 3}),
+    (sumfree.discretize, {"u": _UNION, "n": 10, "k": 3}),
+    (sumfree.mu_formula, {"k": 4}),
+    (sumfree.is_k_sum_free, {"u": _UNION, "k": 3}),
+    (sumfree.check_chain, {"delta": Fraction(1, 114), "set_inf": 0, "top_gap": 0}),
+    (sumfree.sumset_bound_harness, {"trials": 10, "max_intervals": 2, "seed": 1}),
+    (sumfree.IntervalUnion.from_numerators, {"pairs": [(1, 2)], "den": 3}),
+]
+
+
+@pytest.mark.parametrize("fn,kwargs,name", [
+    pytest.param(fn, kwargs, name, id=f"{fn.__name__}-{name}")
+    for fn, kwargs in _NUMERIC_CALLS for name in kwargs if name != "u"])
+def test_a_float_argument_raises_type_error(fn, kwargs, name):
+    """A float, even an integral one, is rejected up front, never computed with."""
+    fn(**kwargs)
+    value = kwargs[name]
+    bad = [(lo, float(hi)) for lo, hi in value] if name == "pairs" else float(value)
+    with pytest.raises(TypeError):
+        fn(**{**kwargs, name: bad})
