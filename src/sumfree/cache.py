@@ -87,38 +87,36 @@ def append_record(path: str, record: CacheRecord) -> None:
 def _lines(data: bytes, needle: bytes):
     """(offset, line) for each line of ``data`` that holds ``needle``, in order.
 
-    Lines end at ``\\n``, ``\\r\\n`` or ``\\r``, where a text-mode read
-    ends them, and each is given as that read gives it: ending in
-    ``\\n`` unless it is the unterminated last line.  An empty ``needle``
-    gives every line, one at a time.
+    Lines end at ``\\n``; each is given with it, unless it is the
+    unterminated last line.  An empty ``needle`` gives every line, one at
+    a time.
     """
     at = data.find(needle)
     while 0 <= at < len(data):
         # each search stops at the nearest break, so a match costs its line only
         start = data.rfind(b"\n", 0, at) + 1
-        start = max(start, data.rfind(b"\r", start, at) + 1)
         end = data.find(b"\n", at)
-        if end < 0:
-            end = len(data)
-        if (cr := data.find(b"\r", at, end)) >= 0:
-            end = cr
-        yield start, (data[start:end] + b"\n" if end < len(data) else data[start:])
-        at = data.find(needle, end + (2 if data.startswith(b"\r\n", end) else 1))
+        end = len(data) if end < 0 else end
+        yield start, data[start:end + 1]
+        at = data.find(needle, end + 1)
 
 
 def read_records(path: str, text: str = ""):
     """The records of the lines of ``path`` that contain ``text``, in order.
 
-    The file is read once as bytes and searched for ``text``'s UTF-8
-    bytes; ``text`` holds no line break.  Corrupt lines, UTF-8 or JSON,
-    are skipped with a warning that names the line's number; so is a
-    record whose ``kind`` is not a string, which no key could be sorted
-    or hashed with.
+    The file is read once as bytes; a ``\\r\\n`` or ``\\r`` in it, where a
+    text-mode read ends a line, becomes ``\\n``.  It is searched for
+    ``text``'s UTF-8 bytes; ``text`` holds no line break.  Corrupt lines,
+    UTF-8 or JSON, are skipped with a warning that names the line's
+    number; so is a record whose ``kind`` is not a string, which no key
+    could be sorted or hashed with.
     """
     if not os.path.exists(path):
         return
     with open(path, "rb") as fh:
         data = fh.read()
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     counted, lineno = 0, 1  # a warning counts lines on from the previous warning
     for offset, line in _lines(data, text.encode()):
         try:
@@ -132,8 +130,7 @@ def read_records(path: str, text: str = ""):
                               raw.get("version", "unknown"), raw.get("timestamp", ""),
                               raw.get("solver", ""))
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            lineno += (data.count(b"\n", counted, offset) + data.count(b"\r", counted, offset)
-                       - data.count(b"\r\n", counted, offset))
+            lineno += data.count(b"\n", counted, offset)
             counted = offset
             sys.stderr.write(f"warning: {path}:{lineno}: skipping bad cache line ({exc})\n")
             continue

@@ -43,10 +43,10 @@ Bland's rule (the leaving row is the infeasible one with the lowest
 basic variable; ties in the dual ratio test go to the lowest variable),
 which is Bland's rule run on the dual LP and so terminates without an
 anti-cycling guard.  Every basis on its way is dual feasible, so its
-value bounds the child's optimum from above and never rises; given a
-``cutoff`` (the search's incumbent), ``add_row`` stops before the first
-pivot that would take the value below it and returns the child with
-status ``CUTOFF``.  That comparison is one integer cross-multiplication.
+value bounds the child's optimum from above and never rises; ``add_row``
+stops before the first pivot that would take the value below its
+``cutoff`` (the search's incumbent) and returns the child with status
+``CUTOFF``.  That comparison is one integer cross-multiplication.
 """
 
 from __future__ import annotations
@@ -212,7 +212,7 @@ class Tableau:
             assert r is not None, "unbounded ray, but the box bounds every pattern LP"
             self.pivot(r, p)
 
-    def add_row(self, g: Sequence[int], cutoff: Fraction | int | None = None) -> "Tableau":
+    def add_row(self, g: Sequence[int], cutoff: Fraction | int) -> "Tableau":
         """The optimum with the row ``g . x <= 0`` added, by dual simplex.
 
         ``g`` has one entry per variable.  The row, ``den*g - sum
@@ -221,10 +221,10 @@ class Tableau:
         minor of the enlarged input matrix and ``den`` is unchanged.  The
         child shares this tableau's row lists and leaves them as they were.
 
-        With a ``cutoff`` (an int or a ``Fraction``) the dual simplex stops
-        before a pivot that would take the value, which never rises, below
-        it; the child then has status ``CUTOFF`` and is read only for
-        ``status`` and ``pivots``.
+        The dual simplex stops before a pivot that would take the value,
+        which never rises, below ``cutoff`` (an int or a ``Fraction``; 0
+        never stops it); the child then has status ``CUTOFF`` and is read
+        only for ``status`` and ``pivots``.
         """
         den, n, nrows = self.den, self.nvars, self.nrows
         new = [den * g[v] if v < n else 0 for v in self.cobasis] + [0]
@@ -237,14 +237,14 @@ class Tableau:
         tab.dual_optimize(cutoff)
         return tab
 
-    def dual_optimize(self, cutoff: Fraction | int | None) -> None:
+    def dual_optimize(self, cutoff: Fraction | int) -> None:
         """Dual simplex from a dual-feasible basis.
 
         Dual Bland's rule: the leaving row is the one with a negative rhs
         whose basic variable is lowest; the entering column minimizes
         ``obj[p] / -row[p]`` over ``row[p] < 0``, ties to the lowest variable.
-        With a ``cutoff`` it stops, with status ``CUTOFF``, before a pivot
-        that would take the value below it.
+        It stops, with status ``CUTOFF``, before a pivot that would take the
+        value below ``cutoff``.
         """
         mat, basis = self.mat, self.basis
         while True:
@@ -260,14 +260,13 @@ class Tableau:
                     c = p
             # No negative entry would make the row a sum of nonnegatives < 0.
             assert c is not None, "infeasible, but x = 0 meets every pattern row"
-            if cutoff is not None:
-                # The pivot makes den piv = -row[c] > 0 and the value
-                # (obj[-1]*piv + obj[c]*row[-1]) / (den*piv), cross-multiplied here.
-                piv = -row[c]
-                num = obj[-1] * piv + obj[c] * row[-1]
-                if num * cutoff.denominator < cutoff.numerator * self.den * piv:
-                    self.status = CUTOFF
-                    return
+            # The pivot makes den piv = -row[c] > 0 and the value
+            # (obj[-1]*piv + obj[c]*row[-1]) / (den*piv), cross-multiplied here.
+            piv = -row[c]
+            num = obj[-1] * piv + obj[c] * row[-1]
+            if num * cutoff.denominator < cutoff.numerator * self.den * piv:
+                self.status = CUTOFF
+                return
             self.pivot(r, c)
 
     def optimal_face(self) -> list["Tableau"]:

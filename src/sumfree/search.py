@@ -19,7 +19,8 @@ child of an entry (i, j, t) with j <= t is never opened: with the chain
 its row forces l_t = r_t, so it holds only configurations that run
 m' - 1 covers.  No choice set is reached twice: two nodes part where one
 holds L(e) and the other R(e), and an entry is never branched on once
-resolved.
+resolved, since the branch rule runs only at points of the node's LP,
+where the entry's own row holds its overlap to at most 0.
 
 The LP is solved in gap coordinates: its variables are d_0 = l1, the
 gaps d_q = x_q - x_{q-1} between consecutive endpoints of the chain
@@ -30,11 +31,11 @@ The change of variables is unimodular, so each node's feasible set is
 the chain form's under that map; the search reads a vertex back as its
 endpoint numerators, the prefix sums of the gaps.
 
-Only the root of each run (the empty choice set, one per m') builds and
-solves its LP from scratch.  Every other node, including each node a
-parallel run hands to a worker, is its parent plus one choice row, so it
-is reoptimized from the parent's optimal tableau by a few dual simplex
-pivots; a fathomed leaf walks its optimal face from that same tableau.
+Only the root of each run (no choices, one per m') builds and solves
+its LP from scratch.  Every other node, including each node a parallel
+run hands to a worker, is its parent's optimal tableau and one choice,
+whose row a few dual simplex pivots add; a fathomed leaf walks its
+optimal face from its own optimal tableau.
 The dual simplex stops as soon as its bound would fall below the
 incumbent, since such a child is pruned whatever its optimum; this
 saves pivots and changes no node, witness or status.
@@ -145,9 +146,8 @@ def _point(tab: lp_mod.Tableau) -> tuple[int, ...]:
     return (*accumulate(gaps), top)
 
 
-def _pick_branch(v: Sequence, m: int, k: int,
-                 choices: frozenset[Choice]) -> Choice | None:
-    """Unresolved entry with the largest positive sum-window overlap.
+def _pick_branch(v: Sequence, m: int, k: int) -> tuple[int, int, int] | None:
+    """Entry (i, j, t) with the largest positive sum-window overlap.
 
     The search passes ``v`` as the vertex's endpoint numerators
     (``_point``), integers over the positive ``den``.  Any exact numbers
@@ -156,11 +156,10 @@ def _pick_branch(v: Sequence, m: int, k: int,
     z-scale), so the argmax is the exact vertex's; ties go to the lowest
     (i, j, t).  Entries whose pair or target interval is degenerate at the
     vertex are skipped: they witness nothing about the actual point set.
-    At a point that meets the rows of ``choices`` (every resolved entry's
-    overlap is then at most 0), ``None`` says that the configuration is
-    k-sum-free.
+    ``None`` says that the configuration is k-sum-free.  At a point of a
+    node's LP, each entry that its choices resolve has overlap at most 0,
+    so the entry returned is unresolved.
     """
-    resolved = {choice[1:] for choice in choices}
     live = [(i, v[2 * i], v[2 * i + 1]) for i in range(m) if v[2 * i] != v[2 * i + 1]]
     targets = [(t, k * lt, k * rt) for t, lt, rt in live]
     best_ov = 0
@@ -170,7 +169,7 @@ def _pick_branch(v: Sequence, m: int, k: int,
             slo, shi = li + lj, ri + rj
             for t, klt, krt in targets:
                 ov = (shi if shi < krt else krt) - (slo if slo > klt else klt)
-                if ov > best_ov and (i, j, t) not in resolved:
+                if ov > best_ov:
                     best_ov = ov
                     best = (i, j, t)
     return best
@@ -211,8 +210,8 @@ def _union(v: Sequence[int], den: int) -> IntervalUnion:
     return IntervalUnion.from_numerators(zip(v[0::2], v[1::2]), den)
 
 
-def _record_leaf(state: _RunState, m: int, choices: frozenset[Choice],
-                 tab: lp_mod.Tableau, v: tuple[int, ...]) -> Choice | None:
+def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau,
+                 v: tuple[int, ...]) -> tuple[int, int, int] | None:
     """Offer the free basis ``tab`` (endpoints ``v``), or with all optima
     its face's free bases; return the entry to branch on, if any.
 
@@ -230,15 +229,15 @@ def _record_leaf(state: _RunState, m: int, choices: frozenset[Choice],
     bases = tab.optimal_face()[1:] if state.all_optima else []
     others = dict.fromkeys((_point(t), t.den) for t in bases)  # in face order
     others.pop((v, tab.den), None)
-    entries = {vx: _pick_branch(vx[0], m, state.k, choices) for vx in others}
+    entries = {vx: _pick_branch(vx[0], m, state.k) for vx in others}
     unions = {first} | {_union(*vx) for vx, entry in entries.items() if entry is None}
     state.offer(tab.value, unions, len(unions) == 1)
     return next((entry for entry in entries.values() if entry is not None), None)
 
 
-# An open node: its choice set, and the solved parent it extends, as
-# (parent tableau, new choice); the root of a run has no parent.
-Node = tuple[frozenset, tuple | None]
+# An open node: None for the root of a run, else the solved parent it
+# extends and its one new choice, as (parent tableau, choice).
+Node = tuple[lp_mod.Tableau, Choice] | None
 
 
 def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
@@ -249,18 +248,17 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     children share, and reoptimizes by dual simplex.  A pattern LP is
     never infeasible (``x = 0`` meets every row; ``lp`` asserts it), so
     every node has an optimum; a warm child's dual simplex stops, and the
-    child is pruned, once its bound falls below the incumbent.  Returns the
-    open children, LEFT first;
-    pruned and fathomed nodes have none, and a degenerate-only RIGHT
-    child is not opened.  A fathomed node whose optimal face holds a
-    basis that is not free is branched on that basis's entry.
+    child is pruned, once its bound falls below the incumbent.  Returns
+    the open children, LEFT first, as (this tableau, choice); pruned and
+    fathomed nodes have none, and a degenerate-only RIGHT child is not
+    opened.  A fathomed node whose optimal face holds a basis that is not
+    free is branched on that basis's entry.
     """
-    choices, parent = node
     state.nodes += 1
-    if parent is None:
-        tab = lp_mod.solve(build_pattern_lp(m, state.k, choices))
+    if node is None:
+        tab = lp_mod.solve(build_pattern_lp(m, state.k))
     else:
-        tab, choice = parent
+        tab, choice = node
         tab = tab.add_row(_choice_row(m, state.k, choice), cutoff=state.best)
     state.pivots += tab.pivots
     if tab.status == lp_mod.CUTOFF:
@@ -273,9 +271,9 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
         # not being collected the incumbent witness already realizes it.
         return []
     v = _point(tab)
-    entry = _pick_branch(v, m, state.k, choices)
+    entry = _pick_branch(v, m, state.k)
     if entry is None:
-        entry = _record_leaf(state, m, choices, tab, v)
+        entry = _record_leaf(state, m, tab, v)
         if entry is None:
             return []
     children = [(LEFT, *entry)]
@@ -285,10 +283,10 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     # configurations with a vanished interval, which run m - 1 covers.
     if state.k < 2 or j > t:
         children.append((RIGHT, *entry))
-    return [(choices | {choice}, (tab, choice)) for choice in children]
+    return [(tab, choice) for choice in children]
 
 
-def _explore(m: int, state: _RunState, nodes: Iterable[Node] = ((frozenset(), None),),
+def _explore(m: int, state: _RunState, nodes: Iterable[Node] = (None,),
              want: int | None = None) -> list[Node]:
     """Branch-and-bound below ``nodes`` (by default the root) for fixed m.
 

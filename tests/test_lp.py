@@ -264,7 +264,8 @@ def test_added_row_matches_a_cold_solve():
         tab = solve(prob)
         for _ in range(3):  # a warm child of a warm child, and so on
             g = tuple(rng.randint(-3, 3) for _ in range(prob.num_vars))
-            tab = tab.add_row(g)
+            tab = tab.add_row(g, 0)
+            assert tab.status == OPTIMAL
             prob = LinearProgram(objective=prob.objective, rows=prob.rows + (g,))
             cold = solve(prob)
             dual_pivots += tab.pivots
@@ -291,10 +292,11 @@ def test_dictionary_keeps_its_width_and_its_parent():
         _dictionary_is_well_formed(tab)
         for _ in range(4):
             before = copy.deepcopy((tab.mat, tab.den, tab.basis, tab.cobasis))
-            children = [tab.add_row(tuple(rng.randint(-3, 3) for _ in range(prob.num_vars)))
-                        for _ in range(2)]
+            rows = [tuple(rng.randint(-3, 3) for _ in range(prob.num_vars)) for _ in range(2)]
+            children = [tab.add_row(g, 0) for g in rows]
             assert (tab.mat, tab.den, tab.basis, tab.cobasis) == before
             for child in children:
+                assert child.status == OPTIMAL
                 _dictionary_is_well_formed(child)
                 assert child.nrows == tab.nrows + 1
             tab = rng.choice(children)
@@ -315,7 +317,8 @@ def test_added_row_with_a_cutoff_stops_only_below_it():
             g = tuple(rng.randint(-3, 3) for _ in range(prob.num_vars))
             prob = LinearProgram(objective=prob.objective, rows=prob.rows + (g,))
             cold = solve(prob).value
-            full = tab.add_row(g)
+            full = tab.add_row(g, 0)
+            assert full.status == OPTIMAL
             eps = F(1, rng.randint(1, 50))
             for cutoff in (cold + eps, cold, cold - eps, tab.value + 1, int(cold) + 1):
                 before = copy.deepcopy((tab.mat, tab.den, tab.basis, tab.cobasis))

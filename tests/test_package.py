@@ -60,37 +60,48 @@ def test_no_float_in_the_package():
     assert floats == []
 
 
-def _names(tree: ast.AST, strings: bool) -> set[str]:
-    """The names ``tree`` reads: ``Name`` ids, attributes, import aliases and, with
-    ``strings``, string constants."""
-    out = set()
+def _reads(tree: ast.AST) -> tuple[set[str], set[str], set[str]]:
+    """What ``tree`` reads: ``Name`` ids and import aliases, attribute names
+    (``x.name``), and string constants."""
+    names, attributes, strings = set(), set(), set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
+            names.add(node.id)
         elif isinstance(node, ast.alias):
-            out.update((node.name, node.asname or node.name))
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
+            names.update((node.name, node.asname or node.name))
+        elif isinstance(node, ast.Attribute):
+            attributes.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            strings.add(node.value)
+    return names, attributes, strings
 
 
 def test_every_definition_is_reached():
     """Each ``def`` and ``class`` of the package is named somewhere in it, in the
-    bench scripts or in ``__all__``.  A name that an unrelated attribute shares
-    passes, so this is a floor against dead code, not a proof of use."""
+    bench scripts or in ``__all__``.  A method counts only when read as an
+    attribute (``x.name``) or named by a bench string, never by a bare name
+    that a local variable may share.  A name that an unrelated attribute
+    shares passes, so this is a floor against dead code, not a proof of use."""
     package = Path(sumfree.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py"))}
-    reached = set(sumfree.__all__).union(*(_names(tree, False) for tree in trees.values()))
+    names, attributes = set(sumfree.__all__), set()
+    for tree in trees.values():
+        tree_names, tree_attributes, _ = _reads(tree)
+        names |= tree_names
+        attributes |= tree_attributes
     for path in sorted((PYPROJECT.parent / "bench").glob("*.py")):
-        reached |= _names(ast.parse(path.read_text(), str(path)), True)
+        tree_names, tree_attributes, strings = _reads(ast.parse(path.read_text(), str(path)))
+        names |= tree_names | strings
+        attributes |= tree_attributes | strings
+    methods = {id(node) for tree in trees.values() for cls in ast.walk(tree)
+               if isinstance(cls, ast.ClassDef) for node in cls.body
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))}
     unreached = [f"{name}:{node.lineno}: {node.name}" for name, tree in trees.items()
                  for node in ast.walk(tree)
                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
                  and not (node.name.startswith("__") and node.name.endswith("__"))
-                 and node.name not in reached]
+                 and node.name not in (attributes if id(node) in methods else names | attributes)]
     assert unreached == []
 
 

@@ -184,7 +184,8 @@ def test_relaxation_monotonicity():
 
 def _warm_child_agrees(m, k, pat, tab, choice):
     """Add ``choice`` to ``tab`` warm; check it against a cold solve of the child."""
-    tab = tab.add_row(_choice_row(m, k, choice))
+    tab = tab.add_row(_choice_row(m, k, choice), 0)
+    assert tab.status == OPTIMAL
     child = build_pattern_lp(m, k, pat | {choice})
     cold = solve(child)
     assert all(type(a) is int for row in tab.mat for a in row)
@@ -396,20 +397,16 @@ def _overlap(v, k, entry):
 def test_integer_branch_choice_matches_the_fraction_choice():
     """``_pick_branch`` on numerators over one denominator picks the exact entry."""
     rng = random.Random(8)
-    seen = {"degenerate": 0, "resolved": 0, "tie": 0}
+    seen = {"degenerate": 0, "tie": 0}
     for _ in range(600):
         m, k, den = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 12)
         nums = tuple(sorted(rng.randint(0, den) for _ in range(2 * m)))
         v = tuple(F(a, den) for a in nums)
-        entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
-        choices = frozenset((rng.choice("LR"), *e)
-                            for e in rng.sample(entries, rng.randint(0, len(entries) // 2)))
-        pick = pick_branch_fraction(v, m, k, choices)
-        assert search._pick_branch(nums, m, k, choices) == pick
+        pick = pick_branch_fraction(v, m, k, frozenset())
+        assert search._pick_branch(nums, m, k) == pick
         seen["degenerate"] += any(nums[2 * i] == nums[2 * i + 1] for i in range(m))
-        seen["resolved"] += pick != pick_branch_fraction(v, m, k, frozenset())
         if pick is not None:
-            nxt = pick_branch_fraction(v, m, k, choices | {("L", *pick)})
+            nxt = pick_branch_fraction(v, m, k, {("L", *pick)})
             seen["tie"] += nxt is not None and _overlap(v, k, nxt) == _overlap(v, k, pick)
     assert all(seen.values()), seen
 
@@ -423,7 +420,7 @@ def test_branch_rule_decides_sum_freeness():
         nv = tuple(sorted(rng.randint(0, den) for _ in range(2 * m)))
         v = tuple(F(a, den) for a in nv)
         free = is_k_sum_free(_union(nv, den), k)[0]
-        assert (search._pick_branch(v, m, k, frozenset()) is None) == free, (m, k, v)
+        assert (search._pick_branch(v, m, k) is None) == free, (m, k, v)
         seen["free" if free else "not free"] += 1
         seen["degenerate"] += any(v[2 * i] == v[2 * i + 1] for i in range(m))
         seen["touching"] += any(v[2 * i - 1] == v[2 * i] and v[2 * i - 2] < v[2 * i - 1]
@@ -445,28 +442,49 @@ def test_schedule_independence_sequential_vs_parallel():
         assert seq.status == "proven" and seq.witnesses_exact
 
 
+class _ChoiceSets:
+    """Stands in for ``search._expand`` and rebuilds each node's choice set
+    from its parent link: empty at a root, else the parent's set and the
+    node's own choice.  ``current`` is the set of the node being expanded;
+    ``calls`` holds (m, choice set, open children) per expansion."""
+
+    def __init__(self, monkeypatch):
+        self.expand = search._expand
+        self.sets = {}  # open node -> its choice set
+        self.current = frozenset()
+        self.calls = []
+        monkeypatch.setattr(search, "_expand", self)
+
+    def __call__(self, m, state, node):
+        self.current = frozenset() if node is None else self.sets.pop(node)
+        children = self.expand(m, state, node)
+        for child in children:
+            self.sets[child] = self.current | {child[1]}
+        self.calls.append((m, self.current, len(children)))
+        return children
+
+
 def test_incumbent_cutoff_leaves_the_tree_as_it_was(monkeypatch):
     """Each node's choice set and open children, and every result field
     but the pivots, are those of the search with ``add_row``'s cutoff
     ignored."""
-    expand, add_row = search._expand, Tableau.add_row
-    calls = []
-
-    def recording_expand(m, state, node):
-        children = expand(m, state, node)
-        calls.append((m, node[0], len(children)))
-        return children
+    add_row = Tableau.add_row
+    tracker = _ChoiceSets(monkeypatch)
 
     def run(m, k, all_optima):
-        calls.clear()
+        tracker.calls.clear()
         res = maximize_measure(m, k, all_optima=all_optima)
-        return list(calls), res
+        return list(tracker.calls), res
 
-    monkeypatch.setattr(search, "_expand", recording_expand)
+    def uncut_add_row(tab, g, cutoff):
+        child = add_row(tab, g, 0)
+        assert child.status == OPTIMAL
+        return child
+
     for m, k, all_optima in ((5, 3, True), (5, 1, False)):
         cut_calls, res = run(m, k, all_optima)
         with monkeypatch.context() as patch:
-            patch.setattr(Tableau, "add_row", lambda tab, g, cutoff=None: add_row(tab, g))
+            patch.setattr(Tableau, "add_row", uncut_add_row)
             uncut_calls, uncut = run(m, k, all_optima)
         assert cut_calls == uncut_calls and len(cut_calls) == res.nodes_explored
         assert dataclasses.replace(uncut, lp_pivots=res.lp_pivots) == res
@@ -490,20 +508,45 @@ class _InProcessPool:
 
 
 def test_no_choice_set_is_expanded_twice(monkeypatch):
-    expanded = []
-    expand = search._expand
-
-    def recording_expand(m, state, node):
-        expanded.append((m, node[0]))
-        return expand(m, state, node)
-
-    monkeypatch.setattr(search, "_expand", recording_expand)
+    tracker = _ChoiceSets(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     for parallel in (1, 2):
-        expanded.clear()
+        tracker.calls.clear()
         res = maximize_measure(5, 3, all_optima=True, parallel=parallel)
+        expanded = [(m, choices) for m, choices, _ in tracker.calls]
         assert len(expanded) == res.nodes_explored == SEARCH_COUNTERS[5, 3][0]
         assert len(set(expanded)) == len(expanded)
+
+
+@pytest.mark.parametrize("m,k,all_optima,parallel",
+                         [(5, 3, True, 1), (5, 4, True, 1), (5, 1, False, 1),
+                          (6, 3, False, 1), (5, 3, True, 2)])
+def test_branch_rule_never_picks_a_resolved_entry(monkeypatch, m, k, all_optima, parallel):
+    """At every branch-rule call of a search, at the node's vertex and at
+    each basis of its optimal face, the entry is the one that the oracle
+    picks after skipping every entry the node's choices resolve: the
+    node's LP holds each resolved overlap to at most 0.  The oracle takes
+    the endpoint numerators, as the rule's argmax is scale-free."""
+    tracker = _ChoiceSets(monkeypatch)
+    pick = search._pick_branch
+    seen = {"calls": 0, "with choices": 0, "face bases": 0}
+    expansions = []  # the expansion of each call, by its index in tracker.calls
+
+    def checked_pick(v, m_eff, k_eff):
+        entry = pick(v, m_eff, k_eff)
+        assert entry == pick_branch_fraction(v, m_eff, k_eff, tracker.current), v
+        seen["calls"] += 1
+        seen["with choices"] += bool(tracker.current)
+        seen["face bases"] += expansions[-1:] == [len(tracker.calls)]
+        expansions.append(len(tracker.calls))
+        return entry
+
+    monkeypatch.setattr(search, "_pick_branch", checked_pick)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    res = maximize_measure(m, k, all_optima=all_optima, parallel=parallel)
+    assert res.status == "proven"
+    assert seen["calls"] and seen["with choices"], seen
+    assert bool(seen["face bases"]) == all_optima, seen  # only all optima walks faces
 
 
 def test_node_limit_interrupts():
