@@ -57,8 +57,8 @@ def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None
     parser.add_argument("--force", action="store_true",
                         default=argparse.SUPPRESS if suppress else False,
                         help="recompute even if the cache holds the result")
-    parser.add_argument("-v", "--verbose", action="count",
-                        default=argparse.SUPPRESS if suppress else 0,
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        default=argparse.SUPPRESS if suppress else False,
                         help="print work counters and time to stderr")
 
 
@@ -138,21 +138,26 @@ def _current(rec: cache_mod.CacheRecord) -> bool:
     return rec.version == __version__ and rec.solver == cache_mod.solver_digest()
 
 
-def _cached(kind: str, params: dict, cache_path: str, force: bool, compute) -> dict:
-    """The cached payload for (kind, params), else ``compute()``, appended.
+def _cached(kind: str, params: dict, args, compute) -> dict:
+    """The cached payload for (kind, params), else ``compute()``'s, appended.
 
+    ``compute`` returns the payload and the start of the ``-v`` line, to
+    which the miss adds the time it took; a hit prints no line.
     ``--force`` skips the lookup.  A record written by another sumfree
     version or another solver source is a miss, so a solver fix is never
     hidden by an old result; so is a record that lacks a result field the
     CLI reads, or holds one of another type.  A path that cannot take a
     record fails before computing, and a run that fails creates no file.
     """
-    cached = None if force else cache_mod.lookup(cache_path, kind, params)
+    cached = None if args.force else cache_mod.lookup(args.cache, kind, params)
     if cached is not None and _current(cached) and _well_formed(kind, cached.result):
         return cached.result
-    cache_mod.check_appendable(cache_path)
-    payload = compute()
-    cache_mod.append_record(cache_path, cache_mod.make_record(
+    cache_mod.check_appendable(args.cache)
+    t0 = time.perf_counter()
+    payload, note = compute()
+    if args.verbose:
+        sys.stderr.write(f"{note}{time.perf_counter() - t0:.2f}s\n")
+    cache_mod.append_record(args.cache, cache_mod.make_record(
         kind, params, payload, __version__))
     return payload
 
@@ -180,31 +185,25 @@ def _cmd_verify(args, fmt: str) -> int:
     return EXIT_OK if free else EXIT_VERIFY_FAILED
 
 
-def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) -> int:
+def _cmd_continuous(args, fmt: str) -> int:
     params = {"k": args.k, "m": args.m, "all_optima": args.all_optima,
               "node_limit": args.node_limit}
     if args.parallel < 1:  # not part of the key, so a cache hit would skip the search's check
         raise ValueError(f"parallel must be >= 1, got {args.parallel}")
 
-    def compute() -> dict:
-        t0 = time.perf_counter()
+    def compute() -> tuple[dict, str]:
         result = maximize_measure(args.m, args.k, all_optima=args.all_optima,
-                                  parallel=args.parallel,
-                                  node_limit=args.node_limit)
-        elapsed = time.perf_counter() - t0
-        if verbose:
-            sys.stderr.write(f"continuous m={args.m} k={args.k}: "
-                             f"{result.nodes_explored} nodes, "
-                             f"{result.lp_pivots} pivots, {elapsed:.2f}s\n")
+                                  parallel=args.parallel, node_limit=args.node_limit)
         return {
             "optimum": format_rational(result.optimum),
             "witnesses": [format_union(w) for w in result.witnesses],
             "nodes_explored": result.nodes_explored,
             "status": result.status,
             "witnesses_exact": result.witnesses_exact,
-        }
+        }, (f"continuous m={args.m} k={args.k}: {result.nodes_explored} nodes, "
+            f"{result.lp_pivots} pivots, ")
 
-    payload = _cached("continuous", params, cache_path, force, compute)
+    payload = _cached("continuous", params, args, compute)
     lines = [f"optimum {payload['optimum']}",
              f"status {payload['status']} after {payload['nodes_explored']} nodes"]
     lines += [f"witness: {w if w else '(empty set)'}" for w in payload["witnesses"]]
@@ -212,25 +211,21 @@ def _cmd_continuous(args, fmt: str, cache_path: str, force: bool, verbose: int) 
     return EXIT_OK
 
 
-def _cmd_discrete(args, fmt: str, cache_path: str, force: bool, verbose: int) -> int:
+def _cmd_discrete(args, fmt: str) -> int:
     params = {"n": args.n, "k": args.k, "enumerate": args.enumerate_all,
               "node_limit": args.node_limit}
 
-    def compute() -> dict:
-        t0 = time.perf_counter()
+    def compute() -> tuple[dict, str]:
         if args.enumerate_all:
             sets = enumerate_maximum_sets(args.n, args.k, node_limit=args.node_limit)
             value = len(sets[0]) if sets else 0
         else:
             value, witness = f_max(args.n, args.k, node_limit=args.node_limit)
             sets = [witness]
-        if verbose:
-            sys.stderr.write(f"discrete n={args.n} k={args.k}: "
-                             f"{time.perf_counter() - t0:.2f}s\n")
-        return {"n": args.n, "k": args.k, "f": value,
-                "witnesses": [list(s) for s in sets]}
+        return ({"n": args.n, "k": args.k, "f": value, "witnesses": [list(s) for s in sets]},
+                f"discrete n={args.n} k={args.k}: ")
 
-    payload = _cached("discrete", params, cache_path, force, compute)
+    payload = _cached("discrete", params, args, compute)
     lines = [f"f({args.n},{args.k}) = {payload['f']}"]
     if args.witness or args.enumerate_all:
         lines += ["witness: {" + ",".join(map(str, w)) + "}"
@@ -239,18 +234,14 @@ def _cmd_discrete(args, fmt: str, cache_path: str, force: bool, verbose: int) ->
     return EXIT_OK
 
 
-def _cmd_certify(args, fmt: str, cache_path: str, force: bool, verbose: int) -> int:
+def _cmd_certify(args, fmt: str) -> int:
     params = {"trials": args.trials, "max_intervals": args.max_intervals,
               "seed": args.seed}
 
-    def compute() -> dict:
+    def compute() -> tuple[dict, str]:
         cert = derive_delta()
-        t0 = time.perf_counter()
-        harness = sumset_bound_harness(trials=args.trials,
-                                      max_intervals=args.max_intervals,
-                                      seed=args.seed)
-        if verbose:
-            sys.stderr.write(f"harness: {time.perf_counter() - t0:.2f}s\n")
+        harness = sumset_bound_harness(trials=args.trials, max_intervals=args.max_intervals,
+                                       seed=args.seed)
         return {
             "delta_star": format_rational(cert.delta_star),
             "branches": [
@@ -272,9 +263,9 @@ def _cmd_certify(args, fmt: str, cache_path: str, force: bool, verbose: int) -> 
                 "min_slack": format_rational(harness.min_slack),
                 "min_slack_example": format_union(harness.min_slack_example),
             },
-        }
+        }, f"certify trials={args.trials} seed={args.seed}: "
 
-    payload = _cached("certify", params, cache_path, force, compute)
+    payload = _cached("certify", params, args, compute)
     lines = ["branch suprema:"]
     lines += [f"  {b['name']:20s} x <= {b['bound']:18s} delta_sup = {b['delta_sup']}"
               for b in payload["branches"]]
@@ -312,9 +303,9 @@ def _report_row(rec: cache_mod.CacheRecord, fmt: str) -> str:
     return f"| {rec.kind} | `{params}` | {summary} | {version} |"
 
 
-def _cmd_report(cache_path: str, fmt: str) -> int:
+def _cmd_report(args, fmt: str) -> int:
     # each record is rendered as it is read; only the latest row per key is kept
-    rows = {rec.key(): _report_row(rec, fmt) for rec in cache_mod.read_records(cache_path)}
+    rows = {rec.key(): _report_row(rec, fmt) for rec in cache_mod.read_records(args.cache)}
     ordered = [rows[key] for key in sorted(rows)]
     if fmt == "json":
         print("[" + ", ".join(ordered) + "]")  # as json.dumps prints the list of items
@@ -326,31 +317,24 @@ def _cmd_report(cache_path: str, fmt: str) -> int:
     return EXIT_OK
 
 
+# Each subcommand's handler and its default --format.
+_COMMANDS = {"verify": (_cmd_verify, "table"), "continuous": (_cmd_continuous, "json"),
+             "discrete": (_cmd_discrete, "json"), "certify": (_cmd_certify, "table"),
+             "report": (_cmd_report, "table")}
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    cache_path = cache_mod.resolve_path(args.cache)
-    defaults = {"verify": "table", "continuous": "json", "discrete": "json",
-                "certify": "table", "report": "table"}
-    fmt = args.format or defaults[args.command]
+    args = _build_parser().parse_args(argv)
+    args.cache = cache_mod.resolve_path(args.cache)
+    handler, default_format = _COMMANDS[args.command]
     try:
-        if args.command == "verify":
-            return _cmd_verify(args, fmt)
-        if args.command == "continuous":
-            return _cmd_continuous(args, fmt, cache_path, args.force, args.verbose)
-        if args.command == "discrete":
-            return _cmd_discrete(args, fmt, cache_path, args.force, args.verbose)
-        if args.command == "certify":
-            return _cmd_certify(args, fmt, cache_path, args.force, args.verbose)
-        if args.command == "report":
-            return _cmd_report(cache_path, fmt)
+        return handler(args, args.format or default_format)
     except EnumerationLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_VERIFY_FAILED
     except (ValueError, OSError) as exc:  # OSError: e.g. a --cache path that is a directory
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 if __name__ == "__main__":

@@ -120,24 +120,19 @@ def _choice_row(m: int, k: int, choice: Choice) -> tuple[int, ...]:
     return _gap_row(row)
 
 
-def build_pattern_lp(m: int, k: int, choices: Iterable[Choice] = ()) -> LinearProgram:
-    """LP relaxation: maximize total length under the chain and choice rows.
+def build_pattern_lp(m: int) -> LinearProgram:
+    """The root LP relaxation: maximize total length under the chain row.
 
     Variables are the gaps (d_0, ..., d_{2m-2}, r_m) of the endpoint chain
-    (l1, r1, ..., lm, rm), all in [0, 1]; the chain is the first row,
-    d_0 + ... + d_{2m-2} <= r_m.  The objective and each choice row are
-    the chain form's written over the gaps (``_gap_row``).  All rows are
-    non-strict: touching windows are legal under the open-interval
-    convention, so no epsilons.  A choice is (side, i, j, t) with side
-    ``L`` or ``R`` and ``0 <= i <= j < m``, ``0 <= t < m``.
+    (l1, r1, ..., lm, rm), all in [0, 1]; the chain is the one row
+    d_0 + ... + d_{2m-2} <= r_m, and the objective is the chain form's
+    written over the gaps (``_gap_row``).  Neither depends on k; each
+    node below the root adds its choice's ``_choice_row`` to its parent's
+    tableau.  Rows are non-strict: touching windows are legal under the
+    open-interval convention, so no epsilons.
     """
-    require_int(m, "m"), require_int(k, "k")
-    rows = [(1,) * (2 * m - 1) + (-1,)]
-    for side, i, j, t in sorted(choices):
-        if side not in (LEFT, RIGHT) or not (0 <= i <= j < m and 0 <= t < m):
-            raise ValueError(f"bad choice {(side, i, j, t)} for m={m}")
-        rows.append(_choice_row(m, k, (side, i, j, t)))
-    return LinearProgram(objective=_gap_row((-1, 1) * m), rows=tuple(rows))
+    require_int(m, "m")
+    return LinearProgram(objective=_gap_row((-1, 1) * m), rows=((1,) * (2 * m - 1) + (-1,),))
 
 
 def _point(tab: lp_mod.Tableau) -> tuple[int, ...]:
@@ -256,7 +251,7 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     """
     state.nodes += 1
     if node is None:
-        tab = lp_mod.solve(build_pattern_lp(m, state.k))
+        tab = lp_mod.solve(build_pattern_lp(m))
     else:
         tab, choice = node
         tab = tab.add_row(_choice_row(m, state.k, choice), cutoff=state.best)

@@ -19,6 +19,7 @@ import numpy as np
 from sumfree.intervals import IntervalUnion
 from sumfree.lp import LinearProgram
 from sumfree.rationals import RationalParseError
+from sumfree.search import build_pattern_lp
 
 
 def grid_best_1_interval(k: int, grid: int) -> Fraction:
@@ -168,8 +169,8 @@ def chain_pattern_lp(m: int, k: int, choices=()) -> LinearProgram:
     The rows ``l1 <= r1 <= ... <= rm`` (``2m - 1`` of them), then for each
     choice (side, i, j, t) in sorted order ``r_i + r_j <= k l_t`` (``L``)
     or ``l_i + l_j >= k r_t`` (``R``); the objective is the total length.
-    The reference for ``search.build_pattern_lp``, which writes the same
-    LP over the gaps between endpoints.
+    The reference for ``search``'s gap-form LPs (``pattern_lp``), which
+    write the same LP over the gaps between endpoints.
     """
     n = 2 * m
     rows = []
@@ -199,6 +200,20 @@ def gap_form(row) -> tuple[int, ...]:
     """
     n = len(row)
     return tuple(sum(row[p:n - 1]) for p in range(n - 1)) + (row[-1],)
+
+
+def pattern_lp(m: int, k: int, choices=()) -> LinearProgram:
+    """The gap-form LP of the search node that holds ``choices``, built cold.
+
+    The root's rows (``search.build_pattern_lp``), then ``chain_pattern_lp``'s
+    choice rows written over the gaps by ``gap_form``.  Tests check each warm
+    child, which adds the search's own ``_choice_row`` to its parent's
+    tableau, against this build.
+    """
+    root = build_pattern_lp(m)
+    choice_rows = chain_pattern_lp(m, k, choices).rows[2 * m - 1:]
+    return LinearProgram(objective=root.objective,
+                         rows=root.rows + tuple(gap_form(row) for row in choice_rows))
 
 
 def pick_branch_fraction(v, m: int, k: int, choices):

@@ -151,6 +151,35 @@ def test_verbose_lp_trace(cache_path, capsys):
     assert "continuous m=1 k=3: 2 nodes, 2 pivots, " in captured.err
 
 
+@pytest.mark.parametrize("argv,prefix", [
+    (["continuous", "--k", "3", "--m", "1"], "continuous m=1 k=3: 2 nodes, 2 pivots, "),
+    (["discrete", "--n", "9", "--k", "3"], "discrete n=9 k=3: "),
+    (["certify", "--trials", "20", "--seed", "5"], "certify trials=20 seed=5: "),
+], ids=["continuous", "discrete", "certify"])
+def test_verbose_line_on_a_miss_and_none_on_a_hit(cache_path, capsys, argv, prefix):
+    """A computed run with -v writes one stderr line, its prefix then its time; a hit writes none."""
+    assert main(argv + ["-v"]) == 0
+    assert re.fullmatch(re.escape(prefix) + r"\d+\.\d\ds\n", capsys.readouterr().err)
+    assert main(argv + ["-v"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("argv,default", [
+    (["verify", "--k", "3", "--set", RECORD_SET], "table"),
+    (["continuous", "--k", "3", "--m", "2"], "json"),
+    (["discrete", "--n", "9", "--k", "3"], "json"),
+    (["certify", "--trials", "20"], "table"),
+    (["report"], "table"),
+], ids=["verify", "continuous", "discrete", "certify", "report"])
+def test_each_subcommand_prints_its_default_format(cache_path, capsys, argv, default):
+    outputs = {}
+    for fmt in (None, "json", "table"):
+        assert main(argv + ([] if fmt is None else ["--format", fmt])) == 0
+        outputs[fmt] = capsys.readouterr().out
+    assert outputs["json"] != outputs["table"]
+    assert outputs[None] == outputs[default]
+
+
 def test_discrete_cli(cache_path, capsys):
     code = main(["discrete", "--n", "23", "--k", "3", "--enumerate"])
     payload = json.loads(capsys.readouterr().out)

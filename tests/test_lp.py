@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import optimal_vertices_brute, satisfies_lp
+from oracles import optimal_vertices_brute, pattern_lp, satisfies_lp
 
 from sumfree.lp import (
     CUTOFF,
@@ -95,7 +95,7 @@ def test_box_rows_implied_by_a_later_variable_are_dropped():
     prob = LinearProgram(objective=(1, 1, 1), rows=((3, -1, 2), (1, -1, -1)))
     assert canonical_rows(prob)[2:] == [((0, 1, 0), 1), ((0, 0, 1), 1)]
     # the pattern LP's one chain row d_0 + ... + d_8 <= r_5 keeps only r_5 <= 1
-    rows = canonical_rows(build_pattern_lp(5, 3))
+    rows = canonical_rows(build_pattern_lp(5))
     assert rows == [((1,) * 9 + (-1,), 0), ((0,) * 9 + (1,), 1)]
 
 
@@ -219,7 +219,7 @@ def _pattern_face_lps() -> list[LinearProgram]:
         for _ in range(count):
             pat = {(rng.choice("LR"), *entry)
                    for entry in rng.sample(entries, rng.randint(0, min(3, len(entries))))}
-            lps.append(build_pattern_lp(m, rng.randint(1, 4), pat))
+            lps.append(pattern_lp(m, rng.randint(1, 4), pat))
     return lps
 
 

@@ -109,7 +109,7 @@ _UNION = sumfree.parse_union("(2/3,1)")
 # each public function with integer or rational parameters, and arguments it accepts
 _NUMERIC_CALLS = [
     (sumfree.maximize_measure, {"m": 2, "k": 3, "parallel": 1, "node_limit": 1000}),
-    (sumfree.build_pattern_lp, {"m": 2, "k": 3}),
+    (sumfree.build_pattern_lp, {"m": 2}),
     (sumfree.f_max, {"n": 10, "k": 3, "node_limit": 1000}),
     (sumfree.enumerate_maximum_sets, {"n": 10, "k": 3, "node_limit": 1000}),
     (sumfree.forbidden_triples, {"n": 10, "k": 3}),

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (chain_pattern_lp, gap_form, grid_best_1_interval, grid_best_2_intervals,
-                     pick_branch_fraction, satisfies_lp)
+                     pattern_lp, pick_branch_fraction, satisfies_lp)
 
 from sumfree.intervals import IntervalUnion, format_union, is_k_sum_free
 from sumfree import search
@@ -44,33 +44,28 @@ def test_configuration_to_union_drops_vanished():
 
 
 def test_pattern_resolution_guards():
-    """``build_pattern_lp`` takes a choice set and rejects a bad choice."""
-    lp = build_pattern_lp(2, 3, frozenset({("L", 0, 1, 1)}))
+    """A node's LP is the root's rows, then its choice rows as ``_choice_row`` writes them."""
+    lp = pattern_lp(2, 3, frozenset({("L", 0, 1, 1)}))
     assert lp.rows[-1] == tuple(_choice_row(2, 3, ("L", 0, 1, 1)))
-    assert build_pattern_lp(2, 3).rows == lp.rows[:-1]
-    for bad in [("X", 0, 0, 0),
-                ("L", 1, 0, 0),  # needs i <= j
-                ("R", 0, 2, 0), ("L", -1, 0, 0), ("L", 0, 0, 2), ("R", 0, 0, -1)]:
-        with pytest.raises(ValueError):
-            build_pattern_lp(2, 3, {bad})
+    assert build_pattern_lp(2).rows == lp.rows[:-1]
 
 
 def test_single_interval_pattern_lps():
     # sums pushed left of the interval: classic (2/3, 1) for k = 3
-    left = build_pattern_lp(1, 3, {("L", 0, 0, 0)})
+    left = pattern_lp(1, 3, {("L", 0, 0, 0)})
     res = solve(left)
     assert res.status == OPTIMAL
     assert res.value == F(1, 3)
     assert res.vertex == (F(2, 3), F(1))
     # sums pushed right: forces a degenerate interval for k = 3
-    right = build_pattern_lp(1, 3, {("R", 0, 0, 0)})
+    right = pattern_lp(1, 3, {("R", 0, 0, 0)})
     res = solve(right)
     assert res.status == OPTIMAL and res.value == 0
     # k = 1: left split is degenerate-only, right split gives the top half
-    left1 = build_pattern_lp(1, 1, {("L", 0, 0, 0)})
+    left1 = pattern_lp(1, 1, {("L", 0, 0, 0)})
     res = solve(left1)
     assert res.status == OPTIMAL and res.value == 0
-    right1 = build_pattern_lp(1, 1, {("R", 0, 0, 0)})
+    right1 = pattern_lp(1, 1, {("R", 0, 0, 0)})
     res = solve(right1)
     assert res.value == F(1, 2) and res.vertex == (F(1, 2), F(1))
 
@@ -173,12 +168,12 @@ def test_relaxation_monotonicity():
     entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
     for _ in range(40):
         pat = _random_choices(rng, entries)
-        parent = solve(build_pattern_lp(m, k, pat))
+        parent = solve(pattern_lp(m, k, pat))
         i, j, t = rng.choice(entries)
         if _resolved(pat, (i, j, t)):
             continue
         for side in "LR":
-            child = solve(build_pattern_lp(m, k, pat | {(side, i, j, t)}))
+            child = solve(pattern_lp(m, k, pat | {(side, i, j, t)}))
             assert child.value <= parent.value
 
 
@@ -186,7 +181,7 @@ def _warm_child_agrees(m, k, pat, tab, choice):
     """Add ``choice`` to ``tab`` warm; check it against a cold solve of the child."""
     tab = tab.add_row(_choice_row(m, k, choice), 0)
     assert tab.status == OPTIMAL
-    child = build_pattern_lp(m, k, pat | {choice})
+    child = pattern_lp(m, k, pat | {choice})
     cold = solve(child)
     assert all(type(a) is int for row in tab.mat for a in row)
     assert tab.value == cold.value
@@ -200,7 +195,7 @@ def test_warm_child_matches_cold_solve(m, k):
     entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
     for _ in range(34):
         pat = _random_choices(rng, entries)
-        tab = solve(build_pattern_lp(m, k, pat))
+        tab = solve(pattern_lp(m, k, pat))
         for entry in rng.sample(entries, 3):  # a chain of warm children
             if _resolved(pat, entry):
                 continue
@@ -213,9 +208,9 @@ def test_warm_child_with_a_row_the_cold_build_drops():
     # for k = 2, L(0,0,1) and R(1,1,0) are both 2 r_0 - 2 l_1 <= 0
     m, k = 2, 2
     pat = frozenset({("L", 0, 0, 1)})
-    tab = solve(build_pattern_lp(m, k, pat))
+    tab = solve(pattern_lp(m, k, pat))
     child = pat | {("R", 1, 1, 0)}
-    assert len(canonical_rows(build_pattern_lp(m, k, child))) == tab.nrows
+    assert len(canonical_rows(pattern_lp(m, k, child))) == tab.nrows
     _warm_child_agrees(m, k, pat, tab, ("R", 1, 1, 0))
 
 
@@ -228,7 +223,7 @@ def test_unopened_right_children_hold_only_degenerate_targets(m):
         t = entry[2]
         objective = [0] * (2 * m)
         objective[2 * t], objective[2 * t + 1] = -1, 1  # r_t - l_t
-        rows = build_pattern_lp(m, k, {("R", *entry)}).rows
+        rows = pattern_lp(m, k, {("R", *entry)}).rows
         return solve(LinearProgram(objective=gap_form(objective), rows=rows)).value
 
     for k in range(2, 8):
@@ -254,8 +249,8 @@ def test_gap_form_matches_the_chain_form():
         entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
         pat = frozenset((rng.choice("LR"), *entry)
                         for entry in rng.sample(entries, rng.randint(0, min(5, len(entries)))))
-        gaps, chain = build_pattern_lp(m, k, pat), chain_pattern_lp(m, k, pat)
-        assert gaps.rows[1:] == tuple(gap_form(row) for row in chain.rows[2 * m - 1:])
+        gaps, chain = pattern_lp(m, k, pat), chain_pattern_lp(m, k, pat)
+        assert tuple(_choice_row(m, k, c) for c in sorted(pat)) == gaps.rows[1:]
         tab = solve(gaps)
         assert tab.value == solve(chain).value
         assert satisfies_lp(chain, _endpoints(tab))
