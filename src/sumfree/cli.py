@@ -201,7 +201,7 @@ def _cmd_continuous(args, fmt: str) -> int:
             "status": result.status,
             "witnesses_exact": result.witnesses_exact,
         }, (f"continuous m={args.m} k={args.k}: {result.nodes_explored} nodes, "
-            f"{result.lp_pivots} pivots, ")
+            f"{result.lp_pivots} pivots, {result.forced_zero_closures} forced-zero closures, ")
 
     payload = _cached("continuous", params, args, compute)
     lines = [f"optimum {payload['optimum']}",

@@ -48,6 +48,26 @@ positively overlapping window is k-sum-free.  A face that mixes free
 bases with one that is not is branched on that basis's entry like any
 other node, after its free unions are offered.  Only the fathomed vertex
 itself is checked again, by the independent ``intervals.is_k_sum_free``.
+Each walked basis after the first costs one pivot, counted with the rest.
+
+With ``all_optima`` a node whose value ties the incumbent is closed,
+before any branch choice or face walk, when its optimal tableau forces
+an interval to vanish or two to touch (reduced-cost fixing; Crowder,
+Johnson and Padberg, Oper. Res. 31, 1983).  The variables that can force
+it are the gaps d_q, 0 < q < 2m - 1 (odd q a length, even q the gap
+between two intervals), and the chain row's slack, the last interval's
+length; d_0 = l1 and r_m are not among them.  At an optimum every
+reduced cost is >= 0 and every point of the node's LP has value
+``tab.value - sum rc_p x_p`` over the nonbasic p, so a positive reduced
+cost on one of those variables holds it at 0 at every point that reaches
+the incumbent.  Such a point is a union of at most m - 1 intervals
+(touching open intervals merge up to a point, which changes neither the
+measure nor k-sum-freeness), and the runs for 1..m - 1, with all optima,
+collected every such union of the incumbent's value, or proved that none
+reaches it.  The same holds in a parallel worker, which starts from the
+incumbent of those runs.  The test is sufficient only: under dual
+degeneracy a forced variable can have a zero reduced cost, and the node
+then goes on as before.
 """
 
 from __future__ import annotations
@@ -83,6 +103,9 @@ class SearchResult:
     # and a face with a basis that is not sum-free was branched on).
     witnesses_exact: bool = True
     lp_pivots: int = 0
+    # Tie nodes closed because their optimum forces a length or an
+    # interior gap to 0 (only with all optima).
+    forced_zero_closures: int = 0
 
 
 def mu_formula(k: int) -> Fraction:
@@ -180,6 +203,7 @@ class _RunState:
     witnesses_exact: bool = True
     nodes: int = 0
     pivots: int = 0
+    forced_zero_closures: int = 0
     interrupted: bool = False
 
     def offer(self, value: Fraction, unions: set, exact: bool) -> None:
@@ -222,12 +246,23 @@ def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau,
     if not is_k_sum_free(first, state.k)[0]:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
     bases = tab.optimal_face()[1:] if state.all_optima else []
+    state.pivots += len(bases)  # one walk pivot per basis after the first
     others = dict.fromkeys((_point(t), t.den) for t in bases)  # in face order
     others.pop((v, tab.den), None)
     entries = {vx: _pick_branch(vx[0], m, state.k) for vx in others}
     unions = {first} | {_union(*vx) for vx, entry in entries.items() if entry is None}
     state.offer(tab.value, unions, len(unions) == 1)
     return next((entry for entry in entries.values() if entry is not None), None)
+
+
+def _forces_zero(tab: lp_mod.Tableau, m: int) -> bool:
+    """True when ``tab`` holds a length or an interior gap at 0 at every optimum.
+
+    That is a positive reduced cost on a nonbasic d_q, 0 < q < 2m - 1, or
+    on the chain row's slack, variable 2m; variable 2m - 1 is r_m.
+    """
+    return any(rc > 0 and 0 < x <= 2 * m and x != 2 * m - 1
+               for x, rc in zip(tab.cobasis, tab.mat[tab.nrows]))
 
 
 # An open node: None for the root of a run, else the solved parent it
@@ -246,8 +281,9 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     child is pruned, once its bound falls below the incumbent.  Returns
     the open children, LEFT first, as (this tableau, choice); pruned and
     fathomed nodes have none, and a degenerate-only RIGHT child is not
-    opened.  A fathomed node whose optimal face holds a basis that is not
-    free is branched on that basis's entry.
+    opened.  A tie that forces a length or an interior gap to 0 is closed
+    (``_forces_zero``).  A fathomed node whose optimal face holds a basis
+    that is not free is branched on that basis's entry.
     """
     state.nodes += 1
     if node is None:
@@ -261,10 +297,15 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     value = tab.value
     if value < state.best:
         return []
-    if value == state.best and not state.all_optima:
+    if value == state.best:
         # Equal-bound nodes can only tie the incumbent; when ties are
-        # not being collected the incumbent witness already realizes it.
-        return []
+        # not being collected the incumbent witness already realizes it,
+        # and when the tie needs fewer intervals an earlier run found it.
+        if not state.all_optima:
+            return []
+        if _forces_zero(tab, m):
+            state.forced_zero_closures += 1
+            return []
     v = _point(tab)
     entry = _pick_branch(v, m, state.k)
     if entry is None:
@@ -320,10 +361,11 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     from its parent, so the optimum is schedule-independent, and with
     ``all_optima`` so is the witness list, which is then the complete,
     deduplicated set of maximizers whenever ``witnesses_exact`` is True.
-    The node and pivot counts can differ from the serial run's only if the
-    incumbent rises during the last run, where the workers prune against
-    their own incumbents; a warm child stops pivoting once its bound falls
-    below the incumbent it sees, so the pivot count follows the incumbent.
+    The node, pivot and closure counts can differ from the serial run's
+    only if the incumbent rises during the last run, where the workers
+    prune against their own incumbents; a warm child stops pivoting once
+    its bound falls below the incumbent it sees, and a forced-zero tie is
+    one with that incumbent, so the pivot and closure counts follow it.
     Without ``all_optima`` the single reported witness may depend on the
     schedule and no completeness is claimed.
     ``node_limit`` caps the nodes explored in total, across all runs and
@@ -358,6 +400,7 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
         status=INTERRUPTED if state.interrupted else PROVEN,
         witnesses_exact=exact,
         lp_pivots=state.pivots,
+        forced_zero_closures=state.forced_zero_closures,
     )
 
 
@@ -379,5 +422,6 @@ def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
     for out in outcomes:
         state.nodes += out.nodes
         state.pivots += out.pivots
+        state.forced_zero_closures += out.forced_zero_closures
         state.interrupted |= out.interrupted
         state.offer(out.best, out.witnesses, out.witnesses_exact)

@@ -152,7 +152,8 @@ def test_verbose_lp_trace(cache_path, capsys):
 
 
 @pytest.mark.parametrize("argv,prefix", [
-    (["continuous", "--k", "3", "--m", "1"], "continuous m=1 k=3: 2 nodes, 2 pivots, "),
+    (["continuous", "--k", "3", "--m", "1"],
+     "continuous m=1 k=3: 2 nodes, 2 pivots, 0 forced-zero closures, "),
     (["discrete", "--n", "9", "--k", "3"], "discrete n=9 k=3: "),
     (["certify", "--trials", "20", "--seed", "5"], "certify trials=20 seed=5: "),
 ], ids=["continuous", "discrete", "certify"])
@@ -162,6 +163,16 @@ def test_verbose_line_on_a_miss_and_none_on_a_hit(cache_path, capsys, argv, pref
     assert re.fullmatch(re.escape(prefix) + r"\d+\.\d\ds\n", capsys.readouterr().err)
     assert main(argv + ["-v"]) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("all_optima", [False, True])
+def test_verbose_line_counts_forced_zero_closures(cache_path, capsys, all_optima):
+    """Only an all-optima search closes tie nodes whose optimum forces a
+    length or an interior gap to 0, and the -v line says how many."""
+    argv = ["-v", "continuous", "--k", "1", "--m", "5"] + ["--all-optima"] * all_optima
+    assert main(argv) == 0
+    closures = re.search(r" (\d+) forced-zero closures, ", capsys.readouterr().err)
+    assert closures and (int(closures.group(1)) > 0) == all_optima
 
 
 @pytest.mark.parametrize("argv,default", [

@@ -275,9 +275,12 @@ def test_monotone_in_m_and_stable_at_record():
 # on mixed optimal faces from (130, 205), (481, 827), (352, 603) and
 # (1537, 2623); stopping each warm child's dual simplex once its bound
 # falls below the incumbent, which leaves the nodes as they were, from
-# (122, 178), (456, 745), (232, 293), (1485, 2481) and (4971, 8636).
+# (122, 178), (456, 745), (232, 293), (1485, 2481) and (4971, 8636);
+# closing the tie nodes whose optimum forces a length or an interior gap
+# to 0, with the face walk's pivots counted, from (1485, 1207) and
+# (4971, 4179).
 SEARCH_COUNTERS = {(4, 3): (122, 93), (5, 3): (456, 352), (5, 4): (232, 171),
-                   (6, 3): (1485, 1207), (7, 3): (4971, 4179)}
+                   (6, 3): (1471, 1193), (7, 3): (4911, 4132)}
 
 
 @pytest.mark.parametrize("m", [4, 5, 7])
@@ -310,8 +313,10 @@ def test_search_counters_six_intervals(largest_known_3sumfree):
 # 229/347 nodes/pivots here; k = 1 has no closure of RIGHT children, so
 # these counts follow which tied optimal vertex each node returns.  They
 # are pinned so that a change to that choice re-pins them on purpose.
-# The incumbent cutoff on warm children took the pivots from 434 and 570.
-K1_COUNTERS = {False: (297, 314), True: (369, 398)}
+# The incumbent cutoff on warm children took the pivots from 434 and 570,
+# and closing the tie nodes whose optimum forces a length or an interior
+# gap to 0 took the all-optima counts from (369, 398).
+K1_COUNTERS = {False: (297, 314), True: (305, 320)}
 
 
 @pytest.mark.parametrize("all_optima", [False, True])
@@ -319,6 +324,110 @@ def test_search_counters_k1(all_optima):
     res = maximize_measure(5, 1, all_optima=all_optima)
     assert res.optimum == F(1, 2)
     assert (res.nodes_explored, res.lp_pivots) == K1_COUNTERS[all_optima]
+
+
+def test_lp_pivots_count_every_pivot(monkeypatch):
+    """``lp_pivots`` sums the roots' solves, the warm children's ``add_row``
+    and the face walks, each counted here where it pivots; (5, 2) with
+    all optima still walks faces of more than one basis."""
+    counts = dict.fromkeys(("solve", "add_row", "optimal_face"), 0)
+    phase = []
+    pivot = Tableau.pivot
+
+    def counted(name, fn):
+        def run(*args, **kwargs):
+            phase.append(name)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                phase.pop()
+        return run
+
+    def counted_pivot(tab, r, p):
+        counts[phase[-1]] += 1
+        pivot(tab, r, p)
+
+    monkeypatch.setattr(search.lp_mod, "solve", counted("solve", search.lp_mod.solve))
+    for name in ("add_row", "optimal_face"):
+        monkeypatch.setattr(Tableau, name, counted(name, getattr(Tableau, name)))
+    monkeypatch.setattr(Tableau, "pivot", counted_pivot)
+    res = maximize_measure(5, 2, all_optima=True)
+    assert all(counts.values()), counts
+    assert res.lp_pivots == sum(counts.values())
+
+
+def _zero_gaps(v, m):
+    """The variables d_1, ..., d_{2m-2} and the chain row's slack (variable
+    2m, r_m - l_m) that are 0 at the endpoints ``v``."""
+    return {q for q in (*range(1, 2 * m - 1), 2 * m)
+            if v[min(q, 2 * m - 1)] == v[min(q, 2 * m - 1) - 1]}
+
+
+def test_forced_zero_closures_keep_every_result(monkeypatch):
+    """With all optima, the tree that closes forced-zero ties has the
+    optimum, witnesses, exactness and status of the tree without the rule,
+    and no more nodes; at each closure, one length or interior gap is 0 at
+    every basis of the node's optimal face."""
+    forces_zero = search._forces_zero
+    closures = 0
+
+    def checked(tab, m):
+        nonlocal closures
+        if not forces_zero(tab, m):
+            return False
+        zero = set.intersection(*(_zero_gaps(search._point(t), m) for t in tab.optimal_face()))
+        assert zero, (m, search._point(tab))
+        closures += 1
+        return True
+
+    for m in range(1, 7):
+        for k in range(1, 8):
+            monkeypatch.setattr(search, "_forces_zero", checked)
+            res = maximize_measure(m, k, all_optima=True)
+            monkeypatch.setattr(search, "_forces_zero", lambda tab, m: False)
+            full = maximize_measure(m, k, all_optima=True)
+            assert ((res.optimum, res.witnesses, res.witnesses_exact, res.status)
+                    == (full.optimum, full.witnesses, full.witnesses_exact, full.status)), (m, k)
+            assert res.nodes_explored <= full.nodes_explored, (m, k)
+    assert closures
+
+
+def test_mixed_face_branch_at_eight_intervals(monkeypatch, largest_known_3sumfree):
+    """(8, 3) with all optima branches on a mixed optimal face: the
+    smallest case that still does, once forced-zero ties are closed."""
+    record_leaf = search._record_leaf
+    branched = 0
+
+    def counted(state, m, tab, v):
+        nonlocal branched
+        entry = record_leaf(state, m, tab, v)
+        branched += entry is not None
+        return entry
+
+    monkeypatch.setattr(search, "_record_leaf", counted)
+    res = maximize_measure(8, 3, all_optima=True)
+    assert (branched, res.nodes_explored) == (4, 16696)
+    assert res.optimum == F(77, 177) and res.witnesses == (largest_known_3sumfree,)
+    assert res.witnesses_exact and res.status == "proven"
+
+
+# The unique maximizer over 7 intervals for k >= 4, of the shape
+# (a, ka/2) u (b, kb/2) u (2/k, 1).
+SEVEN_INTERVAL_WITNESSES = {
+    4: "(1/110,1/55);(7/110,7/55);(1/2,1)",
+    5: "(8/2855,4/571);(92/2855,46/571);(2/5,1)",
+    6: "(1/915,1/305);(17/915,17/305);(1/3,1)",
+    7: "(8/16093,4/2299);(188/16093,94/2299);(2/7,1)",
+    8: "(1/3964,1/991);(31/3964,31/991);(1/4,1)",
+}
+
+
+@pytest.mark.parametrize("k", sorted(SEVEN_INTERVAL_WITNESSES))
+def test_closed_form_holds_for_seven_intervals(k):
+    res = maximize_measure(7, k, all_optima=True)
+    assert res.optimum == mu_formula(k)
+    assert tuple(map(format_union, res.witnesses)) == (SEVEN_INTERVAL_WITNESSES[k],)
+    assert res.witnesses_exact and res.status == "proven"
 
 
 def test_record_holds_for_six_intervals():
@@ -430,9 +539,11 @@ def test_schedule_independence_sequential_vs_parallel():
         par = maximize_measure(m, 3, all_optima=True, parallel=2)
         if m == 3:
             # 77/177 is first found in the last run, so the workers cut their
-            # warm children off against their own incumbents: the pivots
-            # differ (26 and 25), the tree and the results do not.
-            par, seq = (dataclasses.replace(res, lp_pivots=0) for res in (par, seq))
+            # warm children off, and close forced-zero ties, against their
+            # own incumbents: the pivots (26 and 25) and the closures (3 and
+            # 2) differ, the tree and the results do not.
+            par, seq = (dataclasses.replace(res, lp_pivots=0, forced_zero_closures=0)
+                        for res in (par, seq))
         assert par == seq
         assert seq.status == "proven" and seq.witnesses_exact
 
@@ -513,9 +624,15 @@ def test_no_choice_set_is_expanded_twice(monkeypatch):
         assert len(set(expanded)) == len(expanded)
 
 
-@pytest.mark.parametrize("m,k,all_optima,parallel",
-                         [(5, 3, True, 1), (5, 4, True, 1), (5, 1, False, 1),
-                          (6, 3, False, 1), (5, 3, True, 2)])
+# The face bases that each case's branch rule judges, by (m, k, all_optima,
+# parallel): only all optima walks faces, and since forced-zero ties are
+# closed, the faces left at (5, 3) and (5, 4) each hold one basis, while
+# (5, 2) still walks bigger ones.
+FACE_BASES = {(5, 3, True, 1): 0, (5, 4, True, 1): 0, (5, 1, False, 1): 0,
+              (6, 3, False, 1): 0, (5, 3, True, 2): 0, (5, 2, True, 1): 15}
+
+
+@pytest.mark.parametrize("m,k,all_optima,parallel", list(FACE_BASES))
 def test_branch_rule_never_picks_a_resolved_entry(monkeypatch, m, k, all_optima, parallel):
     """At every branch-rule call of a search, at the node's vertex and at
     each basis of its optimal face, the entry is the one that the oracle
@@ -541,7 +658,7 @@ def test_branch_rule_never_picks_a_resolved_entry(monkeypatch, m, k, all_optima,
     res = maximize_measure(m, k, all_optima=all_optima, parallel=parallel)
     assert res.status == "proven"
     assert seen["calls"] and seen["with choices"], seen
-    assert bool(seen["face bases"]) == all_optima, seen  # only all optima walks faces
+    assert seen["face bases"] == FACE_BASES[m, k, all_optima, parallel], seen
 
 
 def test_node_limit_interrupts():
