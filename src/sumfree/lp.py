@@ -26,7 +26,8 @@ m'[i][j] = (m[i][j]*piv - m[i][c]*m[r][j]) / den  whose divisions are
 exact (every entry is a minor of the input matrix).  Pivoting uses
 Bland's rule (the entering variable is the lowest with a negative
 reduced cost, ties in the ratio test go to the lowest basic variable),
-which terminates without any anti-cycling guard.
+which terminates without any anti-cycling guard.  Each rule chooses in
+one pass, a tie going to the lower variable id by an explicit comparison.
 
 ``solve`` returns the optimal ``Tableau`` itself, which gives the
 value, the vertex and a dual vector over ``canonical_rows``, so any
@@ -42,11 +43,12 @@ restores primal feasibility with the same Bareiss pivot.  It uses dual
 Bland's rule (the leaving row is the infeasible one with the lowest
 basic variable; ties in the dual ratio test go to the lowest variable),
 which is Bland's rule run on the dual LP and so terminates without an
-anti-cycling guard.  Every basis on its way is dual feasible, so its
-value bounds the child's optimum from above and never rises; ``add_row``
-stops before the first pivot that would take the value below its
-``cutoff`` (the search's incumbent) and returns the child with status
-``CUTOFF``.  That comparison is one integer cross-multiplication.
+anti-cycling guard.  The first leaving row is the added one, if any: the
+parent is optimal, so no other rhs is negative.  Every basis on its way
+is dual feasible, so its value bounds the child's optimum from above and
+never rises; ``add_row`` stops, by one integer cross-multiplication,
+before the first pivot that would take the value below its ``cutoff``
+(the search's incumbent) and returns the child with status ``CUTOFF``.
 """
 
 from __future__ import annotations
@@ -137,11 +139,17 @@ class Tableau:
     def value(self) -> Fraction:
         return Fraction(self.mat[self.nrows][-1], self.den)
 
+    def compare(self, q: Fraction | int) -> int:
+        """An int of the sign of ``value - q`` (times ``den * q.denominator``)."""
+        return self.mat[self.nrows][-1] * q.denominator - q.numerator * self.den
+
     @property
     def vertex_numerators(self) -> tuple[int, ...]:
         """The vertex ``x`` as integer numerators over the positive ``den``."""
-        rhs = dict(zip(self.basis, (row[-1] for row in self.mat)))
-        return tuple(rhs.get(j, 0) for j in range(self.nvars))
+        x = [0] * (self.nvars + self.nrows)
+        for b, row in zip(self.basis, self.mat):
+            x[b] = row[-1]
+        return tuple(x[:self.nvars])
 
     @property
     def vertex(self) -> tuple[Fraction, ...]:
@@ -171,15 +179,15 @@ class Tableau:
         sign = 1 if mat[r][p] > 0 else -1
         prow = [sign * a for a in mat[r]]
         piv = prow[p]
+        rescale = piv != den
         for i, row in enumerate(mat):
-            if i == r:
-                continue
             f = row[p]
             if f:
-                new = [(a * piv - f * b) // den for a, b in zip(row, prow)]
-                new[p] = -sign * f
-                mat[i] = new
-            elif piv != den:
+                if i != r:
+                    new = [(a * piv - f * b) // den for a, b in zip(row, prow)]
+                    new[p] = -sign * f
+                    mat[i] = new
+            elif rescale:
                 mat[i] = [(a * piv) // den for a in row]
         prow[p] = sign * den
         mat[r] = prow
@@ -187,25 +195,23 @@ class Tableau:
         self.basis[r], self.cobasis[p] = self.cobasis[p], self.basis[r]
         self.pivots += 1
 
-    def _by_id(self) -> list[int]:
-        """The column positions in increasing order of their variable ids."""
-        return sorted(range(self.nvars), key=self.cobasis.__getitem__)
-
     def _ratio_row(self, p: int) -> int | None:
         """Leaving row by exact minimum ratio, ties to the lowest basic variable."""
-        mat, best = self.mat, None
-        for i in sorted(range(self.nrows), key=self.basis.__getitem__):
-            # mat[i][-1]/mat[i][p] < mat[best][-1]/mat[best][p], cross-multiplied
-            if mat[i][p] > 0 and (best is None
-                                  or mat[i][-1] * mat[best][p] < mat[best][-1] * mat[i][p]):
-                best = i
+        best = None
+        for i, (row, b) in enumerate(zip(self.mat, self.basis)):
+            a = row[p]
+            # row[-1]/a < rhs/piv, cross-multiplied, or equal with a lower id
+            if a > 0 and (best is None or (d := row[-1] * piv - rhs * a) < 0
+                          or (d == 0 and b < low)):
+                best, piv, rhs, low = i, a, row[-1], b
         return best
 
     def optimize(self) -> None:
         """Primal simplex by Bland's rule from a feasible basis."""
         while True:
             obj = self.mat[self.nrows]
-            p = next((p for p in self._by_id() if obj[p] < 0), None)
+            p = min((p for p, a in enumerate(obj[:-1]) if a < 0),
+                    key=self.cobasis.__getitem__, default=None)
             if p is None:
                 return
             r = self._ratio_row(p)
@@ -220,12 +226,16 @@ class Tableau:
         objective row with its new slack basic, so every entry is still a
         minor of the enlarged input matrix and ``den`` is unchanged.  The
         child shares this tableau's row lists and leaves them as they were.
+        This tableau must be ``OPTIMAL``: only then is the new row's rhs
+        the only one that can be negative.
 
         The dual simplex stops before a pivot that would take the value,
         which never rises, below ``cutoff`` (an int or a ``Fraction``; 0
         never stops it); the child then has status ``CUTOFF`` and is read
         only for ``status`` and ``pivots``.
         """
+        if self.status != OPTIMAL:
+            raise ValueError(f"add_row needs an optimal tableau, not a {self.status} one")
         den, n, nrows = self.den, self.nvars, self.nrows
         new = [den * g[v] if v < n else 0 for v in self.cobasis] + [0]
         for b, row in zip(self.basis, self.mat):
@@ -238,26 +248,24 @@ class Tableau:
         return tab
 
     def dual_optimize(self, cutoff: Fraction | int) -> None:
-        """Dual simplex from a dual-feasible basis.
+        """Dual simplex from the dual-feasible basis of a fresh ``add_row``.
 
         Dual Bland's rule: the leaving row is the one with a negative rhs
-        whose basic variable is lowest; the entering column minimizes
-        ``obj[p] / -row[p]`` over ``row[p] < 0``, ties to the lowest variable.
-        It stops, with status ``CUTOFF``, before a pivot that would take the
-        value below ``cutoff``.
+        whose basic variable is lowest, at first the added row or none; the
+        entering column minimizes ``obj[p] / -row[p]`` over ``row[p] < 0``,
+        ties to the lowest variable.  It stops, with status ``CUTOFF``,
+        before a pivot that would take the value below ``cutoff``.
         """
-        mat, basis = self.mat, self.basis
-        while True:
-            r = min((i for i in range(self.nrows) if mat[i][-1] < 0),
-                    key=basis.__getitem__, default=None)
-            if r is None:
-                return
-            row, obj = mat[r], mat[self.nrows]
+        mat, basis, cobasis, nrows = self.mat, self.basis, self.cobasis, self.nrows
+        r = nrows - 1 if mat[nrows - 1][-1] < 0 else None
+        while r is not None:
+            row, obj = mat[r], mat[nrows]
             c = None
-            for p in self._by_id():
-                # obj[p]/-row[p] < obj[c]/-row[c], cross-multiplied
-                if row[p] < 0 and (c is None or obj[p] * row[c] > obj[c] * row[p]):
-                    c = p
+            for p, a in enumerate(row[:-1]):
+                # obj[p]/-a < co/-ca, cross-multiplied, or equal with a lower id
+                if a < 0 and (c is None or (d := obj[p] * ca - co * a) > 0
+                              or (d == 0 and cobasis[p] < cobasis[c])):
+                    c, ca, co = p, a, obj[p]
             # No negative entry would make the row a sum of nonnegatives < 0.
             assert c is not None, "infeasible, but x = 0 meets every pattern row"
             # The pivot makes den piv = -row[c] > 0 and the value
@@ -268,6 +276,10 @@ class Tableau:
                 self.status = CUTOFF
                 return
             self.pivot(r, c)
+            r = None
+            for i, line in enumerate(mat[:nrows]):
+                if line[-1] < 0 and (r is None or basis[i] < basis[r]):
+                    r = i
 
     def optimal_face(self) -> list["Tableau"]:
         """Every basis of the optimal face, this tableau first, each once.
@@ -282,7 +294,7 @@ class Tableau:
         face = [self]
         for tab in face:  # face grows while it is walked
             obj = tab.mat[tab.nrows]
-            for p in tab._by_id():
+            for p in sorted(range(tab.nvars), key=tab.cobasis.__getitem__):
                 if obj[p] != 0:
                     continue
                 r = tab._ratio_row(p)

@@ -205,6 +205,7 @@ class _RunState:
     pivots: int = 0
     forced_zero_closures: int = 0
     interrupted: bool = False
+    choice_rows: dict = field(default_factory=dict)  # by (m', choice), for one search
 
     def offer(self, value: Fraction, unions: set, exact: bool) -> None:
         """Take ``unions`` of measure ``value`` as candidate maximizers.
@@ -290,14 +291,16 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
         tab = lp_mod.solve(build_pattern_lp(m))
     else:
         tab, choice = node
-        tab = tab.add_row(_choice_row(m, state.k, choice), cutoff=state.best)
+        if (m, choice) not in state.choice_rows:
+            state.choice_rows[m, choice] = _choice_row(m, state.k, choice)
+        tab = tab.add_row(state.choice_rows[m, choice], cutoff=state.best)
     state.pivots += tab.pivots
     if tab.status == lp_mod.CUTOFF:
         return []
-    value = tab.value
-    if value < state.best:
+    order = tab.compare(state.best)
+    if order < 0:
         return []
-    if value == state.best:
+    if order == 0:
         # Equal-bound nodes can only tie the incumbent; when ties are
         # not being collected the incumbent witness already realizes it,
         # and when the tie needs fewer intervals an earlier run found it.

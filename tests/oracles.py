@@ -3,7 +3,8 @@
 These deliberately avoid the library's algebra: integer numpy grids for
 the continuous searches, raw subset enumeration and a plain mask scan for
 the discrete solver, every tight constraint set for the LP's optimal
-face, the pattern LP in its chain form over the endpoints, and plain
+face, the pattern LP in its chain form over the endpoints, a
+``Fraction`` simplex dictionary for the tableau's pivot path, and plain
 ``Fraction`` interval algebra for the integer interval kernel, the
 union parser and the sumset harness.
 """
@@ -306,6 +307,117 @@ def optimal_vertices_brute(prob):
     return sorted(x for x in vertices
                   if sum(c * xj for c, xj in zip(prob.objective, x)) == best)
 
+
+
+class FractionDictionary:
+    """``lp.Tableau``'s simplex dictionary in ``Fraction`` entries, pivoting
+    by its rules as first written: each choice scans the variable ids in
+    sorted order and keeps the first of least ratio.
+
+    The reference for the tableau's pivot path.  Rows are the constraint
+    rows, then the objective row, each over the nonbasic columns and then
+    the rhs.  ``path`` lists this dictionary's pivots as (entering,
+    leaving) variable ids, and ``ties`` counts the choices in which two or
+    more variables tied for the least ratio; a child or a face basis
+    starts both afresh.
+    """
+
+    def __init__(self, rows, basis, cobasis):
+        self.rows, self.basis, self.cobasis = rows, basis, cobasis
+        self.status = "optimal"
+        self.path = []
+        self.ties = 0
+
+    @classmethod
+    def solve(cls, objective, rows):
+        """The optimum of max ``objective . x`` over ``a . x <= b`` for each
+        ``(a, b)`` of ``rows`` (``lp.canonical_rows``), from the slack basis."""
+        n = len(objective)
+        d = cls([[Fraction(a) for a in g] + [Fraction(b)] for g, b in rows]
+                + [[Fraction(-c) for c in objective] + [Fraction(0)]],
+                list(range(n, n + len(rows))), list(range(n)))
+        while True:
+            obj = d.rows[-1]
+            p = next((p for p in d._by_id() if obj[p] < 0), None)
+            if p is None:
+                return d
+            d.pivot(d._ratio_row(p), p)
+
+    @property
+    def value(self) -> Fraction:
+        return self.rows[-1][-1]
+
+    def _by_id(self):
+        return sorted(range(len(self.cobasis)), key=self.cobasis.__getitem__)
+
+    def _first_least(self, candidates, ratio):
+        ratios = [ratio(c) for c in candidates]
+        if not ratios:
+            return None
+        self.ties += ratios.count(min(ratios)) > 1
+        return candidates[ratios.index(min(ratios))]
+
+    def _ratio_row(self, p):
+        rows = sorted(range(len(self.basis)), key=self.basis.__getitem__)
+        return self._first_least([i for i in rows if self.rows[i][p] > 0],
+                                 lambda i: self.rows[i][-1] / self.rows[i][p])
+
+    def pivot(self, r, p):
+        self.path.append((self.cobasis[p], self.basis[r]))
+        piv = self.rows[r][p]
+        prow = [a / piv for a in self.rows[r]]
+        prow[p] = 1 / piv
+        for i, row in enumerate(self.rows):
+            if i != r:
+                f = row[p]
+                self.rows[i] = [a - f * b for a, b in zip(row, prow)]
+                self.rows[i][p] = -f / piv
+        self.rows[r] = prow
+        self.basis[r], self.cobasis[p] = self.cobasis[p], self.basis[r]
+
+    def add_row(self, g, cutoff):
+        """The child with ``g . x <= 0`` added, by dual simplex; it stops,
+        with status "cutoff", before a pivot to a value below ``cutoff``."""
+        n, nrows = len(self.cobasis), len(self.basis)
+        new = [Fraction(g[v]) if v < n else Fraction(0) for v in self.cobasis] + [Fraction(0)]
+        for b, row in zip(self.basis, self.rows):
+            if b < n:
+                new = [a - g[b] * x for a, x in zip(new, row)]
+        child = FractionDictionary([list(row) for row in self.rows[:-1]]
+                                   + [new, list(self.rows[-1])],
+                                   self.basis + [n + nrows], list(self.cobasis))
+        while True:
+            neg = [i for i in range(nrows + 1) if child.rows[i][-1] < 0]
+            if not neg:
+                return child
+            r = min(neg, key=child.basis.__getitem__)
+            row, obj = child.rows[r], child.rows[-1]
+            c = child._first_least([p for p in child._by_id() if row[p] < 0],
+                                   lambda p: obj[p] / -row[p])
+            if obj[-1] - obj[c] * row[-1] / row[c] < cutoff:
+                child.status = "cutoff"
+                return child
+            child.pivot(r, c)
+
+    def optimal_face(self):
+        """Every basis of the optimal face by zero-reduced-cost pivots,
+        this dictionary first, none pivoted into twice."""
+        seen = {tuple(sorted(self.basis))}
+        face = [self]
+        for d in face:
+            for p in d._by_id():
+                if d.rows[-1][p] != 0:
+                    continue
+                r = d._ratio_row(p)
+                key = tuple(sorted(d.basis[:r] + [d.cobasis[p]] + d.basis[r + 1:]))
+                if key in seen:
+                    continue
+                seen.add(key)
+                nxt = FractionDictionary([list(row) for row in d.rows], list(d.basis),
+                                         list(d.cobasis))
+                nxt.pivot(r, p)
+                face.append(nxt)
+        return face
 
 def canonical_pairs_fraction(pairs):
     """Canonical form of raw (lo, hi) pairs in ``Fraction`` arithmetic.

@@ -4,7 +4,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import optimal_vertices_brute, pattern_lp, satisfies_lp
+from oracles import FractionDictionary, optimal_vertices_brute, pattern_lp, satisfies_lp
 
 from sumfree.lp import (
     CUTOFF,
@@ -16,7 +16,7 @@ from sumfree.lp import (
     enumerate_optimal_vertices,
     solve,
 )
-from sumfree.search import build_pattern_lp
+from sumfree.search import _choice_row, build_pattern_lp
 
 F = Fraction
 
@@ -337,3 +337,80 @@ def test_added_row_with_a_cutoff_stops_only_below_it():
                     seen["cut after pivots" if child.pivots else "cut at once"] += 1
             tab = full
     assert all(seen.values()), seen
+
+
+def test_add_row_needs_an_optimal_parent():
+    """A ``CUTOFF`` child can keep a negative rhs in a row other than the
+    last, where the dual simplex's first leaving row is sought, so
+    ``add_row`` on it raises."""
+    prob = LinearProgram(objective=(1, 1), rows=((177, -77),))
+    tab = solve(prob)
+    child = tab.add_row((1, 0), tab.value)  # x0 <= 0 cuts off the optimum (77/177, 1)
+    assert child.status == CUTOFF and child.pivots == 0
+    assert child.mat[child.nrows - 1][-1] < 0
+    with pytest.raises(ValueError, match="optimal"):
+        child.add_row((0, 1), 0)
+
+
+def _logged_pivots(monkeypatch) -> list:
+    """Patch ``Tableau.pivot`` to log each pivot as (entering, leaving) variable ids."""
+    log = []
+    pivot = Tableau.pivot
+
+    def logged(tab, r, p):
+        log.append((tab.cobasis[p], tab.basis[r]))
+        pivot(tab, r, p)
+
+    monkeypatch.setattr(Tableau, "pivot", logged)
+    return log
+
+
+def _pattern_nodes(rng: random.Random):
+    """Pattern LPs' roots, each with rows of random choices to add."""
+    for m in (1, 2, 3, 4):
+        entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
+        for k in (1, 2, 3, 4):
+            for _ in range(6):
+                choices = [(rng.choice("LR"), *rng.choice(entries)) for _ in range(4)]
+                yield build_pattern_lp(m), [_choice_row(m, k, c) for c in choices]
+
+
+def test_pivot_path_matches_the_sorting_oracle(monkeypatch):
+    """``solve``, ``add_row`` at cutoff 0 and at incumbent cutoffs, and
+    ``optimal_face`` pivot on the variables, in the order, of the
+    ``Fraction`` dictionary whose every choice scans the sorted variable
+    ids, on random LPs and on pattern-LP nodes with degenerate ties; the
+    dictionaries and statuses agree too.  A one-pass tie-break that picks
+    another variable changes some path."""
+    log = _logged_pivots(monkeypatch)
+    rng = random.Random(28)
+    refs = []
+
+    def agree(tab, ref, path):
+        assert log == path
+        assert (tab.status, tab.basis, tab.cobasis) == (ref.status, ref.basis, ref.cobasis)
+        assert [[F(a, tab.den) for a in row] for row in tab.mat] == ref.rows
+        log.clear()
+        refs.append(ref)
+
+    random_rows = [(prob, [tuple(rng.randint(-3, 3) for _ in range(prob.num_vars))
+                           for _ in range(3)]) for prob in _random_face_lps()]
+    for prob, rows in random_rows + list(_pattern_nodes(rng)):
+        tab = solve(prob)
+        ref = FractionDictionary.solve(prob.objective, canonical_rows(prob))
+        agree(tab, ref, ref.path)
+        for g in rows:
+            full, ref_full = tab.add_row(g, 0), ref.add_row(g, 0)
+            agree(full, ref_full, ref_full.path)
+            for cutoff in (full.value, (full.value + tab.value) / 2, tab.value):
+                ref_child = ref.add_row(g, cutoff)
+                agree(tab.add_row(g, cutoff), ref_child, ref_child.path)
+            face, ref_face = full.optimal_face(), ref_full.optimal_face()
+            assert len(face) == len(ref_face)
+            assert log == [d.path[0] for d in ref_face[1:]]
+            log.clear()
+            for t, d in zip(face[1:], ref_face[1:]):
+                agree(t, d, [])
+            tab, ref = full, ref_full
+    assert sum(ref.ties for ref in refs) > 100  # ties to break, in the ratio tests
+    assert sum(ref.status == CUTOFF for ref in refs) > 100

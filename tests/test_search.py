@@ -280,7 +280,8 @@ def test_monotone_in_m_and_stable_at_record():
 # to 0, with the face walk's pivots counted, from (1485, 1207) and
 # (4971, 4179).
 SEARCH_COUNTERS = {(4, 3): (122, 93), (5, 3): (456, 352), (5, 4): (232, 171),
-                   (6, 3): (1471, 1193), (7, 3): (4911, 4132)}
+                   (6, 3): (1471, 1193), (7, 3): (4911, 4132),
+                   (5, 5): (273, 213), (5, 6): (271, 212), (5, 7): (271, 212)}
 
 
 @pytest.mark.parametrize("m", [4, 5, 7])
@@ -297,6 +298,16 @@ def test_search_counters_k4():
     assert res.optimum == mu_formula(4)
     assert res.witnesses_exact
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[5, 4]
+
+
+@pytest.mark.parametrize("k", [5, 6, 7])
+def test_search_counters_seeded_k(k):
+    """The bench's search workload runs mu(k) at m = 5 for k = 4 + seed % 4;
+    with k = 4 above, these pin every counter it reads."""
+    res = maximize_measure(5, k, all_optima=True)
+    assert res.optimum == mu_formula(k)
+    assert res.witnesses_exact
+    assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[5, k]
 
 
 def test_search_counters_six_intervals(largest_known_3sumfree):
