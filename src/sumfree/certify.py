@@ -194,11 +194,6 @@ def _draw(rng: random.Random, max_intervals: int) -> tuple[list[tuple[int, int]]
             return pairs, den
 
 
-def random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
-    """Seeded random union of up to max_intervals intervals in [0, 1]."""
-    return IntervalUnion.from_numerators(*_draw(rng, max_intervals))
-
-
 def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
                         seed: int = 0) -> HarnessReport:
     """Exact check of |A+A| >= min(3|A|, |A| + diam(A)) on random unions.

@@ -26,8 +26,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .rationals import RationalParseError, format_rational, parse_pair, require_exact, require_int
-from .rationals import parse_rational  # noqa: F401  (bench/spans.py wraps it at this name)
+from .rationals import RationalParseError, format_rational, parse_pair, require_int
 
 
 @dataclass(frozen=True, order=True)
@@ -78,7 +77,7 @@ def _merge(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 class IntervalUnion:
     """Canonical finite union of disjoint open intervals (lo/den, hi/den).
 
-    Build one with ``from_numerators``, ``from_pairs`` or ``parse_union``;
+    Build one with ``from_numerators`` or ``parse_union``;
     the fields must already be canonical (see the module docstring).
     """
 
@@ -112,39 +111,16 @@ class IntervalUnion:
         # form leaves resized tuples behind and grows the peak RSS of long runs
         return IntervalUnion(den // g, tuple(merged))
 
-    @staticmethod
-    def from_pairs(pairs: Iterable[tuple[Fraction, Fraction]]) -> "IntervalUnion":
-        """Canonicalize raw (lo, hi) pairs: drop degenerates, sort, merge.
-
-        Overlapping and touching intervals are merged; idempotent.  Only
-        ``int`` and ``Fraction`` endpoints are accepted (``TypeError`` otherwise).
-        """
-        return IntervalUnion.from_numerators(*_numerators(
-            [[(require_exact(v, "interval endpoint").numerator, v.denominator) for v in pair]
-             for pair in pairs]))
-
     @cached_property
     def intervals(self) -> tuple[Interval, ...]:
         den = self.den
         return tuple([Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in self.nums])
-
-    def _over(self, den: int) -> Sequence[tuple[int, int]]:
-        """The numerator pairs over ``den``, a multiple of ``self.den``."""
-        f = den // self.den
-        return self.nums if f == 1 else [(lo * f, hi * f) for lo, hi in self.nums]
 
     def pairs(self) -> list[tuple[Fraction, Fraction]]:
         return [(iv.lo, iv.hi) for iv in self.intervals]
 
     def measure(self) -> Fraction:
         return Fraction(sum(hi - lo for lo, hi in self.nums), self.den)
-
-    def minkowski_sum(self, other: "IntervalUnion") -> "IntervalUnion":
-        """Pairwise sum of components, O(m*n) intervals before merging."""
-        den = lcm(self.den, other.den)
-        theirs = other._over(den)
-        return IntervalUnion.from_numerators(
-            [(alo + blo, ahi + bhi) for alo, ahi in self._over(den) for blo, bhi in theirs], den)
 
     def __str__(self) -> str:
         return format_union(self)

@@ -351,7 +351,3 @@ def check_certificate(lp: LinearProgram, result) -> bool:
     dual_val = sum(b * yi for (_, b), yi in zip(rows, y))
     return primal == result.value and dual_val == result.value
 
-
-def enumerate_optimal_vertices(lp: LinearProgram) -> list[tuple[Fraction, ...]]:
-    """The distinct vertices of ``solve(lp).optimal_face()``, sorted."""
-    return sorted({tab.vertex for tab in solve(lp).optimal_face()})

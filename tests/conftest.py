@@ -1,18 +1,10 @@
-from fractions import Fraction
-
 import pytest
 
 from sumfree.intervals import IntervalUnion
 
 
-EQ1_PAIRS = [
-    (Fraction(8, 177), Fraction(4, 59)),
-    (Fraction(28, 177), Fraction(14, 59)),
-    (Fraction(2, 3), Fraction(1)),
-]
-
-
 @pytest.fixture
 def largest_known_3sumfree() -> IntervalUnion:
-    """The record three-interval 3-sum-free configuration."""
-    return IntervalUnion.from_pairs(EQ1_PAIRS)
+    """The record three-interval 3-sum-free configuration,
+    (8/177, 4/59) u (28/177, 14/59) u (2/3, 1), over 177."""
+    return IntervalUnion.from_numerators([(8, 12), (28, 42), (118, 177)], 177)

@@ -423,7 +423,7 @@ def canonical_pairs_fraction(pairs):
     """Canonical form of raw (lo, hi) pairs in ``Fraction`` arithmetic.
 
     Drops degenerate pairs, sorts, and merges overlapping or touching
-    ones; the reference for ``IntervalUnion.from_pairs``.
+    ones; the reference for the canonical form of ``IntervalUnion.from_numerators``.
     """
     live = sorted((Fraction(lo), Fraction(hi)) for lo, hi in pairs if lo < hi)
     merged = []
@@ -434,6 +434,16 @@ def canonical_pairs_fraction(pairs):
         else:
             merged.append((lo, hi))
     return merged
+
+
+def union_fraction(pairs) -> IntervalUnion:
+    """The union of raw ``Fraction`` (or ``int``) pairs, canonicalized in ``Fraction``
+    by ``canonical_pairs_fraction`` and stored field by field, with no library
+    constructor: ``den`` is the lcm of the endpoints' denominators, which is in
+    lowest terms against the numerators since each endpoint is."""
+    merged = canonical_pairs_fraction(pairs)
+    den = lcm(*[v.denominator for pair in merged for v in pair])
+    return IntervalUnion(den, tuple((int(lo * den), int(hi * den)) for lo, hi in merged))
 
 
 def measure_fraction(pairs):
@@ -487,15 +497,15 @@ def discretize_fraction(pairs, n: int):
 
 
 def random_union_randint(rng, max_intervals: int) -> IntervalUnion:
-    """``certify.random_union`` as written with ``randint``: the reference
-    for its draws.  Each union is built in ``Fraction`` and merged by
-    ``from_pairs``."""
+    """A seeded union of ``certify._draw``'s draws as written with ``randint``:
+    the reference for its draws.  Each union is built in ``Fraction`` and merged
+    by ``union_fraction``."""
     while True:
         m = rng.randint(1, max_intervals)
         draws = [Fraction(rng.randint(0, d), d)
                  for d in (rng.randint(1, 64) for _ in range(2 * m))]
         cuts = sorted(draws)
-        u = IntervalUnion.from_pairs(list(zip(cuts[0::2], cuts[1::2])))
+        u = union_fraction(list(zip(cuts[0::2], cuts[1::2])))
         if u.nums:
             return u
 
@@ -550,7 +560,7 @@ def parse_rational_fraction(text: str, offset: int = 0) -> Fraction:
 
 
 def parse_union_fraction(text: str) -> IntervalUnion:
-    """``intervals.parse_union`` through ``Fraction`` endpoints and ``from_pairs``:
+    """``intervals.parse_union`` through ``Fraction`` endpoints and ``union_fraction``:
     the reference for its integer parse, its results and its errors."""
     if not text.strip():
         return IntervalUnion()
@@ -573,7 +583,7 @@ def parse_union_fraction(text: str) -> IntervalUnion:
             raise RationalParseError(text, exc.pos, exc.reason) from None
         pairs.append((lo, hi))
         pos += len(chunk) + 1
-    return IntervalUnion.from_pairs(pairs)
+    return union_fraction(pairs)
 
 
 # Malformed ``--set`` texts, one per parse error: a zero denominator, a bad

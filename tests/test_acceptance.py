@@ -36,7 +36,8 @@ def _report(number: int, started: float, limit: float, detail: str) -> None:
 
 def test_criterion_1_golden_verification():
     t0 = time.perf_counter()
-    a = IntervalUnion.from_pairs(RECORD_PAIRS)
+    a = parse_union("(8/177,4/59);(28/177,14/59);(2/3,1)")
+    assert a.pairs() == RECORD_PAIRS
     assert a.measure() == RECORD
     free, witness = is_k_sum_free(a, 3)
     assert free and witness is None
@@ -138,13 +139,12 @@ def test_criterion_8_property_suites_sample():
         c = F(rng.randint(-9, 9), rng.randint(1, 9))
         assert (a + b) * c == a * c + b * c
 
-    u = IntervalUnion.from_pairs([(F(0), F(1, 2)), (F(1, 4), F(3, 4))])
-    assert IntervalUnion.from_pairs(u.pairs()) == u
-    v = IntervalUnion.from_pairs([(F(1, 3), F(2, 3))])
+    u = parse_union("(0,1/2);(1/4,3/4)")
+    assert IntervalUnion.from_numerators(u.nums, u.den) == u
+    v = parse_union("(1/3,2/3)")
     overlap = sum(max(0, min(b, d) - max(a, c)) for a, b in u.pairs() for c, d in v.pairs())
-    merged = IntervalUnion.from_pairs(u.pairs() + v.pairs())
+    merged = parse_union(f"{u};{v}")
     assert merged.measure() + overlap == u.measure() + v.measure()
-    assert u.minkowski_sum(v) == v.minkowski_sum(u)
     dilated = IntervalUnion.from_numerators([(7 * lo, 7 * hi) for lo, hi in v.nums], 5 * v.den)
     assert is_k_sum_free(v, 3)[0] == is_k_sum_free(dilated, 3)[0]
 

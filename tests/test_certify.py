@@ -10,15 +10,20 @@ from sumfree.certify import (
     BRANCHES,
     HarnessReport,
     check_chain,
+    _draw,
     derive_delta,
-    random_union,
     sumset_bound_harness,
     sumset_case_bounds,
     top_slice_bounds,
 )
-from sumfree.intervals import IntervalUnion, parse_union
+from sumfree.intervals import IntervalUnion, parse_union, sum_windows
 
 F = Fraction
+
+
+def _random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
+    """The union of the harness's next draw."""
+    return IntervalUnion.from_numerators(*_draw(rng, max_intervals))
 
 
 def test_branch_suprema():
@@ -117,15 +122,15 @@ def test_check_chain_takes_int_parameters():
 
 
 def test_tight_sumset_examples():
-    a = IntervalUnion.from_pairs([(F(0), F(1, 4)), (F(3, 4), F(1))])
-    s = a.minkowski_sum(a)
+    a = parse_union("(0,1/4);(3/4,1)")
+    s = IntervalUnion.from_numerators(sum_windows(a.nums), a.den)
     assert s.pairs() == [(F(0), F(1, 2)), (F(3, 4), F(5, 4)), (F(3, 2), F(2))]
     assert s.measure() == F(3, 2)
     diam = a.pairs()[-1][1] - a.pairs()[0][0]
     assert min(3 * a.measure(), a.measure() + diam) == F(3, 2)
 
-    whole = IntervalUnion.from_pairs([(F(0), F(1))])
-    assert whole.minkowski_sum(whole).measure() == 2
+    whole = parse_union("(0,1)")
+    assert IntervalUnion.from_numerators(sum_windows(whole.nums), whole.den).measure() == 2
     diam = whole.pairs()[-1][1] - whole.pairs()[0][0]
     assert min(3 * whole.measure(), whole.measure() + diam) == 2
 
@@ -149,7 +154,7 @@ def test_harness_is_reproducible():
     (3, "(2/9,1/3)"),
 ])
 def test_harness_reports_are_pinned(seed, example):
-    """The seeded unions, and so the reports, depend on random_union's draw order."""
+    """The seeded unions, and so the reports, depend on ``_draw``'s draw order."""
     report = sumset_bound_harness(trials=5000, max_intervals=6, seed=seed)
     assert report.violations == 0 and report.first_violation is None
     assert report.min_slack == 0
@@ -163,7 +168,7 @@ def test_harness_matches_the_fraction_reference(seed):
     report = sumset_bound_harness(trials=trials, max_intervals=max_intervals, seed=seed)
     rng = random.Random(seed)
     violations, min_slack, example, first = sumset_harness_fraction(
-        lambda: random_union(rng, max_intervals), trials)
+        lambda: _random_union(rng, max_intervals), trials)
     assert report == HarnessReport(trials=trials, max_intervals=max_intervals, seed=seed,
                                    violations=violations, min_slack=min_slack,
                                    min_slack_example=example, first_violation=first)
@@ -175,7 +180,7 @@ def test_harness_counts_violations(monkeypatch):
     monkeypatch.setattr("sumfree.certify.sum_windows", lambda nums: nums)
     report = sumset_bound_harness(trials=200, max_intervals=3, seed=5)
     rng = random.Random(5)
-    unions = [random_union(rng, 3) for _ in range(200)]
+    unions = [_random_union(rng, 3) for _ in range(200)]
     assert report.violations == 200 and report.first_violation == unions[0]
     slacks = [-min(2 * u.measure(), F(u.nums[-1][1] - u.nums[0][0], u.den)) for u in unions]
     assert report.min_slack == min(slacks)
@@ -207,7 +212,7 @@ def test_random_union_matches_the_randint_draws(seed):
     for max_intervals in (*range(1, 9), 16, 31, 32, 33, 64, 65):
         ours, ref = random.Random(seed), random.Random(seed)
         for _ in range(200):
-            assert random_union(ours, max_intervals) == random_union_randint(ref, max_intervals)
+            assert _random_union(ours, max_intervals) == random_union_randint(ref, max_intervals)
 
 
 def test_harness_rejects_bad_trials():
@@ -218,6 +223,6 @@ def test_harness_rejects_bad_trials():
 def test_random_union_is_seeded_and_nonempty():
     rng = random.Random(3)
     for _ in range(50):
-        u = random_union(rng, 5)
+        u = _random_union(rng, 5)
         assert u.nums
         assert 0 <= u.nums[0][0] < u.nums[-1][1] <= u.den

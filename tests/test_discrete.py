@@ -1,6 +1,5 @@
 import random
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -25,9 +24,7 @@ from sumfree.discrete import (
     f_max,
     forbidden_triples,
 )
-from sumfree.intervals import IntervalUnion, is_k_sum_free
-
-F = Fraction
+from sumfree.intervals import IntervalUnion, is_k_sum_free, parse_union
 
 # (n, k, enumerate_all) -> nodes explored by the branch-and-bound; any
 # change to the bound, the branching order or the seed shows here first
@@ -276,7 +273,7 @@ def test_carried_live_matches_a_recomputed_one(monkeypatch):
 
 
 def test_discretize_top_third():
-    u = IntervalUnion.from_pairs([(F(2, 3), F(1))])
+    u = parse_union("(2/3,1)")
     assert discretize(u, 9, 3) == (7, 8, 9)
 
 
@@ -293,8 +290,8 @@ def test_discretize_matches_the_fraction_floor_formula(largest_known_3sumfree):
     cases = [(largest_known_3sumfree, 3)]
     while len(cases) < 300:
         d = rng.choice((2, 3, 7, 12, 59, 177, 1000))
-        cuts = sorted(F(rng.randint(0, d), d) for _ in range(2 * rng.randint(1, 4)))
-        u, k = IntervalUnion.from_pairs(zip(cuts[0::2], cuts[1::2])), rng.randint(1, 5)
+        cuts = sorted(rng.randint(0, d) for _ in range(2 * rng.randint(1, 4)))
+        u, k = IntervalUnion.from_numerators(zip(cuts[0::2], cuts[1::2]), d), rng.randint(1, 5)
         if u.nums and is_k_sum_free(u, k)[0]:
             cases.append((u, k))
     for u, k in cases:
@@ -305,14 +302,14 @@ def test_discretize_matches_the_fraction_floor_formula(largest_known_3sumfree):
 
 
 def test_discretize_requires_freeness():
-    bad = IntervalUnion.from_pairs([(F(1, 2), F(1))])
+    bad = parse_union("(1/2,1)")
     with pytest.raises(ValueError):
         discretize(bad, 10, 3)
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_discretize_rejects_a_nonpositive_n(n):
-    u = IntervalUnion.from_pairs([(F(2, 3), F(1))])
+    u = parse_union("(2/3,1)")
     with pytest.raises(ValueError):
         discretize(u, n, 3)
 

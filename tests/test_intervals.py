@@ -1,7 +1,11 @@
+"""The integer interval kernel: the canonical form ``from_numerators`` and
+``parse_union`` give, measure, U+U by ``sum_windows``, and ``is_k_sum_free``,
+against the ``Fraction`` oracles in ``oracles``."""
+
 import pickle
 import random
-from decimal import Decimal
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -12,6 +16,7 @@ from oracles import (
     measure_fraction,
     minkowski_sum_fraction,
     parse_union_fraction,
+    union_fraction,
 )
 from sumfree.intervals import (
     Interval,
@@ -27,9 +32,20 @@ F = Fraction
 
 
 def rand_union(rng: random.Random, max_intervals=5, denom=24) -> IntervalUnion:
-    cuts = sorted(F(rng.randint(0, denom), denom)
-                  for _ in range(2 * rng.randint(1, max_intervals)))
-    return IntervalUnion.from_pairs(list(zip(cuts[0::2], cuts[1::2])))
+    cuts = sorted(rng.randint(0, denom) for _ in range(2 * rng.randint(1, max_intervals)))
+    return IntervalUnion.from_numerators(list(zip(cuts[0::2], cuts[1::2])), denom)
+
+
+def _union(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
+    """u | v by ``from_numerators``, over the lcm of the two denominators."""
+    den = lcm(u.den, v.den)
+    return IntervalUnion.from_numerators(
+        [(lo * (den // w.den), hi * (den // w.den)) for w in (u, v) for lo, hi in w.nums], den)
+
+
+def _square(u: IntervalUnion) -> IntervalUnion:
+    """U+U as a union: ``sum_windows`` over U's own denominator."""
+    return IntervalUnion.from_numerators(sum_windows(u.nums), u.den)
 
 
 def test_interval_requires_positive_length():
@@ -69,14 +85,15 @@ def test_direct_construction_rejects_each_non_canonical_field(den, nums, error):
 
 
 def test_the_three_constructors_agree():
-    """Unreduced Fractions, numerators over a multiple of den and text give one union."""
+    """The fields, numerators over a multiple of den, reduced or unreduced text and
+    the ``Fraction`` oracle give one union."""
     want = IntervalUnion(177, ((8, 12), (28, 42), (118, 177)))
     built = [
-        IntervalUnion.from_pairs([(F(16, 354), F(8, 118)), (F(2, 3), F(6, 6)),
-                                  (F(28, 177), F(14, 59))]),
         IntervalUnion.from_numerators([(118 * 6, 177 * 6), (8 * 6, 12 * 6), (28 * 6, 42 * 6)],
                                       177 * 6),
         parse_union("(2/3,1);(8/177,4/59);(28/177,14/59)"),
+        parse_union("(16/354,8/118);(2/3,6/6);(28/177,14/59)"),
+        union_fraction([(F(16, 354), F(8, 118)), (F(2, 3), F(6, 6)), (F(28, 177), F(14, 59))]),
     ]
     for u in built:
         assert u == want and hash(u) == hash(want)
@@ -103,7 +120,6 @@ def test_intervals_view_is_built_only_when_read(largest_known_3sumfree):
     u = IntervalUnion(u.den, u.nums)  # a fresh copy, whatever the fixture has read
     assert u.measure() == F(77, 177)
     assert sum_windows(u.nums) == [(16, 24), (36, 54), (56, 84), (126, 219), (236, 354)]
-    assert u.minkowski_sum(u).nums
     assert is_k_sum_free(u, 3) == (True, None)
     assert "intervals" not in vars(u)
     assert u.intervals[0] == Interval(F(8, 177), F(12, 177))
@@ -111,29 +127,19 @@ def test_intervals_view_is_built_only_when_read(largest_known_3sumfree):
 
 
 def test_canonicalize_overlap_merge():
-    u = IntervalUnion.from_pairs([(F(0), F(1, 2)), (F(1, 4), F(3, 4))])
+    u = IntervalUnion.from_numerators([(0, 2), (1, 3)], 4)
     assert u.pairs() == [(F(0), F(3, 4))]
 
 
 def test_canonicalize_drops_degenerate():
-    assert IntervalUnion.from_pairs([(F(1, 3), F(1, 3))]) == IntervalUnion()
-    assert IntervalUnion.from_pairs([(F(2, 3), F(1, 3))]) == IntervalUnion()
+    assert IntervalUnion.from_numerators([(1, 1)], 3) == IntervalUnion()
+    assert IntervalUnion.from_numerators([(2, 1)], 3) == IntervalUnion()
 
 
 def test_canonicalize_sorts_record_configuration(largest_known_3sumfree):
-    u = IntervalUnion.from_pairs([
-        (F(2, 3), F(1)), (F(8, 177), F(4, 59)), (F(28, 177), F(14, 59)),
-    ])
+    u = IntervalUnion.from_numerators([(118, 177), (8, 12), (28, 42)], 177)
     assert u == largest_known_3sumfree
     assert [iv.lo for iv in u.intervals] == [F(8, 177), F(28, 177), F(2, 3)]
-
-
-@pytest.mark.parametrize("endpoint", [0.25, Decimal("0.25"), "1/4", None])
-def test_from_pairs_rejects_inexact_endpoints(endpoint):
-    with pytest.raises(TypeError):
-        IntervalUnion.from_pairs([(endpoint, F(1, 2))])
-    with pytest.raises(TypeError):
-        IntervalUnion.from_pairs([(F(0), F(1, 8)), (F(1, 4), endpoint)])
 
 
 @pytest.mark.parametrize("call", [
@@ -144,11 +150,6 @@ def test_inexact_numbers_are_rejected_up_front(call):
     """``k`` is an ``int``, even when the float is integral."""
     with pytest.raises(TypeError):
         call()
-
-
-def test_from_pairs_takes_int_endpoints():
-    u = IntervalUnion.from_pairs([(0, 1), (F(3, 2), 2)])
-    assert u.pairs() == [(F(0), F(1)), (F(3, 2), F(2))]
 
 
 # Denominators for the kernel-against-oracle test: small ones, the record
@@ -179,20 +180,27 @@ def _raw_pairs(rng: random.Random) -> list:
     return pairs
 
 
+def _over_lcm(raw: list) -> tuple[list[tuple[int, int]], int]:
+    """Raw ``int`` or ``Fraction`` pairs as numerators over the lcm of their denominators."""
+    den = lcm(*[F(v).denominator for pair in raw for v in pair])
+    return [(int(lo * den), int(hi * den)) for lo, hi in raw], den
+
+
 def test_integer_kernel_matches_fraction_oracle():
-    """from_pairs, measure, minkowski_sum and is_k_sum_free against plain Fraction algebra."""
+    """from_numerators, measure, U+U by sum_windows and is_k_sum_free against plain
+    Fraction algebra."""
     rng = random.Random(13)
     raws = [[]] + [_raw_pairs(rng) for _ in range(2400)]
-    unions = [IntervalUnion.from_pairs(raw) for raw in raws]
+    unions = [IntervalUnion.from_numerators(*_over_lcm(raw)) for raw in raws]
     assert sum(not u.nums for u in unions) > 50
     assert sum(len(raw) > len(u.intervals) > 0 for raw, u in zip(raws, unions)) > 500
     verdicts = set()
-    for raw, u, v in zip(raws, unions, unions[1:] + unions[:1]):
+    for raw, u in zip(raws, unions):
         ref = canonical_pairs_fraction(raw)
         assert u.pairs() == ref
         assert all(type(p) is Fraction for pair in u.pairs() for p in pair)
         assert u.measure() == measure_fraction(ref)
-        assert u.minkowski_sum(v).pairs() == minkowski_sum_fraction(ref, v.pairs())
+        assert _square(u).pairs() == minkowski_sum_fraction(ref, ref)
         for k in range(1, 8):
             free, witness = is_k_sum_free(u, k)
             assert (free, witness and tuple(witness)) == is_k_sum_free_fraction(ref, k)
@@ -205,11 +213,11 @@ def test_sum_windows_match_minkowski_sum(largest_known_3sumfree):
     rng = random.Random(14)
     unions = [largest_known_3sumfree] + [rand_union(rng, 6, 64) for _ in range(500)]
     for u in unions:
-        assert IntervalUnion.from_numerators(sum_windows(u.nums), u.den) == u.minkowski_sum(u)
+        assert _square(u).pairs() == minkowski_sum_fraction(u.pairs(), u.pairs())
 
 
 def test_canonicalize_merges_touching():
-    u = IntervalUnion.from_pairs([(F(0), F(1, 2)), (F(1, 2), F(1))])
+    u = IntervalUnion.from_numerators([(0, 1), (1, 2)], 2)
     assert u.pairs() == [(F(0), F(1))]
 
 
@@ -217,20 +225,22 @@ def test_canonicalize_idempotent_on_random_input():
     rng = random.Random(1)
     for _ in range(300):
         u = rand_union(rng)
-        assert IntervalUnion.from_pairs(u.pairs()) == u
+        assert IntervalUnion.from_numerators(u.nums, u.den) == u
+        assert union_fraction(u.pairs()) == u
 
 
 def test_measure_examples(largest_known_3sumfree):
     assert largest_known_3sumfree.measure() == F(77, 177)
     assert IntervalUnion().measure() == 0
-    assert IntervalUnion.from_pairs([(F(2, 3), F(1))]).measure() == F(1, 3)
+    assert parse_union("(2/3,1)").measure() == F(1, 3)
 
 
 def test_union_of_record_pieces_has_record_measure(largest_known_3sumfree):
-    parts = [IntervalUnion.from_pairs([p]) for p in largest_known_3sumfree.pairs()]
+    u = largest_known_3sumfree
+    parts = [IntervalUnion.from_numerators([p], u.den) for p in u.nums]
     acc = IntervalUnion()
     for part in parts:
-        acc = IntervalUnion.from_pairs(acc.pairs() + part.pairs())
+        acc = _union(acc, part)
     assert acc.measure() == F(77, 177)
 
 
@@ -240,18 +250,17 @@ def test_measure_additivity_on_random_pairs():
         u, v = rand_union(rng), rand_union(rng)
         # the components of each union are disjoint, so the overlap is the sum over pairs
         overlap = sum(max(0, min(b, d) - max(a, c)) for a, b in u.pairs() for c, d in v.pairs())
-        lhs = IntervalUnion.from_pairs(u.pairs() + v.pairs()).measure() + overlap
+        lhs = _union(u, v).measure() + overlap
         assert lhs == u.measure() + v.measure()
 
 
 def test_minkowski_single_interval():
-    u = IntervalUnion.from_pairs([(F(2, 3), F(1))])
-    assert u.minkowski_sum(u).pairs() == [(F(4, 3), F(2))]
+    assert _square(parse_union("(2/3,1)")).pairs() == [(F(4, 3), F(2))]
 
 
 def test_minkowski_two_interval_example():
-    u = IntervalUnion.from_pairs([(F(0), F(1, 8)), (F(1, 2), F(5, 8))])
-    s = u.minkowski_sum(u)
+    u = parse_union("(0,1/8);(1/2,5/8)")
+    s = _square(u)
     assert s.pairs() == [(F(0), F(1, 4)), (F(1, 2), F(3, 4)), (F(1), F(5, 4))]
     # grid sampler: every pairwise sum of interior grid points lands inside
     for x in _grid_points(u, 40):
@@ -271,14 +280,17 @@ def _grid_points(u: IntervalUnion, denom: int):
 
 
 def test_minkowski_commutative_and_monotone():
+    """U+U by the pairs i <= j is the sum over every ordered pair, in any input
+    order (so a + b = b + a), and U subset of U' gives U+U subset of U'+U'."""
     rng = random.Random(4)
     for _ in range(150):
-        u, v = rand_union(rng, 4), rand_union(rng, 4)
-        assert u.minkowski_sum(v) == v.minkowski_sum(u)
-        bigger = IntervalUnion.from_pairs(u.pairs() + rand_union(rng, 2).pairs())
-        small = u.minkowski_sum(v)
-        large = bigger.minkowski_sum(v)
-        # U subset of U' implies U+V subset of U'+V: each component inside one of U'+V's
+        u = rand_union(rng, 4)
+        every = IntervalUnion.from_numerators(
+            [(alo + blo, ahi + bhi) for alo, ahi in u.nums for blo, bhi in u.nums], u.den)
+        small, large = _square(u), _square(_union(u, rand_union(rng, 2)))
+        assert small == every
+        assert sum_windows(u.nums[::-1]) == sum_windows(u.nums)
+        # each component of U+U lies inside one of U'+U'
         assert all(any(c <= a and b <= d for c, d in large.pairs()) for a, b in small.pairs())
 
 
@@ -312,7 +324,7 @@ def test_record_set_is_3_sum_free(largest_known_3sumfree):
 
 
 def test_top_half_is_not_3_sum_free_with_valid_witness():
-    u = IntervalUnion.from_pairs([(F(1, 2), F(1))])
+    u = parse_union("(1/2,1)")
     free, w = is_k_sum_free(u, 3)
     assert not free
     assert w.x + w.y == 3 * w.z
@@ -320,13 +332,13 @@ def test_top_half_is_not_3_sum_free_with_valid_witness():
 
 
 def test_top_half_is_1_sum_free():
-    free, _ = is_k_sum_free(IntervalUnion.from_pairs([(F(1, 2), F(1))]), 1)
+    free, _ = is_k_sum_free(parse_union("(1/2,1)"), 1)
     assert free
 
 
 def test_k_zero_rejected():
     with pytest.raises(ValueError):
-        is_k_sum_free(IntervalUnion.from_pairs([(F(0), F(1))]), 0)
+        is_k_sum_free(parse_union("(0,1)"), 0)
 
 
 def test_freeness_is_dilation_invariant():
@@ -359,8 +371,7 @@ def test_witness_soundness_on_random_unions():
 def test_k2_witness_is_not_the_trivial_triple():
     """For k = 2 the exempt x = y = z is never the witness."""
     rng = random.Random(12)
-    unions = [IntervalUnion.from_pairs([(F(0), F(1))]),
-              IntervalUnion.from_pairs([(F(1, 3), F(1, 2)), (F(3, 4), F(1))])]
+    unions = [parse_union("(0,1)"), parse_union("(1/3,1/2);(3/4,1)")]
     unions += [rand_union(rng, 4) for _ in range(100)]
     checked = 0
     for u in unions:
@@ -376,7 +387,7 @@ def test_k2_witness_is_not_the_trivial_triple():
 
 def test_touching_sumset_is_not_a_violation():
     # scaled sum window of (1/3, 1/2) is (2/9, 1/3): touches the set at 1/3 only
-    u = IntervalUnion.from_pairs([(F(1, 3), F(1, 2))])
+    u = parse_union("(1/3,1/2)")
     free, _ = is_k_sum_free(u, 3)
     assert free
 
@@ -385,11 +396,10 @@ def test_all_outputs_stay_canonical():
     rng = random.Random(9)
     for _ in range(150):
         u, v = rand_union(rng), rand_union(rng)
-        for result in (IntervalUnion.from_pairs(u.pairs() + v.pairs()), u.minkowski_sum(v),
-                       IntervalUnion.from_numerators(sum_windows(u.nums), u.den),
+        for result in (_union(u, v), _square(u),
                        IntervalUnion.from_numerators([(3 * lo, 3 * hi) for lo, hi in u.nums],
                                                      2 * u.den)):
-            assert IntervalUnion.from_pairs(result.pairs()) == result
+            assert union_fraction(result.pairs()) == result
             for first, second in zip(result.intervals, result.intervals[1:]):
                 assert first.hi < second.lo  # strictly separated components
 
@@ -456,7 +466,7 @@ def test_parse_union_matches_the_fraction_path_on_edge_cases(text):
 
 def test_parse_union_matches_the_fraction_path_on_seeded_texts():
     """Integer numerators over the lcm of the written denominators, reduced by
-    ``from_numerators``, give the union ``Fraction`` endpoints and ``from_pairs`` give."""
+    ``from_numerators``, give the union that ``Fraction`` endpoints give."""
     rng = random.Random(21)
     texts = [_union_text(rng) for _ in range(2000)]
     assert sum("-" in t for t in texts) > 100

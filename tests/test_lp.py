@@ -13,7 +13,6 @@ from sumfree.lp import (
     Tableau,
     canonical_rows,
     check_certificate,
-    enumerate_optimal_vertices,
     solve,
 )
 from sumfree.search import _choice_row, build_pattern_lp
@@ -187,11 +186,11 @@ def test_objective_scaling_invariance():
 def test_optimal_face_enumeration():
     # x1 + x2 <= x3 <= 1, objective parallel to that facet: a segment
     prob = LinearProgram(objective=(1, 1, 0), rows=((1, 1, -1),))
-    verts = enumerate_optimal_vertices(prob)
+    verts = sorted({t.vertex for t in solve(prob).optimal_face()})
     assert verts == [(F(0), F(1), F(1)), (F(1), F(0), F(1))]
     # unique optimum: one vertex only
     prob2 = LinearProgram(objective=(2, 1, 0), rows=((1, 1, -1),))
-    assert enumerate_optimal_vertices(prob2) == [(F(1), F(0), F(1))]
+    assert sorted({t.vertex for t in solve(prob2).optimal_face()}) == [(F(1), F(0), F(1))]
 
 
 def _face_matches_brute_force(prob) -> tuple[int, int]:
@@ -201,7 +200,7 @@ def _face_matches_brute_force(prob) -> tuple[int, int]:
     assert face[0] is tab
     assert len({tuple(sorted(t.basis)) for t in face}) == len(face)
     assert all(t.value == tab.value for t in face)
-    verts = enumerate_optimal_vertices(prob)
+    verts = sorted({t.vertex for t in face})
     assert verts == optimal_vertices_brute(prob)
     return len(verts), len(face)
 
