@@ -5,21 +5,21 @@ search for maximal configurations, the discrete f(n, k) solver, and the
 mechanical certificate for the 1/2 - 1/114 measure bound.
 """
 
-__version__ = "0.15.0"
+__version__ = "0.16.0"
 
-from .rationals import RationalParseError, parse_rational, format_rational
+from .rationals import RationalParseError, format_rational
 from .intervals import Interval, IntervalUnion, Witness, is_k_sum_free, parse_union, format_union
 from .lp import LinearProgram, solve, check_certificate
-from .search import SearchResult, build_pattern_lp, maximize_measure, mu_formula
-from .discrete import forbidden_triples, f_max, enumerate_maximum_sets, discretize
+from .search import SearchResult, build_pattern_lp, maximize_measure
+from .discrete import forbidden_triples, f_max, enumerate_maximum_sets
 from .certify import derive_delta, check_chain, sumset_bound_harness
 
 __all__ = [
-    "RationalParseError", "parse_rational", "format_rational",
+    "RationalParseError", "format_rational",
     "Interval", "IntervalUnion", "Witness", "is_k_sum_free", "parse_union",
     "format_union", "LinearProgram", "solve",
     "check_certificate", "SearchResult",
-    "build_pattern_lp", "maximize_measure", "mu_formula", "forbidden_triples",
-    "f_max", "enumerate_maximum_sets", "discretize", "derive_delta",
+    "build_pattern_lp", "maximize_measure", "forbidden_triples",
+    "f_max", "enumerate_maximum_sets", "derive_delta",
     "check_chain", "sumset_bound_harness",
 ]

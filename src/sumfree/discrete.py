@@ -39,16 +39,11 @@ as the seed reports the seed as its partial result.
 Sets are bitmasks (bit i = element i), so all of the above are a few
 integer operations per triple.  Enumeration of *all* maximum sets runs
 the same tree with strict pruning only; its output order is made
-deterministic by sorting.  ``discretize`` turns a continuous k-sum-free
-interval union into a certified discrete set: it takes the lattice
-points i with i/n in a half-open component (lo, hi], which is sound
-because an exact solution i + j = k*l there would perturb downward to a
-solution inside the open union.
+deterministic by sorting.
 """
 
 from __future__ import annotations
 
-from .intervals import IntervalUnion, is_k_sum_free
 from .rationals import require_int
 
 
@@ -230,25 +225,3 @@ def enumerate_maximum_sets(n: int, k: int, node_limit: int | None = None) -> lis
     A search stopped by ``node_limit`` raises ``EnumerationLimitError``.
     """
     return _search(_Instance(n, k), enumerate_all=True, node_limit=node_limit)[1]
-
-
-def discretize(u: IntervalUnion, n: int, k: int) -> tuple[int, ...]:
-    """Lattice points {i : i/n in (lo, hi] for a component of u}.
-
-    Requires u to be k-sum-free; the result is then guaranteed k-sum-free
-    (a solution i + j = k*l would shift down by a small epsilon into the
-    open set), so it is a valid lower-bound certificate for f(n, k).
-    """
-    if require_int(n, "n") < 1:
-        raise ValueError(f"n must be positive, got {n}")
-    free, witness = is_k_sum_free(u, k)
-    if not free:
-        raise ValueError(f"input union is not {k}-sum-free (witness {witness})")
-    # the components are sorted and never touch, so their lattice ranges
-    # (lo*n, hi*n] are disjoint and increasing
-    points: list[int] = []
-    for lo, hi in u.nums:
-        first = lo * n // u.den + 1  # smallest integer strictly above lo*n/den
-        last = hi * n // u.den       # hi*n/den itself is included when integral
-        points.extend(range(max(first, 1), min(last, n) + 1))
-    return tuple(points)

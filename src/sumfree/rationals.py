@@ -66,11 +66,6 @@ def parse_pair(text: str, offset: int = 0) -> tuple[int, int]:
     return (-p, -q) if q < 0 else (p, q)
 
 
-def parse_rational(text: str, offset: int = 0) -> Fraction:
-    """Parse "p/q" or a bare integer, e.g. "77/177", "-1/114", "1"; see ``parse_pair``."""
-    return Fraction(*parse_pair(text, offset))
-
-
 def format_rational(q: Fraction) -> str:
     """Canonical "p/q" text; integers render without the denominator."""
     if q.denominator == 1:

@@ -108,15 +108,6 @@ class SearchResult:
     forced_zero_closures: int = 0
 
 
-def mu_formula(k: int) -> Fraction:
-    """Closed form for the maximal k-sum-free measure, valid for k >= 4."""
-    if require_int(k, "k") < 4:
-        raise ValueError(f"the closed form is only asserted for k >= 4, got {k}")
-    main = Fraction(k * (k - 2), k * k - 2)
-    corr = Fraction(8 * (k - 2), k * (k * k - 2) * (k**4 - 2 * k * k - 4))
-    return main + corr
-
-
 def _gap_row(row: Sequence[int]) -> tuple[int, ...]:
     """A row over (l1, r1, ..., lm, rm) written over the gap variables.
 

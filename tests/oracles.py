@@ -6,21 +6,32 @@ the discrete solver, every tight constraint set for the LP's optimal
 face, the pattern LP in its chain form over the endpoints, a
 ``Fraction`` simplex dictionary for the tableau's pivot path, and plain
 ``Fraction`` interval algebra for the integer interval kernel, the
-union parser and the sumset harness.
+union parser and the sumset harness.  ``mu_formula`` is the closed form
+that the search's optimum is compared with for k >= 4 (F. Chung and
+J. Goldwasser, Electron. J. Combin. 3, 1996).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, product
-from math import floor, lcm
+from math import lcm
 
 import numpy as np
 
 from sumfree.intervals import IntervalUnion
 from sumfree.lp import LinearProgram
-from sumfree.rationals import RationalParseError
+from sumfree.rationals import RationalParseError, require_int
 from sumfree.search import build_pattern_lp
+
+
+def mu_formula(k: int) -> Fraction:
+    """Closed form for the maximal k-sum-free measure, valid for k >= 4."""
+    if require_int(k, "k") < 4:
+        raise ValueError(f"the closed form is only asserted for k >= 4, got {k}")
+    main = Fraction(k * (k - 2), k * k - 2)
+    corr = Fraction(8 * (k - 2), k * (k * k - 2) * (k**4 - 2 * k * k - 4))
+    return main + corr
 
 
 def grid_best_1_interval(k: int, grid: int) -> Fraction:
@@ -485,15 +496,6 @@ def is_k_sum_free_fraction(pairs, k: int):
                     x = (x_lo + x) / 2
                 return False, (x, s - x, s / k)
     raise AssertionError("overlap detected but no generating pair found")
-
-
-def discretize_fraction(pairs, n: int):
-    """Lattice points {i in 1..n : i/n in (lo, hi]} of canonical pairs, by
-    ``floor`` of ``Fraction`` products; the reference for ``discrete.discretize``."""
-    points = set()
-    for lo, hi in pairs:
-        points.update(range(max(floor(lo * n) + 1, 1), min(floor(hi * n), n) + 1))
-    return tuple(sorted(points))
 
 
 def random_union_randint(rng, max_intervals: int) -> IntervalUnion:

@@ -14,13 +14,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_f, has_forbidden_triple
+from oracles import brute_force_f, has_forbidden_triple, mu_formula
 
 from sumfree.certify import derive_delta, sumset_bound_harness
 from sumfree.discrete import enumerate_maximum_sets, f_max
 from sumfree.intervals import IntervalUnion, is_k_sum_free, parse_union
 from sumfree.lp import LinearProgram, solve, check_certificate
-from sumfree.search import maximize_measure, mu_formula
+from sumfree.search import maximize_measure
 
 F = Fraction
 

@@ -9,7 +9,6 @@ from oracles import (
     ScanBound,
     brute_force_extension,
     brute_force_f,
-    discretize_fraction,
     has_forbidden_triple,
     triples_double_loop,
 )
@@ -19,12 +18,10 @@ from sumfree.discrete import (
     EnumerationLimitError,
     _Instance,
     _search,
-    discretize,
     enumerate_maximum_sets,
     f_max,
     forbidden_triples,
 )
-from sumfree.intervals import IntervalUnion, is_k_sum_free, parse_union
 
 # (n, k, enumerate_all) -> nodes explored by the branch-and-bound; any
 # change to the bound, the branching order or the seed shows here first
@@ -270,55 +267,6 @@ def test_carried_live_matches_a_recomputed_one(monkeypatch):
     for k in range(1, 8):
         f_max(12, k)
     assert calls > 1000
-
-
-def test_discretize_top_third():
-    u = parse_union("(2/3,1)")
-    assert discretize(u, 9, 3) == (7, 8, 9)
-
-
-def test_discretize_record_set(largest_known_3sumfree):
-    pts = discretize(largest_known_3sumfree, 177, 3)
-    assert len(pts) >= 74
-    assert pts == tuple(range(9, 13)) + tuple(range(29, 43)) + tuple(range(119, 178))
-    assert not has_forbidden_triple(pts, 3)
-
-
-def test_discretize_matches_the_fraction_floor_formula(largest_known_3sumfree):
-    """Integer floor division against floor(lo * n) + 1 and floor(hi * n)."""
-    rng = random.Random(15)
-    cases = [(largest_known_3sumfree, 3)]
-    while len(cases) < 300:
-        d = rng.choice((2, 3, 7, 12, 59, 177, 1000))
-        cuts = sorted(rng.randint(0, d) for _ in range(2 * rng.randint(1, 4)))
-        u, k = IntervalUnion.from_numerators(zip(cuts[0::2], cuts[1::2]), d), rng.randint(1, 5)
-        if u.nums and is_k_sum_free(u, k)[0]:
-            cases.append((u, k))
-    for u, k in cases:
-        for n in (1, 2, 3, 9, 24, 59, 100, 177, 354):
-            assert discretize(u, n, k) == discretize_fraction(u.pairs(), n), (u, n)
-    # endpoints on the lattice, where (lo, hi] drops lo*n and keeps hi*n
-    assert sum(lo * 354 % u.den == 0 for u, _ in cases[1:] for lo, _ in u.nums) > 50
-
-
-def test_discretize_requires_freeness():
-    bad = parse_union("(1/2,1)")
-    with pytest.raises(ValueError):
-        discretize(bad, 10, 3)
-
-
-@pytest.mark.parametrize("n", [0, -3])
-def test_discretize_rejects_a_nonpositive_n(n):
-    u = parse_union("(2/3,1)")
-    with pytest.raises(ValueError):
-        discretize(u, n, 3)
-
-
-def test_discretize_never_beats_f_max(largest_known_3sumfree):
-    for n in (9, 12, 18, 24):
-        pts = discretize(largest_known_3sumfree, n, 3)
-        assert not has_forbidden_triple(pts, 3)
-        assert len(pts) <= f_max(n, 3)[0]
 
 
 def test_bad_instance_parameters():

@@ -9,7 +9,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (chain_pattern_lp, gap_form, grid_best_1_interval, grid_best_2_intervals,
-                     pattern_lp, pick_branch_fraction, satisfies_lp)
+                     mu_formula, pattern_lp, pick_branch_fraction, satisfies_lp)
 
 from sumfree.intervals import IntervalUnion, format_union, is_k_sum_free
 from sumfree import search
@@ -19,7 +19,6 @@ from sumfree.search import (
     _union,
     build_pattern_lp,
     maximize_measure,
-    mu_formula,
 )
 
 F = Fraction
