@@ -204,10 +204,8 @@ def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
     reported unions (the least slack, the first violation) are built as
     ``IntervalUnion`` and the least slack as a ``Fraction``.
     """
-    if require_int(trials, "trials") < 1:
-        raise ValueError("trials must be >= 1")
-    if require_int(max_intervals, "max_intervals") < 1:
-        raise ValueError(f"max_intervals must be >= 1, got {max_intervals}")
+    require_int(trials, "trials", 1)
+    require_int(max_intervals, "max_intervals", 1)
     rng = random.Random(require_int(seed, "seed"))
     min_num, min_den, min_draw = 0, 1, None
     violations = 0

@@ -25,7 +25,7 @@ from . import cache as cache_mod
 from .certify import derive_delta, sumset_bound_harness
 from .discrete import EnumerationLimitError, enumerate_maximum_sets, f_max
 from .intervals import format_union, is_k_sum_free, parse_union
-from .rationals import decimal_str, format_rational
+from .rationals import decimal_str, format_rational, require_int
 from .search import maximize_measure
 
 EXIT_OK = 0
@@ -188,8 +188,8 @@ def _cmd_verify(args, fmt: str) -> int:
 def _cmd_continuous(args, fmt: str) -> int:
     params = {"k": args.k, "m": args.m, "all_optima": args.all_optima,
               "node_limit": args.node_limit}
-    if args.parallel < 1:  # not part of the key, so a cache hit would skip the search's check
-        raise ValueError(f"parallel must be >= 1, got {args.parallel}")
+    # not part of the key, so a cache hit would skip the search's check
+    require_int(args.parallel, "parallel", 1)
 
     def compute() -> tuple[dict, str]:
         result = maximize_measure(args.m, args.k, all_optima=args.all_optima,

@@ -66,8 +66,8 @@ def forbidden_triples(n: int, k: int) -> list[tuple[int, int, int]]:
     For k = 2 the all-equal triple is excluded as trivial; for any other
     k it cannot occur.
     """
-    if require_int(n, "n") < 1 or require_int(k, "k") < 1:
-        raise ValueError("n and k must be positive")
+    require_int(n, "n", 1)
+    require_int(k, "k", 1)
     out = []
     for a in range(1, n + 1):
         # b runs over a + b = 0 (mod k), from the first b >= a up to c = n
@@ -141,8 +141,8 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     Raises ``EnumerationLimitError`` once ``node_limit`` nodes are explored
     before the tree is exhausted, and ``ValueError`` on a negative limit.
     """
-    if node_limit is not None and require_int(node_limit, "node_limit") < 0:
-        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
+    if node_limit is not None:
+        require_int(node_limit, "node_limit", 0)
     n = inst.n
     masks, meets = inst.masks, inst.meets
     seed = _seed(inst)

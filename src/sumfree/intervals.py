@@ -101,8 +101,7 @@ class IntervalUnion:
     @staticmethod
     def from_numerators(pairs: Iterable[tuple[int, int]], den: int) -> "IntervalUnion":
         """Canonicalize integer pairs over ``den`` > 0: drop degenerates, sort, merge, reduce."""
-        if require_int(den, "den") <= 0:
-            raise ValueError(f"den must be positive, got {den}")
+        require_int(den, "den", 1)
         merged = _merge(pairs)
         g = gcd(den, *[v for pair in merged for v in pair])
         if g > 1:
@@ -144,10 +143,9 @@ def is_k_sum_free(u: IntervalUnion, k: int) -> tuple[bool, Witness | None]:
     witness z is the midpoint of a positive-length slice of the first
     overlap component, so all three points are strictly interior and the
     arithmetic is exact.  For k = 2 the witness has x != y, since the
-    trivial x = y = z is exempt.  ``k`` is an ``int`` (``TypeError`` otherwise).
+    trivial x = y = z is exempt.  ``k`` is an ``int`` >= 1 (``require_int``).
     """
-    if require_int(k, "k") < 1:
-        raise ValueError(f"k must be a positive integer, got {k}")
+    require_int(k, "k", 1)
     den, nums = u.den, u.nums
     sums = sum_windows(nums)
     # first overlap component of (u+u) with k*u, all numerators over den:

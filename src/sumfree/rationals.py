@@ -1,11 +1,12 @@
 """Exact rational arithmetic and the "p/q" text form.
 
 Every quantity in this package is an ``int`` or a :class:`fractions.Fraction`
-(canonical form: positive denominator, gcd-reduced); ``require_exact``
-rejects anything else, and ``require_int`` a non-``int`` count.  Unions are
-integer numerators over one denominator, ``Fraction`` is their read view,
-and ``parse_pair`` reads "p/q" text straight to integers.  Floating point
-is never used in a computation path; ``decimal_str`` renders reports only.
+(canonical form: positive denominator, gcd-reduced).  ``require_exact``
+rejects anything else and ``require_int`` a non-``int`` count (``TypeError``,
+a ``bool`` too), or one below its least value, 0 or 1 (``ValueError`` naming it).
+Unions are integer numerators over one denominator, ``Fraction`` is their
+read view, and ``parse_pair`` reads "p/q" text straight to integers.  No
+float enters a computation path; ``decimal_str`` renders reports only.
 """
 
 from __future__ import annotations
@@ -27,15 +28,17 @@ class RationalParseError(ValueError):
 
 def require_exact(value, what: str):
     """``value`` if it is an ``int`` or a ``Fraction``, else ``TypeError``."""
-    if not isinstance(value, (int, Fraction)):
+    if type(value) not in (int, Fraction):
         raise TypeError(f"{what} {value!r} is not an int or a Fraction")
     return value
 
 
-def require_int(value, what: str) -> int:
-    """``value`` if it is an ``int``, else ``TypeError``."""
-    if not isinstance(value, int):
+def require_int(value, what: str, least: int | None = None) -> int:
+    """``value`` if it is an ``int`` (``TypeError``) and at least ``least`` (``ValueError``)."""
+    if type(value) is not int:
         raise TypeError(f"{what} must be an int, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
 
 

@@ -145,7 +145,7 @@ def build_pattern_lp(m: int) -> LinearProgram:
     tableau.  Rows are non-strict: touching windows are legal under the
     open-interval convention, so no epsilons.
     """
-    require_int(m, "m")
+    require_int(m, "m", 1)
     return LinearProgram(objective=_gap_row((-1, 1) * m), rows=((1,) * (2 * m - 1) + (-1,),))
 
 
@@ -366,12 +366,11 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     workers (each worker gets a share of what is left); a search it stops
     is ``interrupted``.
     """
-    if require_int(m, "m") < 1 or require_int(k, "k") < 1:
-        raise ValueError("m and k must be positive")
-    if require_int(parallel, "parallel") < 1:
-        raise ValueError(f"parallel must be >= 1, got {parallel}")
-    if node_limit is not None and require_int(node_limit, "node_limit") < 0:
-        raise ValueError(f"node_limit must be >= 0, got {node_limit}")
+    require_int(m, "m", 1)
+    require_int(k, "k", 1)
+    require_int(parallel, "parallel", 1)
+    if node_limit is not None:
+        require_int(node_limit, "node_limit", 0)
     state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit)
     state.witnesses.add(IntervalUnion())  # measure-0 incumbent
 

@@ -95,6 +95,11 @@ def test_bad_usage_exits_2(cache_path):
      "node_limit must be >= 0"),
     (["certify", "--trials", "5", "--max-intervals", "0"], "max_intervals must be >= 1"),
     (["discrete", "--n", "10", "--k", "3", "--node-limit", "-1"], "node_limit must be >= 0"),
+    (["continuous", "--k", "3", "--m", "0"], "m must be >= 1, got 0"),
+    (["continuous", "--k", "0", "--m", "2"], "k must be >= 1, got 0"),
+    (["discrete", "--n", "0", "--k", "3"], "n must be >= 1, got 0"),
+    (["verify", "--k", "0", "--set", "(2/3,1)"], "k must be >= 1, got 0"),
+    (["certify", "--trials", "0"], "trials must be >= 1, got 0"),
 ])
 def test_bad_numeric_option_exits_2(cache_path, capsys, argv, message):
     assert main(argv) == 2

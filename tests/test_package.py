@@ -77,6 +77,23 @@ def test_no_float_in_the_package():
     assert floats == []
 
 
+def test_every_range_check_goes_through_require_int():
+    """A count's lower bound is ``require_int``'s ``least``, so what a bad
+    count raises and how it reads is decided in one place: no comparison
+    takes a ``require_int(...)`` call as an operand."""
+    package = Path(sumfree.__file__).resolve().parent
+    checks = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Compare) and any(
+                    isinstance(operand, ast.Call)
+                    and getattr(operand.func, "id", getattr(operand.func, "attr", None))
+                    == "require_int"
+                    for operand in (node.left, *node.comparators)):
+                checks.append(f"{path.name}:{node.lineno}")
+    assert checks == []
+
+
 def _reads(tree: ast.AST) -> tuple[set[str], set[str]]:
     """What ``tree`` reads: ``Name`` ids and import aliases, and attribute names
     (``x.name``)."""
@@ -141,13 +158,31 @@ _NUMERIC_CALLS = [
 ]
 
 
-@pytest.mark.parametrize("fn,kwargs,name", [
-    pytest.param(fn, kwargs, name, id=f"{fn.__name__}-{name}")
-    for fn, kwargs in _NUMERIC_CALLS for name in kwargs if name != "u"])
-def test_a_float_argument_raises_type_error(fn, kwargs, name):
-    """A float, even an integral one, is rejected up front, never computed with."""
+@pytest.mark.parametrize("fn,kwargs,name,kind", [
+    pytest.param(fn, kwargs, name, kind, id=f"{fn.__name__}-{name}{suffix}")
+    for fn, kwargs in _NUMERIC_CALLS for name in kwargs if name != "u"
+    for kind, suffix in ((float, ""), (bool, "-bool")) if (name, kind) != ("pairs", bool)])
+def test_a_float_argument_raises_type_error(fn, kwargs, name, kind):
+    """A float, even an integral one, and a bool are rejected up front, never
+    computed with."""
     fn(**kwargs)
     value = kwargs[name]
-    bad = [(lo, float(hi)) for lo, hi in value] if name == "pairs" else float(value)
+    bad = [(lo, kind(hi)) for lo, hi in value] if name == "pairs" else kind(value)
     with pytest.raises(TypeError):
         fn(**{**kwargs, name: bad})
+
+
+# the least value of each bounded integer parameter in _NUMERIC_CALLS
+_LEAST = {"m": 1, "k": 1, "n": 1, "parallel": 1, "node_limit": 0,
+          "trials": 1, "max_intervals": 1, "den": 1}
+
+
+@pytest.mark.parametrize("fn,kwargs,name", [
+    pytest.param(fn, kwargs, name, id=f"{fn.__name__}-{name}")
+    for fn, kwargs in _NUMERIC_CALLS for name in kwargs if name in _LEAST])
+def test_a_count_below_its_least_value_raises_value_error(fn, kwargs, name):
+    """One below the least value raises ``ValueError`` naming the parameter."""
+    least = _LEAST[name]
+    with pytest.raises(ValueError) as exc:
+        fn(**{**kwargs, name: least - 1})
+    assert str(exc.value) == f"{name} must be >= {least}, got {least - 1}"
