@@ -116,12 +116,11 @@ def check_chain(delta: Fraction, set_inf: Fraction,
     measure missing from its top third (2/3, 1].  Each step's ``ok``
     means "no contradiction fires at this point"; a False anywhere shows
     the assumed parameters cannot coexist.  Each parameter is an ``int``
-    or a ``Fraction`` (``TypeError`` otherwise).
+    or a ``Fraction`` (``TypeError``) and at least 0 (``ValueError``); the
+    error names it.
     """
-    delta, set_inf, top_gap = (Fraction(require_exact(v, "chain parameter"))
-                               for v in (delta, set_inf, top_gap))
-    if delta < 0 or set_inf < 0 or top_gap < 0:
-        raise ValueError("parameters must be nonnegative")
+    delta, set_inf, top_gap = (Fraction(require_exact(v, what, 0)) for v, what in
+                               ((delta, "delta"), (set_inf, "set_inf"), (top_gap, "top_gap")))
     x = HALF - delta
     b1, b2 = sumset_case_bounds(set_inf)
     c1, c2 = top_slice_bounds(set_inf, top_gap)

@@ -195,7 +195,7 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
                 new_banned |= missing
                 new_live &= ~meets[missing.bit_length() - 1]
         stack.append((e - 1, new_chosen, new_banned, new_live))
-    sets = sorted(tuple(_bits(mask)) for mask in best_sets if mask.bit_count() == best)
+    sets = sorted(tuple(_bits(mask)) for mask in best_sets)
     if not exhausted:
         raise EnumerationLimitError(sets or ([tuple(_bits(seed))] if seed else []), nodes)
     return best, sets, nodes

@@ -57,6 +57,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .rationals import require_int
+
 OPTIMAL = "optimal"
 CUTOFF = "cutoff"
 
@@ -69,12 +71,11 @@ class LinearProgram:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        for row in self.rows:
+        for row in (self.objective, *self.rows):
             if len(row) != len(self.objective):
                 raise ValueError("row length != number of variables")
-        for row in (self.objective, *self.rows):
-            if not all(isinstance(a, int) for a in row):
-                raise ValueError("LP data must be integers")
+            for a in row:
+                require_int(a, "LP coefficient")
 
     @property
     def num_vars(self) -> int:

@@ -2,8 +2,8 @@
 
 Every quantity in this package is an ``int`` or a :class:`fractions.Fraction`
 (canonical form: positive denominator, gcd-reduced).  ``require_exact``
-rejects anything else and ``require_int`` a non-``int`` count (``TypeError``,
-a ``bool`` too), or one below its least value, 0 or 1 (``ValueError`` naming it).
+rejects anything else and ``require_int`` a non-``int`` (``TypeError``, a
+``bool`` too); both reject a value below ``least`` (``ValueError`` naming it).
 Unions are integer numerators over one denominator, ``Fraction`` is their
 read view, and ``parse_pair`` reads "p/q" text straight to integers.  No
 float enters a computation path; ``decimal_str`` renders reports only.
@@ -26,10 +26,13 @@ class RationalParseError(ValueError):
         super().__init__(f"{message} at position {pos} in {text!r}")
 
 
-def require_exact(value, what: str):
-    """``value`` if it is an ``int`` or a ``Fraction``, else ``TypeError``."""
+def require_exact(value, what: str, least: int | None = None):
+    """``value`` if it is an ``int`` or a ``Fraction`` (``TypeError``) and at
+    least ``least`` (``ValueError``)."""
     if type(value) not in (int, Fraction):
         raise TypeError(f"{what} {value!r} is not an int or a Fraction")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {value}")
     return value
 
 
@@ -37,9 +40,7 @@ def require_int(value, what: str, least: int | None = None) -> int:
     """``value`` if it is an ``int`` (``TypeError``) and at least ``least`` (``ValueError``)."""
     if type(value) is not int:
         raise TypeError(f"{what} must be an int, got {value!r}")
-    if least is not None and value < least:
-        raise ValueError(f"{what} must be >= {least}, got {value}")
-    return value
+    return require_exact(value, what, least)
 
 
 def parse_pair(text: str, offset: int = 0) -> tuple[int, int]:

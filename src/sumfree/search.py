@@ -68,13 +68,19 @@ reaches it.  The same holds in a parallel worker, which starts from the
 incumbent of those runs.  The test is sufficient only: under dual
 degeneracy a forced variable can have a zero reduced cost, and the node
 then goes on as before.
+
+Each explored node branches or is closed by ``_RunState.close(reason)``,
+which counts it: ``bound`` below the incumbent (a warm child cut off
+included), ``tie`` when ties are not collected, ``forced_zero`` as above,
+or ``leaf``, fathomed with no entry left to branch on.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate
 from typing import Iterable, Sequence
 
@@ -103,9 +109,9 @@ class SearchResult:
     # and a face with a basis that is not sum-free was branched on).
     witnesses_exact: bool = True
     lp_pivots: int = 0
-    # Tie nodes closed because their optimum forces a length or an
-    # interior gap to 0 (only with all optima).
-    forced_zero_closures: int = 0
+    # Closed nodes by reason: "bound", "tie", "forced_zero" (only with all
+    # optima) and "leaf"; every other explored node branched.
+    closures: Counter = field(default_factory=Counter)
 
 
 def _gap_row(row: Sequence[int]) -> tuple[int, ...]:
@@ -119,6 +125,7 @@ def _gap_row(row: Sequence[int]) -> tuple[int, ...]:
     return (*reversed(list(accumulate(reversed(head)))), top)
 
 
+@cache
 def _choice_row(m: int, k: int, choice: Choice) -> tuple[int, ...]:
     """Coefficients over the gap variables of a choice as a ``<= 0`` row."""
     side, i, j, t = choice
@@ -192,11 +199,8 @@ class _RunState:
     best: Fraction = Fraction(0)
     witnesses: set = field(default_factory=set)
     witnesses_exact: bool = True
-    nodes: int = 0
-    pivots: int = 0
-    forced_zero_closures: int = 0
     interrupted: bool = False
-    choice_rows: dict = field(default_factory=dict)  # by (m', choice), for one search
+    counts: Counter = field(default_factory=Counter)  # "nodes", "pivots", closures by reason
 
     def offer(self, value: Fraction, unions: set, exact: bool) -> None:
         """Take ``unions`` of measure ``value`` as candidate maximizers.
@@ -211,6 +215,11 @@ class _RunState:
         if value == self.best:
             self.witnesses |= unions
             self.witnesses_exact &= exact
+
+    def close(self, reason: str) -> list:
+        """Count a node closed for ``reason``; it opens no children."""
+        self.counts[reason] += 1
+        return []
 
 
 def _union(v: Sequence[int], den: int) -> IntervalUnion:
@@ -238,7 +247,7 @@ def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau,
     if not is_k_sum_free(first, state.k)[0]:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
     bases = tab.optimal_face()[1:] if state.all_optima else []
-    state.pivots += len(bases)  # one walk pivot per basis after the first
+    state.counts["pivots"] += len(bases)  # one walk pivot per basis after the first
     others = dict.fromkeys((_point(t), t.den) for t in bases)  # in face order
     others.pop((v, tab.den), None)
     entries = {vx: _pick_branch(vx[0], m, state.k) for vx in others}
@@ -263,49 +272,43 @@ Node = tuple[lp_mod.Tableau, Choice] | None
 
 
 def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
-    """Process one node: solve its LP, then prune it, fathom it or branch it.
+    """Process one node: solve its LP, then close it or branch it.
 
     The root is built and solved from scratch.  Any other node adds its
     one new choice row to its parent's optimal tableau, which both
     children share, and reoptimizes by dual simplex.  A pattern LP is
     never infeasible (``x = 0`` meets every row; ``lp`` asserts it), so
-    every node has an optimum; a warm child's dual simplex stops, and the
-    child is pruned, once its bound falls below the incumbent.  Returns
-    the open children, LEFT first, as (this tableau, choice); pruned and
-    fathomed nodes have none, and a degenerate-only RIGHT child is not
-    opened.  A tie that forces a length or an interior gap to 0 is closed
-    (``_forces_zero``).  A fathomed node whose optimal face holds a basis
-    that is not free is branched on that basis's entry.
+    every node has an optimum; a warm child's dual simplex stops once its
+    bound falls below the incumbent.  Returns the open children, LEFT
+    first, as (this tableau, choice), or ``state.close(reason)``'s ``[]``;
+    a degenerate-only RIGHT child is not opened.  A fathomed node whose
+    optimal face holds a basis that is not free is branched on that
+    basis's entry.
     """
-    state.nodes += 1
+    state.counts["nodes"] += 1
     if node is None:
         tab = lp_mod.solve(build_pattern_lp(m))
     else:
         tab, choice = node
-        if (m, choice) not in state.choice_rows:
-            state.choice_rows[m, choice] = _choice_row(m, state.k, choice)
-        tab = tab.add_row(state.choice_rows[m, choice], cutoff=state.best)
-    state.pivots += tab.pivots
-    if tab.status == lp_mod.CUTOFF:
-        return []
-    order = tab.compare(state.best)
+        tab = tab.add_row(_choice_row(m, state.k, choice), cutoff=state.best)
+    state.counts["pivots"] += tab.pivots
+    order = -1 if tab.status == lp_mod.CUTOFF else tab.compare(state.best)
     if order < 0:
-        return []
+        return state.close("bound")
     if order == 0:
         # Equal-bound nodes can only tie the incumbent; when ties are
         # not being collected the incumbent witness already realizes it,
         # and when the tie needs fewer intervals an earlier run found it.
         if not state.all_optima:
-            return []
+            return state.close("tie")
         if _forces_zero(tab, m):
-            state.forced_zero_closures += 1
-            return []
+            return state.close("forced_zero")
     v = _point(tab)
     entry = _pick_branch(v, m, state.k)
     if entry is None:
         entry = _record_leaf(state, m, tab, v)
         if entry is None:
-            return []
+            return state.close("leaf")
     children = [(LEFT, *entry)]
     _, j, t = entry
     # With i <= j <= t the chain gives l_i + l_j <= 2 l_t, so for k >= 2 the
@@ -327,7 +330,7 @@ def _explore(m: int, state: _RunState, nodes: Iterable[Node] = (None,),
     """
     open_nodes = deque(nodes)
     while open_nodes and (want is None or len(open_nodes) < want):
-        if state.node_limit is not None and state.nodes >= state.node_limit:
+        if state.node_limit is not None and state.counts["nodes"] >= state.node_limit:
             state.interrupted = True
             return []
         if want is None:
@@ -389,11 +392,11 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     return SearchResult(
         optimum=state.best,
         witnesses=tuple(sorted(state.witnesses, key=IntervalUnion.pairs)),
-        nodes_explored=state.nodes,
+        nodes_explored=state.counts["nodes"],
         status=INTERRUPTED if state.interrupted else PROVEN,
         witnesses_exact=exact,
-        lp_pivots=state.pivots,
-        forced_zero_closures=state.forced_zero_closures,
+        lp_pivots=state.counts["pivots"],
+        closures=Counter({r: n for r, n in state.counts.items() if r not in ("nodes", "pivots")}),
     )
 
 
@@ -404,7 +407,7 @@ def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
     if not nodes:  # interrupted, or the tree ran out first
         return
     # node_limit caps the whole run, so the workers split what is left of it.
-    left = None if state.node_limit is None else state.node_limit - state.nodes
+    left = None if state.node_limit is None else state.node_limit - state.counts["nodes"]
     limits = [None if left is None else left // workers + (w < left % workers)
               for w in range(workers)]
     shares = [_RunState(k=state.k, all_optima=state.all_optima, node_limit=limit,
@@ -413,8 +416,6 @@ def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
         outcomes = list(pool.map(_worker, [m] * workers, shares,
                                  [nodes[w::workers] for w in range(workers)]))
     for out in outcomes:
-        state.nodes += out.nodes
-        state.pivots += out.pivots
-        state.forced_zero_closures += out.forced_zero_closures
+        state.counts += out.counts
         state.interrupted |= out.interrupted
         state.offer(out.best, out.witnesses, out.witnesses_exact)

@@ -104,17 +104,25 @@ def test_overlap_branch_contradicts_any_smaller_delta():
     assert overlap.constant + overlap.delta_coeff * F(1, 114) == F(1, 2) - F(1, 114)
 
 
-def test_check_chain_rejects_negative_parameters():
-    with pytest.raises(ValueError):
-        check_chain(F(-1, 10), F(0))
+@pytest.mark.parametrize("name", ["delta", "set_inf", "top_gap"])
+def test_check_chain_rejects_negative_parameters(name):
+    """A negative parameter raises ``ValueError`` naming it."""
+    args = {"delta": F(1, 114), "set_inf": F(0), "top_gap": F(0), name: F(-1, 10)}
+    with pytest.raises(ValueError) as exc:
+        check_chain(**args)
+    assert str(exc.value) == f"{name} must be >= 0, got -1/10"
 
 
 @pytest.mark.parametrize("args", [(0.01, F(1, 25)), (F(1, 100), 0.04), (F(1, 100), F(0), 0.0),
                                   ("1/100", F(0)), (Decimal("0.01"), F(0))])
 def test_check_chain_rejects_inexact_parameters(args):
-    """Parameters are ``int`` or ``Fraction``, as interval endpoints are."""
-    with pytest.raises(TypeError):
+    """Parameters are ``int`` or ``Fraction``, as interval endpoints are, and
+    the error names the one that is not."""
+    at = [type(a) in (int, F) for a in args].index(False)
+    with pytest.raises(TypeError) as exc:
         check_chain(*args)
+    name = ("delta", "set_inf", "top_gap")[at]
+    assert str(exc.value) == f"{name} {args[at]!r} is not an int or a Fraction"
 
 
 def test_check_chain_takes_int_parameters():

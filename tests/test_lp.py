@@ -38,10 +38,12 @@ def test_binding_budget_row():
 
 
 def test_rejects_non_integer_data_and_bad_lengths():
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         LinearProgram(objective=(F(1, 2), 1), rows=())
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         LinearProgram(objective=(1, 1), rows=((1, 0.5),))
+    with pytest.raises(TypeError):
+        LinearProgram(objective=(1, True), rows=())
     with pytest.raises(ValueError):
         LinearProgram(objective=(1, 1), rows=((1, -1, 0),))
     with pytest.raises(ValueError):

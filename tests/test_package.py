@@ -94,6 +94,17 @@ def test_every_range_check_goes_through_require_int():
     assert checks == []
 
 
+def test_every_search_node_closes_through_one_call():
+    """``search._expand`` closes a node only by ``return state.close(reason)``,
+    which counts it by its reason: no ``return`` in it gives a literal ``[]``."""
+    source = Path(sumfree.__file__).resolve().with_name("search.py")
+    expand, = (node for node in ast.walk(ast.parse(source.read_text(), str(source)))
+               if isinstance(node, ast.FunctionDef) and node.name == "_expand")
+    bare = [node.lineno for node in ast.walk(expand) if isinstance(node, ast.Return)
+            and isinstance(node.value, ast.List) and not node.value.elts]
+    assert bare == []
+
+
 def _reads(tree: ast.AST) -> tuple[set[str], set[str]]:
     """What ``tree`` reads: ``Name`` ids and import aliases, and attribute names
     (``x.name``)."""

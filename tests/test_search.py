@@ -2,6 +2,7 @@ import concurrent.futures
 import dataclasses
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -549,9 +550,9 @@ def test_schedule_independence_sequential_vs_parallel():
         if m == 3:
             # 77/177 is first found in the last run, so the workers cut their
             # warm children off, and close forced-zero ties, against their
-            # own incumbents: the pivots (26 and 25) and the closures (3 and
-            # 2) differ, the tree and the results do not.
-            par, seq = (dataclasses.replace(res, lp_pivots=0, forced_zero_closures=0)
+            # own incumbents: the pivots (26 and 25) and the closures by
+            # reason differ, the tree and the results do not.
+            par, seq = (dataclasses.replace(res, lp_pivots=0, closures=Counter())
                         for res in (par, seq))
         assert par == seq
         assert seq.status == "proven" and seq.witnesses_exact
@@ -631,6 +632,37 @@ def test_no_choice_set_is_expanded_twice(monkeypatch):
         expanded = [(m, choices) for m, choices, _ in tracker.calls]
         assert len(expanded) == res.nodes_explored == SEARCH_COUNTERS[5, 3][0]
         assert len(set(expanded)) == len(expanded)
+
+
+def test_every_explored_node_branches_or_closes_for_one_reason(monkeypatch):
+    """The branched nodes (those with an open child) plus the closures by
+    reason are the nodes explored: serial for m <= 5, k = 1..7 in both
+    modes, parallel, and stopped by a node limit.  Only all optima closes
+    a forced-zero tie."""
+    tracker = _ChoiceSets(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
+    reasons = {"bound", "tie", "forced_zero", "leaf"}
+    seen = Counter()
+
+    def check(m, k, all_optima, **options):
+        tracker.calls.clear()
+        res = maximize_measure(m, k, all_optima=all_optima, **options)
+        branched = sum(children > 0 for _, _, children in tracker.calls)
+        assert branched + res.closures.total() == res.nodes_explored, (m, k, all_optima)
+        assert set(res.closures) <= reasons, res.closures
+        assert all_optima or res.closures["forced_zero"] == 0, (m, k)
+        seen.update(res.closures)
+        return res
+
+    for m in range(1, 6):
+        for k in range(1, 8):
+            for all_optima in (False, True):
+                check(m, k, all_optima)
+    assert set(seen) == reasons, seen
+    check(5, 3, True, parallel=2)
+    check(5, 1, False, parallel=2)
+    assert check(5, 3, True, node_limit=100).status == "interrupted"
+    assert check(4, 3, True, parallel=2, node_limit=100).status == "interrupted"
 
 
 # The face bases that each case's branch rule judges, by (m, k, all_optima,
