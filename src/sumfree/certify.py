@@ -19,7 +19,7 @@ derivation as an external fact; ``sumset_bound_harness`` stress-tests it
 exactly on seeded random interval unions (any violation would mean a bug
 in the interval algebra, not new mathematics).  The harness draws,
 measures and compares each union as integer numerator pairs over one
-denominator; only the unions it reports are built as ``IntervalUnion``.
+denominator; only the union it reports is built as ``IntervalUnion``.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ class BranchBound:
     """One contradiction branch: x <= constant + delta_coeff * delta."""
 
     name: str
-    description: str
     constant: Fraction
     delta_coeff: Fraction
 
@@ -57,7 +56,6 @@ class ChainStep:
     lhs: Fraction
     rhs: Fraction
     ok: bool
-    note: str = ""
 
 
 @dataclass(frozen=True)
@@ -75,16 +73,9 @@ class Certificate:
 #   wide gap c - b > 1/3:  4/9 + 2d
 #   narrow gap c - b <= 1/3: (2d/3 + 1/9) + 8d/3 + 1/3 + 2d = 4/9 + 16d/3
 BRANCHES = (
-    BranchBound("middle_block_empty",
-                "second block empty: x <= low block + top third + slack",
-                Fraction(4, 9), Fraction(8, 3)),
-    BranchBound("wide_gap",
-                "gap between blocks exceeds 1/3: x <= 4/9 + 2*delta",
-                Fraction(4, 9), Fraction(2)),
-    BranchBound("narrow_gap",
-                "sum windows overlap and swallow the middle block: "
-                "x <= 4/9 + 16*delta/3",
-                Fraction(4, 9), Fraction(16, 3)),
+    BranchBound("middle_block_empty", Fraction(4, 9), Fraction(8, 3)),
+    BranchBound("wide_gap", Fraction(4, 9), Fraction(2)),
+    BranchBound("narrow_gap", Fraction(4, 9), Fraction(16, 3)),
 )
 
 
@@ -95,17 +86,6 @@ def sumset_case_bounds(set_inf: Fraction) -> tuple[Fraction, Fraction]:
     min(3x, x + 1 - inf)), so only their maximum is binding.
     """
     return HALF - set_inf / 3, HALF - set_inf / 4
-
-
-def top_slice_bounds(set_inf: Fraction, top_gap: Fraction) -> tuple[Fraction, Fraction]:
-    """Measure bounds refined by a top slice of measure top_gap missing.
-
-    A gap of measure g in (2/3, 1] sharpens the two case bounds to
-    1/2 - inf/3 - g/2 and 1/2 - inf/4 - 3*g/4; for g > 2*delta either one
-    already forces x < 1/2 - delta.
-    """
-    b1, b2 = sumset_case_bounds(set_inf)
-    return b1 - top_gap / 2, b2 - 3 * top_gap / 4
 
 
 def check_chain(delta: Fraction, set_inf: Fraction,
@@ -122,27 +102,22 @@ def check_chain(delta: Fraction, set_inf: Fraction,
     delta, set_inf, top_gap = (Fraction(require_exact(v, what, 0)) for v, what in
                                ((delta, "delta"), (set_inf, "set_inf"), (top_gap, "top_gap")))
     x = HALF - delta
-    b1, b2 = sumset_case_bounds(set_inf)
-    c1, c2 = top_slice_bounds(set_inf, top_gap)
+    case_bound = max(sumset_case_bounds(set_inf))
     low_block = set_inf / 6 + Fraction(1, 9)
-    steps = (
-        ChainStep("scaled_halving", x, HALF, x <= HALF,
-                  "any 3-sum-free subset of [0, w] has measure <= w/2 (w = 1)"),
-        ChainStep("sumset_cases", x, max(b1, b2), x <= max(b1, b2),
-                  f"case bounds 1/2 - inf/3 = {b1} and 1/2 - inf/4 = {b2}; "
-                  "one of the two always applies"),
-        ChainStep("inf_bound", set_inf, 4 * delta, set_inf <= 4 * delta,
-                  "x = 1/2 - delta in the weaker case bound caps the infimum "
-                  "at 4*delta"),
-        ChainStep("top_slice_budget", top_gap, 2 * delta, top_gap <= 2 * delta,
-                  f"refined case bounds {c1} and {c2}; above the budget "
-                  "either one forces x < 1/2 - delta"),
+    return (
+        # any 3-sum-free subset of [0, w] has measure <= w/2 (w = 1)
+        ChainStep("scaled_halving", x, HALF, x <= HALF),
+        # one of the case bounds 1/2 - inf/3 and 1/2 - inf/4 always applies
+        ChainStep("sumset_cases", x, case_bound, x <= case_bound),
+        # x = 1/2 - delta in the weaker case bound caps the infimum at 4*delta
+        ChainStep("inf_bound", set_inf, 4 * delta, set_inf <= 4 * delta),
+        # a missing top slice g sharpens the case bounds to 1/2 - inf/3 - g/2
+        # and 1/2 - inf/4 - 3g/4; above the budget either forces x < 1/2 - delta
+        ChainStep("top_slice_budget", top_gap, 2 * delta, top_gap <= 2 * delta),
+        # the block in [inf, inf/3 + 2/9] is halved, then inf <= 4*delta applied
         ChainStep("low_block_bound", low_block, 2 * delta / 3 + Fraction(1, 9),
-                  low_block <= 2 * delta / 3 + Fraction(1, 9),
-                  "block in [inf, inf/3 + 2/9] is halved, then inf <= 4*delta "
-                  "applied"),
+                  low_block <= 2 * delta / 3 + Fraction(1, 9)),
     )
-    return steps
 
 
 def derive_delta() -> Certificate:
@@ -160,7 +135,6 @@ class HarnessReport:
     violations: int
     min_slack: Fraction
     min_slack_example: IntervalUnion
-    first_violation: IntervalUnion | None = None
 
 
 def _below(getrandbits, n: int) -> int:
@@ -200,15 +174,15 @@ def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
     Each trial is drawn, measured and compared on integer numerator pairs
     over the draw's unreduced ``den``: the slack is an integer numerator
     over ``den``, slacks are compared by cross-multiplying, and only the
-    reported unions (the least slack, the first violation) are built as
-    ``IntervalUnion`` and the least slack as a ``Fraction``.
+    least-slack union is built as an ``IntervalUnion`` and its slack as a
+    ``Fraction``.  When any trial violates the bound, that union is the
+    most violating draw.
     """
     require_int(trials, "trials", 1)
     require_int(max_intervals, "max_intervals", 1)
     rng = random.Random(require_int(seed, "seed"))
     min_num, min_den, min_draw = 0, 1, None
     violations = 0
-    first_draw = None
     for _ in range(trials):
         pairs, den = draw = _draw(rng, max_intervals)
         measure = sum(hi - lo for lo, hi in pairs)
@@ -217,13 +191,9 @@ def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
                  - min(3 * measure, measure + diam))
         if slack < 0:
             violations += 1
-            if first_draw is None:
-                first_draw = draw
         # slack/den < min_num/min_den, both denominators positive
         if min_draw is None or slack * min_den < min_num * den:
             min_num, min_den, min_draw = slack, den, draw
     return HarnessReport(trials=trials, max_intervals=max_intervals, seed=seed,
                          violations=violations, min_slack=Fraction(min_num, min_den),
-                         min_slack_example=IntervalUnion.from_numerators(*min_draw),
-                         first_violation=None if first_draw is None
-                         else IntervalUnion.from_numerators(*first_draw))
+                         min_slack_example=IntervalUnion.from_numerators(*min_draw))

@@ -8,7 +8,8 @@ face, the pattern LP in its chain form over the endpoints, a
 ``Fraction`` interval algebra for the integer interval kernel, the
 union parser and the sumset harness.  ``mu_formula`` is the closed form
 that the search's optimum is compared with for k >= 4 (F. Chung and
-J. Goldwasser, Electron. J. Combin. 3, 1996).
+J. Goldwasser, Electron. J. Combin. 3, 1996), and ``top_slice_bounds``
+the refined case bounds behind ``certify``'s top-slice budget.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from math import lcm
 
 import numpy as np
 
+from sumfree.certify import sumset_case_bounds
 from sumfree.intervals import IntervalUnion
 from sumfree.lp import LinearProgram
 from sumfree.rationals import RationalParseError, require_int
@@ -32,6 +34,17 @@ def mu_formula(k: int) -> Fraction:
     main = Fraction(k * (k - 2), k * k - 2)
     corr = Fraction(8 * (k - 2), k * (k * k - 2) * (k**4 - 2 * k * k - 4))
     return main + corr
+
+
+def top_slice_bounds(set_inf: Fraction, top_gap: Fraction) -> tuple[Fraction, Fraction]:
+    """Measure bounds refined by a top slice of measure top_gap missing.
+
+    A gap of measure g in (2/3, 1] sharpens the two case bounds to
+    1/2 - inf/3 - g/2 and 1/2 - inf/4 - 3*g/4; for g > 2*delta either one
+    already forces x < 1/2 - delta.
+    """
+    b1, b2 = sumset_case_bounds(set_inf)
+    return b1 - top_gap / 2, b2 - 3 * top_gap / 4
 
 
 def grid_best_1_interval(k: int, grid: int) -> Fraction:
@@ -513,14 +526,15 @@ def random_union_randint(rng, max_intervals: int) -> IntervalUnion:
 
 
 def sumset_harness_fraction(draw, trials: int):
-    """The sumset harness's report fields, with every slack in ``Fraction``.
+    """The sumset harness's ``(violations, min_slack, min_slack_example)``,
+    with every slack in ``Fraction``.
 
     ``draw()`` gives the next union; the slack of A is
     ``|A+A| - min(3|A|, |A| + diam(A))`` over the union's pairs, and the
     first union of least slack is the example.  The reference for
     ``certify.sumset_bound_harness``.
     """
-    violations, first_violation = 0, None
+    violations = 0
     min_slack = min_example = None
     for _ in range(trials):
         u = draw()
@@ -531,10 +545,9 @@ def sumset_harness_fraction(draw, trials: int):
                  - min(3 * measure, measure + diam))
         if slack < 0:
             violations += 1
-            first_violation = first_violation or u
         if min_slack is None or slack < min_slack:
             min_slack, min_example = slack, u
-    return violations, min_slack, min_example, first_violation
+    return violations, min_slack, min_example
 
 
 def parse_rational_fraction(text: str, offset: int = 0) -> Fraction:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_union_randint, sumset_harness_fraction
+from oracles import random_union_randint, sumset_harness_fraction, top_slice_bounds
 
 from sumfree.certify import (
     BRANCHES,
@@ -14,7 +14,6 @@ from sumfree.certify import (
     derive_delta,
     sumset_bound_harness,
     sumset_case_bounds,
-    top_slice_bounds,
 )
 from sumfree.intervals import IntervalUnion, parse_union, sum_windows
 
@@ -164,7 +163,7 @@ def test_harness_is_reproducible():
 def test_harness_reports_are_pinned(seed, example):
     """The seeded unions, and so the reports, depend on ``_draw``'s draw order."""
     report = sumset_bound_harness(trials=5000, max_intervals=6, seed=seed)
-    assert report.violations == 0 and report.first_violation is None
+    assert report.violations == 0
     assert report.min_slack == 0
     assert report.min_slack_example == parse_union(example)
 
@@ -175,11 +174,11 @@ def test_harness_matches_the_fraction_reference(seed):
     trials, max_intervals = 400, 1 + seed % 6
     report = sumset_bound_harness(trials=trials, max_intervals=max_intervals, seed=seed)
     rng = random.Random(seed)
-    violations, min_slack, example, first = sumset_harness_fraction(
+    violations, min_slack, example = sumset_harness_fraction(
         lambda: _random_union(rng, max_intervals), trials)
     assert report == HarnessReport(trials=trials, max_intervals=max_intervals, seed=seed,
                                    violations=violations, min_slack=min_slack,
-                                   min_slack_example=example, first_violation=first)
+                                   min_slack_example=example)
     assert type(report.min_slack) is Fraction
 
 
@@ -189,15 +188,15 @@ def test_harness_counts_violations(monkeypatch):
     report = sumset_bound_harness(trials=200, max_intervals=3, seed=5)
     rng = random.Random(5)
     unions = [_random_union(rng, 3) for _ in range(200)]
-    assert report.violations == 200 and report.first_violation == unions[0]
+    assert report.violations == 200
     slacks = [-min(2 * u.measure(), F(u.nums[-1][1] - u.nums[0][0], u.den)) for u in unions]
     assert report.min_slack == min(slacks)
     assert report.min_slack_example == unions[slacks.index(min(slacks))]
 
 
 def test_harness_builds_only_the_reported_unions(monkeypatch):
-    """Draws and slacks stay integer pairs: at most the least-slack example
-    and the first violation become ``IntervalUnion``s."""
+    """Draws and slacks stay integer pairs: only the least-slack example
+    becomes an ``IntervalUnion``, one per run."""
     built = []
     post_init = IntervalUnion.__post_init__
 
@@ -207,7 +206,7 @@ def test_harness_builds_only_the_reported_unions(monkeypatch):
 
     monkeypatch.setattr(IntervalUnion, "__post_init__", counted)
     report = sumset_bound_harness(trials=5000, max_intervals=6, seed=1)
-    assert report.violations == 0 and len(built) <= 2
+    assert report.violations == 0 and built == [report.min_slack_example]
 
 
 @pytest.mark.parametrize("seed", range(21))

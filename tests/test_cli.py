@@ -212,6 +212,37 @@ def test_certify_cli(cache_path, capsys):
     assert "1/66" in out and "1/54" in out
 
 
+CERTIFY_TABLE = """\
+branch suprema:
+  middle_block_empty   x <= 4/9 + 8/3*d        delta_sup = 1/66
+  wide_gap             x <= 4/9 + 2*d          delta_sup = 1/54
+  narrow_gap           x <= 4/9 + 16/3*d       delta_sup = 1/114
+delta* = 1/114
+inequality chain at the boundary point: ok
+harness: 0 violations in 200 trials (min slack 0)
+"""
+CERTIFY_JSON = (
+    '{"branches": [{"bound": "4/9 + 8/3*d", "delta_sup": "1/66", "name": "middle_block_empty"}, '
+    '{"bound": "4/9 + 2*d", "delta_sup": "1/54", "name": "wide_gap"}, '
+    '{"bound": "4/9 + 16/3*d", "delta_sup": "1/114", "name": "narrow_gap"}], '
+    '"chain_ok": true, "delta_star": "1/114", '
+    '"harness": {"max_intervals": 6, "min_slack": "0", "min_slack_example": "(5/21,3/4)", '
+    '"seed": 0, "trials": 200, "violations": 0}, '
+    '"steps": [{"lhs": "28/57", "name": "scaled_halving", "ok": true, "rhs": "1/2"}, '
+    '{"lhs": "28/57", "name": "sumset_cases", "ok": true, "rhs": "28/57"}, '
+    '{"lhs": "2/57", "name": "inf_bound", "ok": true, "rhs": "2/57"}, '
+    '{"lhs": "1/57", "name": "top_slice_budget", "ok": true, "rhs": "1/57"}, '
+    '{"lhs": "20/171", "name": "low_block_bound", "ok": true, "rhs": "20/171"}]}\n')
+
+
+@pytest.mark.parametrize("fmt,expected", [("table", CERTIFY_TABLE), ("json", CERTIFY_JSON)])
+def test_certify_stdout_is_pinned(cache_path, capsys, fmt, expected):
+    """Every byte ``certify`` prints, on a miss and on the hit that follows."""
+    for _ in range(2):
+        assert main(["certify", "--trials", "200", "--seed", "0", "--format", fmt]) == 0
+        assert capsys.readouterr().out == expected
+
+
 def test_report_is_deterministic(cache_path, capsys):
     main(["discrete", "--n", "10", "--k", "1"])
     main(["certify", "--trials", "20"])

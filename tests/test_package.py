@@ -154,7 +154,41 @@ def test_every_definition_is_reached():
     assert unreached == []
 
 
-_UNION = sumfree.parse_union("(2/3,1)")
+# ``cache.append_record`` writes every field of a record with ``vars(record)``.
+_FIELDS_EXEMPT = {"CacheRecord"}
+
+
+def _dataclass_fields(tree: ast.AST):
+    """``(class, field, lineno)`` for each annotated field of each ``@dataclass``."""
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+                for d in cls.decorator_list):
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    yield cls.name, node.target.id, node.lineno
+
+
+def test_every_dataclass_field_is_read():
+    """Each field of a package ``@dataclass`` is read as an attribute
+    (``x.field``) in some module of the package: a field only written, by the
+    constructor, holds data that no caller sees and no checker reads.  As in
+    the dead-definition guard, what only the tests or the bench read does not
+    count, and an unrelated attribute of the same name lets a field pass."""
+    package = Path(sumfree.__file__).resolve().parent
+    trees = {path.name: ast.parse(path.read_text(), str(path))
+             for path in sorted(package.glob("*.py"))}
+    read = {node.attr for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    fields = [(name, *field) for name, tree in trees.items()
+              for field in _dataclass_fields(tree)]
+    assert fields  # the walk finds the dataclasses at all
+    unread = [f"{name}:{lineno}: {cls}.{field}" for name, cls, field, lineno in fields
+              if field not in read and cls not in _FIELDS_EXEMPT]
+    assert unread == []
+
+
+_UNION =sumfree.parse_union("(2/3,1)")
 # each public function with integer or rational parameters, and arguments it accepts
 _NUMERIC_CALLS = [
     (sumfree.maximize_measure, {"m": 2, "k": 3, "parallel": 1, "node_limit": 1000}),
