@@ -1,10 +1,11 @@
 """Append-only JSON-lines result cache.
 
 One record per line so interrupted runs never corrupt earlier results.
-Reads are forgiving: unknown fields are kept, corrupt lines are skipped
-with a warning, and duplicate (kind, parameters) keys resolve to the
-last written record.  Each record carries the sumfree version and a
-digest of the solver source that computed it.
+Reads are forgiving: unknown fields are ignored (the line stays in the
+file), corrupt lines are skipped with a warning, and duplicate (kind,
+parameters) keys resolve to the last written record.  Each record
+carries the sumfree version and a digest of the solver source that
+computed it.
 
 ``read_records`` reads the file once as bytes.  ``lookup`` finds the
 parameters' sorted JSON text in it with one byte search and parses only
@@ -20,7 +21,6 @@ import os
 import sys
 import zlib
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from functools import cache
 from pathlib import Path
 
@@ -34,8 +34,7 @@ class CacheRecord:
     parameters: dict
     result: dict
     version: str
-    timestamp: str
-    solver: str = ""
+    solver: str
 
     def key(self) -> tuple[str, str]:
         return self.kind, json.dumps(self.parameters, sort_keys=True)
@@ -60,9 +59,8 @@ def solver_digest() -> str:
 
 
 def make_record(kind: str, parameters: dict, result: dict, version: str) -> CacheRecord:
-    stamp = datetime.now(timezone.utc).isoformat(timespec="seconds")
     return CacheRecord(kind=kind, parameters=parameters, result=result,
-                       version=version, timestamp=stamp, solver=solver_digest())
+                       version=version, solver=solver_digest())
 
 
 def check_appendable(path: str) -> None:
@@ -127,8 +125,7 @@ def read_records(path: str, text: str = ""):
             if not isinstance(raw["kind"], str):
                 raise TypeError(f"kind {raw['kind']!r} is not a string")
             rec = CacheRecord(raw["kind"], raw["parameters"], raw["result"],
-                              raw.get("version", "unknown"), raw.get("timestamp", ""),
-                              raw.get("solver", ""))
+                              raw.get("version", "unknown"), raw.get("solver", ""))
         except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
             lineno += data.count(b"\n", counted, offset)
             counted = offset

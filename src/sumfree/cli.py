@@ -218,7 +218,7 @@ def _cmd_discrete(args, fmt: str) -> int:
     def compute() -> tuple[dict, str]:
         if args.enumerate_all:
             sets = enumerate_maximum_sets(args.n, args.k, node_limit=args.node_limit)
-            value = len(sets[0]) if sets else 0
+            value = len(sets[0])
         else:
             value, witness = f_max(args.n, args.k, node_limit=args.node_limit)
             sets = [witness]

@@ -33,8 +33,7 @@ reached, and every maximum set is still enumerated.  That is why f_max
 starts from |seed| - 1 and not |seed|: a strict threshold of |seed|
 would prune the path to the first maximum set when f = |seed|, and the
 witness would become the seed.  Enumeration keeps ties, so it starts at
-|seed|.  A search stopped by its node limit before it met a set as large
-as the seed reports the seed as its partial result.
+|seed|.
 
 Sets are bitmasks (bit i = element i), so all of the above are a few
 integer operations per triple.  Enumeration of *all* maximum sets runs
@@ -48,16 +47,7 @@ from .rationals import require_int
 
 
 class EnumerationLimitError(RuntimeError):
-    """Node limit hit before the search tree was exhausted.
-
-    ``partial`` holds the best sets found so far (the seed, when none found is
-    as large), ``nodes`` the nodes explored.
-    """
-
-    def __init__(self, partial: list[tuple[int, ...]], nodes: int):
-        self.partial = partial
-        self.nodes = nodes
-        super().__init__(f"node limit reached after {nodes} nodes; partial result")
+    """Node limit hit before the search tree was exhausted."""
 
 
 def forbidden_triples(n: int, k: int) -> list[tuple[int, int, int]]:
@@ -153,15 +143,13 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     best = max(seed.bit_count() - (not enumerate_all), 0)
     best_sets: list[int] = []
     nodes = 0
-    exhausted = True
 
     # e = highest element not yet decided, chosen/banned element masks, and
     # live = the forbidden masks (by index) that meet no dead element
     stack = [(n, 0, 0, (1 << len(masks)) - 1)]
     while stack:
         if node_limit is not None and nodes >= node_limit:
-            exhausted = False
-            break
+            raise EnumerationLimitError(f"node limit reached after {nodes} nodes")
         nodes += 1
         e, chosen, banned, live = stack.pop()
         while e >= 1 and (banned >> e) & 1:
@@ -195,10 +183,7 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
                 new_banned |= missing
                 new_live &= ~meets[missing.bit_length() - 1]
         stack.append((e - 1, new_chosen, new_banned, new_live))
-    sets = sorted(tuple(_bits(mask)) for mask in best_sets)
-    if not exhausted:
-        raise EnumerationLimitError(sets or ([tuple(_bits(seed))] if seed else []), nodes)
-    return best, sets, nodes
+    return best, sorted(tuple(_bits(mask)) for mask in best_sets), nodes
 
 
 def _bits(mask: int) -> list[int]:
@@ -216,7 +201,7 @@ def f_max(n: int, k: int, node_limit: int | None = None) -> tuple[int, tuple[int
     A search stopped by ``node_limit`` raises ``EnumerationLimitError``.
     """
     best, sets, _ = _search(_Instance(n, k), enumerate_all=False, node_limit=node_limit)
-    return best, sets[0] if sets else ()
+    return best, sets[0]
 
 
 def enumerate_maximum_sets(n: int, k: int, node_limit: int | None = None) -> list[tuple[int, ...]]:

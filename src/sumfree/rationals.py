@@ -20,7 +20,6 @@ class RationalParseError(ValueError):
     """Malformed "p/q" text; carries the offset of the offending character."""
 
     def __init__(self, text: str, pos: int, message: str):
-        self.text = text
         self.pos = pos
         self.reason = message
         super().__init__(f"{message} at position {pos} in {text!r}")

@@ -266,17 +266,17 @@ def test_cache_round_trip(tmp_path):
 
 def test_cache_duplicate_last_wins(tmp_path):
     path = str(tmp_path / "c.jsonl")
-    append_record(path, CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", "t1"))
-    append_record(path, CacheRecord("discrete", {"n": 5}, {"f": 2}, "0", "t2"))
+    append_record(path, CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", solver=""))
+    append_record(path, CacheRecord("discrete", {"n": 5}, {"f": 2}, "0", solver=""))
     assert lookup(path, "discrete", {"n": 5}).result == {"f": 2}
 
 
 def test_cache_survives_corrupt_middle_line(tmp_path, capsys):
     path = tmp_path / "c.jsonl"
-    append_record(str(path), CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", "t1"))
+    append_record(str(path), CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", solver=""))
     with open(path, "a") as fh:
         fh.write("{not json ]\n")
-    append_record(str(path), CacheRecord("discrete", {"n": 6}, {"f": 2}, "0", "t2"))
+    append_record(str(path), CacheRecord("discrete", {"n": 6}, {"f": 2}, "0", solver=""))
     assert [rec.parameters for rec in read_records(str(path))] == [{"n": 5}, {"n": 6}]
     assert "skipping bad cache line" in capsys.readouterr().err
 
@@ -443,6 +443,33 @@ def test_cache_path_in_a_missing_directory_exits_2_before_computing(
     assert main(["discrete", "--n", "5", "--k", "1", "--cache", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err
+
+
+def test_a_cache_line_with_a_timestamp_is_a_hit(cache_path, capsys, monkeypatch):
+    """A line as 0.19.0 wrote it, with a ``timestamp``, of this version and
+    solver source is served: the field is ignored, nothing is computed and
+    nothing appended."""
+    def not_reached(*args, **kwargs):
+        raise AssertionError("a cached result was recomputed")
+
+    monkeypatch.setattr(cli, "f_max", not_reached)
+    params = {"enumerate": False, "k": 1, "n": 5, "node_limit": None}
+    result = {"f": 3, "k": 1, "n": 5, "witnesses": [[1, 3, 5]]}
+    line = json.dumps({"kind": "discrete", "parameters": params, "result": result,
+                       "solver": solver_digest(), "timestamp": "2026-01-01T00:00:00+00:00",
+                       "version": __version__}, sort_keys=True) + "\n"
+    cache_path.write_text(line)
+    assert main(["discrete", "--n", "5", "--k", "1"]) == 0
+    assert capsys.readouterr() == (json.dumps(result, sort_keys=True) + "\n", "")
+    assert cache_path.read_text() == line
+
+
+def test_discrete_node_limit_exits_1_with_the_node_count(tmp_path, capsys):
+    path = tmp_path / "fresh.jsonl"
+    argv = ["discrete", "--n", "45", "--k", "3", "--node-limit", "10", "--cache", str(path)]
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", "error: node limit reached after 10 nodes\n")
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("argv,code", [

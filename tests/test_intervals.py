@@ -431,7 +431,7 @@ def test_parse_union_round_trips_formatting():
 def test_parse_union_reports_positions(text, pos):
     err = pytest.raises(RationalParseError, parse_union, text).value
     assert err.pos == pos
-    assert err.text == text
+    assert str(err).endswith(f" in {text!r}")
 
 
 def _union_text(rng: random.Random) -> str:
@@ -478,5 +478,4 @@ def test_parse_union_matches_the_fraction_path_on_seeded_texts():
 def test_parse_union_errors_match_the_fraction_path(text):
     ours = pytest.raises(RationalParseError, parse_union, text).value
     ref = pytest.raises(RationalParseError, parse_union_fraction, text).value
-    assert (ours.text, ours.pos, ours.reason, str(ours)) == (ref.text, ref.pos, ref.reason,
-                                                             str(ref))
+    assert (ours.pos, ours.reason, str(ours)) == (ref.pos, ref.reason, str(ref))

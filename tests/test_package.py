@@ -154,37 +154,43 @@ def test_every_definition_is_reached():
     assert unreached == []
 
 
-# ``cache.append_record`` writes every field of a record with ``vars(record)``.
-_FIELDS_EXEMPT = {"CacheRecord"}
-
-
-def _dataclass_fields(tree: ast.AST):
-    """``(class, field, lineno)`` for each annotated field of each ``@dataclass``."""
+def _stored_attributes(tree: ast.AST):
+    """``(class, attribute, lineno)`` for each annotated field of each
+    ``@dataclass`` and each ``self.<name>`` store in a class's methods."""
     for cls in ast.walk(tree):
-        if isinstance(cls, ast.ClassDef) and any(
-                getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-                for d in cls.decorator_list):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        if any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in cls.decorator_list):
             for node in cls.body:
                 if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
                     yield cls.name, node.target.id, node.lineno
+        for node in ast.walk(cls):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+                    and isinstance(node.value, ast.Name) and node.value.id == "self"):
+                yield cls.name, node.attr, node.lineno
 
 
-def test_every_dataclass_field_is_read():
-    """Each field of a package ``@dataclass`` is read as an attribute
-    (``x.field``) in some module of the package: a field only written, by the
-    constructor, holds data that no caller sees and no checker reads.  As in
-    the dead-definition guard, what only the tests or the bench read does not
-    count, and an unrelated attribute of the same name lets a field pass."""
+def test_every_stored_attribute_is_read():
+    """Each attribute the package stores, a ``@dataclass`` field or a
+    ``self.<name>`` store, is read as an attribute (``x.name``) in some
+    module of the package: one only written holds data that no caller sees
+    and no checker reads.  No class is exempt: a ``CacheRecord`` field that
+    ``append_record`` writes to the file with ``vars`` still needs a reader.
+    As in the dead-definition guard, what only the tests or the bench read
+    does not count, and an unrelated attribute of the same name lets one
+    pass."""
     package = Path(sumfree.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py"))}
     read = {node.attr for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
-    fields = [(name, *field) for name, tree in trees.items()
-              for field in _dataclass_fields(tree)]
-    assert fields  # the walk finds the dataclasses at all
-    unread = [f"{name}:{lineno}: {cls}.{field}" for name, cls, field, lineno in fields
-              if field not in read and cls not in _FIELDS_EXEMPT]
+    stored = [(name, *attribute) for name, tree in trees.items()
+              for attribute in _stored_attributes(tree)]
+    # the walk finds both kinds at all: dataclass fields and self stores
+    assert {"kind", "pivots"} <= {attribute for _, _, attribute, _ in stored}
+    unread = [f"{name}:{lineno}: {cls}.{attribute}" for name, cls, attribute, lineno in stored
+              if attribute not in read]
     assert unread == []
 
 
