@@ -41,6 +41,8 @@ class CacheRecord:
 
 
 def resolve_path(explicit: str | None = None) -> str:
+    if explicit == "":  # an empty $SUMFREE_CACHE still means unset
+        raise ValueError("cache path must not be empty")
     return explicit or os.environ.get(ENV_VAR) or DEFAULT_PATH
 
 

@@ -19,7 +19,7 @@ derivation as an external fact; ``sumset_bound_harness`` stress-tests it
 exactly on seeded random interval unions (any violation would mean a bug
 in the interval algebra, not new mathematics).  The harness draws,
 measures and compares each union as integer numerator pairs over one
-denominator; only the union it reports is built as ``IntervalUnion``.
+fixed denominator; only the union it reports is built as ``IntervalUnion``.
 """
 
 from __future__ import annotations
@@ -32,8 +32,11 @@ from math import lcm
 from .intervals import IntervalUnion, sum_windows
 from .rationals import HALF, require_exact, require_int
 
-# Largest denominator of the random endpoints in ``_draw``.
+# Largest denominator of the random endpoints in ``_draw``; every drawn
+# denominator d divides _DEN, and a cut p/d is the numerator p * _SCALE[d].
 _MAX_DENOMINATOR = 64
+_DEN = lcm(*range(1, _MAX_DENOMINATOR + 1))
+_SCALE = [0] + [_DEN // d for d in range(1, _MAX_DENOMINATOR + 1)]
 
 
 @dataclass(frozen=True)
@@ -147,24 +150,22 @@ def _below(getrandbits, n: int) -> int:
 
 
 def _draw(rng: random.Random, max_intervals: int) -> tuple[list[tuple[int, int]], int]:
-    """One seeded draw of up to max_intervals intervals in [0, 1]: ``(pairs, den)``.
+    """One seeded draw of up to max_intervals intervals in [0, 1]: ``(pairs, _DEN)``.
 
     ``pairs`` are the sorted nondegenerate cut pairs (they may touch), as
-    numerators over ``den``, the lcm of the drawn denominators (not
-    reduced).  ``randint(a, b)`` is ``randrange(a, b + 1)``, so ``1 +
+    numerators over the fixed ``_DEN`` (not reduced), so every draw shares
+    one denominator.  ``randint(a, b)`` is ``randrange(a, b + 1)``, so ``1 +
     _below(n)`` and ``_below(d + 1)`` draw ``randint(1, n)`` and ``randint(0, d)``.
     """
     bits = rng.getrandbits
     while True:
         m = 1 + _below(bits, max_intervals)
         # the draw order (a denominator, then its numerator) fixes every seeded union
-        draws = [(_below(bits, d + 1), d)
-                 for d in (1 + _below(bits, _MAX_DENOMINATOR) for _ in range(2 * m))]
-        den = lcm(*[d for _, d in draws])  # a list: see IntervalUnion.from_numerators
-        cuts = sorted(p * (den // d) for p, d in draws)
+        cuts = sorted([_below(bits, d + 1) * _SCALE[d]
+                       for d in (1 + _below(bits, _MAX_DENOMINATOR) for _ in range(2 * m))])
         pairs = [(lo, hi) for lo, hi in zip(cuts[0::2], cuts[1::2]) if lo < hi]
         if pairs:
-            return pairs, den
+            return pairs, _DEN
 
 
 def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
@@ -172,28 +173,27 @@ def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
     """Exact check of |A+A| >= min(3|A|, |A| + diam(A)) on random unions.
 
     Each trial is drawn, measured and compared on integer numerator pairs
-    over the draw's unreduced ``den``: the slack is an integer numerator
-    over ``den``, slacks are compared by cross-multiplying, and only the
-    least-slack union is built as an ``IntervalUnion`` and its slack as a
-    ``Fraction``.  When any trial violates the bound, that union is the
-    most violating draw.
+    over the one fixed denominator ``_DEN``, so slacks are integers
+    compared directly; only the least-slack union is built as an
+    ``IntervalUnion`` and its slack as a ``Fraction``, both reduced from
+    ``_DEN``.  When any trial violates the bound, that union is the most
+    violating draw.
     """
     require_int(trials, "trials", 1)
     require_int(max_intervals, "max_intervals", 1)
     rng = random.Random(require_int(seed, "seed"))
-    min_num, min_den, min_draw = 0, 1, None
+    min_slack = min_pairs = None
     violations = 0
     for _ in range(trials):
-        pairs, den = draw = _draw(rng, max_intervals)
+        pairs, _ = _draw(rng, max_intervals)
         measure = sum(hi - lo for lo, hi in pairs)
         diam = pairs[-1][1] - pairs[0][0]
         slack = (sum(hi - lo for lo, hi in sum_windows(pairs))
                  - min(3 * measure, measure + diam))
         if slack < 0:
             violations += 1
-        # slack/den < min_num/min_den, both denominators positive
-        if min_draw is None or slack * min_den < min_num * den:
-            min_num, min_den, min_draw = slack, den, draw
+        if min_pairs is None or slack < min_slack:
+            min_slack, min_pairs = slack, pairs
     return HarnessReport(trials=trials, max_intervals=max_intervals, seed=seed,
-                         violations=violations, min_slack=Fraction(min_num, min_den),
-                         min_slack_example=IntervalUnion.from_numerators(*min_draw))
+                         violations=violations, min_slack=Fraction(min_slack, _DEN),
+                         min_slack_example=IntervalUnion.from_numerators(min_pairs, _DEN))

@@ -325,9 +325,9 @@ _COMMANDS = {"verify": (_cmd_verify, "table"), "continuous": (_cmd_continuous, "
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    args.cache = cache_mod.resolve_path(args.cache)
     handler, default_format = _COMMANDS[args.command]
     try:
+        args.cache = cache_mod.resolve_path(args.cache)
         return handler(args, args.format or default_format)
     except EnumerationLimitError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -60,16 +60,20 @@ def _numerators(pairs: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[tuple[
 
 
 def _merge(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Integer canonical form: drop lo >= hi, sort, merge overlapping or touching pairs."""
+    """Integer canonical form: drop lo >= hi, sort, merge overlapping or touching pairs,
+    in one sweep that holds the open pair in ``start``, ``end`` until a pair starts past it."""
     merged: list[tuple[int, int]] = []
-    for lo, hi in sorted(pairs):
-        if lo >= hi:
-            continue
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
+    ordered = iter(sorted(pairs))
+    start, end = next(ordered, (0, 0))
+    for lo, hi in ordered:
+        if lo > end:
+            if start < end:
+                merged.append((start, end))
+            start, end = lo, hi  # if degenerate, it grows only when start == end == a later lo
+        elif hi > end:
+            end = hi
+    if start < end:
+        merged.append((start, end))
     return merged
 
 

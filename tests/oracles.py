@@ -6,10 +6,12 @@ the discrete solver, every tight constraint set for the LP's optimal
 face, the pattern LP in its chain form over the endpoints, a
 ``Fraction`` simplex dictionary for the tableau's pivot path, and plain
 ``Fraction`` interval algebra for the integer interval kernel, the
-union parser and the sumset harness.  ``mu_formula`` is the closed form
-that the search's optimum is compared with for k >= 4 (F. Chung and
-J. Goldwasser, Electron. J. Combin. 3, 1996), and ``top_slice_bounds``
-the refined case bounds behind ``certify``'s top-slice budget.
+union parser and the sumset harness; ``merge_reference`` is the plain
+list-rebuilding merge that the kernel's merge sweep replaced.
+``mu_formula`` is the closed form that the search's optimum is compared
+with for k >= 4 (F. Chung and J. Goldwasser, Electron. J. Combin. 3,
+1996), and ``top_slice_bounds`` the refined case bounds behind
+``certify``'s top-slice budget.
 """
 
 from __future__ import annotations
@@ -452,6 +454,22 @@ def canonical_pairs_fraction(pairs):
     live = sorted((Fraction(lo), Fraction(hi)) for lo, hi in pairs if lo < hi)
     merged = []
     for lo, hi in live:
+        if merged and lo <= merged[-1][1]:
+            if hi > merged[-1][1]:
+                merged[-1] = (merged[-1][0], hi)
+        else:
+            merged.append((lo, hi))
+    return merged
+
+
+def merge_reference(pairs):
+    """``intervals._merge`` as it was written before it kept its open pair in
+    locals: drop lo >= hi, sort, and merge overlapping or touching integer
+    pairs by reading and rebuilding ``merged[-1]``; the reference for ``_merge``."""
+    merged: list[tuple[int, int]] = []
+    for lo, hi in sorted(pairs):
+        if lo >= hi:
+            continue
         if merged and lo <= merged[-1][1]:
             if hi > merged[-1][1]:
                 merged[-1] = (merged[-1][0], hi)

@@ -96,7 +96,9 @@ def test_criterion_6_sumset_bound_harness():
     t0 = time.perf_counter()
     report = sumset_bound_harness(trials=10_000, max_intervals=6, seed=0)
     assert report.violations == 0
-    assert report.min_slack >= 0
+    # pinned: a change in the harness's draw order changes the least-slack union
+    assert report.min_slack == 0
+    assert report.min_slack_example == parse_union("(5/21,3/4)")
     _report(6, t0, 30, f"10^4 trials, zero violations, min slack "
                        f"{report.min_slack}")
 

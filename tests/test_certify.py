@@ -9,6 +9,8 @@ from oracles import random_union_randint, sumset_harness_fraction, top_slice_bou
 from sumfree.certify import (
     BRANCHES,
     HarnessReport,
+    _DEN,
+    _MAX_DENOMINATOR,
     check_chain,
     _draw,
     derive_delta,
@@ -168,10 +170,15 @@ def test_harness_reports_are_pinned(seed, example):
     assert report.min_slack_example == parse_union(example)
 
 
-@pytest.mark.parametrize("seed", range(21))
-def test_harness_matches_the_fraction_reference(seed):
-    """Integer slacks give the report that ``Fraction`` slacks give."""
-    trials, max_intervals = 400, 1 + seed % 6
+@pytest.mark.parametrize("seed,max_intervals,trials", [
+    *[pytest.param(seed, 1 + seed % 6, 400, id=str(seed)) for seed in range(21)],
+    *[pytest.param(seed, m, trials, id=f"{seed}-max{m}")
+      for m, trials, seeds in ((7, 150, 3), (12, 150, 3), (64, 12, 2), (65, 12, 2))
+      for seed in range(seeds)],
+])
+def test_harness_matches_the_fraction_reference(seed, max_intervals, trials):
+    """Integer slacks over ``_DEN`` give the report that ``Fraction`` slacks give,
+    up to and past ``_MAX_DENOMINATOR`` intervals a draw."""
     report = sumset_bound_harness(trials=trials, max_intervals=max_intervals, seed=seed)
     rng = random.Random(seed)
     violations, min_slack, example = sumset_harness_fraction(
@@ -180,6 +187,21 @@ def test_harness_matches_the_fraction_reference(seed):
                                    violations=violations, min_slack=min_slack,
                                    min_slack_example=example)
     assert type(report.min_slack) is Fraction
+
+
+def test_every_drawn_denominator_divides_the_harness_denominator():
+    assert all(_DEN % d == 0 for d in range(1, _MAX_DENOMINATOR + 1))
+
+
+def test_harness_computes_no_denominator_per_draw(monkeypatch):
+    """Every draw is over the fixed ``_DEN``: with ``lcm`` unusable the report is unchanged."""
+    expected = sumset_bound_harness(trials=200, max_intervals=6, seed=4)
+
+    def not_called(*args):
+        raise AssertionError("lcm called by the harness")
+
+    monkeypatch.setattr("sumfree.certify.lcm", not_called)
+    assert sumset_bound_harness(trials=200, max_intervals=6, seed=4) == expected
 
 
 def test_harness_counts_violations(monkeypatch):

@@ -445,6 +445,31 @@ def test_cache_path_in_a_missing_directory_exits_2_before_computing(
     assert err.startswith("error: ") and str(path) in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["discrete", "--n", "5", "--k", "3"],
+    ["report"],
+    ["verify", "--k", "3", "--set", RECORD_SET],
+    ["continuous", "--k", "3", "--m", "2"],
+    ["certify", "--trials", "10"],
+], ids=lambda argv: argv[0])
+def test_an_empty_cache_path_exits_2_and_creates_no_file(tmp_path, capsys, monkeypatch, argv):
+    """``--cache ""`` is rejected, not read as "no --cache": neither
+    ``$SUMFREE_CACHE`` nor the default path is used or created."""
+    env_path = tmp_path / "env.jsonl"
+    monkeypatch.setenv("SUMFREE_CACHE", str(env_path))
+    monkeypatch.chdir(tmp_path)
+    assert main(argv + ["--cache", ""]) == 2
+    assert capsys.readouterr() == ("", "error: cache path must not be empty\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_an_empty_cache_variable_means_the_default_path(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("SUMFREE_CACHE", "")
+    monkeypatch.chdir(tmp_path)
+    assert main(["discrete", "--n", "5", "--k", "3"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == ["sumfree-cache.jsonl"]
+
+
 def test_a_cache_line_with_a_timestamp_is_a_hit(cache_path, capsys, monkeypatch):
     """A line as 0.19.0 wrote it, with a ``timestamp``, of this version and
     solver source is served: the field is ignored, nothing is computed and

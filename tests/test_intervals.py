@@ -14,14 +14,17 @@ from oracles import (
     canonical_pairs_fraction,
     is_k_sum_free_fraction,
     measure_fraction,
+    merge_reference,
     minkowski_sum_fraction,
     parse_union_fraction,
     union_fraction,
 )
+from sumfree.certify import _draw
 from sumfree.intervals import (
     Interval,
     IntervalUnion,
     RationalParseError,
+    _merge,
     format_union,
     is_k_sum_free,
     parse_union,
@@ -214,6 +217,36 @@ def test_sum_windows_match_minkowski_sum(largest_known_3sumfree):
     unions = [largest_known_3sumfree] + [rand_union(rng, 6, 64) for _ in range(500)]
     for u in unions:
         assert _square(u).pairs() == minkowski_sum_fraction(u.pairs(), u.pairs())
+
+
+def _int_pairs(rng: random.Random) -> list[tuple[int, int]]:
+    """Up to 8 unsorted integer pairs in [-12, 12], some repeated: degenerate,
+    duplicate, nested and touching pairs all occur often."""
+    pairs = [(rng.randint(-12, 12), rng.randint(-12, 12)) for _ in range(rng.randint(0, 8))]
+    return pairs + rng.sample(pairs, rng.randint(0, len(pairs)))
+
+
+def test_merge_matches_the_reference_merge():
+    """``_merge`` keeps its open pair in locals; it returns what the list-rebuilding
+    merge returns on raw pair lists and on the harness's draws and their sum windows."""
+    rng = random.Random(15)
+    lists = [_int_pairs(rng) for _ in range(3000)]
+    shapes = {
+        "degenerate": lambda p: any(lo >= hi for lo, hi in p),
+        "duplicate": lambda p: len(set(p)) < len(p),
+        "nested": lambda p: any(a != b and a[0] <= b[0] < b[1] <= a[1] for a in p for b in p),
+        "touching": lambda p: any(a[0] < a[1] == b[0] < b[1] for a in p for b in p),
+        "negative": lambda p: any(v < 0 for pair in p for v in pair),
+        "unsorted": lambda p: p != sorted(p),
+    }
+    assert all(sum(map(shape, lists)) > 200 for shape in shapes.values())
+    draws = random.Random(16)
+    for trial in range(500):
+        pairs, _ = _draw(draws, 1 + trial % 12)
+        lists += [pairs, [(alo + blo, ahi + bhi) for i, (alo, ahi) in enumerate(pairs)
+                          for blo, bhi in pairs[i:]]]
+    for pairs in [[]] + lists:
+        assert _merge(pairs) == merge_reference(pairs)
 
 
 def test_canonicalize_merges_touching():
