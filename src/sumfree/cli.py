@@ -280,13 +280,15 @@ def _cmd_certify(args, fmt: str) -> int:
     return EXIT_OK if ok else EXIT_VERIFY_FAILED
 
 
-def _report_row(rec: cache_mod.CacheRecord, fmt: str) -> str:
-    """``rec`` rendered as its markdown table row, or as its JSON list item."""
+def _report_row(rec: cache_mod.CacheRecord, params: str, fmt: str) -> str:
+    """``rec`` rendered as its markdown table row, or as its JSON list item.
+
+    ``params`` is the record's sorted parameter JSON, the text of ``rec.key()``.
+    """
     # a stale record, from another version or solver, is one the CLI recomputes rather than serves
     if fmt == "json":
         return json.dumps({"kind": rec.kind, "parameters": rec.parameters, "result": rec.result,
                            "version": rec.version, "stale": not _current(rec)}, sort_keys=True)
-    params = json.dumps(rec.parameters, sort_keys=True)
     if not _well_formed(rec.kind, rec.result):
         summary = json.dumps(rec.result, sort_keys=True)
     elif rec.kind == "continuous":
@@ -305,7 +307,10 @@ def _report_row(rec: cache_mod.CacheRecord, fmt: str) -> str:
 
 def _cmd_report(args, fmt: str) -> int:
     # each record is rendered as it is read; only the latest row per key is kept
-    rows = {rec.key(): _report_row(rec, fmt) for rec in cache_mod.read_records(args.cache)}
+    rows = {}
+    for rec in cache_mod.read_records(args.cache):
+        key = rec.key()
+        rows[key] = _report_row(rec, key[1], fmt)
     ordered = [rows[key] for key in sorted(rows)]
     if fmt == "json":
         print("[" + ", ".join(ordered) + "]")  # as json.dumps prints the list of items

@@ -13,14 +13,18 @@ elements in decreasing order, with three exact devices:
   inside chosen + remaining whose remaining parts are disjoint), each
   such triple forcing at least one future removal.  The two-element
   triples (``{z, 2z}`` for k = 3) are packed first, since each costs
-  two live elements per removal against three.  Each stack entry carries
-  ``live``, a bitset over the masks (bit i = mask i) that meet no dead
-  element: excluding or banning x clears ``meets[x]`` from it, so the
-  packing walks only the set bits of ``live`` and stops once the bound
-  falls below the pruning threshold.  Packing mask i drops the masks
-  that meet its available part, which for a live mask is its elements
-  below ``b = avail.bit_length()``; ``_Instance`` tabulates that set once
-  per level as ``drops[b][i]``, so each packed mask costs one lookup;
+  two live elements per removal against three.  Each stack entry
+  carries ``live``, a bitset over the masks (bit i = ``masks[i]``) that
+  meet no dead element: excluding or banning x ANDs ``clears[x]`` (the
+  masks not holding x) into it.  ``masks`` is sorted by element count,
+  then by value, both decreasing, so the mask the packing takes next
+  (the fewest elements, then the lowest value) is the highest set bit
+  of ``live``; the packing stops once the bound falls below the
+  pruning threshold.  Packing mask i keeps the masks that miss its
+  available part, which for a live mask is its elements below
+  ``b = avail.bit_length()``; ``_Instance`` tabulates that set once per
+  level as ``keeps[b][i]``, so each packed mask costs one lookup and
+  one AND;
 * seeded incumbent: ``_seed`` gives a known k-sum-free set (the odd
   numbers for odd k, since x + y is even and k*z odd), checked against
   the forbidden masks, and the pruning threshold starts at its size.
@@ -72,24 +76,29 @@ class _Instance:
     def __init__(self, n: int, k: int):
         self.n, self.k = n, k
         triples = forbidden_triples(n, k)
-        # pairs before triples: the greedy packing takes the cheaper masks first
+        # triples before pairs, each by decreasing value: the cheapest mask, the
+        # one the greedy packing takes first, has the highest index
         self.masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples},
-                            key=lambda tm: (tm.bit_count(), tm))
-        # meets[x]: bit i set when masks[i] holds element x
+                            key=lambda tm: (tm.bit_count(), tm), reverse=True)
+        # meets[x]: bit i set when masks[i] holds element x; clears[x]: its
+        # complement among the mask indices, kept non-negative so that ANDing
+        # it into a live set makes no two's-complement copy
         self.meets = [0] * (n + 1)
         for i, tm in enumerate(self.masks):
             for x in _bits(tm):
                 self.meets[x] |= 1 << i
-        # drops[b][i]: meets[x] ORed over the elements x < b of masks[i], the
-        # masks that packing masks[i] drops when avail.bit_length() == b; each
+        full = (1 << len(self.masks)) - 1
+        self.clears = [full ^ m for m in self.meets]
+        # keeps[b][i]: clears[x] ANDed over the elements x < b of masks[i], the
+        # masks that packing masks[i] keeps when avail.bit_length() == b; each
         # row copies the one before it, so the rows share their ints
-        row = [0] * len(self.masks)
-        self.drops = [row, row]
+        row = [full] * len(self.masks)
+        self.keeps = [row, row]
         for x in range(1, n + 1):
             row = row.copy()
             for i in _bits(self.meets[x]):
-                row[i] |= self.meets[x]
-            self.drops.append(row)
+                row[i] &= self.clears[x]
+            self.keeps.append(row)
 
     def bound(self, chosen: int, avail: int, live: int, threshold: int) -> int:
         """chosen size + available size - greedy disjoint forced removals.
@@ -99,23 +108,23 @@ class _Instance:
         that is neither chosen nor available.  Each such mask forces one
         removal from its available part (it has one, as ``chosen`` is
         sum-free); masks whose available parts are disjoint force distinct
-        removals.  The packing takes the lowest live mask, so the
-        two-element masks go first, then drops every mask meeting its
-        available part, itself included.  A live mask's available part is
-        exactly its elements below ``b = avail.bit_length()`` (those above
-        are chosen), so the masks to drop are the table entry
-        ``drops[b][i]``.  It stops as soon as the bound falls below
-        ``threshold`` (0 packs every live mask).
+        removals.  The packing takes the highest live index, the cheapest
+        live mask, so the two-element masks go first, then keeps only the
+        masks that miss its available part, so it drops itself.  A live
+        mask's available part is exactly its elements below
+        ``b = avail.bit_length()`` (those above are chosen), so the masks
+        it keeps are the table entry ``keeps[b][i]``.  It stops as soon as
+        the bound falls below ``threshold`` (0 packs every live mask).
         """
         ub = chosen.bit_count() + avail.bit_count()
         if ub < threshold:
             return ub
-        drop = self.drops[avail.bit_length()]
+        keep = self.keeps[avail.bit_length()]
         while live:
             ub -= 1
             if ub < threshold:
                 break
-            live &= ~drop[(live & -live).bit_length() - 1]
+            live &= keep[live.bit_length() - 1]
         return ub
 
 
@@ -134,7 +143,7 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     if node_limit is not None:
         require_int(node_limit, "node_limit", 0)
     n = inst.n
-    masks, meets = inst.masks, inst.meets
+    masks, meets, clears = inst.masks, inst.meets, inst.clears
     seed = _seed(inst)
     if seed & ~((2 << n) - 2) or any(not tm & ~seed for tm in masks):
         raise AssertionError(f"seed {_bits(seed)} is not a {inst.k}-sum-free subset of 1..{n}")
@@ -168,20 +177,21 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
         if inst.bound(chosen, avail, live, threshold) < threshold:
             continue
         # exclude-branch first on the stack so the include-branch pops first
-        stack.append((e - 1, chosen, banned, live & ~meets[e]))
+        stack.append((e - 1, chosen, banned, live & clears[e]))
         new_chosen = chosen | (1 << e)
+        unchosen = ~new_chosen
         new_banned, new_live = banned, live
         # a mask inside new_chosen meets no dead element, so it is live here
         pending = live & meets[e]
         while pending:
-            low = pending & -pending
-            pending ^= low
-            missing = masks[low.bit_length() - 1] & ~new_chosen
+            i = pending.bit_length() - 1
+            pending ^= 1 << i
+            missing = masks[i] & unchosen
             if missing & (missing - 1) == 0:
                 if not missing:  # unit propagation banned e before it got here
                     raise AssertionError(f"choosing {e} completes a forbidden triple")
                 new_banned |= missing
-                new_live &= ~meets[missing.bit_length() - 1]
+                new_live &= clears[missing.bit_length() - 1]
         stack.append((e - 1, new_chosen, new_banned, new_live))
     return best, sorted(tuple(_bits(mask)) for mask in best_sets), nodes
 

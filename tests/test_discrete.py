@@ -223,23 +223,39 @@ def test_bound_equals_the_scan_reference():
                         (n, k, chosen, avail, threshold)
 
 
-def test_drop_rows_match_their_definition():
+def test_keep_rows_match_their_definition():
     for k in range(1, 8):
         for n in range(1, 31):
             inst = _Instance(n, k)
-            assert len(inst.drops) == n + 2
-            assert not any(inst.drops[0]) and not any(inst.drops[1])
-            for b, row in enumerate(inst.drops):
+            full = (1 << len(inst.masks)) - 1
+            order = [(tm.bit_count(), tm) for tm in inst.masks]
+            assert all(a > b for a, b in zip(order, order[1:])), (n, k)
+            assert inst.clears == [full ^ m for m in inst.meets]
+            assert len(inst.keeps) == n + 2
+            assert inst.keeps[0] == inst.keeps[1] == [full] * len(inst.masks)
+            for b, row in enumerate(inst.keeps):
                 for i, tm in enumerate(inst.masks):
-                    expected = 0
+                    dropped = 0
                     for x in range(1, b):
                         if tm >> x & 1:
-                            expected |= inst.meets[x]
-                    assert row[i] == expected, (n, k, b, i)
+                            dropped |= inst.meets[x]
+                    assert row[i] == full ^ dropped, (n, k, b, i)
             # an empty avail leaves no mask to pack: the bound is |chosen|
             chosen = sum(1 << x for x in range(1, n + 1, 2)) if k % 2 else 0
             for t in range(chosen.bit_count() + 2):
                 assert inst.bound(chosen, 0, 0, t) == chosen.bit_count()
+
+
+def test_keep_rows_share_their_ints():
+    # row b copies row b - 1 and ANDs clears[b - 1] into the masks holding
+    # b - 1 only; a table that rebuilt every entry would hold n + 2 times the ints
+    for k in range(1, 8):
+        for n in range(1, 31):
+            inst = _Instance(n, k)
+            for b in range(1, n + 2):
+                for i, tm in enumerate(inst.masks):
+                    if not tm >> (b - 1) & 1:
+                        assert inst.keeps[b][i] is inst.keeps[b - 1][i], (n, k, b, i)
 
 
 def test_carried_live_matches_a_recomputed_one(monkeypatch):
