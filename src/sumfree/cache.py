@@ -20,16 +20,15 @@ import json
 import os
 import sys
 import zlib
-from dataclasses import dataclass
 from functools import cache
 from pathlib import Path
+from typing import NamedTuple
 
 ENV_VAR = "SUMFREE_CACHE"
 DEFAULT_PATH = "sumfree-cache.jsonl"
 
 
-@dataclass(frozen=True)
-class CacheRecord:
+class CacheRecord(NamedTuple):
     kind: str
     parameters: dict
     result: dict
@@ -79,9 +78,8 @@ def check_appendable(path: str) -> None:
 
 
 def append_record(path: str, record: CacheRecord) -> None:
-    # vars, not asdict: the same JSON without a deep copy of every witness list
     with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(vars(record), sort_keys=True) + "\n")
+        fh.write(json.dumps(record._asdict(), sort_keys=True) + "\n")
 
 
 def _lines(data: bytes, needle: bytes):

@@ -25,9 +25,9 @@ fixed denominator; only the union it reports is built as ``IntervalUnion``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from typing import NamedTuple
 
 from .intervals import IntervalUnion, sum_windows
 from .rationals import HALF, require_exact, require_int
@@ -39,8 +39,7 @@ _DEN = lcm(*range(1, _MAX_DENOMINATOR + 1))
 _SCALE = [0] + [_DEN // d for d in range(1, _MAX_DENOMINATOR + 1)]
 
 
-@dataclass(frozen=True)
-class BranchBound:
+class BranchBound(NamedTuple):
     """One contradiction branch: x <= constant + delta_coeff * delta."""
 
     name: str
@@ -53,16 +52,14 @@ class BranchBound:
         return (HALF - self.constant) / (self.delta_coeff + 1)
 
 
-@dataclass(frozen=True)
-class ChainStep:
+class ChainStep(NamedTuple):
     name: str
     lhs: Fraction
     rhs: Fraction
     ok: bool
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     branches: tuple[BranchBound, ...]
     delta_star: Fraction
     steps: tuple[ChainStep, ...]
@@ -130,8 +127,7 @@ def derive_delta() -> Certificate:
     return Certificate(branches=BRANCHES, delta_star=delta_star, steps=steps)
 
 
-@dataclass(frozen=True)
-class HarnessReport:
+class HarnessReport(NamedTuple):
     trials: int
     max_intervals: int
     seed: int

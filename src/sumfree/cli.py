@@ -172,7 +172,8 @@ def _cmd_verify(args, fmt: str) -> int:
         "measure": format_rational(measure),
         "sum_free": free,
         "witness": None if witness is None else
-        {name: format_rational(getattr(witness, name)) for name in "xyz"},
+        {"x": format_rational(witness.x), "y": format_rational(witness.y),
+         "z": format_rational(witness.z)},
     }
     if free:
         lines = [f"measure {payload['measure']} ({decimal_str(measure)}); "

@@ -20,7 +20,6 @@ an explicit witness triple x + y = k*z with all three points interior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -29,16 +28,15 @@ from typing import Iterable, NamedTuple, Sequence
 from .rationals import RationalParseError, format_rational, parse_pair, require_int
 
 
-@dataclass(frozen=True, order=True)
-class Interval:
+class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
     """Open interval (lo, hi) with lo < hi."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.lo < self.hi:
-            raise ValueError(f"degenerate interval ({self.lo}, {self.hi})")
+    def __new__(cls, lo: Fraction, hi: Fraction):
+        if not lo < hi:
+            raise ValueError(f"degenerate interval ({lo}, {hi})")
+        return super().__new__(cls, lo, hi)
 
     def __str__(self) -> str:
         return f"({format_rational(self.lo)},{format_rational(self.hi)})"
@@ -77,19 +75,15 @@ def _merge(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return merged
 
 
-@dataclass(frozen=True)
 class IntervalUnion:
     """Canonical finite union of disjoint open intervals (lo/den, hi/den).
 
     Build one with ``from_numerators`` or ``parse_union``;
     the fields must already be canonical (see the module docstring).
+    A union is immutable and equals, and hashes with, unions only.
     """
 
-    den: int = 1
-    nums: tuple[tuple[int, int], ...] = ()
-
-    def __post_init__(self):
-        den, nums = self.den, self.nums
+    def __init__(self, den: int = 1, nums: tuple[tuple[int, int], ...] = ()):
         if not (type(den) is int and type(nums) is tuple and all(
                 type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
                 for p in nums)):
@@ -101,6 +95,25 @@ class IntervalUnion:
         if not all(a < b for a, b in zip(flat, flat[1:])):
             raise ValueError(f"non-canonical union {nums}: pairs must be sorted, nonempty "
                              "and neither overlap nor touch; construct via from_numerators")
+        object.__setattr__(self, "den", den)
+        object.__setattr__(self, "nums", nums)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self) -> int:
+        return hash((self.den, self.nums))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"IntervalUnion is immutable: cannot set {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"IntervalUnion is immutable: cannot delete {name!r}")
+
+    def __repr__(self) -> str:
+        return f"IntervalUnion(den={self.den!r}, nums={self.nums!r})"
 
     @staticmethod
     def from_numerators(pairs: Iterable[tuple[int, int]], den: int) -> "IntervalUnion":

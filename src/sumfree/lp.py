@@ -53,9 +53,8 @@ before the first pivot that would take the value below its ``cutoff``
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .rationals import require_int
 
@@ -63,19 +62,18 @@ OPTIMAL = "optimal"
 CUTOFF = "cutoff"
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(NamedTuple("LinearProgram", [("objective", tuple), ("rows", tuple)])):
     """Maximize ``objective . x`` over ``0 <= x <= 1`` subject to ``row . x <= 0``."""
 
-    objective: tuple[int, ...]
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        for row in (self.objective, *self.rows):
-            if len(row) != len(self.objective):
+    def __new__(cls, objective: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
+        for row in (objective, *rows):
+            if len(row) != len(objective):
                 raise ValueError("row length != number of variables")
             for a in row:
                 require_int(a, "LP coefficient")
+        return super().__new__(cls, objective, rows)
 
     @property
     def num_vars(self) -> int:

@@ -78,11 +78,10 @@ or ``leaf``, fathomed with no entry left to branch on.
 from __future__ import annotations
 
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .intervals import IntervalUnion, is_k_sum_free
 from . import lp as lp_mod
@@ -98,8 +97,7 @@ INTERRUPTED = "interrupted"
 Choice = tuple[str, int, int, int]  # side, i, j, t
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     optimum: Fraction
     witnesses: tuple[IntervalUnion, ...]
     nodes_explored: int
@@ -107,11 +105,11 @@ class SearchResult:
     # True when the witness list is provably the complete set of maximizers
     # (the sum-free bases of each contributing optimal face gave one union,
     # and a face with a basis that is not sum-free was branched on).
-    witnesses_exact: bool = True
-    lp_pivots: int = 0
+    witnesses_exact: bool
+    lp_pivots: int
     # Closed nodes by reason: "bound", "tie", "forced_zero" (only with all
     # optima) and "leaf"; every other explored node branched.
-    closures: Counter = field(default_factory=Counter)
+    closures: Counter
 
 
 def _gap_row(row: Sequence[int]) -> tuple[int, ...]:
@@ -191,16 +189,17 @@ def _pick_branch(v: Sequence, m: int, k: int) -> tuple[int, int, int] | None:
     return best
 
 
-@dataclass
 class _RunState:
-    k: int
-    all_optima: bool
-    node_limit: int | None
-    best: Fraction = Fraction(0)
-    witnesses: set = field(default_factory=set)
-    witnesses_exact: bool = True
-    interrupted: bool = False
-    counts: Counter = field(default_factory=Counter)  # "nodes", "pivots", closures by reason
+    def __init__(self, k: int, all_optima: bool, node_limit: int | None,
+                 best: Fraction = Fraction(0)):
+        self.k = k
+        self.all_optima = all_optima
+        self.node_limit = node_limit
+        self.best = best
+        self.witnesses = set()
+        self.witnesses_exact = True
+        self.interrupted = False
+        self.counts = Counter()  # "nodes", "pivots", closures by reason
 
     def offer(self, value: Fraction, unions: set, exact: bool) -> None:
         """Take ``unions`` of measure ``value`` as candidate maximizers.

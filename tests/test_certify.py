@@ -220,13 +220,13 @@ def test_harness_builds_only_the_reported_unions(monkeypatch):
     """Draws and slacks stay integer pairs: only the least-slack example
     becomes an ``IntervalUnion``, one per run."""
     built = []
-    post_init = IntervalUnion.__post_init__
+    init = IntervalUnion.__init__
 
-    def counted(u):
+    def counted(u, *args, **kwargs):
         built.append(u)
-        post_init(u)
+        init(u, *args, **kwargs)
 
-    monkeypatch.setattr(IntervalUnion, "__post_init__", counted)
+    monkeypatch.setattr(IntervalUnion, "__init__", counted)
     report = sumset_bound_harness(trials=5000, max_intervals=6, seed=1)
     assert report.violations == 0 and built == [report.min_slack_example]
 

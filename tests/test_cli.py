@@ -3,7 +3,6 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import asdict, replace
 from pathlib import Path
 
 import pytest
@@ -352,7 +351,7 @@ def test_append_record_writes_the_asdict_line(tmp_path):
                       {"f": 5, "witnesses": [[1, 3, 5, 7, 9], [2, [4, {"x": [6]}]]]},
                       __version__)
     append_record(str(path), rec)
-    assert path.read_text() == json.dumps(asdict(rec), sort_keys=True) + "\n"
+    assert path.read_text() == json.dumps(rec._asdict(), sort_keys=True) + "\n"
     assert list(read_records(str(path))) == [rec]
 
 
@@ -416,7 +415,7 @@ def test_cache_record_from_another_solver_is_recomputed(cache_path, capsys):
     params = {"k": 3, "m": 3, "all_optima": False, "node_limit": None}
     result = {"optimum": "77/177", "witnesses": [RECORD_SET], "nodes_explored": 45,
               "status": "proven", "witnesses_exact": False}
-    old = replace(make_record("continuous", params, result, __version__), solver="0" * 8)
+    old = make_record("continuous", params, result, __version__)._replace(solver="0" * 8)
     append_record(str(cache_path), old)
     assert main(["report"]) == 0
     assert f"| {__version__} (stale) |" in capsys.readouterr().out

@@ -1,11 +1,16 @@
 import ast
+import os
+import pickle
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sumfree
+from sumfree.cache import make_record
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 README = PYPROJECT.with_name("README.md")
@@ -155,28 +160,37 @@ def test_every_definition_is_reached():
 
 
 def _stored_attributes(tree: ast.AST):
-    """``(class, attribute, lineno)`` for each annotated field of each
-    ``@dataclass`` and each ``self.<name>`` store in a class's methods."""
+    """``(class, attribute, lineno)`` for each field of each NamedTuple
+    class, an annotation in the body of a ``NamedTuple`` subclass or a name
+    in the field list of a functional ``NamedTuple(...)`` base, and each
+    ``self.<name>`` or ``object.__setattr__(self, "<name>", ...)`` store
+    in a class's methods."""
     for cls in ast.walk(tree):
         if not isinstance(cls, ast.ClassDef):
             continue
-        if any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
-               for d in cls.decorator_list):
-            for node in cls.body:
-                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-                    yield cls.name, node.target.id, node.lineno
+        for base in cls.bases:
+            if isinstance(base, ast.Name) and base.id == "NamedTuple":
+                for node in cls.body:
+                    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                        yield cls.name, node.target.id, node.lineno
+            elif isinstance(base, ast.Call) and getattr(base.func, "id", None) == "NamedTuple":
+                for field in base.args[1].elts:
+                    yield cls.name, field.elts[0].value, field.lineno
         for node in ast.walk(cls):
             if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
                     and isinstance(node.value, ast.Name) and node.value.id == "self"):
                 yield cls.name, node.attr, node.lineno
+            elif (isinstance(node, ast.Call) and ast.unparse(node.func) == "object.__setattr__"
+                  and ast.unparse(node.args[0]) == "self"):
+                yield cls.name, node.args[1].value, node.lineno
 
 
 def test_every_stored_attribute_is_read():
-    """Each attribute the package stores, a ``@dataclass`` field or a
+    """Each attribute the package stores, a NamedTuple field or a
     ``self.<name>`` store, is read as an attribute (``x.name``) in some
     module of the package: one only written holds data that no caller sees
     and no checker reads.  No class is exempt: a ``CacheRecord`` field that
-    ``append_record`` writes to the file with ``vars`` still needs a reader.
+    ``append_record`` writes to the file with ``_asdict`` still needs a reader.
     As in the dead-definition guard, what only the tests or the bench read
     does not count, and an unrelated attribute of the same name lets one
     pass."""
@@ -187,11 +201,63 @@ def test_every_stored_attribute_is_read():
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     stored = [(name, *attribute) for name, tree in trees.items()
               for attribute in _stored_attributes(tree)]
-    # the walk finds both kinds at all: dataclass fields and self stores
-    assert {"kind", "pivots"} <= {attribute for _, _, attribute, _ in stored}
+    # the walk finds each kind at all: NamedTuple fields in a class body and
+    # in a functional base, self stores and object.__setattr__ stores
+    assert {("CacheRecord", "kind"), ("Interval", "lo"), ("Tableau", "pivots"),
+            ("IntervalUnion", "den")} <= {(cls, attribute) for _, cls, attribute, _ in stored}
     unread = [f"{name}:{lineno}: {cls}.{attribute}" for name, cls, attribute, lineno in stored
               if attribute not in read]
     assert unread == []
+
+
+def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
+    """``import sumfree.cli``, which every CLI call pays first, builds its
+    classes without generated code: in a fresh interpreter it loads neither
+    ``dataclasses`` nor ``inspect``."""
+    code = ("import sys; before = set(sys.modules); import sumfree.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+    import_root = str(Path(sumfree.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [import_root, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
+
+
+def test_unions_and_records_are_immutable_values():
+    """``IntervalUnion`` equals and hashes as ``(den, nums)`` against unions
+    only, refuses every assignment and deletion, keeps the field-list
+    ``repr`` and survives a pickle round trip with its ``intervals`` view
+    read; each result record refuses an assignment to a field."""
+    u = sumfree.IntervalUnion.from_numerators([(1, 2)], 3)
+    assert u == sumfree.IntervalUnion(3, ((1, 2),)) and u != (3, ((1, 2),))
+    assert sumfree.IntervalUnion() != (1, ()) and (1, ()) != sumfree.IntervalUnion()
+    assert hash(u) == hash(sumfree.IntervalUnion(den=3, nums=((1, 2),)))
+    assert repr(u) == "IntervalUnion(den=3, nums=((1, 2),))"
+    for name in ("den", "nums", "intervals", "other"):
+        with pytest.raises(AttributeError):
+            setattr(u, name, 1)
+        with pytest.raises(AttributeError):
+            delattr(u, name)
+    assert (u.den, u.nums) == (3, ((1, 2),))
+    u.intervals
+    v = pickle.loads(pickle.dumps(u))
+    assert v == u and hash(v) == hash(u) and v.intervals == u.intervals
+    certificate = sumfree.derive_delta()
+    fields = [
+        (sumfree.maximize_measure(1, 3), "optimum"),
+        (sumfree.sumset_bound_harness(10, 2, 1), "min_slack"),
+        (certificate, "delta_star"), (certificate.steps[0], "ok"),
+        (make_record("discrete", {"n": 1}, {"f": 1}, "0"), "result"),
+        (sumfree.build_pattern_lp(1), "rows"), (u.intervals[0], "lo"),
+    ]
+    assert [type(record).__name__ for record, _ in fields] == [
+        "SearchResult", "HarnessReport", "Certificate", "ChainStep", "CacheRecord",
+        "LinearProgram", "Interval"]
+    for record, name in fields:
+        value = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        assert getattr(record, name) is value
 
 
 _UNION =sumfree.parse_union("(2/3,1)")

@@ -1,5 +1,4 @@
 import concurrent.futures
-import dataclasses
 import random
 import sys
 from collections import Counter
@@ -552,7 +551,7 @@ def test_schedule_independence_sequential_vs_parallel():
             # warm children off, and close forced-zero ties, against their
             # own incumbents: the pivots (26 and 25) and the closures by
             # reason differ, the tree and the results do not.
-            par, seq = (dataclasses.replace(res, lp_pivots=0, closures=Counter())
+            par, seq = (res._replace(lp_pivots=0, closures=Counter())
                         for res in (par, seq))
         assert par == seq
         assert seq.status == "proven" and seq.witnesses_exact
@@ -603,7 +602,7 @@ def test_incumbent_cutoff_leaves_the_tree_as_it_was(monkeypatch):
             patch.setattr(Tableau, "add_row", uncut_add_row)
             uncut_calls, uncut = run(m, k, all_optima)
         assert cut_calls == uncut_calls and len(cut_calls) == res.nodes_explored
-        assert dataclasses.replace(uncut, lp_pivots=res.lp_pivots) == res
+        assert uncut._replace(lp_pivots=res.lp_pivots) == res
         assert res.lp_pivots < uncut.lp_pivots
 
 
