@@ -87,7 +87,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="maximize measure over <= m intervals")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--all-optima", action="store_true")
+    p.add_argument("--all-optima", action="store_true",
+                   help="accepted and ignored: every search collects all optima")
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--node-limit", type=int, default=None)
 
@@ -187,14 +188,13 @@ def _cmd_verify(args, fmt: str) -> int:
 
 
 def _cmd_continuous(args, fmt: str) -> int:
-    params = {"k": args.k, "m": args.m, "all_optima": args.all_optima,
-              "node_limit": args.node_limit}
+    params = {"k": args.k, "m": args.m, "node_limit": args.node_limit}
     # not part of the key, so a cache hit would skip the search's check
     require_int(args.parallel, "parallel", 1)
 
     def compute() -> tuple[dict, str]:
-        result = maximize_measure(args.m, args.k, all_optima=args.all_optima,
-                                  parallel=args.parallel, node_limit=args.node_limit)
+        result = maximize_measure(args.m, args.k, parallel=args.parallel,
+                                  node_limit=args.node_limit)
         return {
             "optimum": format_rational(result.optimum),
             "witnesses": [format_union(w) for w in result.witnesses],

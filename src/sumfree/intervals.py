@@ -32,6 +32,8 @@ class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
     """Open interval (lo, hi) with lo < hi."""
 
     __slots__ = ()
+    # _replace builds through _make, which would skip __new__'s checks
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, lo: Fraction, hi: Fraction):
         if not lo < hi:

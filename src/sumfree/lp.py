@@ -66,6 +66,8 @@ class LinearProgram(NamedTuple("LinearProgram", [("objective", tuple), ("rows", 
     """Maximize ``objective . x`` over ``0 <= x <= 1`` subject to ``row . x <= 0``."""
 
     __slots__ = ()
+    # _replace builds through _make, which would skip __new__'s checks
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def __new__(cls, objective: tuple[int, ...], rows: tuple[tuple[int, ...], ...]):
         for row in (objective, *rows):

@@ -40,20 +40,20 @@ The dual simplex stops as soon as its bound would fall below the
 incumbent, since such a child is pruned whatever its optimum; this
 saves pivots and changes no node, witness or status.
 
-With ``all_optima`` the search additionally walks every basis of each
-fathomed node's optimal face (zero-reduced-cost pivots), proving
-uniqueness claims instead of merely returning one maximizer.  The branch
-rule judges every basis on its integer numerators: one with no
-positively overlapping window is k-sum-free.  A face that mixes free
-bases with one that is not is branched on that basis's entry like any
-other node, after its free unions are offered.  Only the fathomed vertex
-itself is checked again, by the independent ``intervals.is_k_sum_free``.
-Each walked basis after the first costs one pivot, counted with the rest.
+The search walks every basis of each fathomed node's optimal face
+(zero-reduced-cost pivots), proving uniqueness claims instead of merely
+returning one maximizer.  The branch rule judges every basis on its
+integer numerators: one with no positively overlapping window is
+k-sum-free.  A face that mixes free bases with one that is not is
+branched on that basis's entry like any other node, after its free
+unions are offered.  Only the fathomed vertex itself is checked again,
+by the independent ``intervals.is_k_sum_free``.  Each walked basis after
+the first costs one pivot, counted with the rest.
 
-With ``all_optima`` a node whose value ties the incumbent is closed,
-before any branch choice or face walk, when its optimal tableau forces
-an interval to vanish or two to touch (reduced-cost fixing; Crowder,
-Johnson and Padberg, Oper. Res. 31, 1983).  The variables that can force
+A node whose value ties the incumbent is closed, before any branch
+choice or face walk, when its optimal tableau forces an interval to
+vanish or two to touch (reduced-cost fixing; Crowder, Johnson and
+Padberg, Oper. Res. 31, 1983).  The variables that can force
 it are the gaps d_q, 0 < q < 2m - 1 (odd q a length, even q the gap
 between two intervals), and the chain row's slack, the last interval's
 length; d_0 = l1 and r_m are not among them.  At an optimum every
@@ -62,17 +62,17 @@ reduced cost is >= 0 and every point of the node's LP has value
 cost on one of those variables holds it at 0 at every point that reaches
 the incumbent.  Such a point is a union of at most m - 1 intervals
 (touching open intervals merge up to a point, which changes neither the
-measure nor k-sum-freeness), and the runs for 1..m - 1, with all optima,
-collected every such union of the incumbent's value, or proved that none
-reaches it.  The same holds in a parallel worker, which starts from the
+measure nor k-sum-freeness), and the runs for 1..m - 1 collected every
+such union of the incumbent's value, or proved that none reaches it.
+The same holds in a parallel worker, which starts from the
 incumbent of those runs.  The test is sufficient only: under dual
 degeneracy a forced variable can have a zero reduced cost, and the node
 then goes on as before.
 
 Each explored node branches or is closed by ``_RunState.close(reason)``,
 which counts it: ``bound`` below the incumbent (a warm child cut off
-included), ``tie`` when ties are not collected, ``forced_zero`` as above,
-or ``leaf``, fathomed with no entry left to branch on.
+included), ``forced_zero`` as above, or ``leaf``, fathomed with no
+entry left to branch on.
 """
 
 from __future__ import annotations
@@ -107,8 +107,8 @@ class SearchResult(NamedTuple):
     # and a face with a basis that is not sum-free was branched on).
     witnesses_exact: bool
     lp_pivots: int
-    # Closed nodes by reason: "bound", "tie", "forced_zero" (only with all
-    # optima) and "leaf"; every other explored node branched.
+    # Closed nodes by reason: "bound", "forced_zero" and "leaf"; every
+    # other explored node branched.
     closures: Counter
 
 
@@ -190,10 +190,8 @@ def _pick_branch(v: Sequence, m: int, k: int) -> tuple[int, int, int] | None:
 
 
 class _RunState:
-    def __init__(self, k: int, all_optima: bool, node_limit: int | None,
-                 best: Fraction = Fraction(0)):
+    def __init__(self, k: int, node_limit: int | None, best: Fraction = Fraction(0)):
         self.k = k
-        self.all_optima = all_optima
         self.node_limit = node_limit
         self.best = best
         self.witnesses = set()
@@ -231,8 +229,8 @@ def _union(v: Sequence[int], den: int) -> IntervalUnion:
 
 def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau,
                  v: tuple[int, ...]) -> tuple[int, int, int] | None:
-    """Offer the free basis ``tab`` (endpoints ``v``), or with all optima
-    its face's free bases; return the entry to branch on, if any.
+    """Offer the free bases of ``tab``'s optimal face (``tab``'s endpoints
+    are ``v``); return the entry to branch on, if any.
 
     ``is_k_sum_free`` checks the fathomed vertex again.  Each other
     basis's endpoints are read once and, deduped on (numerators, den),
@@ -245,7 +243,7 @@ def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau,
     first = _union(v, tab.den)
     if not is_k_sum_free(first, state.k)[0]:
         raise AssertionError("relaxation vertex fathomed but union is not sum-free")
-    bases = tab.optimal_face()[1:] if state.all_optima else []
+    bases = tab.optimal_face()[1:]
     state.counts["pivots"] += len(bases)  # one walk pivot per basis after the first
     others = dict.fromkeys((_point(t), t.den) for t in bases)  # in face order
     others.pop((v, tab.den), None)
@@ -294,14 +292,8 @@ def _expand(m: int, state: _RunState, node: Node) -> list[Node]:
     order = -1 if tab.status == lp_mod.CUTOFF else tab.compare(state.best)
     if order < 0:
         return state.close("bound")
-    if order == 0:
-        # Equal-bound nodes can only tie the incumbent; when ties are
-        # not being collected the incumbent witness already realizes it,
-        # and when the tie needs fewer intervals an earlier run found it.
-        if not state.all_optima:
-            return state.close("tie")
-        if _forces_zero(tab, m):
-            return state.close("forced_zero")
+    if order == 0 and _forces_zero(tab, m):
+        return state.close("forced_zero")
     v = _point(tab)
     entry = _pick_branch(v, m, state.k)
     if entry is None:
@@ -344,7 +336,7 @@ def _worker(m: int, state: _RunState, nodes: list[Node]) -> _RunState:
     return state
 
 
-def maximize_measure(m: int, k: int, *, all_optima: bool = False,
+def maximize_measure(m: int, k: int, *, all_optima: bool = True,
                      parallel: int = 1, node_limit: int | None = None) -> SearchResult:
     """Exact maximum measure of a k-sum-free union of at most m intervals.
 
@@ -354,16 +346,16 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     incumbent is shared across runs, so the cheap small-m' optima prune
     the large trees.  ``parallel`` distributes the largest run's subtrees
     over worker processes.  They search the serial tree, each node warm
-    from its parent, so the optimum is schedule-independent, and with
-    ``all_optima`` so is the witness list, which is then the complete,
-    deduplicated set of maximizers whenever ``witnesses_exact`` is True.
+    from its parent, so the optimum and the witness list are
+    schedule-independent; the list is the complete, deduplicated set of
+    maximizers whenever ``witnesses_exact`` is True.
     The node, pivot and closure counts can differ from the serial run's
     only if the incumbent rises during the last run, where the workers
     prune against their own incumbents; a warm child stops pivoting once
     its bound falls below the incumbent it sees, and a forced-zero tie is
     one with that incumbent, so the pivot and closure counts follow it.
-    Without ``all_optima`` the single reported witness may depend on the
-    schedule and no completeness is claimed.
+    ``all_optima`` is accepted and ignored, whatever its value: every
+    search collects all optima.
     ``node_limit`` caps the nodes explored in total, across all runs and
     workers (each worker gets a share of what is left); a search it stops
     is ``interrupted``.
@@ -373,7 +365,7 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
     require_int(parallel, "parallel", 1)
     if node_limit is not None:
         require_int(node_limit, "node_limit", 0)
-    state = _RunState(k=k, all_optima=all_optima, node_limit=node_limit)
+    state = _RunState(k=k, node_limit=node_limit)
     state.witnesses.add(IntervalUnion())  # measure-0 incumbent
 
     for m_eff in range(1, m + 1):
@@ -384,10 +376,9 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = False,
         else:
             _explore(m_eff, state)
 
-    # Completeness of the witness list is only established (and only
-    # schedule-independent) when ties were collected and every optimal
-    # face resolved cleanly.
-    exact = all_optima and not state.interrupted and state.witnesses_exact
+    # The witness list is complete when the search ran to the end and
+    # every optimal face gave one union.
+    exact = not state.interrupted and state.witnesses_exact
     return SearchResult(
         optimum=state.best,
         witnesses=tuple(sorted(state.witnesses, key=IntervalUnion.pairs)),
@@ -409,8 +400,7 @@ def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
     left = None if state.node_limit is None else state.node_limit - state.counts["nodes"]
     limits = [None if left is None else left // workers + (w < left % workers)
               for w in range(workers)]
-    shares = [_RunState(k=state.k, all_optima=state.all_optima, node_limit=limit,
-                        best=state.best) for limit in limits]
+    shares = [_RunState(k=state.k, node_limit=limit, best=state.best) for limit in limits]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         outcomes = list(pool.map(_worker, [m] * workers, shares,
                                  [nodes[w::workers] for w in range(workers)]))

@@ -46,7 +46,7 @@ def test_criterion_1_golden_verification():
 
 def test_criterion_2_three_interval_search_unique():
     t0 = time.perf_counter()
-    res = maximize_measure(3, 3, all_optima=True)
+    res = maximize_measure(3, 3)
     assert res.status == "proven"
     assert res.optimum == RECORD
     assert len(res.witnesses) == 1
@@ -154,8 +154,8 @@ def test_criterion_8_property_suites_sample():
     res = solve(prob)
     assert res.value == F(254, 177) and check_certificate(prob, res)
 
-    seq = maximize_measure(2, 3, all_optima=True, parallel=1)
-    par = maximize_measure(2, 3, all_optima=True, parallel=2)
+    seq = maximize_measure(2, 3, parallel=1)
+    par = maximize_measure(2, 3, parallel=2)
     assert seq.optimum == par.optimum and seq.witnesses == par.witnesses
     _report(8, t0, 60, "exact property families re-checked (full suites in "
                        "test_* modules)")

@@ -148,7 +148,8 @@ def test_continuous_parallel_flag(cache_path, capsys):
     assert payload["optimum"] == "3/7"
 
 
-def test_verbose_lp_trace(cache_path, capsys):
+def test_double_v_is_the_verbose_flag(cache_path, capsys):
+    """``-vv`` is ``-v`` given twice: one ``-v`` line, as ``-v`` writes."""
     code = main(["-vv", "--force", "continuous", "--k", "3", "--m", "1"])
     captured = capsys.readouterr()
     assert code == 0
@@ -171,12 +172,26 @@ def test_verbose_line_on_a_miss_and_none_on_a_hit(cache_path, capsys, argv, pref
 
 @pytest.mark.parametrize("all_optima", [False, True])
 def test_verbose_line_counts_forced_zero_closures(cache_path, capsys, all_optima):
-    """Only an all-optima search closes tie nodes whose optimum forces a
-    length or an interior gap to 0, and the -v line says how many."""
+    """The search closes tie nodes whose optimum forces a length or an
+    interior gap to 0, and the -v line says how many; ``--all-optima`` is
+    ignored, so the line is the same with it and without."""
     argv = ["-v", "continuous", "--k", "1", "--m", "5"] + ["--all-optima"] * all_optima
     assert main(argv) == 0
-    closures = re.search(r" (\d+) forced-zero closures, ", capsys.readouterr().err)
-    assert closures and (int(closures.group(1)) > 0) == all_optima
+    line = capsys.readouterr().err
+    assert line.startswith("continuous m=5 k=1: 305 nodes, 320 pivots, "), line
+    closures = re.search(r" (\d+) forced-zero closures, ", line)
+    assert closures and int(closures.group(1)) > 0
+
+
+def test_all_optima_flag_shares_the_cache_record(cache_path, capsys):
+    """``--all-optima`` is not part of the cache key: the run with it is a
+    hit on the record the run without it wrote, so it prints no -v line."""
+    assert main(["continuous", "--k", "3", "--m", "3"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert main(["continuous", "--k", "3", "--m", "3", "--all-optima", "-v"]) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out) == payload and captured.err == ""
+    assert len({rec.key() for rec in read_records(str(cache_path))}) == 1
 
 
 @pytest.mark.parametrize("argv,default", [
@@ -412,7 +427,7 @@ def test_report_format_json_lists_records_in_table_order(cache_path, capsys):
 
 def test_cache_record_from_another_solver_is_recomputed(cache_path, capsys):
     # same version, older solver source: its tree took 45 nodes, today's 29
-    params = {"k": 3, "m": 3, "all_optima": False, "node_limit": None}
+    params = {"k": 3, "m": 3, "node_limit": None}
     result = {"optimum": "77/177", "witnesses": [RECORD_SET], "nodes_explored": 45,
               "status": "proven", "witnesses_exact": False}
     old = make_record("continuous", params, result, __version__)._replace(solver="0" * 8)
@@ -518,7 +533,7 @@ def test_cache_record_missing_result_fields_is_recomputed(cache_path, capsys):
 
 
 def test_report_shows_malformed_record_raw(cache_path, capsys):
-    params = {"k": 3, "m": 2, "all_optima": False, "node_limit": None}
+    params = {"k": 3, "m": 2, "node_limit": None}
     append_record(str(cache_path), make_record("continuous", params, {}, __version__))
     assert main(["report"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines()

@@ -260,6 +260,24 @@ def test_unions_and_records_are_immutable_values():
         assert getattr(record, name) is value
 
 
+_LP = sumfree.LinearProgram((1, 2), ((1, -1),))
+
+
+@pytest.mark.parametrize("record,change,error", [
+    (sumfree.Interval(Fraction(0), Fraction(1)), {"hi": Fraction(0)}, ValueError),
+    (_LP, {"rows": ((1,),)}, ValueError),
+    (_LP, {"rows": ((1.5, 2),)}, TypeError),
+], ids=["degenerate-interval", "short-lp-row", "float-lp-coefficient"])
+def test_replace_runs_the_record_checks(record, change, error):
+    """``_replace`` rejects what the constructor rejects, with the same
+    error, and a change that passes the checks still goes through."""
+    with pytest.raises(error):
+        type(record)(**{**record._asdict(), **change})
+    with pytest.raises(error):
+        record._replace(**change)
+    assert record._replace() == record and type(record._replace()) is type(record)
+
+
 _UNION =sumfree.parse_union("(2/3,1)")
 # each public function with integer or rational parameters, and arguments it accepts
 _NUMERIC_CALLS = [

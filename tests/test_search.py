@@ -96,7 +96,7 @@ def test_two_intervals_k3():
 
 
 def test_three_intervals_k3_unique_record(largest_known_3sumfree):
-    res = maximize_measure(3, 3, all_optima=True)
+    res = maximize_measure(3, 3)
     assert res.optimum == F(77, 177)
     assert res.witnesses == (largest_known_3sumfree,)
     assert res.witnesses_exact
@@ -264,7 +264,7 @@ def test_monotone_in_m_and_stable_at_record():
     assert values[2] == values[3] == values[4] == F(77, 177)
 
 
-# Nodes and LP pivots of the serial search with all optima, by (m, k); a
+# Nodes and LP pivots of the serial search, by (m, k); a
 # change to the node step that alters the tree shows up here first.
 # Warm-started children (dual simplex from the parent's tableau) changed
 # them from (172, 1873), (619, 9467) and (421, 5719); not opening the
@@ -284,7 +284,7 @@ SEARCH_COUNTERS = {(4, 3): (122, 93), (5, 3): (456, 352), (5, 4): (232, 171),
 
 @pytest.mark.parametrize("m", [4, 5, 7])
 def test_record_witness_stays_unique_with_spare_intervals(m, largest_known_3sumfree):
-    res = maximize_measure(m, 3, all_optima=True)
+    res = maximize_measure(m, 3)
     assert res.optimum == F(77, 177)
     assert res.witnesses == (largest_known_3sumfree,)
     assert res.witnesses_exact and res.status == "proven"
@@ -292,7 +292,7 @@ def test_record_witness_stays_unique_with_spare_intervals(m, largest_known_3sumf
 
 
 def test_search_counters_k4():
-    res = maximize_measure(5, 4, all_optima=True)
+    res = maximize_measure(5, 4)
     assert res.optimum == mu_formula(4)
     assert res.witnesses_exact
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[5, 4]
@@ -302,7 +302,7 @@ def test_search_counters_k4():
 def test_search_counters_seeded_k(k):
     """The bench's search workload runs mu(k) at m = 5 for k = 4 + seed % 4;
     with k = 4 above, these pin every counter it reads."""
-    res = maximize_measure(5, k, all_optima=True)
+    res = maximize_measure(5, k)
     assert res.optimum == mu_formula(k)
     assert res.witnesses_exact
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[5, k]
@@ -311,34 +311,43 @@ def test_search_counters_seeded_k(k):
 def test_search_counters_six_intervals(largest_known_3sumfree):
     # a tied optimal face at m = 6 holds unions that are not 3-sum-free;
     # the search branches on it, so the record set is proven unique
-    res = maximize_measure(6, 3, all_optima=True)
+    res = maximize_measure(6, 3)
     assert res.optimum == F(77, 177)
     assert res.witnesses == (largest_known_3sumfree,)
     assert res.witnesses_exact
     assert (res.nodes_explored, res.lp_pivots) == SEARCH_COUNTERS[6, 3]
 
 
-# (m, k) = (5, 1) by all_optima.  The chain-form LP took 191/277 and
+# (m, k) = (5, 1).  The chain-form LP took 191/277 and
 # 229/347 nodes/pivots here; k = 1 has no closure of RIGHT children, so
 # these counts follow which tied optimal vertex each node returns.  They
 # are pinned so that a change to that choice re-pins them on purpose.
 # The incumbent cutoff on warm children took the pivots from 434 and 570,
 # and closing the tie nodes whose optimum forces a length or an interior
-# gap to 0 took the all-optima counts from (369, 398).
-K1_COUNTERS = {False: (297, 314), True: (305, 320)}
+# gap to 0 took the counts from (369, 398).
+K1_COUNTERS = (305, 320)
 
 
-@pytest.mark.parametrize("all_optima", [False, True])
-def test_search_counters_k1(all_optima):
-    res = maximize_measure(5, 1, all_optima=all_optima)
+def test_search_counters_k1():
+    res = maximize_measure(5, 1)
     assert res.optimum == F(1, 2)
-    assert (res.nodes_explored, res.lp_pivots) == K1_COUNTERS[all_optima]
+    assert (res.nodes_explored, res.lp_pivots) == K1_COUNTERS
+
+
+@pytest.mark.parametrize("m,k", [(5, 1), (5, 3)])
+def test_all_optima_keyword_is_ignored(m, k):
+    """Every search collects all optima: the keyword, omitted, False or
+    True, changes no field of the result."""
+    res = maximize_measure(m, k)
+    assert res.witnesses_exact
+    assert maximize_measure(m, k, all_optima=False) == res
+    assert maximize_measure(m, k, all_optima=True) == res
 
 
 def test_lp_pivots_count_every_pivot(monkeypatch):
     """``lp_pivots`` sums the roots' solves, the warm children's ``add_row``
-    and the face walks, each counted here where it pivots; (5, 2) with
-    all optima still walks faces of more than one basis."""
+    and the face walks, each counted here where it pivots; (5, 2) still
+    walks faces of more than one basis."""
     counts = dict.fromkeys(("solve", "add_row", "optimal_face"), 0)
     phase = []
     pivot = Tableau.pivot
@@ -360,7 +369,7 @@ def test_lp_pivots_count_every_pivot(monkeypatch):
     for name in ("add_row", "optimal_face"):
         monkeypatch.setattr(Tableau, name, counted(name, getattr(Tableau, name)))
     monkeypatch.setattr(Tableau, "pivot", counted_pivot)
-    res = maximize_measure(5, 2, all_optima=True)
+    res = maximize_measure(5, 2)
     assert all(counts.values()), counts
     assert res.lp_pivots == sum(counts.values())
 
@@ -373,10 +382,10 @@ def _zero_gaps(v, m):
 
 
 def test_forced_zero_closures_keep_every_result(monkeypatch):
-    """With all optima, the tree that closes forced-zero ties has the
-    optimum, witnesses, exactness and status of the tree without the rule,
-    and no more nodes; at each closure, one length or interior gap is 0 at
-    every basis of the node's optimal face."""
+    """The tree that closes forced-zero ties has the optimum, witnesses,
+    exactness and status of the tree without the rule, and no more nodes;
+    at each closure, one length or interior gap is 0 at every basis of the
+    node's optimal face."""
     forces_zero = search._forces_zero
     closures = 0
 
@@ -392,9 +401,9 @@ def test_forced_zero_closures_keep_every_result(monkeypatch):
     for m in range(1, 7):
         for k in range(1, 8):
             monkeypatch.setattr(search, "_forces_zero", checked)
-            res = maximize_measure(m, k, all_optima=True)
+            res = maximize_measure(m, k)
             monkeypatch.setattr(search, "_forces_zero", lambda tab, m: False)
-            full = maximize_measure(m, k, all_optima=True)
+            full = maximize_measure(m, k)
             assert ((res.optimum, res.witnesses, res.witnesses_exact, res.status)
                     == (full.optimum, full.witnesses, full.witnesses_exact, full.status)), (m, k)
             assert res.nodes_explored <= full.nodes_explored, (m, k)
@@ -402,8 +411,8 @@ def test_forced_zero_closures_keep_every_result(monkeypatch):
 
 
 def test_mixed_face_branch_at_eight_intervals(monkeypatch, largest_known_3sumfree):
-    """(8, 3) with all optima branches on a mixed optimal face: the
-    smallest case that still does, once forced-zero ties are closed."""
+    """(8, 3) branches on a mixed optimal face: the smallest case that
+    still does, once forced-zero ties are closed."""
     record_leaf = search._record_leaf
     branched = 0
 
@@ -414,7 +423,7 @@ def test_mixed_face_branch_at_eight_intervals(monkeypatch, largest_known_3sumfre
         return entry
 
     monkeypatch.setattr(search, "_record_leaf", counted)
-    res = maximize_measure(8, 3, all_optima=True)
+    res = maximize_measure(8, 3)
     assert (branched, res.nodes_explored) == (4, 16696)
     assert res.optimum == F(77, 177) and res.witnesses == (largest_known_3sumfree,)
     assert res.witnesses_exact and res.status == "proven"
@@ -433,7 +442,7 @@ SEVEN_INTERVAL_WITNESSES = {
 
 @pytest.mark.parametrize("k", sorted(SEVEN_INTERVAL_WITNESSES))
 def test_closed_form_holds_for_seven_intervals(k):
-    res = maximize_measure(7, k, all_optima=True)
+    res = maximize_measure(7, k)
     assert res.optimum == mu_formula(k)
     assert tuple(map(format_union, res.witnesses)) == (SEVEN_INTERVAL_WITNESSES[k],)
     assert res.witnesses_exact and res.status == "proven"
@@ -445,60 +454,39 @@ def test_record_holds_for_six_intervals():
     assert res.status == "proven"
 
 
-# Optimum, witness texts and witnesses_exact by (m, k, all_optima), as
-# recorded before face bases were judged on integers.  Without all optima
-# no completeness is claimed.  (5, 1) with all optima meets a mixed
+# Optimum, witness texts and witnesses_exact by (m, k), as recorded
+# before face bases were judged on integers.  (5, 1) meets a mixed
 # optimal face, and is exact because the search branches on it.
 LEAF_RESULTS = {
-    (1, 1, False): ("1/2", ("(1/2,1)",), False),
-    (1, 1, True): ("1/2", ("(1/2,1)",), True),
-    (1, 2, False): ("0", ("",), False),
-    (1, 2, True): ("0", ("",), True),
-    (1, 3, False): ("1/3", ("(2/3,1)",), False),
-    (1, 3, True): ("1/3", ("(2/3,1)",), True),
-    (1, 4, False): ("1/2", ("(1/2,1)",), False),
-    (1, 4, True): ("1/2", ("(1/2,1)",), True),
-    (1, 5, False): ("3/5", ("(2/5,1)",), False),
-    (1, 5, True): ("3/5", ("(2/5,1)",), True),
-    (2, 1, False): ("1/2", ("(1/2,1)",), False),
-    (2, 1, True): ("1/2", ("(1/2,1)",), True),
-    (2, 2, False): ("0", ("",), False),
-    (2, 2, True): ("0", ("",), True),
-    (2, 3, False): ("3/7", ("(4/21,2/7);(2/3,1)",), False),
-    (2, 3, True): ("3/7", ("(4/21,2/7);(2/3,1)",), True),
-    (2, 4, False): ("4/7", ("(1/14,1/7);(1/2,1)",), False),
-    (2, 4, True): ("4/7", ("(1/14,1/7);(1/2,1)",), True),
-    (2, 5, False): ("15/23", ("(4/115,2/23);(2/5,1)",), False),
-    (2, 5, True): ("15/23", ("(4/115,2/23);(2/5,1)",), True),
-    (3, 1, False): ("1/2", ("(1/2,1)",), False),
-    (3, 1, True): ("1/2", ("(1/2,1)",), True),
-    (3, 2, False): ("0", ("",), False),
-    (3, 2, True): ("0", ("",), True),
-    (3, 3, False): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), False),
-    (3, 3, True): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), True),
-    (3, 4, False): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), False),
-    (3, 4, True): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), True),
-    (3, 5, False): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), False),
-    (3, 5, True): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), True),
-    (4, 1, False): ("1/2", ("(1/2,1)",), False),
-    (4, 1, True): ("1/2", ("(1/2,1)",), True),
-    (4, 2, False): ("0", ("",), False),
-    (4, 2, True): ("0", ("",), True),
-    (4, 3, False): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), False),
-    (4, 3, True): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), True),
-    (4, 4, False): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), False),
-    (4, 4, True): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), True),
-    (4, 5, False): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), False),
-    (4, 5, True): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), True),
-    (5, 1, True): ("1/2", ("(1/2,1)",), True),
+    (1, 1): ("1/2", ("(1/2,1)",), True),
+    (1, 2): ("0", ("",), True),
+    (1, 3): ("1/3", ("(2/3,1)",), True),
+    (1, 4): ("1/2", ("(1/2,1)",), True),
+    (1, 5): ("3/5", ("(2/5,1)",), True),
+    (2, 1): ("1/2", ("(1/2,1)",), True),
+    (2, 2): ("0", ("",), True),
+    (2, 3): ("3/7", ("(4/21,2/7);(2/3,1)",), True),
+    (2, 4): ("4/7", ("(1/14,1/7);(1/2,1)",), True),
+    (2, 5): ("15/23", ("(4/115,2/23);(2/5,1)",), True),
+    (3, 1): ("1/2", ("(1/2,1)",), True),
+    (3, 2): ("0", ("",), True),
+    (3, 3): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), True),
+    (3, 4): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), True),
+    (3, 5): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), True),
+    (4, 1): ("1/2", ("(1/2,1)",), True),
+    (4, 2): ("0", ("",), True),
+    (4, 3): ("77/177", ("(8/177,4/59);(28/177,14/59);(2/3,1)",), True),
+    (4, 4): ("63/110", ("(1/110,1/55);(7/110,7/55);(1/2,1)",), True),
+    (4, 5): ("1863/2855", ("(8/2855,4/571);(92/2855,46/571);(2/5,1)",), True),
+    (5, 1): ("1/2", ("(1/2,1)",), True),
 }
 
 
 def test_leaf_rule_results_are_pinned():
-    for (m, k, all_optima), (optimum, witnesses, exact) in LEAF_RESULTS.items():
-        res = maximize_measure(m, k, all_optima=all_optima)
+    for (m, k), (optimum, witnesses, exact) in LEAF_RESULTS.items():
+        res = maximize_measure(m, k)
         got = (str(res.optimum), tuple(map(format_union, res.witnesses)), res.witnesses_exact)
-        assert got == (optimum, witnesses, exact), (m, k, all_optima)
+        assert got == (optimum, witnesses, exact), (m, k)
 
 
 def _overlap(v, k, entry):
@@ -544,8 +532,8 @@ def test_branch_rule_decides_sum_freeness():
 def test_schedule_independence_sequential_vs_parallel():
     # every worker node is a warm child, so both schedules search one tree
     for m in (3, 4, 5, 6):
-        seq = maximize_measure(m, 3, all_optima=True, parallel=1)
-        par = maximize_measure(m, 3, all_optima=True, parallel=2)
+        seq = maximize_measure(m, 3, parallel=1)
+        par = maximize_measure(m, 3, parallel=2)
         if m == 3:
             # 77/177 is first found in the last run, so the workers cut their
             # warm children off, and close forced-zero ties, against their
@@ -586,9 +574,9 @@ def test_incumbent_cutoff_leaves_the_tree_as_it_was(monkeypatch):
     add_row = Tableau.add_row
     tracker = _ChoiceSets(monkeypatch)
 
-    def run(m, k, all_optima):
+    def run(m, k):
         tracker.calls.clear()
-        res = maximize_measure(m, k, all_optima=all_optima)
+        res = maximize_measure(m, k)
         return list(tracker.calls), res
 
     def uncut_add_row(tab, g, cutoff):
@@ -596,11 +584,11 @@ def test_incumbent_cutoff_leaves_the_tree_as_it_was(monkeypatch):
         assert child.status == OPTIMAL
         return child
 
-    for m, k, all_optima in ((5, 3, True), (5, 1, False)):
-        cut_calls, res = run(m, k, all_optima)
+    for m, k in ((5, 3), (5, 1)):
+        cut_calls, res = run(m, k)
         with monkeypatch.context() as patch:
             patch.setattr(Tableau, "add_row", uncut_add_row)
-            uncut_calls, uncut = run(m, k, all_optima)
+            uncut_calls, uncut = run(m, k)
         assert cut_calls == uncut_calls and len(cut_calls) == res.nodes_explored
         assert uncut._replace(lp_pivots=res.lp_pivots) == res
         assert res.lp_pivots < uncut.lp_pivots
@@ -627,7 +615,7 @@ def test_no_choice_set_is_expanded_twice(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
     for parallel in (1, 2):
         tracker.calls.clear()
-        res = maximize_measure(5, 3, all_optima=True, parallel=parallel)
+        res = maximize_measure(5, 3, parallel=parallel)
         expanded = [(m, choices) for m, choices, _ in tracker.calls]
         assert len(expanded) == res.nodes_explored == SEARCH_COUNTERS[5, 3][0]
         assert len(set(expanded)) == len(expanded)
@@ -635,45 +623,41 @@ def test_no_choice_set_is_expanded_twice(monkeypatch):
 
 def test_every_explored_node_branches_or_closes_for_one_reason(monkeypatch):
     """The branched nodes (those with an open child) plus the closures by
-    reason are the nodes explored: serial for m <= 5, k = 1..7 in both
-    modes, parallel, and stopped by a node limit.  Only all optima closes
-    a forced-zero tie."""
+    reason are the nodes explored: serial for m <= 5, k = 1..7, parallel,
+    and stopped by a node limit."""
     tracker = _ChoiceSets(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    reasons = {"bound", "tie", "forced_zero", "leaf"}
+    reasons = {"bound", "forced_zero", "leaf"}
     seen = Counter()
 
-    def check(m, k, all_optima, **options):
+    def check(m, k, **options):
         tracker.calls.clear()
-        res = maximize_measure(m, k, all_optima=all_optima, **options)
+        res = maximize_measure(m, k, **options)
         branched = sum(children > 0 for _, _, children in tracker.calls)
-        assert branched + res.closures.total() == res.nodes_explored, (m, k, all_optima)
+        assert branched + res.closures.total() == res.nodes_explored, (m, k)
         assert set(res.closures) <= reasons, res.closures
-        assert all_optima or res.closures["forced_zero"] == 0, (m, k)
         seen.update(res.closures)
         return res
 
     for m in range(1, 6):
         for k in range(1, 8):
-            for all_optima in (False, True):
-                check(m, k, all_optima)
+            check(m, k)
     assert set(seen) == reasons, seen
-    check(5, 3, True, parallel=2)
-    check(5, 1, False, parallel=2)
-    assert check(5, 3, True, node_limit=100).status == "interrupted"
-    assert check(4, 3, True, parallel=2, node_limit=100).status == "interrupted"
+    check(5, 3, parallel=2)
+    check(5, 1, parallel=2)
+    assert check(5, 3, node_limit=100).status == "interrupted"
+    assert check(4, 3, parallel=2, node_limit=100).status == "interrupted"
 
 
-# The face bases that each case's branch rule judges, by (m, k, all_optima,
-# parallel): only all optima walks faces, and since forced-zero ties are
-# closed, the faces left at (5, 3) and (5, 4) each hold one basis, while
-# (5, 2) still walks bigger ones.
-FACE_BASES = {(5, 3, True, 1): 0, (5, 4, True, 1): 0, (5, 1, False, 1): 0,
-              (6, 3, False, 1): 0, (5, 3, True, 2): 0, (5, 2, True, 1): 15}
+# The face bases that each case's branch rule judges, by (m, k, parallel):
+# since forced-zero ties are closed, the faces left at every case but
+# (5, 2) each hold one basis, while (5, 2) still walks bigger ones.
+FACE_BASES = {(5, 3, 1): 0, (5, 4, 1): 0, (5, 1, 1): 0,
+              (6, 3, 1): 0, (5, 3, 2): 0, (5, 2, 1): 15}
 
 
-@pytest.mark.parametrize("m,k,all_optima,parallel", list(FACE_BASES))
-def test_branch_rule_never_picks_a_resolved_entry(monkeypatch, m, k, all_optima, parallel):
+@pytest.mark.parametrize("m,k,parallel", list(FACE_BASES))
+def test_branch_rule_never_picks_a_resolved_entry(monkeypatch, m, k, parallel):
     """At every branch-rule call of a search, at the node's vertex and at
     each basis of its optimal face, the entry is the one that the oracle
     picks after skipping every entry the node's choices resolve: the
@@ -695,10 +679,10 @@ def test_branch_rule_never_picks_a_resolved_entry(monkeypatch, m, k, all_optima,
 
     monkeypatch.setattr(search, "_pick_branch", checked_pick)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _InProcessPool)
-    res = maximize_measure(m, k, all_optima=all_optima, parallel=parallel)
+    res = maximize_measure(m, k, parallel=parallel)
     assert res.status == "proven"
     assert seen["calls"] and seen["with choices"], seen
-    assert seen["face bases"] == FACE_BASES[m, k, all_optima, parallel], seen
+    assert seen["face bases"] == FACE_BASES[m, k, parallel], seen
 
 
 def test_node_limit_interrupts():
@@ -709,7 +693,7 @@ def test_node_limit_interrupts():
 
 def test_node_limit_is_global_across_workers():
     # the full parallel m=4 search takes 122 nodes, so a limit of 100 must stop it
-    res = maximize_measure(4, 3, all_optima=True, parallel=2, node_limit=100)
+    res = maximize_measure(4, 3, parallel=2, node_limit=100)
     assert res.nodes_explored <= 100
     assert res.status == "interrupted"
 
