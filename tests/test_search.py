@@ -328,8 +328,10 @@ def test_search_counters_six_intervals(largest_known_3sumfree):
 K1_COUNTERS = (305, 320)
 
 
-def test_search_counters_k1():
-    res = maximize_measure(5, 1)
+@pytest.mark.parametrize("all_optima", [False, True])
+def test_search_counters_k1(all_optima):
+    # the keyword is ignored: both values run the one all-optima search
+    res = maximize_measure(5, 1, all_optima=all_optima)
     assert res.optimum == F(1, 2)
     assert (res.nodes_explored, res.lp_pivots) == K1_COUNTERS
 
