@@ -1,6 +1,12 @@
 """Append-only JSON-lines result cache.
 
 One record per line so interrupted runs never corrupt earlier results.
+``append_record`` encodes a record once and writes its line with one
+unbuffered binary append, and the line always starts a new line: when
+the file's last byte is not a line break (an editor dropped it, or a
+write was cut short), a ``\\n`` goes first, so the last record is not
+merged into the new one.
+
 Reads are forgiving: unknown fields are ignored (the line stays in the
 file), corrupt lines are skipped with a warning, and duplicate (kind,
 parameters) keys resolve to the last written record.  Each record
@@ -21,11 +27,15 @@ import os
 import sys
 import zlib
 from functools import cache
-from pathlib import Path
 from typing import NamedTuple
 
 ENV_VAR = "SUMFREE_CACHE"
 DEFAULT_PATH = "sumfree-cache.jsonl"
+
+# json.dumps(obj, sort_keys=True) builds this encoder on every call
+_encode = json.JSONEncoder(sort_keys=True).encode
+# read and append, unbuffered and untranslated: a write lands at the end in one piece
+_APPEND = os.O_RDWR | os.O_APPEND | os.O_CREAT | getattr(os, "O_BINARY", 0)
 
 
 class CacheRecord(NamedTuple):
@@ -36,7 +46,7 @@ class CacheRecord(NamedTuple):
     solver: str
 
     def key(self) -> tuple[str, str]:
-        return self.kind, json.dumps(self.parameters, sort_keys=True)
+        return self.kind, _encode(self.parameters)
 
 
 def resolve_path(explicit: str | None = None) -> str:
@@ -54,8 +64,10 @@ def solver_digest() -> str:
     resident memory) into every CLI call.
     """
     crc = 0
-    for path in sorted(Path(__file__).parent.glob("*.py")):
-        crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes() + b"\0", crc)
+    package = os.path.dirname(__file__)
+    for name in sorted(name for name in os.listdir(package) if name.endswith(".py")):
+        with open(os.path.join(package, name), "rb") as fh:
+            crc = zlib.crc32(name.encode() + b"\0" + fh.read() + b"\0", crc)
     return f"{crc:08x}"
 
 
@@ -74,12 +86,28 @@ def check_appendable(path: str) -> None:
     parent = os.path.dirname(path) or os.curdir
     if os.path.exists(path) or not (
             os.path.isdir(parent) and os.access(parent, os.W_OK | os.X_OK)):
-        open(path, "a", encoding="utf-8").close()
+        os.close(os.open(path, _APPEND, 0o666))
 
 
 def append_record(path: str, record: CacheRecord) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(json.dumps(record._asdict(), sort_keys=True) + "\n")
+    """Append ``record``'s sorted-key JSON line to ``path`` with one write.
+
+    A non-empty file whose last byte is neither ``\\n`` nor ``\\r`` gets
+    a ``\\n`` first, in the same write.
+    """
+    line = _encode(record._asdict()).encode() + b"\n"  # ASCII: the encoder escapes the rest
+    fd = os.open(path, _APPEND, 0o666)
+    try:
+        end = os.lseek(fd, 0, os.SEEK_END)
+        if end:
+            os.lseek(fd, end - 1, os.SEEK_SET)
+            if os.read(fd, 1) not in b"\r\n":
+                line = b"\n" + line
+        written = os.write(fd, line)
+        while written < len(line):  # a short write: append the rest
+            written += os.write(fd, line[written:])
+    finally:
+        os.close(fd)
 
 
 def _lines(data: bytes, needle: bytes):
@@ -136,7 +164,7 @@ def read_records(path: str, text: str = ""):
 
 def lookup(path: str, kind: str, parameters: dict) -> CacheRecord | None:
     """The last record of this kind and parameters, parsing only the lines that hold them."""
-    text = json.dumps(parameters, sort_keys=True)
+    text = _encode(parameters)
     found = None
     for rec in read_records(path, text):
         if rec.key() == (kind, text):

@@ -75,29 +75,39 @@ def forbidden_triples(n: int, k: int) -> list[tuple[int, int, int]]:
 class _Instance:
     def __init__(self, n: int, k: int):
         self.n, self.k = n, k
-        triples = forbidden_triples(n, k)
-        # triples before pairs, each by decreasing value: the cheapest mask, the
-        # one the greedy packing takes first, has the highest index
-        self.masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples},
-                            key=lambda tm: (tm.bit_count(), tm), reverse=True)
-        # meets[x]: bit i set when masks[i] holds element x; clears[x]: its
-        # complement among the mask indices, kept non-negative so that ANDing
-        # it into a live set makes no two's-complement copy
+        # each mask's elements, keyed by its element count above its value, so
+        # that the key order is (bit_count, mask); triples before pairs, each
+        # by decreasing value: the cheapest mask, the one the greedy packing
+        # takes first, has the highest index
+        elements = {}
+        for a, b, c in forbidden_triples(n, k):
+            elems = {a, b, c}
+            elements[len(elems) << (n + 1) | (1 << a) | (1 << b) | (1 << c)] = elems
+        order = sorted(elements, reverse=True)
+        low = (2 << n) - 1
+        self.masks = [key & low for key in order]
+        # meets[x]: bit i set when masks[i] holds element x, and holders[x] the
+        # indices i themselves; clears[x]: its complement among the mask
+        # indices, kept non-negative so that ANDing it into a live set makes no
+        # two's-complement copy
         self.meets = [0] * (n + 1)
-        for i, tm in enumerate(self.masks):
-            for x in _bits(tm):
+        holders = [[] for _ in range(n + 1)]
+        for i, key in enumerate(order):
+            for x in elements[key]:
                 self.meets[x] |= 1 << i
-        full = (1 << len(self.masks)) - 1
+                holders[x].append(i)
+        full = (1 << len(order)) - 1
         self.clears = [full ^ m for m in self.meets]
         # keeps[b][i]: clears[x] ANDed over the elements x < b of masks[i], the
         # masks that packing masks[i] keeps when avail.bit_length() == b; each
         # row copies the one before it, so the rows share their ints
-        row = [full] * len(self.masks)
+        row = [full] * len(order)
         self.keeps = [row, row]
         for x in range(1, n + 1):
             row = row.copy()
-            for i in _bits(self.meets[x]):
-                row[i] &= self.clears[x]
+            clear = self.clears[x]
+            for i in holders[x]:
+                row[i] &= clear
             self.keeps.append(row)
 
     def bound(self, chosen: int, avail: int, live: int, threshold: int) -> int:

@@ -121,6 +121,32 @@ def triples_double_loop(n: int, k: int) -> list[tuple[int, int, int]]:
     return triples
 
 
+def _bits(mask: int) -> list[int]:
+    return [x for x in range(mask.bit_length()) if mask >> x & 1]
+
+
+def instance_tables(n: int, k: int):
+    """``(masks, meets, clears, keeps)`` as ``discrete._Instance`` tabulates
+    them, built the direct way: ``meets`` from each mask's bits and each keep
+    row from the bits of ``meets[x]``, one M-bit int walked per element."""
+    masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples_double_loop(n, k)},
+                   key=lambda tm: (tm.bit_count(), tm), reverse=True)
+    meets = [0] * (n + 1)
+    for i, tm in enumerate(masks):
+        for x in _bits(tm):
+            meets[x] |= 1 << i
+    full = (1 << len(masks)) - 1
+    clears = [full ^ m for m in meets]
+    row = [full] * len(masks)
+    keeps = [row, row]
+    for x in range(1, n + 1):
+        row = row.copy()
+        for i in _bits(meets[x]):
+            row[i] &= clears[x]
+        keeps.append(row)
+    return masks, meets, clears, keeps
+
+
 class ScanBound:
     """The discrete counting bound by a scan of the mask list, as a reference.
 

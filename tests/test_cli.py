@@ -1,8 +1,10 @@
+import io
 import json
 import os
 import re
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -368,6 +370,69 @@ def test_append_record_writes_the_asdict_line(tmp_path):
     append_record(str(path), rec)
     assert path.read_text() == json.dumps(rec._asdict(), sort_keys=True) + "\n"
     assert list(read_records(str(path))) == [rec]
+
+
+@pytest.mark.parametrize("parameters, result", [
+    ({"set": "(1/3,½)", "name": "Schur–Erdős"}, {"note": "μ ≤ 1/2 − δ", "emoji": "\U0001f600"}),
+    ({"z": {"b": {"y": 1, "x": [2, {"d": 3, "c": 4}]}}, "a": {}}, {"m": {"k": {}, "j": [[]]}}),
+    ({"node_limit": None, "enumerate": True}, {"exact": False, "witness": None, "ok": True}),
+], ids=["non-ascii", "nested", "none-and-bools"])
+def test_record_line_is_byte_identical_to_json_dumps(tmp_path, parameters, result):
+    path = tmp_path / "c.jsonl"
+    rec = CacheRecord("discrete", parameters, result, "0", solver="")
+    append_record(str(path), rec)
+    assert path.read_bytes() == (json.dumps(rec._asdict(), sort_keys=True) + "\n").encode()
+    assert rec.key() == ("discrete", json.dumps(parameters, sort_keys=True))
+    assert lookup(str(path), "discrete", parameters) == rec
+
+
+def test_a_record_over_64_kib_is_written_in_full(tmp_path):
+    path = tmp_path / "c.jsonl"
+    witnesses = [list(range(i, i + 100)) for i in range(200)]
+    rec = CacheRecord("discrete", {"n": 300, "k": 3}, {"witnesses": witnesses}, "0", solver="")
+    line = (json.dumps(rec._asdict(), sort_keys=True) + "\n").encode()
+    assert len(line) > 65536 > io.DEFAULT_BUFFER_SIZE
+    append_record(str(path), CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", solver=""))
+    size = path.stat().st_size
+    append_record(str(path), rec)
+    assert path.read_bytes()[size:] == line
+    assert lookup(str(path), "discrete", {"n": 300, "k": 3}) == rec
+
+
+def test_an_append_after_a_last_line_without_a_break_keeps_both(cache_path, capsys):
+    """A file whose final line break was dropped (by an editor, or a write cut
+    short) gets a line break before the next record, which would otherwise be
+    merged into the last line and lose both records."""
+    assert main(["discrete", "--n", "10", "--k", "3"]) == 0
+    data = cache_path.read_bytes()
+    assert data.endswith(b"}\n")
+    cache_path.write_bytes(data[:-1])
+    assert main(["discrete", "--n", "11", "--k", "3"]) == 0
+    capsys.readouterr()
+    assert cache_path.read_bytes().count(b"\n") == 2
+    assert [rec.parameters["n"] for rec in read_records(str(cache_path))] == [10, 11]
+    assert main(["discrete", "--n", "10", "--k", "3"]) == 0  # a hit
+    assert cache_path.read_bytes().count(b"\n") == 2
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("before", [b"", b"\r", b"\n", b"\r\n", b"{}\r", b"{}\r\n"],
+                         ids=["empty", "cr", "lf", "crlf", "line-cr", "line-crlf"])
+def test_an_append_after_a_line_break_or_to_an_empty_file_adds_no_break(tmp_path, before):
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(before)
+    rec = CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", solver="")
+    append_record(str(path), rec)
+    assert path.read_bytes() == before + (json.dumps(rec._asdict(), sort_keys=True) + "\n").encode()
+
+
+def test_solver_digest_is_the_path_glob_formula():
+    """The digest lists the package's ``.py`` files without ``pathlib``, and
+    gives what the ``Path.glob`` formula it replaced gives."""
+    crc = 0
+    for path in sorted(Path(sumfree.__file__).parent.glob("*.py")):
+        crc = zlib.crc32(path.name.encode() + b"\0" + path.read_bytes() + b"\0", crc)
+    assert solver_digest() == f"{crc:08x}"
 
 
 @pytest.mark.parametrize("kind", [["x"], 5], ids=["list", "int"])

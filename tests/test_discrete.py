@@ -10,6 +10,7 @@ from oracles import (
     brute_force_extension,
     brute_force_f,
     has_forbidden_triple,
+    instance_tables,
     triples_double_loop,
 )
 
@@ -244,6 +245,15 @@ def test_keep_rows_match_their_definition():
             chosen = sum(1 << x for x in range(1, n + 1, 2)) if k % 2 else 0
             for t in range(chosen.bit_count() + 2):
                 assert inst.bound(chosen, 0, 0, t) == chosen.bit_count()
+
+
+def test_instance_tables_equal_the_reference_builder():
+    # the build from each mask's element list gives the tables the direct
+    # build from the masks' bits gives, so every node count stays the same
+    for k in range(1, 8):
+        for n in range(1, 41):
+            inst = _Instance(n, k)
+            assert (inst.masks, inst.meets, inst.clears, inst.keeps) == instance_tables(n, k), (n, k)
 
 
 def test_keep_rows_share_their_ints():

@@ -212,14 +212,17 @@ def test_every_stored_attribute_is_read():
 
 def test_importing_the_cli_loads_neither_dataclasses_nor_inspect():
     """``import sumfree.cli``, which every CLI call pays first, builds its
-    classes without generated code: in a fresh interpreter it loads neither
-    ``dataclasses`` nor ``inspect``."""
+    classes without generated code and lists its source files without
+    ``pathlib``: in a fresh interpreter it loads none of ``dataclasses``,
+    ``inspect`` and ``pathlib``.  The child runs with ``-S``, as ``site``
+    may load ``pathlib`` itself (through a ``.pth`` file)."""
     code = ("import sys; before = set(sys.modules); import sumfree.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))")
+            "print(sorted({'dataclasses', 'inspect', 'pathlib'} & (set(sys.modules) - before)))")
     import_root = str(Path(sumfree.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [import_root, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")
 
 
