@@ -5,7 +5,7 @@ search for maximal configurations, the discrete f(n, k) solver, and the
 mechanical certificate for the 1/2 - 1/114 measure bound.
 """
 
-__version__ = "0.25.0"
+__version__ = "0.26.0"
 
 from .rationals import RationalParseError, format_rational
 from .intervals import Interval, IntervalUnion, Witness, is_k_sum_free, parse_union, format_union

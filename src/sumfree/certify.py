@@ -56,7 +56,10 @@ class ChainStep(NamedTuple):
     name: str
     lhs: Fraction
     rhs: Fraction
-    ok: bool
+
+    @property
+    def ok(self) -> bool:
+        return self.lhs <= self.rhs
 
 
 class Certificate(NamedTuple):
@@ -102,21 +105,19 @@ def check_chain(delta: Fraction, set_inf: Fraction,
     delta, set_inf, top_gap = (Fraction(require_exact(v, what, 0)) for v, what in
                                ((delta, "delta"), (set_inf, "set_inf"), (top_gap, "top_gap")))
     x = HALF - delta
-    case_bound = max(sumset_case_bounds(set_inf))
-    low_block = set_inf / 6 + Fraction(1, 9)
     return (
         # any 3-sum-free subset of [0, w] has measure <= w/2 (w = 1)
-        ChainStep("scaled_halving", x, HALF, x <= HALF),
+        ChainStep("scaled_halving", x, HALF),
         # one of the case bounds 1/2 - inf/3 and 1/2 - inf/4 always applies
-        ChainStep("sumset_cases", x, case_bound, x <= case_bound),
+        ChainStep("sumset_cases", x, max(sumset_case_bounds(set_inf))),
         # x = 1/2 - delta in the weaker case bound caps the infimum at 4*delta
-        ChainStep("inf_bound", set_inf, 4 * delta, set_inf <= 4 * delta),
+        ChainStep("inf_bound", set_inf, 4 * delta),
         # a missing top slice g sharpens the case bounds to 1/2 - inf/3 - g/2
         # and 1/2 - inf/4 - 3g/4; above the budget either forces x < 1/2 - delta
-        ChainStep("top_slice_budget", top_gap, 2 * delta, top_gap <= 2 * delta),
+        ChainStep("top_slice_budget", top_gap, 2 * delta),
         # the block in [inf, inf/3 + 2/9] is halved, then inf <= 4*delta applied
-        ChainStep("low_block_bound", low_block, 2 * delta / 3 + Fraction(1, 9),
-                  low_block <= 2 * delta / 3 + Fraction(1, 9)),
+        ChainStep("low_block_bound", set_inf / 6 + Fraction(1, 9),
+                  2 * delta / 3 + Fraction(1, 9)),
     )
 
 
@@ -145,13 +146,12 @@ def _below(getrandbits, n: int) -> int:
     return r
 
 
-def _draw(rng: random.Random, max_intervals: int) -> tuple[list[tuple[int, int]], int]:
-    """One seeded draw of up to max_intervals intervals in [0, 1]: ``(pairs, _DEN)``.
-
-    ``pairs`` are the sorted nondegenerate cut pairs (they may touch), as
-    numerators over the fixed ``_DEN`` (not reduced), so every draw shares
-    one denominator.  ``randint(a, b)`` is ``randrange(a, b + 1)``, so ``1 +
-    _below(n)`` and ``_below(d + 1)`` draw ``randint(1, n)`` and ``randint(0, d)``.
+def _draw(rng: random.Random, max_intervals: int) -> list[tuple[int, int]]:
+    """One seeded draw of up to max_intervals intervals in [0, 1]: the sorted
+    nondegenerate cut pairs (they may touch), as numerators over the fixed
+    ``_DEN`` (not reduced), so every draw shares one denominator.
+    ``randint(a, b)`` is ``randrange(a, b + 1)``, so ``1 + _below(n)`` and
+    ``_below(d + 1)`` draw ``randint(1, n)`` and ``randint(0, d)``.
     """
     bits = rng.getrandbits
     while True:
@@ -161,7 +161,7 @@ def _draw(rng: random.Random, max_intervals: int) -> tuple[list[tuple[int, int]]
                        for d in (1 + _below(bits, _MAX_DENOMINATOR) for _ in range(2 * m))])
         pairs = [(lo, hi) for lo, hi in zip(cuts[0::2], cuts[1::2]) if lo < hi]
         if pairs:
-            return pairs, _DEN
+            return pairs
 
 
 def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
@@ -181,7 +181,7 @@ def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
     min_slack = min_pairs = None
     violations = 0
     for _ in range(trials):
-        pairs, _ = _draw(rng, max_intervals)
+        pairs = _draw(rng, max_intervals)
         measure = sum(hi - lo for lo, hi in pairs)
         diam = pairs[-1][1] - pairs[0][0]
         slack = (sum(hi - lo for lo, hi in sum_windows(pairs))
@@ -192,4 +192,4 @@ def sumset_bound_harness(trials: int = 10_000, max_intervals: int = 6,
             min_slack, min_pairs = slack, pairs
     return HarnessReport(trials=trials, max_intervals=max_intervals, seed=seed,
                          violations=violations, min_slack=Fraction(min_slack, _DEN),
-                         min_slack_example=IntervalUnion.from_numerators(min_pairs, _DEN))
+                         min_slack_example=IntervalUnion(_DEN, min_pairs))

@@ -52,11 +52,11 @@ class Witness(NamedTuple):
     z: Fraction
 
 
-def _numerators(pairs: Sequence[Sequence[tuple[int, int]]]) -> tuple[list[tuple[int, int]], int]:
-    """(numerators, den) of endpoint pairs written as integer ``(p, q)``, ``q > 0``:
+def _numerators(pairs: Sequence[Sequence[tuple[int, int]]]) -> tuple[int, list[tuple[int, int]]]:
+    """(den, numerators) of endpoint pairs written as integer ``(p, q)``, ``q > 0``:
     ``den`` is the lcm of the q's, and each endpoint becomes its numerator over ``den``."""
-    den = lcm(*[q for pair in pairs for _, q in pair])  # a list: see from_numerators
-    return [(lp * (den // lq), hp * (den // hq)) for (lp, lq), (hp, hq) in pairs], den
+    den = lcm(*[q for pair in pairs for _, q in pair])  # a list: see IntervalUnion
+    return den, [(lp * (den // lq), hp * (den // hq)) for (lp, lq), (hp, hq) in pairs]
 
 
 def _merge(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -80,25 +80,25 @@ def _merge(pairs: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
 class IntervalUnion:
     """Canonical finite union of disjoint open intervals (lo/den, hi/den).
 
-    Build one with ``from_numerators`` or ``parse_union``;
-    the fields must already be canonical (see the module docstring).
+    ``IntervalUnion(den, nums)`` takes ``den`` >= 1 and any iterable of integer
+    (lo, hi) pairs over it, and stores their canonical form (see the module
+    docstring); ``parse_union`` reads one from text.
     A union is immutable and equals, and hashes with, unions only.
     """
 
-    def __init__(self, den: int = 1, nums: tuple[tuple[int, int], ...] = ()):
-        if not (type(den) is int and type(nums) is tuple and all(
-                type(p) is tuple and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
-                for p in nums)):
-            raise TypeError(f"IntervalUnion takes an int den and a tuple of int pairs, "
-                            f"got den={den!r}, nums={nums!r}")
-        flat = [v for pair in nums for v in pair]
-        if den <= 0 or gcd(den, *flat) != 1:
-            raise ValueError(f"den {den} is not positive and in lowest terms against {nums}")
-        if not all(a < b for a, b in zip(flat, flat[1:])):
-            raise ValueError(f"non-canonical union {nums}: pairs must be sorted, nonempty "
-                             "and neither overlap nor touch; construct via from_numerators")
-        object.__setattr__(self, "den", den)
-        object.__setattr__(self, "nums", nums)
+    def __init__(self, den: int = 1, nums: Iterable[tuple[int, int]] = ()):
+        require_int(den, "den", 1)
+        merged = _merge(nums)
+        flat = [v for pair in merged for v in pair]
+        if not set(map(type, flat)) <= {int}:
+            raise TypeError(f"IntervalUnion takes int endpoints, got {merged!r}")
+        g = gcd(den, *flat)
+        if g > 1:
+            merged = [(lo // g, hi // g) for lo, hi in merged]
+        object.__setattr__(self, "den", den // g)
+        # tuple() of a list, not of a generator: on CPython 3.11 the generator
+        # form leaves resized tuples behind and grows the peak RSS of long runs
+        object.__setattr__(self, "nums", tuple(merged))
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -117,25 +117,10 @@ class IntervalUnion:
     def __repr__(self) -> str:
         return f"IntervalUnion(den={self.den!r}, nums={self.nums!r})"
 
-    @staticmethod
-    def from_numerators(pairs: Iterable[tuple[int, int]], den: int) -> "IntervalUnion":
-        """Canonicalize integer pairs over ``den`` > 0: drop degenerates, sort, merge, reduce."""
-        require_int(den, "den", 1)
-        merged = _merge(pairs)
-        g = gcd(den, *[v for pair in merged for v in pair])
-        if g > 1:
-            merged = [(lo // g, hi // g) for lo, hi in merged]
-        # tuple() of a list, not of a generator: on CPython 3.11 the generator
-        # form leaves resized tuples behind and grows the peak RSS of long runs
-        return IntervalUnion(den // g, tuple(merged))
-
     @cached_property
     def intervals(self) -> tuple[Interval, ...]:
         den = self.den
         return tuple([Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in self.nums])
-
-    def pairs(self) -> list[tuple[Fraction, Fraction]]:
-        return [(iv.lo, iv.hi) for iv in self.intervals]
 
     def measure(self) -> Fraction:
         return Fraction(sum(hi - lo for lo, hi in self.nums), self.den)
@@ -229,7 +214,7 @@ def parse_union(text: str) -> IntervalUnion:
             raise RationalParseError(text, exc.pos, exc.reason) from None
         pairs.append((lo, hi))  # lo >= hi pairs are dropped by canonicalization
         pos += len(chunk) + 1
-    return IntervalUnion.from_numerators(*_numerators(pairs))
+    return IntervalUnion(*_numerators(pairs))
 
 
 def format_union(u: IntervalUnion) -> str:

@@ -224,7 +224,7 @@ def _union(v: Sequence[int], den: int) -> IntervalUnion:
     numerators over ``den`` > 0; vanished ones drop out."""
     if not all(a <= b for a, b in zip((0, *v), (*v, den))):
         raise AssertionError(f"vertex {v} over {den} is not a nondecreasing chain in [0, 1]")
-    return IntervalUnion.from_numerators(zip(v[0::2], v[1::2]), den)
+    return IntervalUnion(den, zip(v[0::2], v[1::2]))
 
 
 def _record_leaf(state: _RunState, m: int, tab: lp_mod.Tableau,
@@ -381,7 +381,7 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = True,
     exact = not state.interrupted and state.witnesses_exact
     return SearchResult(
         optimum=state.best,
-        witnesses=tuple(sorted(state.witnesses, key=IntervalUnion.pairs)),
+        witnesses=tuple(sorted(state.witnesses, key=lambda u: u.intervals)),
         nodes_explored=state.counts["nodes"],
         status=INTERRUPTED if state.interrupted else PROVEN,
         witnesses_exact=exact,

@@ -475,7 +475,7 @@ def canonical_pairs_fraction(pairs):
     """Canonical form of raw (lo, hi) pairs in ``Fraction`` arithmetic.
 
     Drops degenerate pairs, sorts, and merges overlapping or touching
-    ones; the reference for the canonical form of ``IntervalUnion.from_numerators``.
+    ones; the reference for the canonical form that ``IntervalUnion`` stores.
     """
     live = sorted((Fraction(lo), Fraction(hi)) for lo, hi in pairs if lo < hi)
     merged = []
@@ -504,11 +504,17 @@ def merge_reference(pairs):
     return merged
 
 
+def pairs(u: IntervalUnion) -> list[tuple[Fraction, Fraction]]:
+    """The ``(lo, hi)`` endpoints of ``u``'s intervals, as ``Fraction`` pairs."""
+    return [(iv.lo, iv.hi) for iv in u.intervals]
+
+
 def union_fraction(pairs) -> IntervalUnion:
     """The union of raw ``Fraction`` (or ``int``) pairs, canonicalized in ``Fraction``
-    by ``canonical_pairs_fraction`` and stored field by field, with no library
-    constructor: ``den`` is the lcm of the endpoints' denominators, which is in
-    lowest terms against the numerators since each endpoint is."""
+    by ``canonical_pairs_fraction``: ``den`` is the lcm of the endpoints'
+    denominators, which is in lowest terms against the numerators since each
+    endpoint is.  So the fields are canonical already, and the constructor
+    keeps canonical fields as they are (``test_repr_rebuilds_the_union``)."""
     merged = canonical_pairs_fraction(pairs)
     den = lcm(*[v.denominator for pair in merged for v in pair])
     return IntervalUnion(den, tuple((int(lo * den), int(hi * den)) for lo, hi in merged))
@@ -582,10 +588,10 @@ def sumset_harness_fraction(draw, trials: int):
     min_slack = min_example = None
     for _ in range(trials):
         u = draw()
-        pairs = u.pairs()
-        measure = measure_fraction(pairs)
-        diam = pairs[-1][1] - pairs[0][0]
-        slack = (measure_fraction(minkowski_sum_fraction(pairs, pairs))
+        ends = pairs(u)
+        measure = measure_fraction(ends)
+        diam = ends[-1][1] - ends[0][0]
+        slack = (measure_fraction(minkowski_sum_fraction(ends, ends))
                  - min(3 * measure, measure + diam))
         if slack < 0:
             violations += 1

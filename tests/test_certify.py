@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from oracles import random_union_randint, sumset_harness_fraction, top_slice_bounds
+from oracles import pairs, random_union_randint, sumset_harness_fraction, top_slice_bounds
 
 from sumfree.certify import (
     BRANCHES,
@@ -24,7 +24,7 @@ F = Fraction
 
 def _random_union(rng: random.Random, max_intervals: int) -> IntervalUnion:
     """The union of the harness's next draw."""
-    return IntervalUnion.from_numerators(*_draw(rng, max_intervals))
+    return IntervalUnion(_DEN, _draw(rng, max_intervals))
 
 
 def test_branch_suprema():
@@ -132,15 +132,15 @@ def test_check_chain_takes_int_parameters():
 
 def test_tight_sumset_examples():
     a = parse_union("(0,1/4);(3/4,1)")
-    s = IntervalUnion.from_numerators(sum_windows(a.nums), a.den)
-    assert s.pairs() == [(F(0), F(1, 2)), (F(3, 4), F(5, 4)), (F(3, 2), F(2))]
+    s = IntervalUnion(a.den, sum_windows(a.nums))
+    assert pairs(s) == [(F(0), F(1, 2)), (F(3, 4), F(5, 4)), (F(3, 2), F(2))]
     assert s.measure() == F(3, 2)
-    diam = a.pairs()[-1][1] - a.pairs()[0][0]
+    diam = pairs(a)[-1][1] - pairs(a)[0][0]
     assert min(3 * a.measure(), a.measure() + diam) == F(3, 2)
 
     whole = parse_union("(0,1)")
-    assert IntervalUnion.from_numerators(sum_windows(whole.nums), whole.den).measure() == 2
-    diam = whole.pairs()[-1][1] - whole.pairs()[0][0]
+    assert IntervalUnion(whole.den, sum_windows(whole.nums)).measure() == 2
+    diam = pairs(whole)[-1][1] - pairs(whole)[0][0]
     assert min(3 * whole.measure(), whole.measure() + diam) == 2
 
 

@@ -1,6 +1,6 @@
-"""The integer interval kernel: the canonical form ``from_numerators`` and
-``parse_union`` give, measure, U+U by ``sum_windows``, and ``is_k_sum_free``,
-against the ``Fraction`` oracles in ``oracles``."""
+"""The integer interval kernel: the canonical form the ``IntervalUnion``
+constructor and ``parse_union`` give, measure, U+U by ``sum_windows``, and
+``is_k_sum_free``, against the ``Fraction`` oracles in ``oracles``."""
 
 import pickle
 import random
@@ -9,6 +9,7 @@ from math import lcm
 
 import pytest
 
+import oracles
 from oracles import (
     MALFORMED_UNION_TEXTS,
     canonical_pairs_fraction,
@@ -16,6 +17,7 @@ from oracles import (
     measure_fraction,
     merge_reference,
     minkowski_sum_fraction,
+    pairs,
     parse_union_fraction,
     union_fraction,
 )
@@ -36,19 +38,19 @@ F = Fraction
 
 def rand_union(rng: random.Random, max_intervals=5, denom=24) -> IntervalUnion:
     cuts = sorted(rng.randint(0, denom) for _ in range(2 * rng.randint(1, max_intervals)))
-    return IntervalUnion.from_numerators(list(zip(cuts[0::2], cuts[1::2])), denom)
+    return IntervalUnion(denom, list(zip(cuts[0::2], cuts[1::2])))
 
 
 def _union(u: IntervalUnion, v: IntervalUnion) -> IntervalUnion:
-    """u | v by ``from_numerators``, over the lcm of the two denominators."""
+    """u | v by the constructor, over the lcm of the two denominators."""
     den = lcm(u.den, v.den)
-    return IntervalUnion.from_numerators(
-        [(lo * (den // w.den), hi * (den // w.den)) for w in (u, v) for lo, hi in w.nums], den)
+    return IntervalUnion(
+        den, [(lo * (den // w.den), hi * (den // w.den)) for w in (u, v) for lo, hi in w.nums])
 
 
 def _square(u: IntervalUnion) -> IntervalUnion:
     """U+U as a union: ``sum_windows`` over U's own denominator."""
-    return IntervalUnion.from_numerators(sum_windows(u.nums), u.den)
+    return IntervalUnion(u.den, sum_windows(u.nums))
 
 
 def test_interval_requires_positive_length():
@@ -56,35 +58,38 @@ def test_interval_requires_positive_length():
         Interval(F(1, 3), F(1, 3))
 
 
-def test_direct_construction_rejects_non_canonical_tuples():
+def test_direct_construction_canonicalizes_non_canonical_tuples():
     touching = ((0, 2), (2, 4))  # (0, 1/2) and (1/2, 1) over 4
-    with pytest.raises(ValueError):
-        IntervalUnion(4, touching)
     out_of_order = ((2, 4), (0, 1))  # (1/2, 1) before (0, 1/4)
-    with pytest.raises(ValueError):
-        IntervalUnion(4, out_of_order)
-    assert IntervalUnion.from_numerators(touching, 4).pairs() == [(F(0), F(1))]
-    assert IntervalUnion.from_numerators(out_of_order, 4).pairs() == [(F(0), F(1, 4)),
-                                                                      (F(1, 2), F(1))]
+    assert pairs(IntervalUnion(4, touching)) == [(F(0), F(1))]
+    assert pairs(IntervalUnion(4, out_of_order)) == [(F(0), F(1, 4)), (F(1, 2), F(1))]
 
 
 @pytest.mark.parametrize("den,nums,error", [
     pytest.param(F(4), ((0, 1),), TypeError, id="fraction-den"),
     pytest.param(4, ((0, F(1)),), TypeError, id="fraction-numerator"),
-    pytest.param(4, [(0, 1)], TypeError, id="list-of-pairs"),
     pytest.param(True, ((0, 1),), TypeError, id="bool-den"),
     pytest.param(0, ((0, 1),), ValueError, id="zero-den"),
     pytest.param(-3, ((0, 1),), ValueError, id="negative-den"),
-    pytest.param(4, ((0, 2),), ValueError, id="unreduced"),  # (0, 1/2) is (0, 1) over 2
-    pytest.param(2, (), ValueError, id="unreduced-empty"),  # the empty union is over 1
-    pytest.param(4, ((2, 3), (0, 1)), ValueError, id="unsorted"),
-    pytest.param(4, ((0, 1), (1, 3)), ValueError, id="touching"),
-    pytest.param(4, ((3, 3),), ValueError, id="lo-equals-hi"),
-    pytest.param(4, ((3, 1),), ValueError, id="lo-above-hi"),
 ])
 def test_direct_construction_rejects_each_non_canonical_field(den, nums, error):
     with pytest.raises(error):
         IntervalUnion(den, nums)
+
+
+@pytest.mark.parametrize("den,nums", [
+    pytest.param(4, [(0, 1)], id="list-of-pairs"),
+    pytest.param(4, ((0, 2),), id="unreduced"),  # (0, 1/2) is (0, 1) over 2
+    pytest.param(2, (), id="unreduced-empty"),  # the empty union is over 1
+    pytest.param(4, ((2, 3), (0, 1)), id="unsorted"),
+    pytest.param(4, ((0, 1), (1, 3)), id="touching"),
+    pytest.param(4, ((3, 3),), id="lo-equals-hi"),
+    pytest.param(4, ((3, 1),), id="lo-above-hi"),
+])
+def test_direct_construction_canonicalizes_each_non_canonical_field(den, nums):
+    """A field that is not canonical gives the union that the ``Fraction`` oracle gives."""
+    assert IntervalUnion(den, nums) == union_fraction([(F(lo, den), F(hi, den))
+                                                       for lo, hi in nums])
 
 
 def test_the_three_constructors_agree():
@@ -92,8 +97,7 @@ def test_the_three_constructors_agree():
     the ``Fraction`` oracle give one union."""
     want = IntervalUnion(177, ((8, 12), (28, 42), (118, 177)))
     built = [
-        IntervalUnion.from_numerators([(118 * 6, 177 * 6), (8 * 6, 12 * 6), (28 * 6, 42 * 6)],
-                                      177 * 6),
+        IntervalUnion(177 * 6, [(118 * 6, 177 * 6), (8 * 6, 12 * 6), (28 * 6, 42 * 6)]),
         parse_union("(2/3,1);(8/177,4/59);(28/177,14/59)"),
         parse_union("(16/354,8/118);(2/3,6/6);(28/177,14/59)"),
         union_fraction([(F(16, 354), F(8, 118)), (F(2, 3), F(6, 6)), (F(28, 177), F(14, 59))]),
@@ -101,10 +105,10 @@ def test_the_three_constructors_agree():
     for u in built:
         assert u == want and hash(u) == hash(want)
         assert (u.den, u.nums) == (177, ((8, 12), (28, 42), (118, 177)))
-    assert IntervalUnion.from_numerators([], 7) == IntervalUnion()
-    assert IntervalUnion.from_numerators([(3, 3)], 5) == IntervalUnion()
+    assert IntervalUnion(7, []) == IntervalUnion()
+    assert IntervalUnion(5, [(3, 3)]) == IntervalUnion()
     with pytest.raises(ValueError):
-        IntervalUnion.from_numerators([(0, 1)], 0)
+        IntervalUnion(0, [(0, 1)])
 
 
 def test_pickle_round_trip_keeps_the_union():
@@ -115,7 +119,14 @@ def test_pickle_round_trip_keeps_the_union():
                 u.intervals  # the lazy view travels along, or is rebuilt
             v = pickle.loads(pickle.dumps(u))
             assert v == u and hash(v) == hash(u)
-            assert v.intervals == u.intervals and v.pairs() == u.pairs()
+            assert v.intervals == u.intervals and pairs(v) == pairs(u)
+
+
+def test_repr_rebuilds_the_union(largest_known_3sumfree):
+    """``eval(repr(u))`` is ``u``: the constructor keeps canonical fields as they are."""
+    rng = random.Random(15)
+    for u in [largest_known_3sumfree] + [rand_union(rng) for _ in range(50)]:
+        assert eval(repr(u)) == u
 
 
 def test_intervals_view_is_built_only_when_read(largest_known_3sumfree):
@@ -130,17 +141,17 @@ def test_intervals_view_is_built_only_when_read(largest_known_3sumfree):
 
 
 def test_canonicalize_overlap_merge():
-    u = IntervalUnion.from_numerators([(0, 2), (1, 3)], 4)
-    assert u.pairs() == [(F(0), F(3, 4))]
+    u = IntervalUnion(4, [(0, 2), (1, 3)])
+    assert pairs(u) == [(F(0), F(3, 4))]
 
 
 def test_canonicalize_drops_degenerate():
-    assert IntervalUnion.from_numerators([(1, 1)], 3) == IntervalUnion()
-    assert IntervalUnion.from_numerators([(2, 1)], 3) == IntervalUnion()
+    assert IntervalUnion(3, [(1, 1)]) == IntervalUnion()
+    assert IntervalUnion(3, [(2, 1)]) == IntervalUnion()
 
 
 def test_canonicalize_sorts_record_configuration(largest_known_3sumfree):
-    u = IntervalUnion.from_numerators([(118, 177), (8, 12), (28, 42)], 177)
+    u = IntervalUnion(177, [(118, 177), (8, 12), (28, 42)])
     assert u == largest_known_3sumfree
     assert [iv.lo for iv in u.intervals] == [F(8, 177), F(28, 177), F(2, 3)]
 
@@ -183,27 +194,28 @@ def _raw_pairs(rng: random.Random) -> list:
     return pairs
 
 
-def _over_lcm(raw: list) -> tuple[list[tuple[int, int]], int]:
-    """Raw ``int`` or ``Fraction`` pairs as numerators over the lcm of their denominators."""
+def _over_lcm(raw: list) -> tuple[int, list[tuple[int, int]]]:
+    """Raw ``int`` or ``Fraction`` pairs as numerators over the lcm of their
+    denominators: ``(den, numerators)``."""
     den = lcm(*[F(v).denominator for pair in raw for v in pair])
-    return [(int(lo * den), int(hi * den)) for lo, hi in raw], den
+    return den, [(int(lo * den), int(hi * den)) for lo, hi in raw]
 
 
 def test_integer_kernel_matches_fraction_oracle():
-    """from_numerators, measure, U+U by sum_windows and is_k_sum_free against plain
+    """The constructor, measure, U+U by sum_windows and is_k_sum_free against plain
     Fraction algebra."""
     rng = random.Random(13)
     raws = [[]] + [_raw_pairs(rng) for _ in range(2400)]
-    unions = [IntervalUnion.from_numerators(*_over_lcm(raw)) for raw in raws]
+    unions = [IntervalUnion(*_over_lcm(raw)) for raw in raws]
     assert sum(not u.nums for u in unions) > 50
     assert sum(len(raw) > len(u.intervals) > 0 for raw, u in zip(raws, unions)) > 500
     verdicts = set()
     for raw, u in zip(raws, unions):
         ref = canonical_pairs_fraction(raw)
-        assert u.pairs() == ref
-        assert all(type(p) is Fraction for pair in u.pairs() for p in pair)
+        assert pairs(u) == ref
+        assert all(type(p) is Fraction for pair in pairs(u) for p in pair)
         assert u.measure() == measure_fraction(ref)
-        assert _square(u).pairs() == minkowski_sum_fraction(ref, ref)
+        assert pairs(_square(u)) == minkowski_sum_fraction(ref, ref)
         for k in range(1, 8):
             free, witness = is_k_sum_free(u, k)
             assert (free, witness and tuple(witness)) == is_k_sum_free_fraction(ref, k)
@@ -216,7 +228,7 @@ def test_sum_windows_match_minkowski_sum(largest_known_3sumfree):
     rng = random.Random(14)
     unions = [largest_known_3sumfree] + [rand_union(rng, 6, 64) for _ in range(500)]
     for u in unions:
-        assert _square(u).pairs() == minkowski_sum_fraction(u.pairs(), u.pairs())
+        assert pairs(_square(u)) == minkowski_sum_fraction(pairs(u), pairs(u))
 
 
 def _int_pairs(rng: random.Random) -> list[tuple[int, int]]:
@@ -242,24 +254,24 @@ def test_merge_matches_the_reference_merge():
     assert all(sum(map(shape, lists)) > 200 for shape in shapes.values())
     draws = random.Random(16)
     for trial in range(500):
-        pairs, _ = _draw(draws, 1 + trial % 12)
-        lists += [pairs, [(alo + blo, ahi + bhi) for i, (alo, ahi) in enumerate(pairs)
-                          for blo, bhi in pairs[i:]]]
-    for pairs in [[]] + lists:
-        assert _merge(pairs) == merge_reference(pairs)
+        drawn = _draw(draws, 1 + trial % 12)
+        lists += [drawn, [(alo + blo, ahi + bhi) for i, (alo, ahi) in enumerate(drawn)
+                          for blo, bhi in drawn[i:]]]
+    for raw in [[]] + lists:
+        assert _merge(raw) == merge_reference(raw)
 
 
 def test_canonicalize_merges_touching():
-    u = IntervalUnion.from_numerators([(0, 1), (1, 2)], 2)
-    assert u.pairs() == [(F(0), F(1))]
+    u = IntervalUnion(2, [(0, 1), (1, 2)])
+    assert pairs(u) == [(F(0), F(1))]
 
 
 def test_canonicalize_idempotent_on_random_input():
     rng = random.Random(1)
     for _ in range(300):
         u = rand_union(rng)
-        assert IntervalUnion.from_numerators(u.nums, u.den) == u
-        assert union_fraction(u.pairs()) == u
+        assert IntervalUnion(u.den, u.nums) == u
+        assert union_fraction(pairs(u)) == u
 
 
 def test_measure_examples(largest_known_3sumfree):
@@ -270,7 +282,7 @@ def test_measure_examples(largest_known_3sumfree):
 
 def test_union_of_record_pieces_has_record_measure(largest_known_3sumfree):
     u = largest_known_3sumfree
-    parts = [IntervalUnion.from_numerators([p], u.den) for p in u.nums]
+    parts = [IntervalUnion(u.den, [p]) for p in u.nums]
     acc = IntervalUnion()
     for part in parts:
         acc = _union(acc, part)
@@ -282,23 +294,23 @@ def test_measure_additivity_on_random_pairs():
     for _ in range(300):
         u, v = rand_union(rng), rand_union(rng)
         # the components of each union are disjoint, so the overlap is the sum over pairs
-        overlap = sum(max(0, min(b, d) - max(a, c)) for a, b in u.pairs() for c, d in v.pairs())
+        overlap = sum(max(0, min(b, d) - max(a, c)) for a, b in pairs(u) for c, d in pairs(v))
         lhs = _union(u, v).measure() + overlap
         assert lhs == u.measure() + v.measure()
 
 
 def test_minkowski_single_interval():
-    assert _square(parse_union("(2/3,1)")).pairs() == [(F(4, 3), F(2))]
+    assert pairs(_square(parse_union("(2/3,1)"))) == [(F(4, 3), F(2))]
 
 
 def test_minkowski_two_interval_example():
     u = parse_union("(0,1/8);(1/2,5/8)")
     s = _square(u)
-    assert s.pairs() == [(F(0), F(1, 4)), (F(1, 2), F(3, 4)), (F(1), F(5, 4))]
+    assert pairs(s) == [(F(0), F(1, 4)), (F(1, 2), F(3, 4)), (F(1), F(5, 4))]
     # grid sampler: every pairwise sum of interior grid points lands inside
     for x in _grid_points(u, 40):
         for y in _grid_points(u, 40):
-            assert any(lo < x + y < hi for lo, hi in s.pairs())
+            assert any(lo < x + y < hi for lo, hi in pairs(s))
 
 
 def _grid_points(u: IntervalUnion, denom: int):
@@ -318,13 +330,13 @@ def test_minkowski_commutative_and_monotone():
     rng = random.Random(4)
     for _ in range(150):
         u = rand_union(rng, 4)
-        every = IntervalUnion.from_numerators(
-            [(alo + blo, ahi + bhi) for alo, ahi in u.nums for blo, bhi in u.nums], u.den)
+        every = IntervalUnion(
+            u.den, [(alo + blo, ahi + bhi) for alo, ahi in u.nums for blo, bhi in u.nums])
         small, large = _square(u), _square(_union(u, rand_union(rng, 2)))
         assert small == every
         assert sum_windows(u.nums[::-1]) == sum_windows(u.nums)
         # each component of U+U lies inside one of U'+U'
-        assert all(any(c <= a and b <= d for c, d in large.pairs()) for a, b in small.pairs())
+        assert all(any(c <= a and b <= d for c, d in pairs(large)) for a, b in pairs(small))
 
 
 def test_scale_multiplies_measure():
@@ -333,16 +345,15 @@ def test_scale_multiplies_measure():
         u = rand_union(rng)
         q = F(rng.randint(1, 30), rng.randint(1, 30))
         p = q.numerator
-        dilated = IntervalUnion.from_numerators([(lo * p, hi * p) for lo, hi in u.nums],
-                                                u.den * q.denominator)
+        dilated = IntervalUnion(u.den * q.denominator, [(lo * p, hi * p) for lo, hi in u.nums])
         assert dilated.measure() == q * u.measure()
 
 
 def test_scaled_sumset_stays_in_window(largest_known_3sumfree):
     # (A+A)/3 lies inside [2a/3, 2/3] when A is inside [a, 1]
     u = largest_known_3sumfree
-    a = u.pairs()[0][0]
-    c = IntervalUnion.from_numerators(sum_windows(u.nums), 3 * u.den).pairs()
+    a = pairs(u)[0][0]
+    c = pairs(IntervalUnion(3 * u.den, sum_windows(u.nums)))
     lo, hi = c[0][0], c[-1][1]
     assert lo >= 2 * a / 3 and hi <= F(2, 3)
 
@@ -352,8 +363,8 @@ def test_record_set_is_3_sum_free(largest_known_3sumfree):
     assert free and witness is None
     # its scaled sumset is interior-disjoint from the set itself
     u = largest_known_3sumfree
-    c = IntervalUnion.from_numerators(sum_windows(u.nums), 3 * u.den)
-    assert all(b <= lo or hi <= a for a, b in c.pairs() for lo, hi in u.pairs())
+    c = IntervalUnion(3 * u.den, sum_windows(u.nums))
+    assert all(b <= lo or hi <= a for a, b in pairs(c) for lo, hi in pairs(u))
 
 
 def test_top_half_is_not_3_sum_free_with_valid_witness():
@@ -361,7 +372,7 @@ def test_top_half_is_not_3_sum_free_with_valid_witness():
     free, w = is_k_sum_free(u, 3)
     assert not free
     assert w.x + w.y == 3 * w.z
-    assert all(any(lo < p < hi for lo, hi in u.pairs()) for p in w)
+    assert all(any(lo < p < hi for lo, hi in pairs(u)) for p in w)
 
 
 def test_top_half_is_1_sum_free():
@@ -381,8 +392,7 @@ def test_freeness_is_dilation_invariant():
         k = rng.randint(1, 5)
         q = F(rng.randint(1, 20), rng.randint(1, 20))
         p = q.numerator
-        dilated = IntervalUnion.from_numerators([(lo * p, hi * p) for lo, hi in u.nums],
-                                                u.den * q.denominator)
+        dilated = IntervalUnion(u.den * q.denominator, [(lo * p, hi * p) for lo, hi in u.nums])
         assert is_k_sum_free(u, k)[0] == is_k_sum_free(dilated, k)[0]
 
 
@@ -397,7 +407,7 @@ def test_witness_soundness_on_random_unions():
             checked += 1
             assert w.x + w.y == k * w.z
             for point in (w.x, w.y, w.z):
-                assert any(lo < point < hi for lo, hi in u.pairs())
+                assert any(lo < point < hi for lo, hi in pairs(u))
     assert checked > 50  # the sample actually exercised failing cases
 
 
@@ -414,7 +424,7 @@ def test_k2_witness_is_not_the_trivial_triple():
         assert not free
         checked += 1
         assert w.x != w.y and w.x + w.y == 2 * w.z
-        assert all(any(lo < p < hi for lo, hi in u.pairs()) for p in w)
+        assert all(any(lo < p < hi for lo, hi in pairs(u)) for p in w)
     assert checked > 50
 
 
@@ -430,9 +440,8 @@ def test_all_outputs_stay_canonical():
     for _ in range(150):
         u, v = rand_union(rng), rand_union(rng)
         for result in (_union(u, v), _square(u),
-                       IntervalUnion.from_numerators([(3 * lo, 3 * hi) for lo, hi in u.nums],
-                                                     2 * u.den)):
-            assert union_fraction(result.pairs()) == result
+                       IntervalUnion(2 * u.den, [(3 * lo, 3 * hi) for lo, hi in u.nums])):
+            assert union_fraction(pairs(result)) == result
             for first, second in zip(result.intervals, result.intervals[1:]):
                 assert first.hi < second.lo  # strictly separated components
 
@@ -445,7 +454,7 @@ def test_all_outputs_stay_canonical():
     ("(1/3,1/3)", []),  # degenerate pair dropped
 ])
 def test_parse_union(text, pairs):
-    assert parse_union(text).pairs() == pairs
+    assert oracles.pairs(parse_union(text)) == pairs
 
 
 def test_parse_union_round_trips_formatting():
@@ -499,7 +508,7 @@ def test_parse_union_matches_the_fraction_path_on_edge_cases(text):
 
 def test_parse_union_matches_the_fraction_path_on_seeded_texts():
     """Integer numerators over the lcm of the written denominators, reduced by
-    ``from_numerators``, give the union that ``Fraction`` endpoints give."""
+    the constructor, give the union that ``Fraction`` endpoints give."""
     rng = random.Random(21)
     texts = [_union_text(rng) for _ in range(2000)]
     assert sum("-" in t for t in texts) > 100

@@ -125,7 +125,7 @@ def _reads(tree: ast.AST) -> tuple[set[str], set[str]]:
 
 
 # Reached only from the tests, which use it as their reference checker of an
-# LP optimum; ROADMAP item 5 folds it into the proof checker.
+# LP optimum; ROADMAP item 7 folds it into the proof checker.
 _UNREACHED_EXEMPT = {"check_certificate"}
 
 
@@ -231,7 +231,7 @@ def test_unions_and_records_are_immutable_values():
     only, refuses every assignment and deletion, keeps the field-list
     ``repr`` and survives a pickle round trip with its ``intervals`` view
     read; each result record refuses an assignment to a field."""
-    u = sumfree.IntervalUnion.from_numerators([(1, 2)], 3)
+    u = sumfree.IntervalUnion(3, [(1, 2)])
     assert u == sumfree.IntervalUnion(3, ((1, 2),)) and u != (3, ((1, 2),))
     assert sumfree.IntervalUnion() != (1, ()) and (1, ()) != sumfree.IntervalUnion()
     assert hash(u) == hash(sumfree.IntervalUnion(den=3, nums=((1, 2),)))
@@ -292,20 +292,20 @@ _NUMERIC_CALLS = [
     (sumfree.is_k_sum_free, {"u": _UNION, "k": 3}),
     (sumfree.check_chain, {"delta": Fraction(1, 114), "set_inf": 0, "top_gap": 0}),
     (sumfree.sumset_bound_harness, {"trials": 10, "max_intervals": 2, "seed": 1}),
-    (sumfree.IntervalUnion.from_numerators, {"pairs": [(1, 2)], "den": 3}),
+    (sumfree.IntervalUnion, {"den": 3, "nums": [(1, 2)]}),
 ]
 
 
 @pytest.mark.parametrize("fn,kwargs,name,kind", [
     pytest.param(fn, kwargs, name, kind, id=f"{fn.__name__}-{name}{suffix}")
     for fn, kwargs in _NUMERIC_CALLS for name in kwargs if name != "u"
-    for kind, suffix in ((float, ""), (bool, "-bool")) if (name, kind) != ("pairs", bool)])
+    for kind, suffix in ((float, ""), (bool, "-bool")) if (name, kind) != ("nums", bool)])
 def test_a_float_argument_raises_type_error(fn, kwargs, name, kind):
     """A float, even an integral one, and a bool are rejected up front, never
     computed with."""
     fn(**kwargs)
     value = kwargs[name]
-    bad = [(lo, kind(hi)) for lo, hi in value] if name == "pairs" else kind(value)
+    bad = [(lo, kind(hi)) for lo, hi in value] if name == "nums" else kind(value)
     with pytest.raises(TypeError):
         fn(**{**kwargs, name: bad})
 
