@@ -5,10 +5,14 @@ The forbidden structures are the triples a + b = k*c inside {1..n}
 numbers).  f(n, k) is computed by depth-first branch-and-bound over
 elements in decreasing order, with three exact devices:
 
-* unit propagation: once all but one element of a triple are chosen,
-  the last is banned for the rest of the subtree, so the chosen set
-  never completes a triple (every triple has two or more elements, and
-  the ban comes before its last element is decided);
+* unit propagation: elements are decided in decreasing order and a live
+  mask (below) meets no dead element, so at element e its elements above
+  e are chosen and those below e available.  Choosing e thus leaves a
+  live mask one element short exactly when e is its second-lowest
+  element (``_Instance.seconds[e]``), and its lowest is banned for the
+  rest of the subtree.  So the chosen set never completes a triple: a
+  live mask whose lowest element is e (``firsts[e]``) would be one, and
+  the ban came before e was decided;
 * counting bound: chosen + remaining - (greedy count of triples fully
   inside chosen + remaining whose remaining parts are disjoint), each
   such triple forcing at least one future removal.  The two-element
@@ -98,6 +102,14 @@ class _Instance:
                 holders[x].append(i)
         full = (1 << len(order)) - 1
         self.clears = [full ^ m for m in self.meets]
+        # firsts[x], seconds[x]: the masks whose lowest, second-lowest element
+        # is x, from prefix ORs of the masks with one, two elements below x
+        self.firsts, self.seconds = [0] * (n + 1), [0] * (n + 1)
+        one = two = 0
+        for x, meet in enumerate(self.meets):
+            self.firsts[x], self.seconds[x] = meet & ~one, meet & one & ~two
+            two |= meet & one
+            one |= meet
         # keeps[b][i]: clears[x] ANDed over the elements x < b of masks[i], the
         # masks that packing masks[i] keeps when avail.bit_length() == b; each
         # row copies the one before it, so the rows share their ints
@@ -153,7 +165,7 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     if node_limit is not None:
         require_int(node_limit, "node_limit", 0)
     n = inst.n
-    masks, meets, clears = inst.masks, inst.meets, inst.clears
+    masks, clears, firsts, seconds = inst.masks, inst.clears, inst.firsts, inst.seconds
     seed = _seed(inst)
     if seed & ~((2 << n) - 2) or any(not tm & ~seed for tm in masks):
         raise AssertionError(f"seed {_bits(seed)} is not a {inst.k}-sum-free subset of 1..{n}")
@@ -188,21 +200,17 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
             continue
         # exclude-branch first on the stack so the include-branch pops first
         stack.append((e - 1, chosen, banned, live & clears[e]))
-        new_chosen = chosen | (1 << e)
-        unchosen = ~new_chosen
+        if live & firsts[e]:  # a live mask inside chosen | e: its ban never came
+            raise AssertionError(f"choosing {e} completes a forbidden triple")
         new_banned, new_live = banned, live
-        # a mask inside new_chosen meets no dead element, so it is live here
-        pending = live & meets[e]
+        pending = live & seconds[e]
         while pending:
             i = pending.bit_length() - 1
             pending ^= 1 << i
-            missing = masks[i] & unchosen
-            if missing & (missing - 1) == 0:
-                if not missing:  # unit propagation banned e before it got here
-                    raise AssertionError(f"choosing {e} completes a forbidden triple")
-                new_banned |= missing
-                new_live &= clears[missing.bit_length() - 1]
-        stack.append((e - 1, new_chosen, new_banned, new_live))
+            missing = masks[i] & -masks[i]  # its lowest element: e is its second-lowest
+            new_banned |= missing
+            new_live &= clears[missing.bit_length() - 1]
+        stack.append((e - 1, chosen | (1 << e), new_banned, new_live))
     return best, sorted(tuple(_bits(mask)) for mask in best_sets), nodes
 
 

@@ -88,10 +88,13 @@ class IntervalUnion:
 
     def __init__(self, den: int = 1, nums: Iterable[tuple[int, int]] = ()):
         require_int(den, "den", 1)
+        nums = nums if isinstance(nums, (list, tuple)) else list(nums)
         merged = _merge(nums)
         flat = [v for pair in merged for v in pair]
-        if not set(map(type, flat)) <= {int}:
-            raise TypeError(f"IntervalUnion takes int endpoints, got {merged!r}")
+        # a pair the merge dropped or swallowed is not in flat: check the input then
+        typed = flat if len(merged) == len(nums) else [v for pair in nums for v in pair]
+        if not set(map(type, typed)) <= {int}:
+            raise TypeError(f"IntervalUnion takes int endpoints, got {nums!r}")
         g = gcd(den, *flat)
         if g > 1:
             merged = [(lo // g, hi // g) for lo, hi in merged]

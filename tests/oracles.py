@@ -126,9 +126,11 @@ def _bits(mask: int) -> list[int]:
 
 
 def instance_tables(n: int, k: int):
-    """``(masks, meets, clears, keeps)`` as ``discrete._Instance`` tabulates
-    them, built the direct way: ``meets`` from each mask's bits and each keep
-    row from the bits of ``meets[x]``, one M-bit int walked per element."""
+    """``(masks, meets, clears, keeps, firsts, seconds)`` as
+    ``discrete._Instance`` tabulates them, built the direct way: ``meets``
+    from each mask's bits, each keep row from the bits of ``meets[x]``, one
+    M-bit int walked per element, and ``firsts``, ``seconds`` from each
+    mask's lowest and second-lowest set bit."""
     masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples_double_loop(n, k)},
                    key=lambda tm: (tm.bit_count(), tm), reverse=True)
     meets = [0] * (n + 1)
@@ -144,7 +146,12 @@ def instance_tables(n: int, k: int):
         for i in _bits(meets[x]):
             row[i] &= clears[x]
         keeps.append(row)
-    return masks, meets, clears, keeps
+    firsts, seconds = [0] * (n + 1), [0] * (n + 1)
+    for i, tm in enumerate(masks):
+        lowest, second = _bits(tm)[:2]
+        firsts[lowest] |= 1 << i
+        seconds[second] |= 1 << i
+    return masks, meets, clears, keeps, firsts, seconds
 
 
 class ScanBound:

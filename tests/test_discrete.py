@@ -173,6 +173,10 @@ def test_pinned_witnesses_and_enumeration():
     assert f_max(58, 4) == (34, (1, 4, 5, 6, 7) + tuple(range(30, 59)))
     assert f_max(24, 3) == (12, tuple(range(1, 24, 2)))
     assert enumerate_maximum_sets(20, 4) == [(2, 3) + tuple(range(11, 21))]
+    # the bench's discrete answers, whose node counts DISCRETE_COUNTERS pins
+    assert f_max(45, 3) == (23, tuple(range(1, 46, 2)))
+    assert f_max(59, 4) == (35, (1, 4, 5, 6, 7) + tuple(range(30, 60)))
+    assert enumerate_maximum_sets(30, 3) == [tuple(range(1, 30, 2))]
 
 
 def _random_state(rng, n, k):
@@ -253,7 +257,13 @@ def test_instance_tables_equal_the_reference_builder():
     for k in range(1, 8):
         for n in range(1, 41):
             inst = _Instance(n, k)
-            assert (inst.masks, inst.meets, inst.clears, inst.keeps) == instance_tables(n, k), (n, k)
+            tables = (inst.masks, inst.meets, inst.clears, inst.keeps, inst.firsts, inst.seconds)
+            assert tables == instance_tables(n, k), (n, k)
+            # each mask has one lowest and one second-lowest element, in that order
+            for i in range(len(inst.masks)):
+                lows = [x for x, m in enumerate(inst.firsts) if m >> i & 1]
+                seconds = [y for y, m in enumerate(inst.seconds) if m >> i & 1]
+                assert len(lows) == len(seconds) == 1 and lows[0] < seconds[0], (n, k, i)
 
 
 def test_keep_rows_share_their_ints():
@@ -285,6 +295,29 @@ def test_carried_live_matches_a_recomputed_one(monkeypatch):
     assert enumerate_maximum_sets(20, 4) == [(2, 3) + tuple(range(11, 21))]
     for k in range(1, 8):
         f_max(12, k)
+    assert calls > 1000
+
+
+def test_propagation_is_sound_and_complete_at_every_bounded_node(monkeypatch):
+    # at each bounded node no mask lies inside chosen (sound), and none is
+    # one available element short of it (complete: that element was banned)
+    calls = 0
+    bound = _Instance.bound
+
+    def checked(inst, chosen, avail, live, threshold):
+        nonlocal calls
+        calls += 1
+        for tm in inst.masks:
+            rest = tm & ~chosen
+            assert rest, (inst.n, inst.k, chosen, tm)
+            assert rest & (rest - 1) or not rest & avail, (inst.n, inst.k, chosen, avail, tm)
+        return bound(inst, chosen, avail, live, threshold)
+
+    monkeypatch.setattr(_Instance, "bound", checked)
+    for k in range(1, 8):
+        for n in range(1, 25):
+            for enumerate_all in (False, True):
+                _search(_Instance(n, k), enumerate_all=enumerate_all, node_limit=None)
     assert calls > 1000
 
 

@@ -69,6 +69,11 @@ def test_direct_construction_canonicalizes_non_canonical_tuples():
     pytest.param(F(4), ((0, 1),), TypeError, id="fraction-den"),
     pytest.param(4, ((0, F(1)),), TypeError, id="fraction-numerator"),
     pytest.param(True, ((0, 1),), TypeError, id="bool-den"),
+    # a non-int endpoint the merge drops or swallows is still rejected
+    pytest.param(4, ((3.0, 1.0),), TypeError, id="float-in-dropped-pair"),
+    pytest.param(4, ((0, 1), (2.5, 2.5)), TypeError, id="float-in-degenerate-pair"),
+    pytest.param(4, ((0, 2), (1.5, 1.8)), TypeError, id="float-in-swallowed-pair"),
+    pytest.param(4, ((0, 1), (True, True)), TypeError, id="bool-in-degenerate-pair"),
     pytest.param(0, ((0, 1),), ValueError, id="zero-den"),
     pytest.param(-3, ((0, 1),), ValueError, id="negative-den"),
 ])
