@@ -38,7 +38,7 @@ EXIT_USAGE = 2
 _RESULT_SHAPES = {
     "continuous": {"optimum": str, "witnesses": [str], "nodes_explored": int,
                    "status": str},
-    "discrete": {"f": int, "witnesses": [list]},
+    "discrete": {"f": int, "witnesses": [[int]]},
     "certify": {"delta_star": str, "chain_ok": bool,
                 "branches": [{"name": str, "bound": str, "delta_sup": str}],
                 "harness": {"trials": int, "violations": int, "min_slack": str}},
@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="maximize measure over <= m intervals")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
-    p.add_argument("--all-optima", action="store_true",
-                   help="accepted and ignored: every search collects all optima")
     p.add_argument("--parallel", type=int, default=1)
     p.add_argument("--node-limit", type=int, default=None)
 
@@ -126,7 +124,7 @@ def _fits(value, shape) -> bool:
             name in value and _fits(value[name], sub) for name, sub in shape.items())
     if isinstance(shape, list):
         return isinstance(value, list) and all(_fits(item, shape[0]) for item in value)
-    return isinstance(value, shape)
+    return type(value) is shape  # exact, as in require_int: a bool is no int
 
 
 def _well_formed(kind: str, result) -> bool:

@@ -1,3 +1,5 @@
+import argparse
+import ast
 import io
 import json
 import os
@@ -143,8 +145,7 @@ def test_continuous_json_and_cache(cache_path, capsys):
 
 
 def test_continuous_parallel_flag(cache_path, capsys):
-    code = main(["continuous", "--k", "3", "--m", "2", "--parallel", "2",
-                 "--all-optima"])
+    code = main(["continuous", "--k", "3", "--m", "2", "--parallel", "2"])
     payload = json.loads(capsys.readouterr().out)
     assert code == 0
     assert payload["optimum"] == "3/7"
@@ -172,28 +173,44 @@ def test_verbose_line_on_a_miss_and_none_on_a_hit(cache_path, capsys, argv, pref
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("all_optima", [False, True])
-def test_verbose_line_counts_forced_zero_closures(cache_path, capsys, all_optima):
+def test_verbose_line_counts_forced_zero_closures(cache_path, capsys):
     """The search closes tie nodes whose optimum forces a length or an
-    interior gap to 0, and the -v line says how many; ``--all-optima`` is
-    ignored, so the line is the same with it and without."""
-    argv = ["-v", "continuous", "--k", "1", "--m", "5"] + ["--all-optima"] * all_optima
-    assert main(argv) == 0
+    interior gap to 0, and the -v line says how many."""
+    assert main(["-v", "continuous", "--k", "1", "--m", "5"]) == 0
     line = capsys.readouterr().err
     assert line.startswith("continuous m=5 k=1: 305 nodes, 320 pivots, "), line
     closures = re.search(r" (\d+) forced-zero closures, ", line)
     assert closures and int(closures.group(1)) > 0
 
 
-def test_all_optima_flag_shares_the_cache_record(cache_path, capsys):
-    """``--all-optima`` is not part of the cache key: the run with it is a
-    hit on the record the run without it wrote, so it prints no -v line."""
-    assert main(["continuous", "--k", "3", "--m", "3"]) == 0
-    payload = json.loads(capsys.readouterr().out)
-    assert main(["continuous", "--k", "3", "--m", "3", "--all-optima", "-v"]) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out) == payload and captured.err == ""
-    assert len({rec.key() for rec in read_records(str(cache_path))}) == 1
+def test_all_optima_flag_is_rejected(cache_path, capsys):
+    """Every search collects all optima, so ``--all-optima`` is gone and is
+    a usage error, as any unknown option is; nothing is computed or cached."""
+    with pytest.raises(SystemExit) as exc:
+        main(["continuous", "--k", "3", "--m", "2", "--all-optima"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --all-optima" in capsys.readouterr().err
+    assert not cache_path.exists()
+
+
+def test_every_option_is_read():
+    """Each option the parser accepts, on the top parser and on every
+    subcommand, is read as ``args.<dest>`` somewhere in ``cli``: an option
+    that nothing reads is accepted and ignored."""
+    parsers = [cli._build_parser.__wrapped__()]
+    dests = set()
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            if action.dest != "help":
+                dests.add(action.dest)
+    assert {"command", "cache", "verbose", "set_text", "enumerate_all"} <= dests
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and isinstance(node.value, ast.Name) and node.value.id == "args"}
+    assert sorted(dests - read) == []
 
 
 @pytest.mark.parametrize("argv,default", [
@@ -426,6 +443,26 @@ def test_an_append_after_a_line_break_or_to_an_empty_file_adds_no_break(tmp_path
     assert path.read_bytes() == before + (json.dumps(rec._asdict(), sort_keys=True) + "\n").encode()
 
 
+@pytest.mark.parametrize("before", [b"", b"{}"], ids=["empty", "line-without-break"])
+def test_a_short_write_is_continued_until_the_line_is_whole(tmp_path, monkeypatch, before):
+    """``os.write`` may write less than it is given; ``append_record``
+    writes the rest until the whole line, with any ``\\n`` before it, is in."""
+    real_write, sizes = os.write, []
+
+    def short_write(fd, data):
+        sizes.append(real_write(fd, data[:7]))
+        return sizes[-1]
+
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(before)
+    rec = CacheRecord("discrete", {"n": 5}, {"f": 1}, "0", solver="")
+    monkeypatch.setattr(sumfree.cache.os, "write", short_write)
+    append_record(str(path), rec)
+    line = (json.dumps(rec._asdict(), sort_keys=True) + "\n").encode()
+    assert path.read_bytes() == before + b"\n" * bool(before) + line
+    assert len(sizes) > 1 and max(sizes) == 7
+
+
 def test_solver_digest_is_the_path_glob_formula():
     """The digest lists the package's ``.py`` files without ``pathlib``, and
     gives what the ``Path.glob`` formula it replaced gives."""
@@ -640,8 +677,16 @@ def _set_first_branch_name(result):
     (["discrete", "--n", "5", "--k", "1", "--witness"], lambda result: result.update(f="3")),
     (["certify", "--trials", "20"], _set_first_branch_name),
     (["certify", "--trials", "20"], lambda result: result["harness"].update(violations=None)),
+    # a bool is no int, and a witness holds ints only
+    (["discrete", "--n", "5", "--k", "1", "--witness"], lambda result: result.update(f=True)),
+    (["continuous", "--k", "3", "--m", "2"], lambda result: result.update(nodes_explored=False)),
+    (["certify", "--trials", "20"], lambda result: result["harness"].update(violations=False)),
+    (["discrete", "--n", "5", "--k", "1", "--witness"],
+     lambda result: result.update(witnesses=[[1, "3"]])),
 ], ids=["continuous-witnesses", "continuous-witness", "discrete-witnesses",
-        "discrete-witness", "discrete-f", "certify-branch-name", "certify-violations"])
+        "discrete-witness", "discrete-f", "certify-branch-name", "certify-violations",
+        "discrete-f-bool", "continuous-nodes-bool", "certify-violations-bool",
+        "discrete-witness-element"])
 def test_record_with_a_field_of_the_wrong_type_is_recomputed(cache_path, capsys, argv, damage):
     assert main(argv + ["--format", "json"]) == 0
     expected = capsys.readouterr().out
@@ -704,7 +749,7 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
             ["discrete", "--n", "9", "--k", "3"] + c,
             ["discrete", "--n", "9", "--k", "x"] + c,  # a usage error in between
             ["continuous", "--k", "3", "--m", "2", "--force", "-v"] + c,
-            ["continuous", "--k", "3", "--m", "2", "--all-optima", "--format", "table"] + c,
+            ["continuous", "--k", "3", "--m", "2", "--format", "table"] + c,
             ["report", "--format", "json"] + c,
             ["report"] + c,
         ]

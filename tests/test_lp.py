@@ -68,6 +68,16 @@ def test_certificate_rejects_perturbations():
     assert not check_certificate(prob, bad_dual)
     bad_status = SimpleNamespace(**{**vars(forged), "status": "infeasible"})
     assert not check_certificate(prob, bad_status)
+    # forgeries that pass every later check: only the sign and the length catch them
+    prob = LinearProgram((1, 1), ((-1, 1),))
+    res = solve(prob)
+    assert [b for _, b in canonical_rows(prob)] == [0, 1, 1] and res.dual == (1, 2, 0)
+    forged = SimpleNamespace(status=res.status, value=res.value, vertex=res.vertex)
+    assert check_certificate(prob, SimpleNamespace(**vars(forged), dual=res.dual))
+    negative = SimpleNamespace(**vars(forged), dual=(F(-1, 2), F(1, 2), F(3, 2)))
+    assert not check_certificate(prob, negative)
+    padded = SimpleNamespace(**vars(forged), dual=res.dual + (0,))  # zip would drop the 0
+    assert not check_certificate(prob, padded)
 
 
 def test_duplicate_rows_are_dropped():
