@@ -133,7 +133,8 @@ def read_records(path: str, text: str = ""):
     The file is read once as bytes; a ``\\r\\n`` or ``\\r`` in it, where a
     text-mode read ends a line, becomes ``\\n``.  It is searched for
     ``text``'s UTF-8 bytes; ``text`` holds no line break.  Corrupt lines,
-    UTF-8 or JSON, are skipped with a warning that names the line's
+    UTF-8 or JSON (an integer past ``int``'s digit limit, nesting past the
+    recursion limit), are skipped with a warning that names the line's
     number; so is a record whose ``kind`` is not a string, which no key
     could be sorted or hashed with.
     """
@@ -154,7 +155,7 @@ def read_records(path: str, text: str = ""):
                 raise TypeError(f"kind {raw['kind']!r} is not a string")
             rec = CacheRecord(raw["kind"], raw["parameters"], raw["result"],
                               raw.get("version", "unknown"), raw.get("solver", ""))
-        except (UnicodeDecodeError, json.JSONDecodeError, KeyError, TypeError) as exc:
+        except (ValueError, LookupError, TypeError, RecursionError) as exc:
             lineno += data.count(b"\n", counted, offset)
             counted = offset
             sys.stderr.write(f"warning: {path}:{lineno}: skipping bad cache line ({exc})\n")

@@ -24,9 +24,9 @@ from . import __version__
 from . import cache as cache_mod
 from .certify import derive_delta, sumset_bound_harness
 from .discrete import EnumerationLimitError, enumerate_maximum_sets, f_max
-from .intervals import format_union, is_k_sum_free, parse_union
-from .rationals import decimal_str, format_rational, require_int
-from .search import maximize_measure
+from .intervals import is_k_sum_free, parse_union
+from .rationals import decimal_str, require_int
+from .search import INTERRUPTED, maximize_measure
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -45,20 +45,18 @@ _RESULT_SHAPES = {
 }
 
 
-def _add_global_options(parser: argparse.ArgumentParser, suppress: bool) -> None:
-    # registered on the top parser with real defaults and on every
-    # subparser with SUPPRESS, so the flags work in either position
-    default = argparse.SUPPRESS if suppress else None
-    parser.add_argument("--cache", default=default,
+def _add_global_options(parser: argparse.ArgumentParser) -> None:
+    # registered on the top parser with real defaults (None, False) and on
+    # the subparsers' parent, whose argument_default is SUPPRESS, so the
+    # flags work in either position
+    parser.add_argument("--cache",
                         help=f"cache path (default ${cache_mod.ENV_VAR} or "
                              f"{cache_mod.DEFAULT_PATH})")
-    parser.add_argument("--format", choices=("json", "table"), default=default,
+    parser.add_argument("--format", choices=("json", "table"),
                         help="output format (per-command default)")
     parser.add_argument("--force", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False,
                         help="recompute even if the cache holds the result")
     parser.add_argument("-v", "--verbose", action="store_true",
-                        default=argparse.SUPPRESS if suppress else False,
                         help="print work counters and time to stderr")
 
 
@@ -69,13 +67,13 @@ def _build_parser() -> argparse.ArgumentParser:
     Building it costs more than serving a cached result; ``parse_args``
     fills a fresh namespace on each call, so no call sees another's flags.
     """
-    common = argparse.ArgumentParser(add_help=False)
-    _add_global_options(common, suppress=True)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    _add_global_options(common)
     top = argparse.ArgumentParser(
         prog="sumfree",
         description="Exact verification, search and certification of extremal "
                     "k-sum-free sets.")
-    _add_global_options(top, suppress=False)
+    _add_global_options(top)
     sub = top.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", parents=[common],
@@ -147,6 +145,8 @@ def _cached(kind: str, params: dict, args, compute) -> dict:
     hidden by an old result; so is a record that lacks a result field the
     CLI reads, or holds one of another type.  A path that cannot take a
     record fails before computing, and a run that fails creates no file.
+    An interrupted search is printed but not recorded: where it stops
+    depends on ``--parallel``, which is not in the key.
     """
     cached = None if args.force else cache_mod.lookup(args.cache, kind, params)
     if cached is not None and _current(cached) and _well_formed(kind, cached.result):
@@ -156,8 +156,9 @@ def _cached(kind: str, params: dict, args, compute) -> dict:
     payload, note = compute()
     if args.verbose:
         sys.stderr.write(f"{note}{time.perf_counter() - t0:.2f}s\n")
-    cache_mod.append_record(args.cache, cache_mod.make_record(
-        kind, params, payload, __version__))
+    if payload.get("status") != INTERRUPTED:
+        cache_mod.append_record(args.cache, cache_mod.make_record(
+            kind, params, payload, __version__))
     return payload
 
 
@@ -166,13 +167,12 @@ def _cmd_verify(args, fmt: str) -> int:
     measure = u.measure()
     free, witness = is_k_sum_free(u, args.k)
     payload = {
-        "set": format_union(u),
+        "set": str(u),
         "k": args.k,
-        "measure": format_rational(measure),
+        "measure": str(measure),
         "sum_free": free,
         "witness": None if witness is None else
-        {"x": format_rational(witness.x), "y": format_rational(witness.y),
-         "z": format_rational(witness.z)},
+        {"x": str(witness.x), "y": str(witness.y), "z": str(witness.z)},
     }
     if free:
         lines = [f"measure {payload['measure']} ({decimal_str(measure)}); "
@@ -194,8 +194,8 @@ def _cmd_continuous(args, fmt: str) -> int:
         result = maximize_measure(args.m, args.k, parallel=args.parallel,
                                   node_limit=args.node_limit)
         return {
-            "optimum": format_rational(result.optimum),
-            "witnesses": [format_union(w) for w in result.witnesses],
+            "optimum": str(result.optimum),
+            "witnesses": [str(w) for w in result.witnesses],
             "nodes_explored": result.nodes_explored,
             "status": result.status,
             "witnesses_exact": result.witnesses_exact,
@@ -242,25 +242,23 @@ def _cmd_certify(args, fmt: str) -> int:
         harness = sumset_bound_harness(trials=args.trials, max_intervals=args.max_intervals,
                                        seed=args.seed)
         return {
-            "delta_star": format_rational(cert.delta_star),
+            "delta_star": str(cert.delta_star),
             "branches": [
                 {"name": b.name,
-                 "bound": f"{format_rational(b.constant)} + "
-                          f"{format_rational(b.delta_coeff)}*d",
-                 "delta_sup": format_rational(b.delta_sup)}
+                 "bound": f"{b.constant} + {b.delta_coeff}*d",
+                 "delta_sup": str(b.delta_sup)}
                 for b in cert.branches
             ],
             "chain_ok": cert.all_steps_ok(),
-            "steps": [{"name": s.name, "lhs": format_rational(s.lhs),
-                       "rhs": format_rational(s.rhs), "ok": s.ok}
+            "steps": [{"name": s.name, "lhs": str(s.lhs), "rhs": str(s.rhs), "ok": s.ok}
                       for s in cert.steps],
             "harness": {
                 "trials": harness.trials,
                 "max_intervals": harness.max_intervals,
                 "seed": harness.seed,
                 "violations": harness.violations,
-                "min_slack": format_rational(harness.min_slack),
-                "min_slack_example": format_union(harness.min_slack_example),
+                "min_slack": str(harness.min_slack),
+                "min_slack_example": str(harness.min_slack_example),
             },
         }, f"certify trials={args.trials} seed={args.seed}: "
 

@@ -25,7 +25,7 @@ from functools import cached_property
 from math import gcd, lcm
 from typing import Iterable, NamedTuple, Sequence
 
-from .rationals import RationalParseError, format_rational, parse_pair, require_int
+from .rationals import RationalParseError, parse_pair, require_int
 
 
 class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
@@ -41,7 +41,7 @@ class Interval(NamedTuple("Interval", [("lo", Fraction), ("hi", Fraction)])):
         return super().__new__(cls, lo, hi)
 
     def __str__(self) -> str:
-        return f"({format_rational(self.lo)},{format_rational(self.hi)})"
+        return f"({self.lo},{self.hi})"
 
 
 class Witness(NamedTuple):
@@ -88,13 +88,11 @@ class IntervalUnion:
 
     def __init__(self, den: int = 1, nums: Iterable[tuple[int, int]] = ()):
         require_int(den, "den", 1)
-        nums = nums if isinstance(nums, (list, tuple)) else list(nums)
+        nums = list(nums)
+        if not all(type(lo) is int and type(hi) is int for lo, hi in nums):
+            raise TypeError(f"IntervalUnion takes int endpoints, got {nums!r}")
         merged = _merge(nums)
         flat = [v for pair in merged for v in pair]
-        # a pair the merge dropped or swallowed is not in flat: check the input then
-        typed = flat if len(merged) == len(nums) else [v for pair in nums for v in pair]
-        if not set(map(type, typed)) <= {int}:
-            raise TypeError(f"IntervalUnion takes int endpoints, got {nums!r}")
         g = gcd(den, *flat)
         if g > 1:
             merged = [(lo // g, hi // g) for lo, hi in merged]
@@ -129,7 +127,7 @@ class IntervalUnion:
         return Fraction(sum(hi - lo for lo, hi in self.nums), self.den)
 
     def __str__(self) -> str:
-        return format_union(self)
+        return ";".join(map(str, self.intervals))
 
 
 def sum_windows(nums: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -218,7 +216,3 @@ def parse_union(text: str) -> IntervalUnion:
         pairs.append((lo, hi))  # lo >= hi pairs are dropped by canonicalization
         pos += len(chunk) + 1
     return IntervalUnion(*_numerators(pairs))
-
-
-def format_union(u: IntervalUnion) -> str:
-    return ";".join(str(iv) for iv in u.intervals)

@@ -5,8 +5,9 @@ Every quantity in this package is an ``int`` or a :class:`fractions.Fraction`
 rejects anything else and ``require_int`` a non-``int`` (``TypeError``, a
 ``bool`` too); both reject a value below ``least`` (``ValueError`` naming it).
 Unions are integer numerators over one denominator, ``Fraction`` is their
-read view, and ``parse_pair`` reads "p/q" text straight to integers.  No
-float enters a computation path; ``decimal_str`` renders reports only.
+read view, ``parse_pair`` reads "p/q" text straight to integers and ``str``
+writes it.  No float enters a computation path; ``decimal_str`` renders
+reports only.
 """
 
 from __future__ import annotations
@@ -67,13 +68,6 @@ def parse_pair(text: str, offset: int = 0) -> tuple[int, int]:
     if q == 0:
         raise RationalParseError(text, shift + len(num_part) + 1, "zero denominator")
     return (-p, -q) if q < 0 else (p, q)
-
-
-def format_rational(q: Fraction) -> str:
-    """Canonical "p/q" text; integers render without the denominator."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 _DECIMAL_DIGITS = 6

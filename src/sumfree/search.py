@@ -349,16 +349,17 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = True,
     from its parent, so the optimum and the witness list are
     schedule-independent; the list is the complete, deduplicated set of
     maximizers whenever ``witnesses_exact`` is True.
-    The node, pivot and closure counts can differ from the serial run's
-    only if the incumbent rises during the last run, where the workers
-    prune against their own incumbents; a warm child stops pivoting once
-    its bound falls below the incumbent it sees, and a forced-zero tie is
+    Without a node limit, the node, pivot and closure counts can differ from
+    the serial run's only if the incumbent rises during the last run, where the
+    workers prune against their own incumbents; a warm child stops pivoting
+    once its bound falls below the incumbent it sees, and a forced-zero tie is
     one with that incumbent, so the pivot and closure counts follow it.
     ``all_optima`` is accepted and ignored, whatever its value: every
     search collects all optima.
     ``node_limit`` caps the nodes explored in total, across all runs and
-    workers (each worker gets a share of what is left); a search it stops
-    is ``interrupted``.
+    workers; a search it stops is ``interrupted``.  Each worker stops at its
+    share of what is left, even while another has some to spare, so a parallel
+    run can explore fewer nodes than the serial one, or stop short of a proof.
     """
     require_int(m, "m", 1)
     require_int(k, "k", 1)

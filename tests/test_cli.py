@@ -3,6 +3,7 @@ import ast
 import io
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -150,6 +151,23 @@ def test_continuous_parallel_flag(cache_path, capsys):
     assert code == 0
     assert payload["optimum"] == "3/7"
 
+
+
+def test_an_interrupted_continuous_run_is_not_recorded(cache_path, capsys):
+    """Where a limited search stops depends on ``--parallel``, which is not in
+    the key, so only a finished result is recorded, and shared."""
+    argv = ["continuous", "--k", "1", "--m", "4", "--node-limit", "130"]
+    assert main(argv + ["--parallel", "2"]) == 0
+    stopped = json.loads(capsys.readouterr().out)
+    assert (stopped["status"], stopped["nodes_explored"]) == ("interrupted", 92)
+    assert not cache_path.exists()
+    assert main(argv) == 0
+    proven = json.loads(capsys.readouterr().out)
+    assert (proven["status"], proven["nodes_explored"]) == ("proven", 110)
+    assert len(cache_path.read_text().splitlines()) == 1
+    assert main(argv + ["--parallel", "2"]) == 0  # the finished record is served
+    assert json.loads(capsys.readouterr().out) == proven
+    assert len(cache_path.read_text().splitlines()) == 1
 
 def test_double_v_is_the_verbose_flag(cache_path, capsys):
     """``-vv`` is ``-v`` given twice: one ``-v`` line, as ``-v`` writes."""
@@ -378,6 +396,102 @@ def test_lookup_agrees_with_load_records(tmp_path, capsys):
     assert warnings == [warnings[0]] * 6
     assert "(Expecting property name enclosed in double quotes: line 2 column 1" in warnings[0]
 
+
+
+def test_cache_lines_past_the_decoder_limits_are_skipped(cache_path, capsys):
+    """An integer past ``int``'s digit limit and nesting past the recursion
+    limit are bad lines like any other: one warning each, naming the line."""
+    params = {"enumerate": False, "k": 3, "n": 5, "node_limit": None}
+    huge = json.dumps({"kind": "discrete", "parameters": params, "result": {"f": "HUGE"}},
+                      sort_keys=True).replace('"HUGE"', "9" * 5000)
+    cache_path.write_text(huge + "\n" + "[" * 100_000 + "\n")
+    assert main(["discrete", "--n", "5", "--k", "3"]) == 0  # the key's one line is bad: a miss
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["f"] == 3
+    assert _warned_lines(captured.err) == [1]
+    size = cache_path.stat().st_size
+    assert main(["discrete", "--n", "5", "--k", "3"]) == 0  # the appended record is a hit
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["f"] == 3 and _warned_lines(captured.err) == [1]
+    assert cache_path.stat().st_size == size
+    assert main(["report"]) == 0
+    captured = capsys.readouterr()
+    assert "f = 3, 1 set(s)" in captured.out and _warned_lines(captured.err) == [1, 2]
+
+
+def _fuzzed_cache_lines(rng: random.Random) -> list[bytes]:
+    """About 500 lines: valid records, blank lines and damaged records of each kind."""
+    def record() -> CacheRecord:
+        params = {"n": rng.randrange(1, 9), "k": rng.randrange(1, 4)}
+        return CacheRecord(rng.choice(["discrete", "continuous", "certify", "other"]), params,
+                           {"f": rng.randrange(100), "witnesses": [[1, 4]]}, "0", "00000000")
+
+    def encoded(rec) -> str:
+        return json.dumps(rec._asdict(), sort_keys=True)
+
+    def damaged() -> bytes:
+        line = encoded(record())
+        how = rng.randrange(7)
+        if how == 0:  # truncated
+            return line[:rng.randrange(1, len(line))].encode()
+        if how == 1:  # one byte replaced by any byte but a line break
+            at = rng.randrange(len(line))
+            byte = rng.choice([b for b in range(256) if b not in b"\r\n"])
+            return line[:at].encode() + bytes([byte]) + line[at + 1:].encode()
+        if how == 2:  # nested far past the recursion limit, with or without a key
+            prefix = line[:line.index('"result"')] if rng.random() < 0.5 else ""
+            return (prefix + rng.choice("[{") * rng.randrange(2000, 20_000)).encode()
+        if how == 3:  # an integer past the digit limit, after the key
+            return line.replace('"f": ', '"f": ' + "9" * rng.randrange(4301, 6000), 1).encode()
+        if how == 4:  # JSON that is not an object
+            return rng.choice(["[" + line + "]", json.dumps(line), "5", "null", "true"]).encode()
+        if how == 5:  # a kind that is not a string
+            return line.replace('"kind": "', '"kind": ["', 1).replace('", "parameters"',
+                                                                      '"], "parameters"', 1).encode()
+        return line.replace('"parameters"', '"params"', 1).encode()  # a missing field
+
+    lines = []
+    for _ in range(500):
+        draw = rng.random()
+        lines.append(encoded(record()).encode() if draw < 0.4 else
+                     rng.choice([b"", b"  ", b"\t"]) if draw < 0.45 else damaged())
+    return lines
+
+
+def _reference_record(line: bytes) -> CacheRecord | None:
+    """The record a line holds, or None for a line that is not one."""
+    try:
+        raw = json.loads(line.decode("utf-8"))
+        if isinstance(raw["kind"], str):
+            return CacheRecord(raw["kind"], raw["parameters"], raw["result"],
+                               raw.get("version", "unknown"), raw.get("solver", ""))
+    except Exception:  # any failure of the decoder is a bad line
+        pass
+    return None
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_the_cache_reader_survives_fuzzed_lines(tmp_path, capsys, seed):
+    """``read_records`` and ``lookup`` never raise on a damaged cache: each bad
+    non-blank line warns once with its number, and every good line is read."""
+    rng = random.Random(seed)
+    lines = _fuzzed_cache_lines(rng)
+    path = tmp_path / "c.jsonl"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    expected = [_reference_record(line) for line in lines]
+    bad = [no for no, (line, rec) in enumerate(zip(lines, expected), 1)
+           if rec is None and line.strip()]
+    assert len(bad) > 200  # every kind of damage is drawn many times
+    capsys.readouterr()
+    assert list(read_records(str(path))) == [rec for rec in expected if rec is not None]
+    assert _warned_lines(capsys.readouterr().err) == bad
+    for rec in {rec.key(): rec for rec in expected if rec is not None}.values():
+        text = json.dumps(rec.parameters, sort_keys=True)
+        holders = [no for no, line in enumerate(lines, 1) if text.encode() in line]
+        last = [expected[no - 1] for no in holders
+                if expected[no - 1] is not None and expected[no - 1].key() == rec.key()]
+        assert lookup(str(path), rec.kind, rec.parameters) == last[-1]
+        assert _warned_lines(capsys.readouterr().err) == [no for no in holders if no in bad]
 
 def test_append_record_writes_the_asdict_line(tmp_path):
     path = tmp_path / "c.jsonl"

@@ -11,7 +11,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from oracles import (chain_pattern_lp, gap_form, grid_best_1_interval, grid_best_2_intervals,
                      mu_formula, pairs, pattern_lp, pick_branch_fraction, satisfies_lp)
 
-from sumfree.intervals import IntervalUnion, format_union, is_k_sum_free
+from sumfree.intervals import IntervalUnion, is_k_sum_free
 from sumfree import search
 from sumfree.lp import OPTIMAL, LinearProgram, Tableau, canonical_rows, solve
 from sumfree.search import (
@@ -446,7 +446,7 @@ SEVEN_INTERVAL_WITNESSES = {
 def test_closed_form_holds_for_seven_intervals(k):
     res = maximize_measure(7, k)
     assert res.optimum == mu_formula(k)
-    assert tuple(map(format_union, res.witnesses)) == (SEVEN_INTERVAL_WITNESSES[k],)
+    assert tuple(map(str, res.witnesses)) == (SEVEN_INTERVAL_WITNESSES[k],)
     assert res.witnesses_exact and res.status == "proven"
 
 
@@ -487,7 +487,7 @@ LEAF_RESULTS = {
 def test_leaf_rule_results_are_pinned():
     for (m, k), (optimum, witnesses, exact) in LEAF_RESULTS.items():
         res = maximize_measure(m, k)
-        got = (str(res.optimum), tuple(map(format_union, res.witnesses)), res.witnesses_exact)
+        got = (str(res.optimum), tuple(map(str, res.witnesses)), res.witnesses_exact)
         assert got == (optimum, witnesses, exact), (m, k)
 
 
