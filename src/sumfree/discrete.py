@@ -3,32 +3,33 @@
 The forbidden structures are the triples a + b = k*c inside {1..n}
 (taken as element sets, so a triple may involve only two distinct
 numbers).  f(n, k) is computed by depth-first branch-and-bound over
-elements in decreasing order, with three exact devices:
+elements in decreasing order.  A node is ``(chosen, avail, live)``: the
+chosen elements, the undecided ones not banned, and the live masks
+(below); it decides e, the highest element of ``avail``, and is a leaf
+once ``avail`` is 0.  Three exact devices:
 
-* unit propagation: elements are decided in decreasing order and a live
-  mask (below) meets no dead element, so at element e its elements above
-  e are chosen and those below e available.  Choosing e thus leaves a
-  live mask one element short exactly when e is its second-lowest
-  element (``_Instance.seconds[e]``), and its lowest is banned for the
-  rest of the subtree.  So the chosen set never completes a triple: a
-  live mask whose lowest element is e (``firsts[e]``) would be one, and
-  the ban came before e was decided;
+* unit propagation: a live mask meets no dead element, so at element e
+  its elements above e are chosen and those below e available.  Choosing
+  e thus leaves a live mask one element short exactly when e is its
+  second-lowest element (``seconds[e]``), and the include child bans its
+  lowest: clears it from ``avail``.  So the chosen set never completes a
+  triple: a live mask whose lowest element is e (``firsts[e]``) would be
+  one, and the ban came before e was decided;
 * counting bound: chosen + remaining - (greedy count of triples fully
   inside chosen + remaining whose remaining parts are disjoint), each
   such triple forcing at least one future removal.  The two-element
-  triples (``{z, 2z}`` for k = 3) are packed first, since each costs
-  two live elements per removal against three.  Each stack entry
-  carries ``live``, a bitset over the masks (bit i = ``masks[i]``) that
-  meet no dead element: excluding or banning x ANDs ``clears[x]`` (the
-  masks not holding x) into it.  ``masks`` is sorted by element count,
-  then by value, both decreasing, so the mask the packing takes next
-  (the fewest elements, then the lowest value) is the highest set bit
-  of ``live``; the packing stops once the bound falls below the
-  pruning threshold.  Packing mask i keeps the masks that miss its
-  available part, which for a live mask is its elements below
-  ``b = avail.bit_length()``; ``_Instance`` tabulates that set once per
-  level as ``keeps[b][i]``, so each packed mask costs one lookup and
-  one AND;
+  triples (``{z, 2z}`` for k = 3) are packed first, since each costs two
+  live elements per removal against three.  ``live`` is a bitset over
+  the masks (bit i = ``masks[i]``) that meet no dead element: excluding
+  or banning x ANDs ``clears[x]`` (the masks not holding x) into it.
+  ``masks`` is sorted by element count, then by value, both decreasing,
+  so the mask the packing takes next (the fewest elements, then the
+  lowest value) is the highest set bit of ``live``; the packing stops
+  once the bound falls below the pruning threshold.  Packing mask i
+  keeps the masks that miss its available part, which for a live mask is
+  its elements below ``b = avail.bit_length()``; ``_Instance`` tabulates
+  that set once per level as ``keeps[b][i]``, so each packed mask costs
+  one lookup and one AND;
 * seeded incumbent: ``_seed`` gives a known k-sum-free set (the odd
   numbers for odd k, since x + y is even and k*z odd), checked against
   the forbidden masks, and the pruning threshold starts at its size.
@@ -175,17 +176,14 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
     best_sets: list[int] = []
     nodes = 0
 
-    # e = highest element not yet decided, chosen/banned element masks, and
-    # live = the forbidden masks (by index) that meet no dead element
-    stack = [(n, 0, 0, (1 << len(masks)) - 1)]
+    # a node is (chosen, avail, live), as in the module docstring; e = max(avail)
+    stack = [(0, (2 << n) - 2, (1 << len(masks)) - 1)]
     while stack:
         if node_limit is not None and nodes >= node_limit:
             raise EnumerationLimitError(f"node limit reached after {nodes} nodes")
         nodes += 1
-        e, chosen, banned, live = stack.pop()
-        while e >= 1 and (banned >> e) & 1:
-            e -= 1
-        if e == 0:
+        chosen, avail, live = stack.pop()
+        if not avail:
             size = chosen.bit_count()
             if size > best:
                 best = size
@@ -193,24 +191,24 @@ def _search(inst: _Instance, *, enumerate_all: bool, node_limit: int | None):
             elif size == best and enumerate_all:
                 best_sets.append(chosen)
             continue
-        avail = (((1 << (e + 1)) - 1) & ~1) & ~banned
         # f_max needs a strictly larger set; enumeration keeps ties
         threshold = best if enumerate_all else best + 1
         if inst.bound(chosen, avail, live, threshold) < threshold:
             continue
+        e = avail.bit_length() - 1
+        avail ^= 1 << e
         # exclude-branch first on the stack so the include-branch pops first
-        stack.append((e - 1, chosen, banned, live & clears[e]))
+        stack.append((chosen, avail, live & clears[e]))
         if live & firsts[e]:  # a live mask inside chosen | e: its ban never came
             raise AssertionError(f"choosing {e} completes a forbidden triple")
-        new_banned, new_live = banned, live
         pending = live & seconds[e]
         while pending:
             i = pending.bit_length() - 1
             pending ^= 1 << i
             missing = masks[i] & -masks[i]  # its lowest element: e is its second-lowest
-            new_banned |= missing
-            new_live &= clears[missing.bit_length() - 1]
-        stack.append((e - 1, chosen | (1 << e), new_banned, new_live))
+            avail &= ~missing  # not ^=: two pending masks may share their lowest
+            live &= clears[missing.bit_length() - 1]
+        stack.append((chosen | (1 << e), avail, live))
     return best, sorted(tuple(_bits(mask)) for mask in best_sets), nodes
 
 

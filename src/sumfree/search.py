@@ -77,6 +77,7 @@ entry left to branch on.
 
 from __future__ import annotations
 
+import os
 from collections import Counter, deque
 from fractions import Fraction
 from functools import cache
@@ -340,15 +341,15 @@ def maximize_measure(m: int, k: int, *, all_optima: bool = True,
                      parallel: int = 1, node_limit: int | None = None) -> SearchResult:
     """Exact maximum measure of a k-sum-free union of at most m intervals.
 
-    Runs the disjunctive branch-and-bound once per interval count
-    m' = 1..m (each covers all configurations of exactly m' nondegenerate
-    intervals; together they cover every union of at most m).  The global
-    incumbent is shared across runs, so the cheap small-m' optima prune
-    the large trees.  ``parallel`` distributes the largest run's subtrees
-    over worker processes.  They search the serial tree, each node warm
-    from its parent, so the optimum and the witness list are
-    schedule-independent; the list is the complete, deduplicated set of
-    maximizers whenever ``witnesses_exact`` is True.
+    Runs the disjunctive branch-and-bound once per interval count m' = 1..m
+    (each covers all configurations of exactly m' nondegenerate intervals;
+    together they cover every union of at most m).  The global incumbent is
+    shared across runs, so the cheap small-m' optima prune the large trees.
+    ``parallel`` splits the largest run's subtrees into that many worker
+    shares, run on at most ``os.cpu_count()`` processes.  They search the
+    serial tree, each node warm from its parent, so the optimum and the
+    witness list are schedule-independent; the list is the complete,
+    deduplicated set of maximizers whenever ``witnesses_exact`` is True.
     Without a node limit, the node, pivot and closure counts can differ from
     the serial run's only if the incumbent rises during the last run, where the
     workers prune against their own incumbents; a warm child stops pivoting
@@ -402,7 +403,8 @@ def _explore_parallel(m: int, state: _RunState, workers: int) -> None:
     limits = [None if left is None else left // workers + (w < left % workers)
               for w in range(workers)]
     shares = [_RunState(k=state.k, node_limit=limit, best=state.best) for limit in limits]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # at most cpu_count() processes run the shares; no share's result depends on it
+    with ProcessPoolExecutor(max_workers=min(workers, os.cpu_count() or 1)) as pool:
         outcomes = list(pool.map(_worker, [m] * workers, shares,
                                  [nodes[w::workers] for w in range(workers)]))
     for out in outcomes:

@@ -31,6 +31,12 @@ DISCRETE_COUNTERS = {(24, 3, False): 373, (23, 3, True): 313, (30, 3, True): 837
                      (60, 4, False): 2353, (45, 3, False): 1771, (59, 4, False): 1305,
                      (60, 3, False): 29243}
 
+# k -> (f_max, enumeration) nodes summed over n = 1..40: pins the whole tree
+# over a sweep, k = 2 enumeration included, which no bench workload runs
+SWEEP_NODES = {1: (8480, 17278), 2: (374124, 842714), 3: (17008, 26142),
+               4: (4214, 20350), 5: (1460, 9182), 6: (1300, 3522),
+               7: (1410, 4288), 8: (1374, 2706)}
+
 
 def test_forbidden_triples_examples():
     assert set(forbidden_triples(4, 3)) == {(1, 2, 1), (3, 3, 2), (2, 4, 2)}
@@ -169,6 +175,14 @@ def test_discrete_counters(n, k, enumerate_all):
     assert nodes == DISCRETE_COUNTERS[n, k, enumerate_all]
 
 
+def test_sweep_node_totals():
+    for k, totals in SWEEP_NODES.items():
+        got = tuple(sum(_search(_Instance(n, k), enumerate_all=e, node_limit=None)[2]
+                        for n in range(1, 41))
+                    for e in (False, True))
+        assert got == totals, k
+
+
 def test_pinned_witnesses_and_enumeration():
     assert f_max(58, 4) == (34, (1, 4, 5, 6, 7) + tuple(range(30, 59)))
     assert f_max(24, 3) == (12, tuple(range(1, 24, 2)))
@@ -286,6 +300,11 @@ def test_carried_live_matches_a_recomputed_one(monkeypatch):
         nonlocal calls
         calls += 1
         assert live == _live(inst, chosen, avail), (inst.n, chosen, avail)
+        # the node state bound() assumes: avail is disjoint from chosen, inside
+        # {1..n}, and below the lowest chosen element
+        assert chosen & avail == 0, (inst.n, chosen, avail)
+        assert avail & ~((2 << inst.n) - 2) == 0, (inst.n, avail)
+        assert not chosen or avail < (chosen & -chosen), (inst.n, chosen, avail)
         return bound(inst, chosen, avail, live, threshold)
 
     monkeypatch.setattr(_Instance, "bound", checked)

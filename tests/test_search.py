@@ -1,4 +1,5 @@
 import concurrent.futures
+import os
 import random
 import sys
 from collections import Counter
@@ -698,6 +699,28 @@ def test_node_limit_is_global_across_workers():
     res = maximize_measure(4, 3, parallel=2, node_limit=100)
     assert res.nodes_explored <= 100
     assert res.status == "interrupted"
+
+
+def test_parallel_pool_is_capped_at_the_cpu_count(monkeypatch):
+    # four shares on one process give the four-process results: a share's
+    # result depends only on its nodes, its limit and its starting incumbent
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    res = maximize_measure(5, 3, parallel=4)
+    assert (res.status, res.optimum) == ("proven", F(77, 177))
+    assert (res.nodes_explored, res.lp_pivots) == (456, 352)
+    assert res.closures == Counter(bound=205, forced_zero=15, leaf=3)
+    cut = maximize_measure(5, 3, parallel=4, node_limit=300)
+    assert (cut.status, cut.nodes_explored, cut.lp_pivots) == ("interrupted", 300, 235)
+    assert cut.closures == Counter(bound=124, forced_zero=11, leaf=3)
+    assert sizes == [1, 1]
 
 
 def test_invalid_arguments():
