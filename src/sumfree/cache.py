@@ -57,7 +57,7 @@ def resolve_path(explicit: str | None = None) -> str:
 
 @cache
 def solver_digest() -> str:
-    """CRC-32 of the package's ``.py`` files, computed once per process.
+    """CRC-32 of the package's importable ``.py`` files, computed once per process.
 
     It tells a changed solver source from the running one; nothing here
     is adversarial, and ``hashlib`` would load OpenSSL (about 3.6 MiB of
@@ -65,7 +65,8 @@ def solver_digest() -> str:
     """
     crc = 0
     package = os.path.dirname(__file__)
-    for name in sorted(name for name in os.listdir(package) if name.endswith(".py")):
+    for name in sorted(name for name in os.listdir(package)
+                       if name.endswith(".py") and name[:-3].isidentifier()):
         with open(os.path.join(package, name), "rb") as fh:
             crc = zlib.crc32(name.encode() + b"\0" + fh.read() + b"\0", crc)
     return f"{crc:08x}"

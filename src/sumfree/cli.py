@@ -32,16 +32,19 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 
-# The shape in which the CLI reads each result field back from a cached
-# record, per kind: a type, a one-item list for a list of that shape, or
-# a dict of named fields.
+# The shape of each field a command writes to its cached record, per
+# kind: a type, a one-item list for a list of that shape, or a dict of
+# named fields.
 _RESULT_SHAPES = {
     "continuous": {"optimum": str, "witnesses": [str], "nodes_explored": int,
-                   "status": str},
-    "discrete": {"f": int, "witnesses": [[int]]},
+                   "status": str, "witnesses_exact": bool},
+    "discrete": {"n": int, "k": int, "f": int, "witnesses": [[int]]},
     "certify": {"delta_star": str, "chain_ok": bool,
                 "branches": [{"name": str, "bound": str, "delta_sup": str}],
-                "harness": {"trials": int, "violations": int, "min_slack": str}},
+                "steps": [{"name": str, "lhs": str, "rhs": str, "ok": bool}],
+                "harness": {"trials": int, "max_intervals": int, "seed": int,
+                            "violations": int, "min_slack": str,
+                            "min_slack_example": str}},
 }
 
 
@@ -93,7 +96,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--enumerate", action="store_true", dest="enumerate_all")
-    p.add_argument("--witness", action="store_true")
     p.add_argument("--node-limit", type=int, default=None,
                    help="node cap; reaching it exits 1")
 
@@ -126,7 +128,7 @@ def _fits(value, shape) -> bool:
 
 
 def _well_formed(kind: str, result) -> bool:
-    """True when ``result`` has every field the CLI reads for ``kind``, of its shape."""
+    """True when ``result`` has every field ``kind``'s command writes, of its shape."""
     return kind in _RESULT_SHAPES and _fits(result, _RESULT_SHAPES[kind])
 
 
@@ -142,8 +144,8 @@ def _cached(kind: str, params: dict, args, compute) -> dict:
     which the miss adds the time it took; a hit prints no line.
     ``--force`` skips the lookup.  A record written by another sumfree
     version or another solver source is a miss, so a solver fix is never
-    hidden by an old result; so is a record that lacks a result field the
-    CLI reads, or holds one of another type.  A path that cannot take a
+    hidden by an old result; so is a record that lacks a field its
+    command writes, or holds one of another type.  A path that cannot take a
     record fails before computing, and a run that fails creates no file.
     An interrupted search is printed but not recorded: where it stops
     depends on ``--parallel``, which is not in the key.
@@ -174,14 +176,9 @@ def _cmd_verify(args, fmt: str) -> int:
         "witness": None if witness is None else
         {"x": str(witness.x), "y": str(witness.y), "z": str(witness.z)},
     }
-    if free:
-        lines = [f"measure {payload['measure']} ({decimal_str(measure)}); "
-                 f"{args.k}-sum-free: yes"]
-    else:
-        w = payload["witness"]
-        lines = [f"measure {payload['measure']} ({decimal_str(measure)}); "
-                 f"{args.k}-sum-free: no; witness x={w['x']} y={w['y']} z={w['z']}"]
-    _emit(payload, fmt, lines)
+    verdict = "yes" if free else f"no; witness x={witness.x} y={witness.y} z={witness.z}"
+    _emit(payload, fmt, [f"measure {payload['measure']} ({decimal_str(measure)}); "
+                         f"{args.k}-sum-free: {verdict}"])
     return EXIT_OK if free else EXIT_VERIFY_FAILED
 
 
@@ -226,9 +223,7 @@ def _cmd_discrete(args, fmt: str) -> int:
 
     payload = _cached("discrete", params, args, compute)
     lines = [f"f({args.n},{args.k}) = {payload['f']}"]
-    if args.witness or args.enumerate_all:
-        lines += ["witness: {" + ",".join(map(str, w)) + "}"
-                  for w in payload["witnesses"]]
+    lines += ["witness: {" + ",".join(map(str, w)) + "}" for w in payload["witnesses"]]
     _emit(payload, fmt, lines)
     return EXIT_OK
 

@@ -201,34 +201,54 @@ def test_verbose_line_counts_forced_zero_closures(cache_path, capsys):
     assert closures and int(closures.group(1)) > 0
 
 
-def test_all_optima_flag_is_rejected(cache_path, capsys):
-    """Every search collects all optima, so ``--all-optima`` is gone and is
-    a usage error, as any unknown option is; nothing is computed or cached."""
+@pytest.mark.parametrize("argv,flag", [
+    (["continuous", "--k", "3", "--m", "2"], "--all-optima"),
+    (["discrete", "--n", "9", "--k", "3"], "--witness"),
+], ids=["all-optima", "witness"])
+def test_retired_flag_is_rejected(cache_path, capsys, argv, flag):
+    """Every search collects all optima and the discrete table lists every
+    set, so ``--all-optima`` and ``--witness`` are gone and are usage
+    errors, as any unknown option is; nothing is computed or cached."""
     with pytest.raises(SystemExit) as exc:
-        main(["continuous", "--k", "3", "--m", "2", "--all-optima"])
+        main(argv + [flag])
     assert exc.value.code == 2
-    assert "unrecognized arguments: --all-optima" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not cache_path.exists()
+
+
+def _parser_actions():
+    """Every action but ``help`` of a freshly built parser, top level and
+    each subcommand."""
+    parsers = [cli._build_parser.__wrapped__()]
+    for parser in parsers:
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                parsers += action.choices.values()
+            if action.dest != "help":
+                yield action
 
 
 def test_every_option_is_read():
     """Each option the parser accepts, on the top parser and on every
     subcommand, is read as ``args.<dest>`` somewhere in ``cli``: an option
     that nothing reads is accepted and ignored."""
-    parsers = [cli._build_parser.__wrapped__()]
-    dests = set()
-    for parser in parsers:
-        for action in parser._actions:
-            if isinstance(action, argparse._SubParsersAction):
-                parsers += action.choices.values()
-            if action.dest != "help":
-                dests.add(action.dest)
+    dests = {action.dest for action in _parser_actions()}
     assert {"command", "cache", "verbose", "set_text", "enumerate_all"} <= dests
     tree = ast.parse(Path(cli.__file__).read_text())
     read = {node.attr for node in ast.walk(tree)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
             and isinstance(node.value, ast.Name) and node.value.id == "args"}
     assert sorted(dests - read) == []
+
+
+def test_every_option_is_in_readme():
+    """README names each ``--option`` the parser accepts, as a whole word."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    options = {s for action in _parser_actions() for s in action.option_strings
+               if s.startswith("--")}
+    assert {"--cache", "--verbose", "--enumerate", "--max-intervals"} <= options
+    assert sorted(s for s in options
+                  if not re.search(rf"(?<![\w-]){re.escape(s)}(?![\w-])", readme)) == []
 
 
 @pytest.mark.parametrize("argv,default", [
@@ -253,6 +273,8 @@ def test_discrete_cli(cache_path, capsys):
     assert code == 0
     assert payload["f"] == 12
     assert payload["witnesses"] == [list(range(1, 24, 2))]
+    assert main(["discrete", "--n", "9", "--k", "3", "--format", "table"]) == 0
+    assert capsys.readouterr().out == "f(9,3) = 5\nwitness: {1,3,5,7,9}\n"
 
 
 def test_certify_cli(cache_path, capsys):
@@ -577,6 +599,17 @@ def test_a_short_write_is_continued_until_the_line_is_whole(tmp_path, monkeypatc
     assert len(sizes) > 1 and max(sizes) == 7
 
 
+def test_solver_digest_reads_importable_modules_only(monkeypatch):
+    """A name Python cannot import, such as an editor's dangling lock link
+    ``.#cli.py`` or a stray ``cli copy.py``, neither breaks the digest
+    (by failing to open) nor changes it (making every record stale)."""
+    expected = solver_digest.__wrapped__()
+    listdir = sumfree.cache.os.listdir
+    monkeypatch.setattr(sumfree.cache.os, "listdir",
+                        lambda path: listdir(path) + [".#cli.py", "cli copy.py"])
+    assert solver_digest.__wrapped__() == expected
+
+
 def test_solver_digest_is_the_path_glob_formula():
     """The digest lists the package's ``.py`` files without ``pathlib``, and
     gives what the ``Path.glob`` formula it replaced gives."""
@@ -784,23 +817,29 @@ def _set_first_branch_name(result):
 @pytest.mark.parametrize("argv,damage", [
     (["continuous", "--k", "3", "--m", "2"], lambda result: result.update(witnesses=5)),
     (["continuous", "--k", "3", "--m", "2"], lambda result: result.update(witnesses=[5])),
-    (["discrete", "--n", "5", "--k", "1", "--witness"],
+    (["discrete", "--n", "5", "--k", "1"],
      lambda result: result.update(witnesses=5)),
-    (["discrete", "--n", "5", "--k", "1", "--witness"],
+    (["discrete", "--n", "5", "--k", "1"],
      lambda result: result.update(witnesses=[5])),
-    (["discrete", "--n", "5", "--k", "1", "--witness"], lambda result: result.update(f="3")),
+    (["discrete", "--n", "5", "--k", "1"], lambda result: result.update(f="3")),
     (["certify", "--trials", "20"], _set_first_branch_name),
     (["certify", "--trials", "20"], lambda result: result["harness"].update(violations=None)),
     # a bool is no int, and a witness holds ints only
-    (["discrete", "--n", "5", "--k", "1", "--witness"], lambda result: result.update(f=True)),
+    (["discrete", "--n", "5", "--k", "1"], lambda result: result.update(f=True)),
     (["continuous", "--k", "3", "--m", "2"], lambda result: result.update(nodes_explored=False)),
     (["certify", "--trials", "20"], lambda result: result["harness"].update(violations=False)),
-    (["discrete", "--n", "5", "--k", "1", "--witness"],
+    (["discrete", "--n", "5", "--k", "1"],
      lambda result: result.update(witnesses=[[1, "3"]])),
+    # a field the command writes but no table line reads is still required
+    (["continuous", "--k", "3", "--m", "2"], lambda result: result.pop("witnesses_exact")),
+    (["discrete", "--n", "5", "--k", "1"], lambda result: result.pop("n")),
+    (["certify", "--trials", "20"], lambda result: result.pop("steps")),
+    (["certify", "--trials", "20"], lambda result: result["harness"].pop("min_slack_example")),
 ], ids=["continuous-witnesses", "continuous-witness", "discrete-witnesses",
         "discrete-witness", "discrete-f", "certify-branch-name", "certify-violations",
         "discrete-f-bool", "continuous-nodes-bool", "certify-violations-bool",
-        "discrete-witness-element"])
+        "discrete-witness-element", "continuous-witnesses-exact-missing",
+        "discrete-n-missing", "certify-steps-missing", "certify-min-slack-example-missing"])
 def test_record_with_a_field_of_the_wrong_type_is_recomputed(cache_path, capsys, argv, damage):
     assert main(argv + ["--format", "json"]) == 0
     expected = capsys.readouterr().out
@@ -859,7 +898,7 @@ def test_cached_parser_carries_no_state_between_calls(tmp_path, capsys, monkeypa
             ["verify", "--k", "3", "--set", RECORD_SET],  # --format back at its default
             ["-v", "-v", "discrete", "--n", "9", "--k", "3", "--force"] + c,
             ["discrete", "--n", "9", "--k", "3", "-v"] + c,  # no --force: a hit
-            c + ["discrete", "--n", "9", "--k", "3", "--witness", "--format", "table"],
+            c + ["discrete", "--n", "9", "--k", "3", "--format", "table"],
             ["discrete", "--n", "9", "--k", "3"] + c,
             ["discrete", "--n", "9", "--k", "x"] + c,  # a usage error in between
             ["continuous", "--k", "3", "--m", "2", "--force", "-v"] + c,

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -11,10 +12,11 @@ from oracles import (
     brute_force_f,
     has_forbidden_triple,
     instance_tables,
+    pairs,
     triples_double_loop,
 )
 
-from sumfree import discrete
+from sumfree import discrete, maximize_measure
 from sumfree.discrete import (
     EnumerationLimitError,
     _Instance,
@@ -104,6 +106,21 @@ def test_witnesses_pass_independent_recheck():
         value, witness = f_max(n, k)
         assert len(witness) == value
         assert not has_forbidden_triple(witness, k)
+
+
+@pytest.mark.parametrize("k", range(3, 9))
+def test_continuous_witness_read_at_the_integers_is_discrete_sum_free(k):
+    """The two solvers agree: ``x + y = kz`` scales by ``n``, so the integers
+    ``x`` with ``x/n`` in an open k-sum-free union form a k-sum-free subset
+    of ``1..n``, no larger than ``f(n, k)``."""
+    result = maximize_measure(4, k)
+    assert result.witnesses_exact and len(result.witnesses) == 1
+    (witness,) = result.witnesses
+    for n in range(10, 61, 10):
+        s_n = [x for x in range(1, n + 1)
+               if any(lo < Fraction(x, n) < hi for lo, hi in pairs(witness))]
+        assert not has_forbidden_triple(s_n, k), (n, s_n)
+        assert len(s_n) <= f_max(n, k)[0], (n, s_n)
 
 
 def test_enumeration_counts_and_sets():
