@@ -8,8 +8,9 @@ Subcommands:
   report      cached results, as a markdown table or a JSON list
 
 All numbers are printed as exact "p/q" strings; decimals appear only in
-parentheses.  Exit codes: 0 success, 1 verification failure, 2 usage or
-parse error, or a cache path that cannot be read or appended to.
+parentheses.  Exit codes: 0 success, 1 verification failure or a
+`discrete` run that reaches --node-limit, 2 usage or parse error, or a
+cache path that cannot be read or appended to.
 """
 
 from __future__ import annotations
@@ -124,17 +125,13 @@ def _fits(value, shape) -> bool:
             name in value and _fits(value[name], sub) for name, sub in shape.items())
     if isinstance(shape, list):
         return isinstance(value, list) and all(_fits(item, shape[0]) for item in value)
-    return type(value) is shape  # exact, as in require_int: a bool is no int
+    return type(value) is shape  # exact, as in require_int: a bool is no int; None fits nothing
 
 
-def _well_formed(kind: str, result) -> bool:
-    """True when ``result`` has every field ``kind``'s command writes, of its shape."""
-    return kind in _RESULT_SHAPES and _fits(result, _RESULT_SHAPES[kind])
-
-
-def _current(rec: cache_mod.CacheRecord) -> bool:
-    """True when ``rec`` was computed by this sumfree version and solver source."""
-    return rec.version == __version__ and rec.solver == cache_mod.solver_digest()
+def _served(rec: cache_mod.CacheRecord) -> bool:
+    """True when this sumfree version and solver source wrote ``rec`` and its result fits."""
+    return (rec.version == __version__ and rec.solver == cache_mod.solver_digest()
+            and _fits(rec.result, _RESULT_SHAPES.get(rec.kind)))  # None: a kind never cached
 
 
 def _cached(kind: str, params: dict, args, compute) -> dict:
@@ -142,16 +139,15 @@ def _cached(kind: str, params: dict, args, compute) -> dict:
 
     ``compute`` returns the payload and the start of the ``-v`` line, to
     which the miss adds the time it took; a hit prints no line.
-    ``--force`` skips the lookup.  A record written by another sumfree
-    version or another solver source is a miss, so a solver fix is never
-    hidden by an old result; so is a record that lacks a field its
-    command writes, or holds one of another type.  A path that cannot take a
-    record fails before computing, and a run that fails creates no file.
-    An interrupted search is printed but not recorded: where it stops
-    depends on ``--parallel``, which is not in the key.
+    ``--force`` skips the lookup.  A record that ``_served`` rejects, from
+    another version or solver source or with a field missing or mistyped,
+    is a miss, so a solver fix is never hidden by an old result.  A path
+    that cannot take a record fails before computing, and a run that fails
+    creates no file.  An interrupted search is printed but not recorded:
+    where it stops depends on ``--parallel``, which is not in the key.
     """
     cached = None if args.force else cache_mod.lookup(args.cache, kind, params)
-    if cached is not None and _current(cached) and _well_formed(kind, cached.result):
+    if cached is not None and _served(cached):
         return cached.result
     cache_mod.check_appendable(args.cache)
     t0 = time.perf_counter()
@@ -277,11 +273,12 @@ def _report_row(rec: cache_mod.CacheRecord, params: str, fmt: str) -> str:
 
     ``params`` is the record's sorted parameter JSON, the text of ``rec.key()``.
     """
-    # a stale record, from another version or solver, is one the CLI recomputes rather than serves
+    stale = not _served(rec)
     if fmt == "json":
         return json.dumps({"kind": rec.kind, "parameters": rec.parameters, "result": rec.result,
-                           "version": rec.version, "stale": not _current(rec)}, sort_keys=True)
-    if not _well_formed(rec.kind, rec.result):
+                           "version": rec.version, "stale": stale}, sort_keys=True)
+    # a stale record whose fields fit, as after an upgrade, is still summarized
+    if stale and not _fits(rec.result, _RESULT_SHAPES.get(rec.kind)):
         summary = json.dumps(rec.result, sort_keys=True)
     elif rec.kind == "continuous":
         summary = (f"optimum {rec.result['optimum']}, "
@@ -293,7 +290,7 @@ def _report_row(rec: cache_mod.CacheRecord, params: str, fmt: str) -> str:
     else:
         summary = (f"delta* = {rec.result['delta_star']}, "
                    f"{rec.result['harness']['violations']} violations")
-    version = rec.version if _current(rec) else f"{rec.version} (stale)"
+    version = f"{rec.version} (stale)" if stale else rec.version
     return f"| {rec.kind} | `{params}` | {summary} | {version} |"
 
 

@@ -5,6 +5,7 @@ import json
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 import zlib
@@ -249,6 +250,18 @@ def test_every_option_is_in_readme():
     assert {"--cache", "--verbose", "--enumerate", "--max-intervals"} <= options
     assert sorted(s for s in options
                   if not re.search(rf"(?<![\w-]){re.escape(s)}(?![\w-])", readme)) == []
+
+
+def test_readme_cli_examples_print_what_readme_says(cache_path, capsys):
+    """Each ``sumfree ...`` line of README's ``sh`` blocks that is followed by
+    ``# -> `` lines prints exactly those lines."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = "".join(re.findall(r"^```sh\n(.*?)^```$", readme, re.M | re.S))
+    examples = re.findall(r"^sumfree (.*)\n((?:# -> .*\n)+)", blocks, re.M)
+    assert len(examples) >= 4
+    for command, outputs in examples:
+        main(shlex.split(command))
+        assert capsys.readouterr().out == re.sub(r"^# -> ", "", outputs, flags=re.M), command
 
 
 @pytest.mark.parametrize("argv,default", [
@@ -781,14 +794,21 @@ def test_cache_record_missing_result_fields_is_recomputed(cache_path, capsys):
     assert len(cache_path.read_text().strip().splitlines()) == 2
 
 
-def test_report_shows_malformed_record_raw(cache_path, capsys):
-    params = {"k": 3, "m": 2, "node_limit": None}
-    append_record(str(cache_path), make_record("continuous", params, {}, __version__))
+@pytest.mark.parametrize("kind,params,result", [
+    ("continuous", {"k": 3, "m": 2, "node_limit": None}, {}),
+    # a kind the CLI never caches: current, yet never served
+    ("verify", {"k": 3, "set": "(0,1/8)"}, {"measure": "1/8", "sum_free": True}),
+], ids=["continuous-empty", "verify"])
+def test_report_shows_malformed_record_raw(cache_path, capsys, kind, params, result):
+    append_record(str(cache_path), make_record(kind, params, result, __version__))
     assert main(["report"]) == 0
     rows = [line for line in capsys.readouterr().out.splitlines()
-            if line.startswith("| continuous ")]
+            if line.startswith(f"| {kind} ")]
     assert len(rows) == 1
-    assert f"| {{}} | {__version__} |" in rows[0]
+    assert f"| {json.dumps(result, sort_keys=True)} | {__version__} (stale) |" in rows[0]
+    assert main(["report", "--format", "json"]) == 0
+    assert [(item["kind"], item["stale"])
+            for item in json.loads(capsys.readouterr().out)] == [(kind, True)]
 
 
 @pytest.mark.parametrize("damage", [
@@ -851,6 +871,10 @@ def test_record_with_a_field_of_the_wrong_type_is_recomputed(cache_path, capsys,
     rows = [line for line in capsys.readouterr().out.splitlines()
             if line.startswith(f"| {first['kind']} ")]
     assert len(rows) == 1 and json.dumps(first["result"], sort_keys=True) in rows[0]
+    assert rows[0].endswith(" (stale) |")  # the record the next call recomputes
+    assert main(["report", "--format", "json"]) == 0
+    assert [(item["kind"], item["stale"])
+            for item in json.loads(capsys.readouterr().out)] == [(first["kind"], True)]
     assert main(argv + ["--format", "table"]) == 0
     assert capsys.readouterr().out
     assert len(cache_path.read_text().strip().splitlines()) == 3
