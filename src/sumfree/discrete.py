@@ -17,19 +17,22 @@ once ``avail`` is 0.  Three exact devices:
   one, and the ban came before e was decided;
 * counting bound: chosen + remaining - (greedy count of triples fully
   inside chosen + remaining whose remaining parts are disjoint), each
-  such triple forcing at least one future removal.  The two-element
-  triples (``{z, 2z}`` for k = 3) are packed first, since each costs two
-  live elements per removal against three.  ``live`` is a bitset over
-  the masks (bit i = ``masks[i]``) that meet no dead element: excluding
-  or banning x ANDs ``clears[x]`` (the masks not holding x) into it.
-  ``masks`` is sorted by element count, then by value, both decreasing,
-  so the mask the packing takes next (the fewest elements, then the
-  lowest value) is the highest set bit of ``live``; the packing stops
-  once the bound falls below the pruning threshold.  Packing mask i
-  keeps the masks that miss its available part, which for a live mask is
-  its elements below ``b = avail.bit_length()``; ``_Instance`` tabulates
-  that set once per level as ``keeps[b][i]``, so each packed mask costs
-  one lookup and one AND;
+  such triple forcing at least one future removal.  ``live`` is a bitset
+  over the masks (bit i = ``masks[i]``) that meet no dead element:
+  excluding or banning x ANDs ``clears[x]`` (the masks not holding x)
+  into it.  The bound is sound for any packing order; the order decides
+  only how many masks the greedy packs.  It follows the min-degree rule
+  for greedy packing (Halldorsson and Radhakrishnan, Algorithmica 18,
+  1997): a mask's weight is the sum of its elements' degrees, the number
+  of masks holding each, counted once per instance, and ``masks`` is
+  sorted by weight, then by value, both decreasing.  So the mask the
+  packing takes next, the lightest (its elements lie in the fewest other
+  masks), then the lowest value, is the highest set bit of ``live``;
+  the packing stops once the bound falls below the pruning threshold.
+  Packing mask i keeps the masks that miss its available part, which for
+  a live mask is its elements below ``b = avail.bit_length()``;
+  ``_Instance`` tabulates that set once per level as ``keeps[b][i]``, so
+  each packed mask costs one lookup and one AND;
 * seeded incumbent: ``_seed`` gives a known k-sum-free set (the odd
   numbers for odd k, since x + y is even and k*z odd), checked against
   the forbidden masks, and the pruning threshold starts at its size.
@@ -42,7 +45,8 @@ reached, and every maximum set is still enumerated.  That is why f_max
 starts from |seed| - 1 and not |seed|: a strict threshold of |seed|
 would prune the path to the first maximum set when f = |seed|, and the
 witness would become the seed.  Enumeration keeps ties, so it starts at
-|seed|.
+|seed|.  The same argument holds for any mask order: it moves node
+counts only, never a witness or an enumerated list.
 
 Sets are bitmasks (bit i = element i), so all of the above are a few
 integer operations per triple.  Enumeration of *all* maximum sets runs
@@ -51,6 +55,9 @@ deterministic by sorting.
 """
 
 from __future__ import annotations
+
+from collections import Counter
+from itertools import chain
 
 from .rationals import require_int
 
@@ -80,28 +87,29 @@ def forbidden_triples(n: int, k: int) -> list[tuple[int, int, int]]:
 class _Instance:
     def __init__(self, n: int, k: int):
         self.n, self.k = n, k
-        # each mask's elements, keyed by its element count above its value, so
-        # that the key order is (bit_count, mask); triples before pairs, each
-        # by decreasing value: the cheapest mask, the one the greedy packing
-        # takes first, has the highest index
+        # each mask's elements; a mask's weight is its elements' degree sum,
+        # the degree of x the number of masks holding x.  The masks are sorted
+        # by the key weight << (n + 1) | mask, decreasing: the lightest mask,
+        # the lowest value among ties, the one the greedy packing takes first,
+        # has the highest index
         elements = {}
         for a, b, c in forbidden_triples(n, k):
-            elems = {a, b, c}
-            elements[len(elems) << (n + 1) | (1 << a) | (1 << b) | (1 << c)] = elems
-        order = sorted(elements, reverse=True)
-        low = (2 << n) - 1
-        self.masks = [key & low for key in order]
+            elements[(1 << a) | (1 << b) | (1 << c)] = {a, b, c}
+        degree = Counter(chain.from_iterable(elements.values()))
+        self.masks = [key & ((2 << n) - 1) for key in sorted(
+            [sum(map(degree.__getitem__, elems)) << (n + 1) | tm for tm, elems in elements.items()],
+            reverse=True)]
         # meets[x]: bit i set when masks[i] holds element x, and holders[x] the
         # indices i themselves; clears[x]: its complement among the mask
         # indices, kept non-negative so that ANDing it into a live set makes no
         # two's-complement copy
         self.meets = [0] * (n + 1)
         holders = [[] for _ in range(n + 1)]
-        for i, key in enumerate(order):
-            for x in elements[key]:
+        for i, tm in enumerate(self.masks):
+            for x in elements[tm]:
                 self.meets[x] |= 1 << i
                 holders[x].append(i)
-        full = (1 << len(order)) - 1
+        full = (1 << len(self.masks)) - 1
         self.clears = [full ^ m for m in self.meets]
         # firsts[x], seconds[x]: the masks whose lowest, second-lowest element
         # is x, from prefix ORs of the masks with one, two elements below x
@@ -114,7 +122,7 @@ class _Instance:
         # keeps[b][i]: clears[x] ANDed over the elements x < b of masks[i], the
         # masks that packing masks[i] keeps when avail.bit_length() == b; each
         # row copies the one before it, so the rows share their ints
-        row = [full] * len(order)
+        row = [full] * len(self.masks)
         self.keeps = [row, row]
         for x in range(1, n + 1):
             row = row.copy()
@@ -131,10 +139,10 @@ class _Instance:
         that is neither chosen nor available.  Each such mask forces one
         removal from its available part (it has one, as ``chosen`` is
         sum-free); masks whose available parts are disjoint force distinct
-        removals.  The packing takes the highest live index, the cheapest
-        live mask, so the two-element masks go first, then keeps only the
-        masks that miss its available part, so it drops itself.  A live
-        mask's available part is exactly its elements below
+        removals.  The packing takes the highest live index, the lightest
+        live mask (see the module docstring), then keeps only the masks
+        that miss its available part, so it drops itself.  A live mask's
+        available part is exactly its elements below
         ``b = avail.bit_length()`` (those above are chosen), so the masks
         it keeps are the table entry ``keeps[b][i]``.  It stops as soon as
         the bound falls below ``threshold`` (0 packs every live mask).

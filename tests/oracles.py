@@ -125,14 +125,30 @@ def _bits(mask: int) -> list[int]:
     return [x for x in range(mask.bit_length()) if mask >> x & 1]
 
 
-def instance_tables(n: int, k: int):
+def mask_weights(n: int, k: int) -> dict[int, int]:
+    """Each distinct forbidden mask and its weight: the sum over its
+    elements of their degrees, the number of distinct masks holding each."""
+    masks = {(1 << a) | (1 << b) | (1 << c) for a, b, c in triples_double_loop(n, k)}
+    degree = [sum(tm >> x & 1 for tm in masks) for x in range(n + 1)]
+    return {tm: sum(degree[x] for x in _bits(tm)) for tm in masks}
+
+
+def mask_order(n: int, k: int) -> list[int]:
+    """The distinct forbidden masks by (weight, value), both decreasing: the
+    order of ``discrete._Instance.masks``, the lightest mask last."""
+    weights = mask_weights(n, k)
+    return sorted(weights, key=lambda tm: (weights[tm], tm), reverse=True)
+
+
+def instance_tables(n: int, k: int, masks: list[int] | None = None):
     """``(masks, meets, clears, keeps, firsts, seconds)`` as
-    ``discrete._Instance`` tabulates them, built the direct way: ``meets``
-    from each mask's bits, each keep row from the bits of ``meets[x]``, one
-    M-bit int walked per element, and ``firsts``, ``seconds`` from each
-    mask's lowest and second-lowest set bit."""
-    masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples_double_loop(n, k)},
-                   key=lambda tm: (tm.bit_count(), tm), reverse=True)
+    ``discrete._Instance`` tabulates them, built the direct way: ``masks``
+    by ``mask_order``, ``meets`` from each mask's bits, each keep row from
+    the bits of ``meets[x]``, one M-bit int walked per element, and
+    ``firsts``, ``seconds`` from each mask's lowest and second-lowest set
+    bit.  ``masks`` given in another order gives that order's tables."""
+    if masks is None:
+        masks = mask_order(n, k)
     meets = [0] * (n + 1)
     for i, tm in enumerate(masks):
         for x in _bits(tm):
@@ -157,15 +173,14 @@ def instance_tables(n: int, k: int):
 class ScanBound:
     """The discrete counting bound by a scan of the mask list, as a reference.
 
-    Masks are sorted pairs first, then by value; ``below[b]`` keeps those
-    with an element below ``b``.  A mask counts when it meets no dead
-    element and no element an earlier counted mask used.
+    Masks are sorted lightest first (``mask_order`` reversed); ``below[b]``
+    keeps those with an element below ``b``.  A mask counts when it meets no
+    dead element and no element an earlier counted mask used.
     """
 
     def __init__(self, n: int, k: int):
         self.n = n
-        masks = sorted({(1 << a) | (1 << b) | (1 << c) for a, b, c in triples_double_loop(n, k)},
-                       key=lambda tm: (tm.bit_count(), tm))
+        masks = mask_order(n, k)[::-1]
         self.below = [[tm for tm in masks if (tm & -tm).bit_length() <= b] for b in range(n + 2)]
 
     def bound(self, chosen: int, avail: int, threshold: int) -> int:

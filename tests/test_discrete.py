@@ -1,3 +1,4 @@
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -12,6 +13,7 @@ from oracles import (
     brute_force_f,
     has_forbidden_triple,
     instance_tables,
+    mask_weights,
     pairs,
     triples_double_loop,
 )
@@ -28,16 +30,16 @@ from sumfree.discrete import (
 
 # (n, k, enumerate_all) -> nodes explored by the branch-and-bound; any
 # change to the bound, the branching order or the seed shows here first
-DISCRETE_COUNTERS = {(24, 3, False): 373, (23, 3, True): 313, (30, 3, True): 837,
-                     (40, 3, False): 3511, (58, 4, False): 1397, (50, 3, False): 10499,
-                     (60, 4, False): 2353, (45, 3, False): 1771, (59, 4, False): 1305,
-                     (60, 3, False): 29243}
+DISCRETE_COUNTERS = {(24, 3, False): 383, (23, 3, True): 281, (30, 3, True): 883,
+                     (40, 3, False): 1961, (58, 4, False): 83, (50, 3, False): 4749,
+                     (60, 4, False): 83, (45, 3, False): 1639, (59, 4, False): 85,
+                     (60, 3, False): 18673}
 
 # k -> (f_max, enumeration) nodes summed over n = 1..40: pins the whole tree
 # over a sweep, k = 2 enumeration included, which no bench workload runs
-SWEEP_NODES = {1: (8480, 17278), 2: (374124, 842714), 3: (17008, 26142),
-               4: (4214, 20350), 5: (1460, 9182), 6: (1300, 3522),
-               7: (1410, 4288), 8: (1374, 2706)}
+SWEEP_NODES = {1: (4644, 10264), 2: (361376, 819232), 3: (13572, 21604),
+               4: (1362, 10692), 5: (1210, 3382), 6: (1228, 1620),
+               7: (1286, 1836), 8: (1326, 1678)}
 
 
 def test_forbidden_triples_examples():
@@ -157,11 +159,11 @@ def test_f_max_node_limit_is_explicit():
     assert str(err.value) == "node limit reached after 10 nodes"
     with pytest.raises(ValueError):
         f_max(10, 3, node_limit=-1)
-    # f(45,3) takes 1771 nodes: one fewer stops it, exactly that many is enough
+    # f(45,3) takes 1639 nodes: one fewer stops it, exactly that many is enough
     with pytest.raises(EnumerationLimitError) as err:
-        f_max(45, 3, node_limit=1770)
-    assert str(err.value) == "node limit reached after 1770 nodes"
-    assert f_max(45, 3, node_limit=1771)[0] == 23
+        f_max(45, 3, node_limit=1638)
+    assert str(err.value) == "node limit reached after 1638 nodes"
+    assert f_max(45, 3, node_limit=1639)[0] == 23
 
 
 def test_seeded_search_equals_the_unseeded_one(monkeypatch):
@@ -192,12 +194,28 @@ def test_discrete_counters(n, k, enumerate_all):
     assert nodes == DISCRETE_COUNTERS[n, k, enumerate_all]
 
 
+@functools.cache
+def _sweep() -> dict:
+    """(n, k, enumerate_all) -> _search's (best, sets, nodes) for n <= 40, k = 1..8."""
+    return {(n, k, e): _search(_Instance(n, k), enumerate_all=e, node_limit=None)
+            for k in range(1, 9) for n in range(1, 41) for e in (False, True)}
+
+
 def test_sweep_node_totals():
     for k, totals in SWEEP_NODES.items():
-        got = tuple(sum(_search(_Instance(n, k), enumerate_all=e, node_limit=None)[2]
-                        for n in range(1, 41))
-                    for e in (False, True))
+        got = tuple(sum(_sweep()[n, k, e][2] for n in range(1, 41)) for e in (False, True))
         assert got == totals, k
+
+
+def test_mask_order_is_a_bound_heuristic_only():
+    # the tables rebuilt in (element count, value) order, which packs the
+    # pairs first, prune differently, yet give the same f and sets in both modes
+    for (n, k, e), (best, sets, _) in _sweep().items():
+        inst = _Instance(n, k)
+        by_count = sorted(inst.masks, key=lambda tm: (tm.bit_count(), tm), reverse=True)
+        (inst.masks, inst.meets, inst.clears, inst.keeps,
+         inst.firsts, inst.seconds) = instance_tables(n, k, by_count)
+        assert _search(inst, enumerate_all=e, node_limit=None)[:2] == (best, sets), (n, k, e)
 
 
 def test_pinned_witnesses_and_enumeration():
@@ -264,7 +282,8 @@ def test_keep_rows_match_their_definition():
         for n in range(1, 31):
             inst = _Instance(n, k)
             full = (1 << len(inst.masks)) - 1
-            order = [(tm.bit_count(), tm) for tm in inst.masks]
+            weights = mask_weights(n, k)
+            order = [(weights[tm], tm) for tm in inst.masks]
             assert all(a > b for a, b in zip(order, order[1:])), (n, k)
             assert inst.clears == [full ^ m for m in inst.meets]
             assert len(inst.keeps) == n + 2
