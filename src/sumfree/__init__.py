@@ -5,7 +5,7 @@ search for maximal configurations, the discrete f(n, k) solver, and the
 mechanical certificate for the 1/2 - 1/114 measure bound.
 """
 
-__version__ = "0.33.0"
+__version__ = "0.34.0"
 
 from .rationals import RationalParseError
 from .intervals import Interval, IntervalUnion, Witness, is_k_sum_free, parse_union

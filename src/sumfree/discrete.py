@@ -56,9 +56,6 @@ deterministic by sorting.
 
 from __future__ import annotations
 
-from collections import Counter
-from itertools import chain
-
 from .rationals import require_int
 
 
@@ -88,14 +85,15 @@ class _Instance:
     def __init__(self, n: int, k: int):
         self.n, self.k = n, k
         # each mask's elements; a mask's weight is its elements' degree sum,
-        # the degree of x the number of masks holding x.  The masks are sorted
-        # by the key weight << (n + 1) | mask, decreasing: the lightest mask,
-        # the lowest value among ties, the one the greedy packing takes first,
-        # has the highest index
-        elements = {}
+        # the degree of x the number of masks holding x, one per triple, as no
+        # two triples share an element set.  The masks are sorted by the key
+        # weight << (n + 1) | mask, decreasing: the lightest mask, the lowest
+        # value among ties, the one the greedy packing takes first, comes last
+        elements, degree = {}, [0] * (n + 1)
         for a, b, c in forbidden_triples(n, k):
-            elements[(1 << a) | (1 << b) | (1 << c)] = {a, b, c}
-        degree = Counter(chain.from_iterable(elements.values()))
+            elements[(1 << a) | (1 << b) | (1 << c)] = elems = {a, b, c}
+            for x in elems:
+                degree[x] += 1
         self.masks = [key & ((2 << n) - 1) for key in sorted(
             [sum(map(degree.__getitem__, elems)) << (n + 1) | tm for tm, elems in elements.items()],
             reverse=True)]
@@ -103,19 +101,19 @@ class _Instance:
         # indices i themselves; clears[x]: its complement among the mask
         # indices, kept non-negative so that ANDing it into a live set makes no
         # two's-complement copy
-        self.meets = [0] * (n + 1)
+        meets = [0] * (n + 1)
         holders = [[] for _ in range(n + 1)]
         for i, tm in enumerate(self.masks):
             for x in elements[tm]:
-                self.meets[x] |= 1 << i
+                meets[x] |= 1 << i
                 holders[x].append(i)
         full = (1 << len(self.masks)) - 1
-        self.clears = [full ^ m for m in self.meets]
+        self.clears = [full ^ m for m in meets]
         # firsts[x], seconds[x]: the masks whose lowest, second-lowest element
         # is x, from prefix ORs of the masks with one, two elements below x
         self.firsts, self.seconds = [0] * (n + 1), [0] * (n + 1)
         one = two = 0
-        for x, meet in enumerate(self.meets):
+        for x, meet in enumerate(meets):
             self.firsts[x], self.seconds[x] = meet & ~one, meet & one & ~two
             two |= meet & one
             one |= meet

@@ -141,12 +141,13 @@ def mask_order(n: int, k: int) -> list[int]:
 
 
 def instance_tables(n: int, k: int, masks: list[int] | None = None):
-    """``(masks, meets, clears, keeps, firsts, seconds)`` as
-    ``discrete._Instance`` tabulates them, built the direct way: ``masks``
-    by ``mask_order``, ``meets`` from each mask's bits, each keep row from
-    the bits of ``meets[x]``, one M-bit int walked per element, and
-    ``firsts``, ``seconds`` from each mask's lowest and second-lowest set
-    bit.  ``masks`` given in another order gives that order's tables."""
+    """``(masks, clears, keeps, firsts, seconds)`` as ``discrete._Instance``
+    tabulates them, built the direct way: ``masks`` by ``mask_order``,
+    ``meets[x]``, the masks holding ``x``, from each mask's bits,
+    ``clears[x]`` its complement, each keep row from the bits of
+    ``meets[x]``, one M-bit int walked per element, and ``firsts``,
+    ``seconds`` from each mask's lowest and second-lowest set bit.
+    ``masks`` given in another order gives that order's tables."""
     if masks is None:
         masks = mask_order(n, k)
     meets = [0] * (n + 1)
@@ -167,7 +168,7 @@ def instance_tables(n: int, k: int, masks: list[int] | None = None):
         lowest, second = _bits(tm)[:2]
         firsts[lowest] |= 1 << i
         seconds[second] |= 1 << i
-    return masks, meets, clears, keeps, firsts, seconds
+    return masks, clears, keeps, firsts, seconds
 
 
 class ScanBound:

@@ -68,6 +68,15 @@ def test_forbidden_triples_match_the_double_loop():
             assert forbidden_triples(n, k) == triples_double_loop(n, k), (n, k)
 
 
+def test_no_two_triples_share_an_element_set():
+    # _Instance counts degrees once per triple, so each mask must come from one
+    # triple; a shared set would move node counts only, never a result
+    for k in range(1, 9):
+        for n in range(1, 61):
+            sets = [frozenset(t) for t in forbidden_triples(n, k)]
+            assert len(sets) == len(set(sets)), (n, k)
+
+
 def test_f_against_brute_force_oracle():
     for k in (1, 2, 3, 4):
         for n in range(1, 13):
@@ -213,8 +222,7 @@ def test_mask_order_is_a_bound_heuristic_only():
     for (n, k, e), (best, sets, _) in _sweep().items():
         inst = _Instance(n, k)
         by_count = sorted(inst.masks, key=lambda tm: (tm.bit_count(), tm), reverse=True)
-        (inst.masks, inst.meets, inst.clears, inst.keeps,
-         inst.firsts, inst.seconds) = instance_tables(n, k, by_count)
+        inst.masks, inst.clears, inst.keeps, inst.firsts, inst.seconds = instance_tables(n, k, by_count)
         assert _search(inst, enumerate_all=e, node_limit=None)[:2] == (best, sets), (n, k, e)
 
 
@@ -285,7 +293,9 @@ def test_keep_rows_match_their_definition():
             weights = mask_weights(n, k)
             order = [(weights[tm], tm) for tm in inst.masks]
             assert all(a > b for a, b in zip(order, order[1:])), (n, k)
-            assert inst.clears == [full ^ m for m in inst.meets]
+            # meets[x]: the masks holding x, from the masks' bits
+            meets = [sum(1 << i for i, tm in enumerate(inst.masks) if tm >> x & 1) for x in range(n + 1)]
+            assert inst.clears == [full ^ m for m in meets]
             assert len(inst.keeps) == n + 2
             assert inst.keeps[0] == inst.keeps[1] == [full] * len(inst.masks)
             for b, row in enumerate(inst.keeps):
@@ -293,7 +303,7 @@ def test_keep_rows_match_their_definition():
                     dropped = 0
                     for x in range(1, b):
                         if tm >> x & 1:
-                            dropped |= inst.meets[x]
+                            dropped |= meets[x]
                     assert row[i] == full ^ dropped, (n, k, b, i)
             # an empty avail leaves no mask to pack: the bound is |chosen|
             chosen = sum(1 << x for x in range(1, n + 1, 2)) if k % 2 else 0
@@ -307,7 +317,7 @@ def test_instance_tables_equal_the_reference_builder():
     for k in range(1, 8):
         for n in range(1, 41):
             inst = _Instance(n, k)
-            tables = (inst.masks, inst.meets, inst.clears, inst.keeps, inst.firsts, inst.seconds)
+            tables = (inst.masks, inst.clears, inst.keeps, inst.firsts, inst.seconds)
             assert tables == instance_tables(n, k), (n, k)
             # each mask has one lowest and one second-lowest element, in that order
             for i in range(len(inst.masks)):
