@@ -29,11 +29,14 @@ reduced cost, ties in the ratio test go to the lowest basic variable),
 which terminates without any anti-cycling guard.  Each rule chooses in
 one pass, a tie going to the lower variable id by an explicit comparison.
 
-``solve`` returns the optimal ``Tableau`` itself, which gives the
-value, the vertex and a dual vector over ``canonical_rows``, so any
-claimed optimum can be re-verified from scratch by ``check_certificate``
-without trusting the solver: primal feasibility, dual feasibility and
-equality of the two objective values are checked exactly.
+``solve`` returns the optimal ``Tableau`` itself: its ``value``, and its
+vertex as ``vertex_numerators`` over ``den``.  The optimum's dual
+certificate is in the objective row too, one multiplier per row of
+``canonical_rows`` (then per added row): the reduced cost of that row's
+slack over ``den``, 0 when the slack is basic.  The tests' reference
+checker replays a claimed optimum from these with ``Fraction``
+arithmetic alone, checking primal feasibility, dual feasibility and the
+equality of the two objective values exactly.
 
 An optimal tableau is reoptimized after one more row ``g . x <= 0``
 (branch-and-bound children) by ``Tableau.add_row``: the row is written
@@ -119,7 +122,7 @@ class Tableau:
     variable id, never by column position.  Rows are replaced, never
     changed in place, so tableaux may share them.  ``solve`` returns it
     optimal, and so does ``add_row`` unless its cutoff stops it (status
-    ``CUTOFF``); ``value``, ``vertex`` and ``dual`` are read off an
+    ``CUTOFF``); ``value`` and ``vertex_numerators`` are read off an
     optimal one, and ``pivots`` counts the pivots that the solve or the
     added row took.
     """
@@ -151,22 +154,6 @@ class Tableau:
         for b, row in zip(self.basis, self.mat):
             x[b] = row[-1]
         return tuple(x[:self.nvars])
-
-    @property
-    def vertex(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self.den) for a in self.vertex_numerators)
-
-    @property
-    def dual(self) -> tuple[Fraction, ...]:
-        """Dual multipliers, one per row, nonnegative at an optimum.
-
-        The rows of ``solve(lp)`` are ``canonical_rows(lp)``; each row
-        ``add_row`` adds follows them.  Row i's is the reduced cost of its
-        slack, variable ``nvars + i`` (0 when basic).
-        """
-        reduced = dict(zip(self.cobasis, self.mat[self.nrows]))
-        return tuple(Fraction(reduced.get(self.nvars + i, 0), self.den)
-                     for i in range(self.nrows))
 
     def pivot(self, r: int, p: int) -> None:
         """Exchange ``basis[r]`` and ``cobasis[p]`` by one Bareiss step.
@@ -322,33 +309,4 @@ def solve(lp: LinearProgram) -> Tableau:
     tab = Tableau(mat, list(range(n, n + len(rows))), list(range(n)))
     tab.optimize()
     return tab
-
-
-def check_certificate(lp: LinearProgram, result) -> bool:
-    """Re-verify an optimal result from scratch, exactly.
-
-    ``result`` is any object with ``status``, ``value``, ``vertex`` and
-    ``dual`` (over ``canonical_rows``), such as ``solve(lp)``.  Checks:
-    the vertex is nonnegative and satisfies every row of
-    ``canonical_rows``; the dual vector is nonnegative and dual-feasible
-    (``y . a_j >= c_j`` on every variable's column); and both objective
-    values agree.  Any failure, by however small a margin, returns
-    False - there is no tolerance.
-    """
-    if result.status != OPTIMAL:
-        return False
-    rows = canonical_rows(lp)
-    x, y = result.vertex, result.dual
-    if len(x) != lp.num_vars or len(y) != len(rows):
-        return False
-    if any(xj < 0 for xj in x) or any(yi < 0 for yi in y):
-        return False
-    if any(sum(c * xj for c, xj in zip(a, x)) > b for a, b in rows):
-        return False
-    for j, cj in enumerate(lp.objective):
-        if sum(a[j] * yi for (a, _), yi in zip(rows, y)) < cj:
-            return False
-    primal = sum(cj * xj for cj, xj in zip(lp.objective, x))
-    dual_val = sum(b * yi for (_, b), yi in zip(rows, y))
-    return primal == result.value and dual_val == result.value
 

@@ -10,8 +10,10 @@ union parser and the sumset harness; ``merge_reference`` is the plain
 list-rebuilding merge that the kernel's merge sweep replaced.
 ``mu_formula`` is the closed form that the search's optimum is compared
 with for k >= 4 (F. Chung and J. Goldwasser, Electron. J. Combin. 3,
-1996), and ``top_slice_bounds`` the refined case bounds behind
-``certify``'s top-slice budget.
+1996), ``top_slice_bounds`` the refined case bounds behind
+``certify``'s top-slice budget, and ``check_certificate`` the reference
+checker of an LP optimum, which replays a tableau's vertex and dual
+(``certificate``) in ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations, product
 from math import lcm
+from types import SimpleNamespace
 
 import numpy as np
 
 from sumfree.certify import sumset_case_bounds
 from sumfree.intervals import IntervalUnion
-from sumfree.lp import LinearProgram
+from sumfree.lp import OPTIMAL, LinearProgram, canonical_rows
 from sumfree.rationals import RationalParseError, require_int
 from sumfree.search import build_pattern_lp
 
@@ -237,6 +240,59 @@ def satisfies_lp(prob, x) -> bool:
     """``x`` lies in ``[0, 1]`` and meets every ``g . x <= 0`` row of ``prob``, exactly."""
     return (all(0 <= xj <= 1 for xj in x)
             and all(sum(g * xj for g, xj in zip(row, x)) <= 0 for row in prob.rows))
+
+
+def vertex(tab) -> tuple[Fraction, ...]:
+    """The vertex of a tableau, its ``vertex_numerators`` over ``den``."""
+    return tuple(Fraction(a, tab.den) for a in tab.vertex_numerators)
+
+
+def dual(tab) -> tuple[Fraction, ...]:
+    """Dual multipliers of a tableau, one per row in tableau order.
+
+    The rows of ``solve(lp)`` are ``canonical_rows(lp)``; each row that
+    ``add_row`` adds follows them.  Row i's multiplier is the reduced cost
+    of its slack, variable ``nvars + i``, over ``den``, and 0 when that
+    slack is basic; at an optimum every one is nonnegative.
+    """
+    reduced = dict(zip(tab.cobasis, tab.mat[tab.nrows]))
+    return tuple(Fraction(reduced.get(tab.nvars + i, 0), tab.den) for i in range(tab.nrows))
+
+
+def certificate(tab) -> SimpleNamespace:
+    """What ``check_certificate`` reads of a tableau: status, value, vertex and dual."""
+    return SimpleNamespace(status=tab.status, value=tab.value, vertex=vertex(tab), dual=dual(tab))
+
+
+def check_certificate(lp: LinearProgram, result, rows=None) -> bool:
+    """Re-verify an optimal result from scratch, exactly.
+
+    ``result`` is any object with ``status``, ``value``, ``vertex`` and
+    ``dual`` (over ``rows``, by default ``canonical_rows(lp)``), such as
+    ``certificate(solve(lp))``.  A warm child's rows are its cold
+    ancestor's ``canonical_rows`` and then each row that ``add_row``
+    appended, as ``(g, 0)``.  Checks: the vertex is nonnegative and
+    satisfies every row; the dual vector is nonnegative and dual-feasible
+    (``y . a_j >= c_j`` on every variable's column); and both objective
+    values agree.  Any failure, by however small a margin, returns False -
+    there is no tolerance.
+    """
+    if result.status != OPTIMAL:
+        return False
+    rows = canonical_rows(lp) if rows is None else rows
+    x, y = result.vertex, result.dual
+    if len(x) != lp.num_vars or len(y) != len(rows):
+        return False
+    if any(xj < 0 for xj in x) or any(yi < 0 for yi in y):
+        return False
+    if any(sum(c * xj for c, xj in zip(a, x)) > b for a, b in rows):
+        return False
+    for j, cj in enumerate(lp.objective):
+        if sum(a[j] * yi for (a, _), yi in zip(rows, y)) < cj:
+            return False
+    primal = sum(cj * xj for cj, xj in zip(lp.objective, x))
+    dual_val = sum(b * yi for (_, b), yi in zip(rows, y))
+    return primal == result.value and dual_val == result.value
 
 
 def chain_pattern_lp(m: int, k: int, choices=()) -> LinearProgram:

@@ -14,12 +14,13 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import brute_force_f, has_forbidden_triple, mu_formula, pairs
+from oracles import (brute_force_f, certificate, check_certificate, has_forbidden_triple,
+                     mu_formula, pairs)
 
 from sumfree.certify import derive_delta, sumset_bound_harness
 from sumfree.discrete import enumerate_maximum_sets, f_max
 from sumfree.intervals import IntervalUnion, is_k_sum_free, parse_union
-from sumfree.lp import LinearProgram, solve, check_certificate
+from sumfree.lp import LinearProgram, solve
 from sumfree.search import maximize_measure
 
 F = Fraction
@@ -152,7 +153,7 @@ def test_criterion_8_property_suites_sample():
 
     prob = LinearProgram(objective=(1, 1), rows=((177, -77),))  # x1 <= 77/177 x2
     res = solve(prob)
-    assert res.value == F(254, 177) and check_certificate(prob, res)
+    assert res.value == F(254, 177) and check_certificate(prob, certificate(res))
 
     seq = maximize_measure(2, 3, parallel=1)
     par = maximize_measure(2, 3, parallel=2)

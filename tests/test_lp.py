@@ -4,7 +4,16 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from oracles import FractionDictionary, optimal_vertices_brute, pattern_lp, satisfies_lp
+from oracles import (
+    FractionDictionary,
+    certificate,
+    check_certificate,
+    dual,
+    optimal_vertices_brute,
+    pattern_lp,
+    satisfies_lp,
+    vertex,
+)
 
 from sumfree.lp import (
     CUTOFF,
@@ -12,7 +21,6 @@ from sumfree.lp import (
     LinearProgram,
     Tableau,
     canonical_rows,
-    check_certificate,
     solve,
 )
 from sumfree.search import _choice_row, build_pattern_lp
@@ -24,8 +32,8 @@ def test_single_variable_box():
     prob = LinearProgram(objective=(1,), rows=())
     res = solve(prob)
     assert res.status == OPTIMAL
-    assert res.value == 1 and res.vertex == (F(1),)
-    assert check_certificate(prob, res)
+    assert res.value == 1 and vertex(res) == (F(1),)
+    assert check_certificate(prob, certificate(res))
 
 
 def test_binding_budget_row():
@@ -33,8 +41,8 @@ def test_binding_budget_row():
     prob = LinearProgram(objective=(1, 1), rows=((177, -77),))
     res = solve(prob)
     assert res.status == OPTIMAL and res.value == F(254, 177)
-    assert res.vertex == (F(77, 177), F(1))
-    assert check_certificate(prob, res)
+    assert vertex(res) == (F(77, 177), F(1))
+    assert check_certificate(prob, certificate(res))
 
 
 def test_rejects_non_integer_data_and_bad_lengths():
@@ -53,30 +61,30 @@ def test_rejects_non_integer_data_and_bad_lengths():
 def test_certificate_rejects_perturbations():
     prob = LinearProgram(objective=(1, 1), rows=((177, -77),))
     res = solve(prob)
-    assert check_certificate(prob, res)
+    assert check_certificate(prob, certificate(res))
     forged = SimpleNamespace(status=res.status, value=res.value,
-                             vertex=res.vertex, dual=res.dual)
+                             vertex=vertex(res), dual=dual(res))
     assert check_certificate(prob, forged)  # the checker reads only these four
     bad_value = SimpleNamespace(**{**vars(forged), "value": res.value + 1})
     assert not check_certificate(prob, bad_value)
     # vertex off by one millionth on a binding row: exactness, no tolerance
     eps = F(1, 10**6)
-    shifted = tuple(x + eps for x in res.vertex)
+    shifted = tuple(x + eps for x in vertex(res))
     bad_vertex = SimpleNamespace(**{**vars(forged), "vertex": shifted})
     assert not check_certificate(prob, bad_vertex)
-    bad_dual = SimpleNamespace(**{**vars(forged), "dual": tuple(y + eps for y in res.dual)})
+    bad_dual = SimpleNamespace(**{**vars(forged), "dual": tuple(y + eps for y in dual(res))})
     assert not check_certificate(prob, bad_dual)
     bad_status = SimpleNamespace(**{**vars(forged), "status": "infeasible"})
     assert not check_certificate(prob, bad_status)
     # forgeries that pass every later check: only the sign and the length catch them
     prob = LinearProgram((1, 1), ((-1, 1),))
     res = solve(prob)
-    assert [b for _, b in canonical_rows(prob)] == [0, 1, 1] and res.dual == (1, 2, 0)
-    forged = SimpleNamespace(status=res.status, value=res.value, vertex=res.vertex)
-    assert check_certificate(prob, SimpleNamespace(**vars(forged), dual=res.dual))
+    assert [b for _, b in canonical_rows(prob)] == [0, 1, 1] and dual(res) == (1, 2, 0)
+    forged = SimpleNamespace(status=res.status, value=res.value, vertex=vertex(res))
+    assert check_certificate(prob, SimpleNamespace(**vars(forged), dual=dual(res)))
     negative = SimpleNamespace(**vars(forged), dual=(F(-1, 2), F(1, 2), F(3, 2)))
     assert not check_certificate(prob, negative)
-    padded = SimpleNamespace(**vars(forged), dual=res.dual + (0,))  # zip would drop the 0
+    padded = SimpleNamespace(**vars(forged), dual=dual(res) + (0,))  # zip would drop the 0
     assert not check_certificate(prob, padded)
 
 
@@ -85,8 +93,8 @@ def test_duplicate_rows_are_dropped():
     rows = canonical_rows(prob)
     assert len(rows) == 3  # two distinct g rows, then x1 <= 1 (x0 <= x1 implies x0 <= 1)
     res = solve(prob)
-    assert res.value == 2 and check_certificate(prob, res)
-    assert len(res.dual) == len(rows)
+    assert res.value == 2 and check_certificate(prob, certificate(res))
+    assert len(dual(res)) == len(rows)
 
 
 def test_box_rows_implied_by_a_later_variable_are_dropped():
@@ -95,13 +103,13 @@ def test_box_rows_implied_by_a_later_variable_are_dropped():
     prob = LinearProgram(objective=(1, 1), rows=((1, -1), (-1, 1)))
     assert canonical_rows(prob) == [((1, -1), 0), ((-1, 1), 0), ((0, 1), 1)]
     res = solve(prob)
-    assert res.value == 2 and res.vertex == (F(1), F(1))
-    assert check_certificate(prob, res)
+    assert res.value == 2 and vertex(res) == (F(1), F(1))
+    assert check_certificate(prob, certificate(res))
     # a scaled row implies no box row; x0 + x1 <= x2 bounds both x0 and x1 by x2
     prob = LinearProgram(objective=(1, 1, 1), rows=((2, -2, 0), (1, 1, -1)))
     assert [b for _, b in canonical_rows(prob)] == [0, 0, 1]
     res = solve(prob)
-    assert res.value == 2 and check_certificate(prob, res)
+    assert res.value == 2 and check_certificate(prob, certificate(res))
     # a positive coefficient after the -1, or a second negative one, bounds nothing
     prob = LinearProgram(objective=(1, 1, 1), rows=((3, -1, 2), (1, -1, -1)))
     assert canonical_rows(prob)[2:] == [((0, 1, 0), 1), ((0, 0, 1), 1)]
@@ -134,7 +142,7 @@ def test_implied_box_rows_against_brute_force():
         res = solve(prob)
         best = optimal_vertices_brute(prob)[0]
         assert res.value == sum(c * x for c, x in zip(prob.objective, best))
-        assert check_certificate(prob, res)
+        assert check_certificate(prob, certificate(res))
         dropped += len(canonical_rows(prob)) < len(set(rows)) + n
     assert dropped > 50  # about half of them drop some box row
 
@@ -147,8 +155,8 @@ def test_beale_degenerate_instance_terminates():
     res = solve(prob)
     assert res.status == OPTIMAL
     assert res.value == 5  # 100 * 1/20
-    assert res.vertex == (F(1, 25), F(0), F(1), F(0))
-    assert check_certificate(prob, res)
+    assert vertex(res) == (F(1, 25), F(0), F(1), F(0))
+    assert check_certificate(prob, certificate(res))
 
 
 def test_degenerate_ties_resolve_deterministically():
@@ -156,10 +164,10 @@ def test_degenerate_ties_resolve_deterministically():
     rows = ((1, -1), (2, -2), (-1, 1))
     prob = LinearProgram(objective=(1, 0), rows=rows)
     first, second = solve(prob), solve(prob)
-    assert ((first.value, first.vertex, first.dual, first.pivots)
-            == (second.value, second.vertex, second.dual, second.pivots))
+    assert ((first.value, vertex(first), dual(first), first.pivots)
+            == (second.value, vertex(second), dual(second), second.pivots))
     assert first.value == 1
-    assert check_certificate(prob, first)
+    assert check_certificate(prob, certificate(first))
 
 
 def _random_lp(rng: random.Random) -> LinearProgram:
@@ -176,9 +184,9 @@ def test_duality_on_random_feasible_lps():
         prob = _random_lp(rng)
         res = solve(prob)
         assert res.status == OPTIMAL
-        assert check_certificate(prob, res)
+        assert check_certificate(prob, certificate(res))
         rows = canonical_rows(prob)
-        dual_value = sum(y * b for y, (_, b) in zip(res.dual, rows))
+        dual_value = sum(y * b for y, (_, b) in zip(dual(res), rows))
         assert dual_value == res.value  # exact strong duality
 
 
@@ -192,17 +200,17 @@ def test_objective_scaling_invariance():
         base = solve(prob)
         up = solve(scaled)
         assert up.value == lam * base.value
-        assert up.vertex == base.vertex  # same deterministic pivot path
+        assert vertex(up) == vertex(base)  # same deterministic pivot path
 
 
 def test_optimal_face_enumeration():
     # x1 + x2 <= x3 <= 1, objective parallel to that facet: a segment
     prob = LinearProgram(objective=(1, 1, 0), rows=((1, 1, -1),))
-    verts = sorted({t.vertex for t in solve(prob).optimal_face()})
+    verts = sorted({vertex(t) for t in solve(prob).optimal_face()})
     assert verts == [(F(0), F(1), F(1)), (F(1), F(0), F(1))]
     # unique optimum: one vertex only
     prob2 = LinearProgram(objective=(2, 1, 0), rows=((1, 1, -1),))
-    assert sorted({t.vertex for t in solve(prob2).optimal_face()}) == [(F(1), F(0), F(1))]
+    assert sorted({vertex(t) for t in solve(prob2).optimal_face()}) == [(F(1), F(0), F(1))]
 
 
 def _face_matches_brute_force(prob) -> tuple[int, int]:
@@ -212,7 +220,7 @@ def _face_matches_brute_force(prob) -> tuple[int, int]:
     assert face[0] is tab
     assert len({tuple(sorted(t.basis)) for t in face}) == len(face)
     assert all(t.value == tab.value for t in face)
-    verts = sorted({t.vertex for t in face})
+    verts = sorted({vertex(t) for t in face})
     assert verts == optimal_vertices_brute(prob)
     return len(verts), len(face)
 
@@ -282,7 +290,7 @@ def test_added_row_matches_a_cold_solve():
             dual_pivots += tab.pivots
             assert all(type(a) is int for row in tab.mat for a in row)
             assert tab.value == cold.value
-            assert satisfies_lp(prob, tab.vertex)
+            assert satisfies_lp(prob, vertex(tab))
     assert dual_pivots  # the added rows cut off some parent optima
 
 
@@ -344,7 +352,7 @@ def test_added_row_with_a_cutoff_stops_only_below_it():
                 else:
                     assert child.status == CUTOFF
                     assert cold < cutoff and child.pivots <= full.pivots
-                    assert not check_certificate(prob, child)
+                    assert not check_certificate(prob, certificate(child))
                     seen["cut after pivots" if child.pivots else "cut at once"] += 1
             tab = full
     assert all(seen.values()), seen

@@ -27,6 +27,18 @@ def test_every_exported_name_resolves():
         assert hasattr(sumfree, name), name
 
 
+def test_public_names_are_pinned():
+    """Adding or removing a public name is an edit of this list."""
+    assert sumfree.__all__ == [
+        "RationalParseError",
+        "Interval", "IntervalUnion", "Witness", "is_k_sum_free", "parse_union",
+        "LinearProgram", "solve", "SearchResult", "build_pattern_lp",
+        "maximize_measure", "forbidden_triples", "f_max",
+        "enumerate_maximum_sets", "derive_delta", "check_chain",
+        "sumset_bound_harness",
+    ]
+
+
 def test_readme_library_example_runs_on_public_names():
     """README's ``python`` block runs, and it imports from ``sumfree`` only
     names in ``__all__``, so a name gone from the package cannot stay there."""
@@ -124,11 +136,6 @@ def _reads(tree: ast.AST) -> tuple[set[str], set[str]]:
     return names, attributes
 
 
-# Reached only from the tests, which use it as their reference checker of an
-# LP optimum; ROADMAP item 7 folds it into the proof checker.
-_UNREACHED_EXEMPT = {"check_certificate"}
-
-
 def test_every_definition_is_reached():
     """Each ``def`` and ``class`` of the package is named somewhere in a module
     of it other than ``__init__.py``.  What only the tests or the bench scripts
@@ -141,7 +148,7 @@ def test_every_definition_is_reached():
     package = Path(sumfree.__file__).resolve().parent
     trees = {path.name: ast.parse(path.read_text(), str(path))
              for path in sorted(package.glob("*.py"))}
-    names, attributes = set(_UNREACHED_EXEMPT), set()
+    names, attributes = set(), set()
     for name, tree in trees.items():
         if name == "__init__.py":
             continue

@@ -9,8 +9,9 @@ from pathlib import Path
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from oracles import (chain_pattern_lp, gap_form, grid_best_1_interval, grid_best_2_intervals,
-                     mu_formula, pairs, pattern_lp, pick_branch_fraction, satisfies_lp)
+from oracles import (certificate, chain_pattern_lp, check_certificate, gap_form,
+                     grid_best_1_interval, grid_best_2_intervals, mu_formula, pairs,
+                     pattern_lp, pick_branch_fraction, satisfies_lp, vertex)
 
 from sumfree.intervals import IntervalUnion, is_k_sum_free
 from sumfree import search
@@ -55,7 +56,7 @@ def test_single_interval_pattern_lps():
     res = solve(left)
     assert res.status == OPTIMAL
     assert res.value == F(1, 3)
-    assert res.vertex == (F(2, 3), F(1))
+    assert vertex(res) == (F(2, 3), F(1))
     # sums pushed right: forces a degenerate interval for k = 3
     right = pattern_lp(1, 3, {("R", 0, 0, 0)})
     res = solve(right)
@@ -66,7 +67,7 @@ def test_single_interval_pattern_lps():
     assert res.status == OPTIMAL and res.value == 0
     right1 = pattern_lp(1, 1, {("R", 0, 0, 0)})
     res = solve(right1)
-    assert res.value == F(1, 2) and res.vertex == (F(1, 2), F(1))
+    assert res.value == F(1, 2) and vertex(res) == (F(1, 2), F(1))
 
 
 def test_mu_formula_values():
@@ -176,16 +177,20 @@ def test_relaxation_monotonicity():
             assert child.value <= parent.value
 
 
-def _warm_child_agrees(m, k, pat, tab, choice):
-    """Add ``choice`` to ``tab`` warm; check it against a cold solve of the child."""
-    tab = tab.add_row(_choice_row(m, k, choice), 0)
+def _warm_child_agrees(m, k, pat, tab, rows, choice):
+    """Add ``choice`` to ``tab`` warm; check it against a cold solve of the
+    child, and its certificate over ``rows``, ``tab``'s rows in tableau order,
+    and the added row.  Returns the child and its rows."""
+    g = _choice_row(m, k, choice)
+    tab, rows = tab.add_row(g, 0), rows + [(g, 0)]
     assert tab.status == OPTIMAL
     child = pattern_lp(m, k, pat | {choice})
     cold = solve(child)
     assert all(type(a) is int for row in tab.mat for a in row)
     assert tab.value == cold.value
-    assert satisfies_lp(child, tab.vertex)
-    return tab
+    assert satisfies_lp(child, vertex(tab))
+    assert check_certificate(child, certificate(tab), rows)
+    return tab, rows
 
 
 @pytest.mark.parametrize("m,k", [(m, k) for m in (3, 4) for k in (2, 3, 4)])
@@ -194,12 +199,13 @@ def test_warm_child_matches_cold_solve(m, k):
     entries = [(i, j, t) for i in range(m) for j in range(i, m) for t in range(m)]
     for _ in range(34):
         pat = _random_choices(rng, entries)
-        tab = solve(pattern_lp(m, k, pat))
+        lp = pattern_lp(m, k, pat)
+        tab, rows = solve(lp), canonical_rows(lp)
         for entry in rng.sample(entries, 3):  # a chain of warm children
             if _resolved(pat, entry):
                 continue
             choice = (rng.choice("LR"), *entry)
-            tab = _warm_child_agrees(m, k, pat, tab, choice)
+            tab, rows = _warm_child_agrees(m, k, pat, tab, rows, choice)
             pat = pat | {choice}
 
 
@@ -207,10 +213,11 @@ def test_warm_child_with_a_row_the_cold_build_drops():
     # for k = 2, L(0,0,1) and R(1,1,0) are both 2 r_0 - 2 l_1 <= 0
     m, k = 2, 2
     pat = frozenset({("L", 0, 0, 1)})
-    tab = solve(pattern_lp(m, k, pat))
+    lp = pattern_lp(m, k, pat)
+    tab = solve(lp)
     child = pat | {("R", 1, 1, 0)}
     assert len(canonical_rows(pattern_lp(m, k, child))) == tab.nrows
-    _warm_child_agrees(m, k, pat, tab, ("R", 1, 1, 0))
+    _warm_child_agrees(m, k, pat, tab, canonical_rows(lp), ("R", 1, 1, 0))
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
@@ -254,7 +261,7 @@ def test_gap_form_matches_the_chain_form():
         assert tab.value == solve(chain).value
         assert satisfies_lp(chain, _endpoints(tab))
         face = sorted({_endpoints(t) for t in tab.optimal_face()})
-        assert face == sorted({t.vertex for t in solve(chain).optimal_face()})
+        assert face == sorted({vertex(t) for t in solve(chain).optimal_face()})
         faces += len(face) > 1
     assert faces  # some optimal faces are more than a vertex
 
